@@ -89,11 +89,15 @@ class Scenario:
         if constraint is not None and not isinstance(constraint, dict):
             raise ScenarioError("constraint must be an object with 1-based index lists")
         try:
+            t0, t1 = float(time["t0"]), float(time["t1"])
+            if not (np.isfinite(t1 - t0) and t1 > t0):
+                raise ScenarioError(
+                    f"time span t1 - t0 = {t1 - t0} must be positive and finite")
             return cls(
                 system=doc["system"], params=doc.get("params"),
                 constraint=constraint, formalism=formalism,
                 initial=doc["initial"],
-                time={"t0": float(time["t0"]), "t1": float(time["t1"]),
+                time={"t0": t0, "t1": t1,
                       "dt": float(time["dt"]), "method": method},
                 checks=checks, output=doc.get("output"), seed=doc.get("seed", 0),
                 hamiltonian_source=doc.get("hamiltonian_source", "legendre"),
@@ -334,7 +338,7 @@ def cmd_run(args):
             doc = scenario.to_dict()
             doc.setdefault("params", {})[name] = float(value)
             sub = Scenario.from_dict(doc)
-            sub_dir = Path(args.out) / f"{name}={value:.6g}"
+            sub_dir = Path(args.out) / f"{name}={value:.17g}"
             futures.append(pool.submit(_execute, sub, sub_dir))
         for future in futures:
             codes.append(future.result())

@@ -352,6 +352,13 @@ def _selector_rows(indices, width):
     return rows
 
 
+def _constant(block):
+    """Read-only float copy of an x-independent local-form block."""
+    block = np.array(block, dtype=float)
+    block.flags.writeable = False
+    return block
+
+
 class PiGraphDirac(DiracAlgebroid):
     """Graph of the linear bivector of a skew algebroid.
 
@@ -366,23 +373,23 @@ class PiGraphDirac(DiracAlgebroid):
         super().__init__(algebroid.chart)
         self.algebroid = algebroid
         n, m = self.chart.base_dim, self.chart.fiber_dim
-        eye_m = np.eye(m)
-        eye_n = np.eye(n)
-
-        def eta(x):
-            return np.hstack([np.zeros((m, n)), eye_m])
+        # eta and zetahat are constant; etahat and zeta are copies of them
+        # with the anchor filled in
+        eta_block = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
+        zetahat_block = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
 
         def etahat(x):
-            return np.hstack([eye_n, -algebroid.anchor(x)])
+            out = zetahat_block.copy()
+            out[:, n:] = -algebroid.anchor(x)
+            return out
 
         def zeta(x):
-            return np.hstack([algebroid.anchor(x).T, eye_m])
-
-        def zetahat(x):
-            return np.hstack([eye_n, np.zeros((n, m))])
+            out = eta_block.copy()
+            out[:, :n] = algebroid.anchor(x).T
+            return out
 
         self._lf = LocalForm(
-            self.chart, eta, etahat, zeta, zetahat,
+            self.chart, lambda x: eta_block, etahat, zeta, lambda x: zetahat_block,
             structure=algebroid.structure,
         )
 
@@ -406,8 +413,10 @@ class OmegaGraphDirac(DiracAlgebroid):
         n, m = chart.base_dim, chart.fiber_dim
         self._rho = rho
         self._cform = cform
-        eye_n = np.eye(n)
-        eye_m = np.eye(m)
+        # eta and zetahat are constant; etahat and zeta are copies of them
+        # with rho filled in
+        eta_block = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
+        zetahat_block = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
 
         def rho_at(x):
             r = _check_finite("rho", rho(np.asarray(x, float)))
@@ -426,22 +435,21 @@ class OmegaGraphDirac(DiracAlgebroid):
                 raise StructureError("cform is not antisymmetric in its base indices")
             return 0.5 * (c - np.swapaxes(c, 0, 1))
 
-        def eta(x):
-            return np.hstack([eye_n, np.zeros((n, m))])
-
         def etahat(x):
-            return np.hstack([-rho_at(x), eye_m])
+            out = zetahat_block.copy()
+            out[:, :n] = -rho_at(x)
+            return out
 
         def zeta(x):
-            return np.hstack([eye_n, rho_at(x).T])
-
-        def zetahat(x):
-            return np.hstack([np.zeros((m, n)), eye_m])
+            out = eta_block.copy()
+            out[:, n:] = rho_at(x).T
+            return out
 
         def structure(x):
             return -cform_at(x)
 
-        self._lf = LocalForm(chart, eta, etahat, zeta, zetahat, structure=structure)
+        self._lf = LocalForm(chart, lambda x: eta_block, etahat, zeta,
+                             lambda x: zetahat_block, structure=structure)
 
     def local_form(self):
         return self._lf
@@ -458,15 +466,18 @@ class CanonicalDirac(DiracAlgebroid):
     def __init__(self, dim, base_labels=None):
         chart = Chart(dim, dim, base_labels=base_labels)
         super().__init__(chart)
-        n = dim
-        eye = np.eye(n)
+        eye, zero = np.eye(dim), np.zeros((dim, dim))
+        eta = _constant(np.hstack([zero, eye]))
+        etahat = _constant(np.hstack([eye, -eye]))
+        zeta = _constant(np.hstack([eye, eye]))
+        zetahat = _constant(np.hstack([eye, zero]))
 
         self._lf = LocalForm(
             chart,
-            eta=lambda x: np.hstack([np.zeros((n, n)), eye]),
-            etahat=lambda x: np.hstack([eye, -eye]),
-            zeta=lambda x: np.hstack([eye, eye]),
-            zetahat=lambda x: np.hstack([eye, np.zeros((n, n))]),
+            eta=lambda x: eta,
+            etahat=lambda x: etahat,
+            zeta=lambda x: zeta,
+            zetahat=lambda x: zetahat,
         )
 
     def local_form(self):
@@ -614,37 +625,21 @@ class InducedDirac(DiracAlgebroid):
         constrained = np.array(
             sorted(removed), dtype=int
         )
-        r = free.size
-        sel_constrained = _selector_rows(constrained, m)
-
-        def eta(x):
-            rows = np.zeros((r, n + m))
-            for k, i in enumerate(free):
-                rows[k, n + i] = 1.0
-            return rows
+        # eta and zetahat are constant; etahat and zeta are copies of them
+        # with the anchor filled in
+        eta_block = _constant(_selector_rows(n + free, n + m))
+        zetahat_block = _constant(_selector_rows(
+            np.concatenate([np.arange(n), n + constrained]), n + m))
 
         def etahat(x):
-            rho = algebroid.anchor(x)
-            rows = np.zeros((n + constrained.size, n + m))
-            rows[:n, :n] = np.eye(n)
-            rows[:n, n + free] = -rho[:, free]
-            rows[n:, n:] = sel_constrained
-            return rows
+            out = zetahat_block.copy()
+            out[:n, n + free] = -algebroid.anchor(x)[:, free]
+            return out
 
         def zeta(x):
-            rho = algebroid.anchor(x)
-            rows = np.zeros((r, n + m))
-            rows[:, :n] = rho[:, free].T
-            for k, i in enumerate(free):
-                rows[k, n + i] = 1.0
-            return rows
-
-        def zetahat(x):
-            rows = np.zeros((n + constrained.size, n + m))
-            rows[:n, :n] = np.eye(n)
-            for k, i in enumerate(constrained):
-                rows[n + k, n + i] = 1.0
-            return rows
+            out = eta_block.copy()
+            out[:, :n] = algebroid.anchor(x)[:, free].T
+            return out
 
         def structure(x):
             c = algebroid.structure(x)
@@ -673,9 +668,9 @@ class InducedDirac(DiracAlgebroid):
             def phase(x, xi):
                 return np.asarray(x, float)[idx]
 
-        self._lf = LocalForm(self.chart, eta, etahat, zeta, zetahat,
-                             structure=structure, velocity_offset=velocity_offset,
-                             drift=drift, phase=phase)
+        self._lf = LocalForm(self.chart, lambda x: eta_block, etahat, zeta,
+                             lambda x: zetahat_block, structure=structure,
+                             velocity_offset=velocity_offset, drift=drift, phase=phase)
 
     def local_form(self):
         return self._lf
@@ -741,13 +736,11 @@ class TimeExtendedDirac(DiracAlgebroid):
             return blf.structure_at(split(x))
 
         def velocity_offset(x):
-            rows = 1 + np.asarray(blf.etahat(split(x)), float).shape[0]
-            off = np.zeros(rows)
-            off[0] = 1.0
             base_off = blf.offset_at(split(x))
-            if base_off is not None:
-                off[1:] = base_off
-            return off
+            if base_off is None:
+                # etahat and eta rows together number nb + m
+                base_off = np.zeros(nb + m - np.shape(blf.eta(split(x)))[0])
+            return np.concatenate([[1.0], base_off])
 
         drift = None
         if blf.drift is not None:

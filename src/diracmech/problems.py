@@ -8,9 +8,9 @@ momentum rates are not determined by the structure, so they are excluded
 from the Newton solve and reconstructed from the time derivative of the
 phase constraints.
 
-All residuals here are affine in the rates.  The builders assemble the
-affine parts once per state and cache them, so the many rate evaluations
-inside a Newton solve cost one small matrix product each; the assembly is
+All residuals here are affine in the rates.  The builders hand the solver
+their affine parts (A, b), assembled once per state and cached, so the
+rate solve and its verification share one assembly; the assembly is
 algebraically identical to the reference generators in ``dynamics`` (a
 unit test pins the two against each other).
 """
@@ -53,22 +53,26 @@ def _fiber_embedding(dirac):
 
 
 class _StateCache:
-    """Single-slot memo for the affine residual parts at one (t, state)."""
+    """Single-slot memo for the affine residual parts at one (t, state).
 
-    __slots__ = ("key", "matrix", "offset")
+    Calling the cache with (t, state) returns ``assemble(state)``, computed
+    only when (t, state) differs from the previous call.
+    """
 
-    def __init__(self):
+    __slots__ = ("assemble", "key", "parts")
+
+    def __init__(self, assemble):
+        self.assemble = assemble
         self.key = None
-        self.matrix = None
-        self.offset = None
+        self.parts = None
 
-    def needs_update(self, t, state):
-        return (t, state.tobytes()) != self.key
-
-    def store(self, t, state, matrix, offset):
-        self.key = (t, state.tobytes())
-        self.matrix = matrix
-        self.offset = offset
+    def __call__(self, t, state):
+        state = np.asarray(state, dtype=float)
+        key = (t, state.tobytes())
+        if key != self.key:
+            self.parts = self.assemble(state)
+            self.key = key
+        return self.parts
 
 
 def _structure_blocks(dirac, x, xi):
@@ -102,12 +106,12 @@ def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
     r = free.size
     state_dim = n + r
     time_dependent = isinstance(dirac, TimeExtendedDirac)
-    cache = _StateCache()
 
     def split(state):
         return state[:n], embed(state[n:])
 
-    def assemble(x, y):
+    def assemble(state):
+        x, y = split(state)
         xi = lagrangian.grad_y(x, y)
         p = -lagrangian.grad_x(x, y)
         hyy = lagrangian.hess_yy(x, y)
@@ -129,13 +133,6 @@ def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
         b[qv:] = zp @ p + mix[:, n:] @ y + drift_xi
         return A, b
 
-    def residual(t, state, rate):
-        state = np.asarray(state, dtype=float)
-        if cache.needs_update(t, state):
-            x, y = split(state)
-            cache.store(t, state, *assemble(x, y))
-        return cache.matrix @ np.asarray(rate, dtype=float) + cache.offset
-
     algebraic = None
     if dirac.phase_residual(np.zeros(n), np.zeros(m)).size:
         def algebraic(t, state):
@@ -156,7 +153,7 @@ def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
 
     labels = list(dirac.chart.base_labels) + [dirac.chart.fiber_labels[i] for i in free]
     return ImplicitProblem(
-        state_dim, residual, algebraic=algebraic, monitors=monitors,
+        state_dim, _StateCache(assemble), algebraic=algebraic, monitors=monitors,
         velocity_pair=velocity_pair, state_labels=labels,
         name=name or f"euler-lagrange[{lagrangian.name}]",
     )
@@ -178,9 +175,9 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
     else:
         free = np.arange(m)
     constrained = np.setdiff1d(np.arange(m), free)
-    cache = _StateCache()
 
-    def assemble(x, xi):
+    def assemble(state):
+        x, xi = state[:n], state[n:]
         y = hamiltonian.grad_xi(x, xi)
         p = hamiltonian.grad_x(x, xi)
         etahat, eta, zeta, mix, off, drift_xi = _structure_blocks(dirac, x, xi)
@@ -197,12 +194,6 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
         A[qv:, n:] = zeta[:, n:]
         b[qv:] = zeta[:, :n] @ p + mix[:, n:] @ y + drift_xi
         return A, b
-
-    def residual(t, state, rate):
-        state = np.asarray(state, dtype=float)
-        if cache.needs_update(t, state):
-            cache.store(t, state, *assemble(state[:n], state[n:]))
-        return cache.matrix @ np.asarray(rate, dtype=float) + cache.offset
 
     def algebraic(t, state):
         state = np.asarray(state, dtype=float)
@@ -231,7 +222,7 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
 
     labels = list(dirac.chart.base_labels) + list(dirac.chart.dual_labels)
     return ImplicitProblem(
-        state_dim, residual,
+        state_dim, _StateCache(assemble),
         algebraic=algebraic if has_algebraic else None,
         monitors={"hamiltonian": monitor},
         free_rate_slots=free_rate_slots,
@@ -253,13 +244,13 @@ def pmp_problem(system, dirac, name=""):
         raise SolverError("control problems expect an unconstrained structure")
     q = system.control_dim
     state_dim = n + q + m
-    cache = _StateCache()
 
     def unpack(state):
         state = np.asarray(state, dtype=float)
         return state[:n], state[n:n + q], state[n + q:]
 
-    def assemble(x, u, xi):
+    def assemble(state):
+        x, u, xi = unpack(state)
         y = system.f(x, u)
         p = system.f_x(x, u).T @ xi - system.cost_x(x, u)
         etahat, eta, zeta, mix, off, drift_xi = _structure_blocks(dirac, x, xi)
@@ -275,12 +266,6 @@ def pmp_problem(system, dirac, name=""):
         A[qv:, n + q:] = zeta[:, n:]
         b[qv:] = zeta[:, :n] @ p + mix[:, n:] @ y + drift_xi
         return A, b
-
-    def residual(t, state, rate):
-        state = np.asarray(state, dtype=float)
-        if cache.needs_update(t, state):
-            cache.store(t, state, *assemble(*unpack(state)))
-        return cache.matrix @ np.asarray(rate, dtype=float) + cache.offset
 
     def algebraic(t, state):
         x, u, xi = unpack(state)
@@ -301,7 +286,7 @@ def pmp_problem(system, dirac, name=""):
     )
     free_rate_slots = np.concatenate([np.arange(n), n + q + np.arange(m)])
     return ImplicitProblem(
-        state_dim, residual, algebraic=algebraic,
+        state_dim, _StateCache(assemble), algebraic=algebraic,
         monitors={"hamiltonian": monitor},
         free_rate_slots=free_rate_slots,
         velocity_pair=velocity_pair, state_labels=labels,

@@ -1,10 +1,11 @@
 """Time integration of implicit residual systems.
 
-A problem packages a square-in-rate residual, an optional algebraic channel
-constraining states, and named monitor functions.  At each evaluation point
-the rates are found by Newton iteration on the residual; rate components
-not determined by the structure (listed outside ``free_rate_slots``) are
-reconstructed afterwards from the time derivative of the algebraic channel.
+A problem packages the affine parts (A, b) of a residual R = A rate + b,
+an optional algebraic channel constraining states, and named monitor
+functions.  At each evaluation point the solved rates come from the exact
+linear system A[:, free] r = -b; rate components not determined by the
+structure (listed outside ``free_rate_slots``) are reconstructed afterwards
+from the time derivative of the algebraic channel.
 After every accepted step the state is re-projected onto the algebraic
 channel by Gauss-Newton to prevent constraint drift.
 """
@@ -23,10 +24,12 @@ CONDITION_LIMIT = 1e12
 
 
 class ImplicitProblem:
-    """Residual system R(t, state, rate) = 0 with algebraic state constraints.
+    """Residual system A(t, state) rate + b(t, state) = 0 with algebraic
+    state constraints.
 
-    ``residual`` returns one row per solved rate slot; with no
-    ``free_rate_slots`` every slot is solved and the system is square of
+    ``affine`` maps (t, state) to the pair (A, b): A has one row per solved
+    rate slot and ``state_dim`` columns, b one entry per row.  With no
+    ``free_rate_slots`` every slot is solved and A[:, free] is square of
     size ``state_dim``.  ``algebraic`` maps (t, state) to constraint values
     (empty or None for unconstrained problems).  ``monitors`` are named
     scalar functions of (t, state) recorded along trajectories.
@@ -34,11 +37,11 @@ class ImplicitProblem:
     for admissibility reporting.
     """
 
-    def __init__(self, state_dim, residual, algebraic=None, monitors=None,
+    def __init__(self, state_dim, affine, algebraic=None, monitors=None,
                  free_rate_slots=None, velocity_pair=None, state_labels=None,
                  rate_labels=None, angle_indices=(), name=""):
         self.state_dim = int(state_dim)
-        self.residual = residual
+        self.affine = affine
         self.algebraic = algebraic
         self.monitors = dict(monitors or {})
         if free_rate_slots is None:
@@ -56,6 +59,10 @@ class ImplicitProblem:
         ]
         self.angle_indices = tuple(angle_indices)
         self.name = name
+
+    def residual(self, t, state, rate):
+        A, b = self.affine(t, state)
+        return A @ np.asarray(rate, dtype=float) + b
 
     def algebraic_at(self, t, state):
         if self.algebraic is None:
@@ -113,7 +120,8 @@ def _reconstruct_fixed_rates(problem, t, state, rate):
     if g0.size == 0:
         return rate
     A = fd.jacobian(lambda s: problem.algebraic_at(t, s), state)
-    dgdt = (problem.algebraic_at(t + 1e-6, state) - problem.algebraic_at(t - 1e-6, state)) / 2e-6
+    h = float(fd.steps(t))
+    dgdt = (problem.algebraic_at(t + h, state) - problem.algebraic_at(t - h, state)) / (2.0 * h)
     free = problem.free_rate_slots
     rhs = -(dgdt + A[:, free] @ rate[free])
     sol, *_ = np.linalg.lstsq(A[:, fixed], rhs, rcond=None)
@@ -124,11 +132,14 @@ def _reconstruct_fixed_rates(problem, t, state, rate):
 
 def solve_rate(problem, t, state, rate_guess=None, tol=NEWTON_TOL,
                max_iter=NEWTON_MAX_ITER):
-    """Newton-solve the residual for the rates at (t, state).
+    """Solve the affine residual for the rates at (t, state).
 
-    Raises DegenerateDynamicsError when the rate Jacobian has condition
-    number above 1e12, which is the expected signal for singular
-    Lagrangians rather than a crash.
+    A guess whose residual is already within ``tol`` is returned after one
+    iteration.  Otherwise the exact system A[:, free] r = -b is solved and
+    the residual re-evaluated, which takes two.  Raises
+    DegenerateDynamicsError when A[:, free] has condition number above
+    1e12, which is the expected signal for singular Lagrangians rather
+    than a crash.
     """
     state = np.asarray(state, dtype=float)
     d = problem.state_dim
@@ -143,24 +154,20 @@ def solve_rate(problem, t, state, rate_guess=None, tol=NEWTON_TOL,
         raise SolverError(
             f"residual has {r.size} rows for {free.size} solved rate slots"
         )
+    J = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        norm = np.linalg.norm(r)
-        if norm <= tol:
+        if np.linalg.norm(r) <= tol:
             break
-        J = np.zeros((free.size, free.size))
-        h = fd.steps(rate[free])
-        for k, slot in enumerate(free):
-            e = np.zeros(d)
-            e[slot] = h[k]
-            J[:, k] = (res(rate + e) - res(rate - e)) / (2.0 * h[k])
-        sigma = np.linalg.svd(J, compute_uv=False)
-        if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
-            raise DegenerateDynamicsError(
-                f"degenerate implicit dynamics at (t={t}, state={state}): "
-                f"rate Jacobian singular values {sigma}",
-                t=t, state=state, singular_values=sigma,
-            )
+        if J is None:
+            J = np.asarray(problem.affine(t, state)[0], dtype=float)[:, free]
+            sigma = np.linalg.svd(J, compute_uv=False)
+            if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
+                raise DegenerateDynamicsError(
+                    f"degenerate implicit dynamics at (t={t}, state={state}): "
+                    f"rate Jacobian singular values {sigma}",
+                    t=t, state=state, singular_values=sigma,
+                )
         step = np.linalg.solve(J, -r)
         rate[free] += step
         r = res(rate)
@@ -219,7 +226,8 @@ def _implicit_midpoint_step(problem, t, state, dt, k1):
 def integrate(problem, state0, t0, t1, dt, method="rk4"):
     """Integrate from t0 to t1 with the given nominal step.
 
-    The span is divided into round((t1 - t0) / dt) equal steps.  After each
+    The span t1 - t0 must be positive and finite; it is divided into
+    round((t1 - t0) / dt) equal steps (at least one).  After each
     step the state is re-projected onto the algebraic channel and monitors
     are recorded.  Raises with the step index attached when the inner rate
     solve degenerates.
@@ -229,6 +237,8 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     if method not in ("rk4", "implicit-midpoint"):
         raise SolverError(f"unknown method '{method}'")
     span = float(t1) - float(t0)
+    if not (np.isfinite(span) and span > 0.0):
+        raise SolverError(f"time span t1 - t0 = {span} must be positive and finite")
     nsteps = max(1, int(round(span / dt)))
     dt_eff = span / nsteps
 

@@ -56,6 +56,12 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="schema"):
             Scenario.from_dict(dict(BASE_DOC, schema="other/1"))
 
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_backwards_span_rejected(self, t1):
+        doc = dict(BASE_DOC, time={"t0": 0.0, "t1": t1, "dt": 0.01})
+        with pytest.raises(ScenarioError, match="span"):
+            Scenario.from_dict(doc)
+
     def test_nonpositive_step_rejected(self):
         doc = dict(BASE_DOC, time={"t0": 0.0, "t1": 1.0, "dt": 0.0})
         with pytest.raises(ScenarioError, match="dt"):
@@ -135,6 +141,20 @@ class TestRun:
         assert code == EXIT_OK
         for value in ("1", "1.5", "2"):
             assert (tmp_path / f"spring={value}" / "t.csv").exists()
+
+    def test_backwards_span_exit_code(self, tmp_path):
+        doc = dict(BASE_DOC, time={"t0": 0.0, "t1": -1.0, "dt": 0.01})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_MALFORMED
+
+    def test_sweep_keeps_close_values_apart(self, tmp_path):
+        doc = dict(BASE_DOC, time={"t0": 0.0, "t1": 0.05, "dt": 0.01})
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", str(path), "--out", str(tmp_path),
+                     "--sweep", "spring=1:1.000000001:2"])
+        assert code == EXIT_OK
+        reports = sorted(tmp_path.glob("spring=*/r.json"))
+        assert len(reports) == 2
 
     def test_structure_check_failure_exit_code(self, tmp_path, monkeypatch):
         # register a deliberately broken system: the structure functions

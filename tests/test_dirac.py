@@ -7,11 +7,13 @@ from diracmech import (
     Chart,
     ConstraintError,
     GeneralLocalDirac,
+    LinearConstraint,
     OmegaGraphDirac,
     PiGraphDirac,
     PontryaginPoint,
     StructureError,
     VelocityPair,
+    induce,
     pairing,
     scale_dual,
     scale_fiber,
@@ -298,3 +300,35 @@ class TestGeneralLocal:
                                           [[-x[0], -1.0], [0.0, 0.0]]]),
         )
         local.validate([np.zeros(1), np.array([0.7]), np.array([-1.2])])
+
+
+class TestConstantBlocks:
+    @pytest.mark.parametrize("builder, names", [
+        (lambda: CanonicalDirac(2), ("eta", "etahat", "zeta", "zetahat")),
+        (lambda: PiGraphDirac(make_random_pigraph(seed=3)), ("eta", "zetahat")),
+        (lambda: canonical_like_omega(2), ("eta", "zetahat")),
+        (lambda: induce(PiGraphDirac(make_random_pigraph(seed=3)),
+                        LinearConstraint(fiber=(2,))), ("eta", "zetahat")),
+    ], ids=["canonical", "pi-graph", "omega-graph", "induced"])
+    def test_constant_blocks_are_shared_and_read_only(self, builder, names):
+        lf = builder().local_form()
+        rng = np.random.default_rng(11)
+        x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
+        for name in names:
+            block = getattr(lf, name)(x1)
+            assert block is getattr(lf, name)(x2)
+            with pytest.raises(ValueError):
+                block[...] = 0.0
+
+    def test_anchor_blocks_are_fresh_copies(self):
+        for dirac in (PiGraphDirac(make_random_pigraph(seed=3)),
+                      canonical_like_omega(2),
+                      induce(PiGraphDirac(make_random_pigraph(seed=3)),
+                             LinearConstraint(fiber=(2,)))):
+            lf = dirac.local_form()
+            x = np.array([0.4, -0.7])
+            for name in ("etahat", "zeta"):
+                first = getattr(lf, name)(x)
+                expected = first.copy()
+                first[...] = np.nan
+                assert np.array_equal(getattr(lf, name)(x), expected)

@@ -1,74 +1,90 @@
-"""The cached affine assembly in the problem builders must agree with the
+"""The residual that a builder's affine parts generate must agree with the
 reference residual generators row for row."""
 
 import numpy as np
+import pytest
 
 from diracmech import el_residual, hamilton_residual, pmp_residual
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 from diracmech.systems import build_system
 
 
-def test_lagrangian_problem_matches_generator(disc_induced, disc_lagrangian):
-    problem = lagrangian_problem(disc_induced, disc_lagrangian)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        state = rng.standard_normal(3)
-        rate = rng.standard_normal(3)
-        fast = problem.residual(0.0, state, rate)
+def _lagrangian_induced(request):
+    dirac = request.getfixturevalue("disc_induced")
+    lag = request.getfixturevalue("disc_lagrangian")
+
+    def reference(state, rate):
         x, y = state[:1], np.array([state[1], state[2], 0.0, 0.0])
         ydot = np.array([rate[1], rate[2], 0.0, 0.0])
-        rows, _ = el_residual(disc_induced, disc_lagrangian, (x, y), (rate[:1], ydot))
-        assert np.max(np.abs(fast - np.concatenate([rows[:1], rows[3:]]))) <= 1e-12
+        rows, _ = el_residual(dirac, lag, (x, y), (rate[:1], ydot))
+        return np.concatenate([rows[:1], rows[3:]]), None
+
+    return lagrangian_problem(dirac, lag), reference
 
 
-def test_lagrangian_problem_matches_generator_unconstrained(disc_pi, disc_lagrangian):
-    problem = lagrangian_problem(disc_pi, disc_lagrangian)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        state = rng.standard_normal(5)
-        rate = rng.standard_normal(5)
-        fast = problem.residual(0.0, state, rate)
-        rows, _ = el_residual(disc_pi, disc_lagrangian,
-                              (state[:1], state[1:]), (rate[:1], rate[1:]))
-        assert np.max(np.abs(fast - rows)) <= 1e-12
+def _lagrangian_unconstrained(request):
+    dirac = request.getfixturevalue("disc_pi")
+    lag = request.getfixturevalue("disc_lagrangian")
+
+    def reference(state, rate):
+        rows, _ = el_residual(dirac, lag, (state[:1], state[1:]), (rate[:1], rate[1:]))
+        return rows, None
+
+    return lagrangian_problem(dirac, lag), reference
 
 
-def test_hamiltonian_problem_matches_generator(disc_induced, disc_hamiltonian):
-    problem = hamiltonian_problem(disc_induced, disc_hamiltonian)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        state = rng.standard_normal(5)
-        rate = rng.standard_normal(5)
-        fast = problem.residual(0.0, state, rate)
-        rows, _ = hamilton_residual(disc_induced, disc_hamiltonian,
-                                    (state[:1], state[1:]), (rate[:1], rate[1:]))
-        assert np.max(np.abs(fast - np.concatenate([rows[:1], rows[3:]]))) <= 1e-12
+def _hamiltonian_induced(request):
+    dirac = request.getfixturevalue("disc_induced")
+    ham = request.getfixturevalue("disc_hamiltonian")
+
+    def reference(state, rate):
+        rows, _ = hamilton_residual(dirac, ham, (state[:1], state[1:]),
+                                    (rate[:1], rate[1:]))
+        return np.concatenate([rows[:1], rows[3:]]), None
+
+    return hamiltonian_problem(dirac, ham), reference
 
 
-def test_pmp_problem_matches_generator():
+def _pmp(request):
     bundle = build_system("lqr_pmp")
-    problem = pmp_problem(bundle.control, bundle.dirac)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        state = rng.standard_normal(3)
-        rate = rng.standard_normal(3)
-        fast = problem.residual(0.0, state, rate)
+
+    def reference(state, rate):
         out = pmp_residual(bundle.control, bundle.dirac,
-                           (state[:1], state[1:2], state[2:]),
-                           (rate[:1], rate[2:]))
-        assert np.max(np.abs(fast - out.residual)) <= 1e-12
-        alg = problem.algebraic_at(0.0, state)
-        assert np.max(np.abs(alg - out.stationarity)) <= 1e-12
+                           (state[:1], state[1:2], state[2:]), (rate[:1], rate[2:]))
+        return out.residual, out.stationarity
+
+    return pmp_problem(bundle.control, bundle.dirac), reference
 
 
-def test_time_dependent_problem_matches_generator():
+def _time_dependent(request):
     bundle = build_system("forced_oscillator_timedep")
-    problem = lagrangian_problem(bundle.dirac, bundle.lagrangian)
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        state = rng.standard_normal(3)
-        rate = rng.standard_normal(3)
-        fast = problem.residual(0.0, state, rate)
+
+    def reference(state, rate):
         rows, _ = el_residual(bundle.dirac, bundle.lagrangian,
                               (state[:2], state[2:]), (rate[:2], rate[2:]))
-        assert np.max(np.abs(fast - rows)) <= 1e-12
+        return rows, None
+
+    return lagrangian_problem(bundle.dirac, bundle.lagrangian), reference
+
+
+CASES = {
+    "lagrangian-induced": _lagrangian_induced,
+    "lagrangian-unconstrained": _lagrangian_unconstrained,
+    "hamiltonian-induced": _hamiltonian_induced,
+    "pmp": _pmp,
+    "time-dependent": _time_dependent,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_affine_residual_matches_generator(case, request):
+    problem, reference = CASES[case](request)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        state = rng.standard_normal(problem.state_dim)
+        rate = rng.standard_normal(problem.state_dim)
+        rows, stationarity = reference(state, rate)
+        assert np.max(np.abs(problem.residual(0.0, state, rate) - rows)) <= 1e-12
+        if stationarity is not None:
+            alg = problem.algebraic_at(0.0, state)
+            assert np.max(np.abs(alg - stationarity)) <= 1e-12

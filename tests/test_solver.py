@@ -15,6 +15,7 @@ from diracmech import (
     project_initial,
     solve_rate,
 )
+from diracmech import fd
 from diracmech.problems import hamiltonian_problem
 from diracmech.systems import build_problem, build_system
 
@@ -22,6 +23,12 @@ from diracmech.systems import build_problem, build_system
 @pytest.fixture
 def disc_problem(disc_induced, disc_lagrangian):
     return lagrangian_problem(disc_induced, disc_lagrangian)
+
+
+def affine_problem(A, b):
+    """Hand-built problem with constant affine parts (A, b)."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return ImplicitProblem(A.shape[1], lambda t, state: (A, b))
 
 
 @pytest.fixture
@@ -73,6 +80,57 @@ class TestSolveRate:
         with pytest.raises(DegenerateDynamicsError) as info:
             solve_rate(problem, 0.0, np.array([1.0, 1.0]))
         assert info.value.singular_values is not None
+
+    def test_fresh_state_solves_exact_affine_parts(self, monkeypatch):
+        def no_differences(*args, **kwargs):
+            raise AssertionError("the rate solve took finite differences")
+
+        monkeypatch.setattr(fd, "jacobian", no_differences)
+        monkeypatch.setattr(fd, "steps", no_differences)
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, -1.0], [1.0, 0.0, 4.0]])
+        b = np.array([1.0, -2.0, 0.5])
+        problem = affine_problem(A, b)
+        seen = []
+        affine = problem.affine
+
+        def recording(t, state):
+            seen.append((t, np.asarray(state, dtype=float).tobytes()))
+            return affine(t, state)
+
+        problem.affine = recording
+        rate, iters, norm = solve_rate(problem, 0.0, np.array([0.1, 0.2, 0.3]))
+        assert len(set(seen)) == 1
+        assert iters == 2  # one exact solve plus its verification
+        assert norm <= 1e-10
+        assert np.max(np.abs(rate - np.linalg.solve(A, -b))) <= 1e-14
+
+    def test_warm_start_skips_svd(self, monkeypatch):
+        problem = affine_problem([[2.0, 1.0], [0.0, 3.0]], [1.0, -2.0])
+        state = np.zeros(2)
+        rate, _, _ = solve_rate(problem, 0.0, state)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a warm-start hit ran the degeneracy check")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        again, iters, _ = solve_rate(problem, 0.0, state, rate_guess=rate)
+        assert iters == 1
+        assert np.array_equal(again, rate)
+
+    def test_condition_limit_on_exact_matrix(self):
+        # condition numbers 5e11 and 2e12 sit either side of the 1e12 limit
+        rate, _, _ = solve_rate(affine_problem(np.diag([1.0, 2e-12]), [1.0, 1e-12]),
+                                0.0, np.zeros(2))
+        assert np.allclose(rate, [-1.0, -0.5], atol=1e-10)
+        with pytest.raises(DegenerateDynamicsError) as info:
+            solve_rate(affine_problem(np.diag([1.0, 5e-13]), [1.0, 1e-12]),
+                       0.0, np.zeros(2))
+        assert info.value.singular_values[-1] == pytest.approx(5e-13)
+
+    def test_row_count_mismatch_rejected(self):
+        problem = affine_problem([[1.0, 0.0]], [1.0])
+        with pytest.raises(SolverError, match="rows"):
+            solve_rate(problem, 0.0, np.zeros(2))
 
 
 class TestIntegrate:
@@ -127,6 +185,11 @@ class TestIntegrate:
     def test_nonpositive_step_rejected(self, oscillator_problem):
         with pytest.raises(SolverError, match="dt"):
             integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, np.inf, np.nan])
+    def test_nonpositive_span_rejected(self, oscillator_problem, t1):
+        with pytest.raises(SolverError, match="span"):
+            integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, t1, 1e-3)
 
 
 class TestAdmissibility:
@@ -203,3 +266,16 @@ class TestReconstruction:
         # u = xi along the flow, so udot must equal xidot = x
         assert abs(rate[1] - rate[2]) <= 1e-7
         assert abs(rate[1] - state[0]) <= 1e-7
+
+    def test_clock_derivative_scales_with_time(self):
+        # g(t, s) = s2 - t^2 / 2 fixes the second rate slot to s2dot = t; an
+        # absolute clock step loses digits to the rounding of t at large t
+        problem = ImplicitProblem(
+            2, lambda t, state: (np.array([[1.0, 0.0]]), np.array([-1.0])),
+            algebraic=lambda t, state: np.array([state[1] - 0.5 * t * t]),
+            free_rate_slots=[0],
+        )
+        t = 3e7 + 0.3
+        rate, _, _ = solve_rate(problem, t, np.array([0.0, 0.5 * t * t]))
+        assert rate[0] == pytest.approx(1.0, abs=1e-12)
+        assert abs(rate[1] - t) <= 1e-9 * t
