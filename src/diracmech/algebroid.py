@@ -12,6 +12,8 @@ The base may be zero-dimensional (a point), which is the Lie-algebra case:
 the anchor is then a (0, m) matrix and all base derivatives vanish.
 """
 
+import itertools
+
 import numpy as np
 
 from . import fd
@@ -212,6 +214,16 @@ class SkewAlgebroid:
             + self.bracket(Z, self.bracket_section(X, Y), x)
         )
         return terms
+
+    def basis_jacobi_violation(self, points):
+        """Largest Jacobiator entry over basis-section triples i < j < k at the points."""
+        sections = basis_sections(self.chart)
+        worst = 0.0
+        for x in points:
+            for X, Y, Z in itertools.combinations(sections, 3):
+                jac = self.jacobiator(X, Y, Z, x)
+                worst = max(worst, float(np.max(np.abs(jac), initial=0.0)))
+        return worst
 
     def linear_bivector(self, x, xi):
         """Matrix of the associated linear bivector on the dual bundle.

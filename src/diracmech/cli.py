@@ -7,8 +7,10 @@ Subcommands:
 * ``list-systems [--json]`` prints the catalog of built-in systems;
 * ``check <scenario.json> [--out DIR]`` runs the structure checks only.
 
-Exit codes: 0 success, 2 degenerate implicit dynamics, 3 structure-check
-failure, 4 unknown system, 5 malformed scenario.
+Exit codes: 0 success, 1 any other package error (e.g. a solve that does
+not converge), 2 degenerate implicit dynamics, 3 structure-check failure,
+4 unknown system, 5 malformed scenario.  Once a scenario is loaded, every
+exit writes the report with ``exit_code`` and ``error`` or ``degeneracy``.
 """
 
 import argparse
@@ -21,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CHECK_NAMES, run_checks
-from .errors import DegenerateDynamicsError, DiracMechError, ScenarioError
+from .errors import ConstraintError, DegenerateDynamicsError, DiracMechError, ScenarioError
 from .solver import admissibility_report, integrate, project_initial
 from .systems import CATALOG, build_problem, build_system
 
 SCHEMA_VERSION = "diracmech/scenario-v1"
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_DEGENERATE = 2
 EXIT_CHECK_FAILED = 3
 EXIT_UNKNOWN_SYSTEM = 4
@@ -36,6 +39,16 @@ EXIT_MALFORMED = 5
 _SCENARIO_KEYS = {"schema", "system", "params", "constraint", "formalism",
                   "initial", "time", "checks", "output", "seed",
                   "hamiltonian_source"}
+
+
+def _finite(label, value):
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ScenarioError(f"{label} must be a finite number (got {value!r})")
+    return number
 
 
 class Scenario:
@@ -73,8 +86,6 @@ class Scenario:
         time = doc["time"]
         if not isinstance(time, dict) or not {"t0", "t1", "dt"} <= set(time):
             raise ScenarioError("time must carry t0, t1, and dt")
-        if float(time["dt"]) <= 0.0:
-            raise ScenarioError("time.dt must be positive")
         method = time.get("method", "rk4")
         if method not in ("rk4", "implicit-midpoint"):
             raise ScenarioError(f"unknown integration method '{method}'")
@@ -82,23 +93,31 @@ class Scenario:
         if formalism not in ("lagrangian", "hamiltonian", "pmp"):
             raise ScenarioError(f"unknown formalism '{formalism}'")
         checks = doc.get("checks", [])
+        if not isinstance(checks, list):
+            raise ScenarioError("checks must be a list of check names")
         bad = [c for c in checks if c not in CHECK_NAMES]
         if bad:
             raise ScenarioError(f"unknown checks: {bad}")
         constraint = doc.get("constraint")
         if constraint is not None and not isinstance(constraint, dict):
             raise ScenarioError("constraint must be an object with 1-based index lists")
+        params = doc.get("params") or {}
+        if not isinstance(params, dict):
+            raise ScenarioError("params must be an object of numbers")
         try:
             t0, t1 = float(time["t0"]), float(time["t1"])
             if not (np.isfinite(t1 - t0) and t1 > t0):
                 raise ScenarioError(
                     f"time span t1 - t0 = {t1 - t0} must be positive and finite")
+            dt = _finite("time.dt", time["dt"])
+            if dt <= 0.0:
+                raise ScenarioError(f"time.dt must be positive (got {dt})")
             return cls(
-                system=doc["system"], params=doc.get("params"),
+                system=doc["system"],
+                params={key: _finite(f"params.{key}", v) for key, v in params.items()},
                 constraint=constraint, formalism=formalism,
-                initial=doc["initial"],
-                time={"t0": t0, "t1": t1,
-                      "dt": float(time["dt"]), "method": method},
+                initial=[_finite(f"initial[{k}]", v) for k, v in enumerate(doc["initial"])],
+                time={"t0": t0, "t1": t1, "dt": dt, "method": method},
                 checks=checks, output=doc.get("output"), seed=doc.get("seed", 0),
                 hamiltonian_source=doc.get("hamiltonian_source", "legendre"),
             )
@@ -213,63 +232,13 @@ def _angle_state_indices(bundle, formalism):
 
 
 def _execute(scenario, out_dir, check_only=False):
+    """Run (or only check) one scenario; every exit path writes the report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {"schema": "diracmech/report-v1", "system": scenario.system,
-              "formalism": scenario.formalism, "exit_code": EXIT_OK}
-    report_path = out_dir / scenario.output.get("report", "report.json")
-
-    def finish(code):
-        report["exit_code"] = code
-        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                               encoding="utf-8")
-        return code
-
-    if scenario.system not in CATALOG:
-        print(f"error: unknown system '{scenario.system}'", file=sys.stderr)
-        return EXIT_UNKNOWN_SYSTEM
-    spec = CATALOG[scenario.system]
-    if scenario.formalism not in spec.formalisms:
-        print(
-            f"error: system {scenario.system} supports formalisms {spec.formalisms}",
-            file=sys.stderr,
-        )
-        return EXIT_MALFORMED
-
+              "formalism": scenario.formalism}
     try:
-        bundle = build_system(scenario.system, scenario.params, scenario.constraint)
-        problem = build_problem(bundle, scenario.formalism,
-                                hamiltonian_source=scenario.hamiltonian_source,
-                                seed=scenario.seed)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MALFORMED
-
-    checks = run_checks(bundle, scenario.checks, seed=scenario.seed)
-    report["checks"] = _jsonable(checks)
-    failed = [name for name, result in checks.items() if not result.get("passed", True)]
-    if failed:
-        print(f"structure checks failed: {failed}", file=sys.stderr)
-        return finish(EXIT_CHECK_FAILED)
-    if check_only:
-        return finish(EXIT_OK)
-
-    initial = list(scenario.initial)
-    if bundle.time_dependent:
-        initial = [scenario.time["t0"]] + initial
-    if len(initial) != problem.state_dim:
-        print(
-            f"error: initial state has length {len(initial)}, "
-            f"problem expects {problem.state_dim}",
-            file=sys.stderr,
-        )
-        return EXIT_MALFORMED
-
-    t0, t1, dt = scenario.time["t0"], scenario.time["t1"], scenario.time["dt"]
-    try:
-        state0 = project_initial(problem, np.asarray(initial, dtype=float), t=t0)
-        trajectory = integrate(problem, state0, t0, t1, dt,
-                               method=scenario.time.get("method", "rk4"))
+        code = _run(scenario, out_dir, check_only, report)
     except DegenerateDynamicsError as err:
         report["degeneracy"] = {
             "message": str(err),
@@ -277,7 +246,63 @@ def _execute(scenario, out_dir, check_only=False):
             if err.singular_values is not None else None,
         }
         print(f"degenerate implicit dynamics: {err}", file=sys.stderr)
-        return finish(EXIT_DEGENERATE)
+        code = EXIT_DEGENERATE
+    except DiracMechError as err:
+        report["error"] = str(err)
+        print(f"error: {err}", file=sys.stderr)
+        code = EXIT_MALFORMED if isinstance(err, ScenarioError) else EXIT_ERROR
+    report["exit_code"] = code
+    report_path = out_dir / scenario.output.get("report", "report.json")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                           encoding="utf-8")
+    return code
+
+
+def _run(scenario, out_dir, check_only, report):
+    """Body of ``_execute``: fills ``report`` and returns the exit code.
+
+    Malformed input raises ``ScenarioError``; an unknown system returns
+    exit 4 with an ``error`` entry.
+    """
+    if scenario.system not in CATALOG:
+        report["error"] = f"unknown system '{scenario.system}'"
+        print(f"error: {report['error']}", file=sys.stderr)
+        return EXIT_UNKNOWN_SYSTEM
+    spec = CATALOG[scenario.system]
+    if scenario.formalism not in spec.formalisms:
+        raise ScenarioError(
+            f"system {scenario.system} supports formalisms {spec.formalisms}")
+
+    try:
+        bundle = build_system(scenario.system, scenario.params, scenario.constraint)
+    except ConstraintError as err:
+        raise ScenarioError(f"constraint does not fit {scenario.system}: {err}") from err
+    problem = build_problem(bundle, scenario.formalism,
+                            hamiltonian_source=scenario.hamiltonian_source,
+                            seed=scenario.seed)
+
+    checks = run_checks(bundle, scenario.checks, seed=scenario.seed)
+    report["checks"] = _jsonable(checks)
+    failed = [name for name, result in checks.items() if not result.get("passed", True)]
+    if failed:
+        print(f"structure checks failed: {failed}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    if check_only:
+        return EXIT_OK
+
+    initial = list(scenario.initial)
+    if bundle.time_dependent:
+        initial = [scenario.time["t0"]] + initial
+    if len(initial) != problem.state_dim:
+        raise ScenarioError(
+            f"initial state has length {len(initial)}, "
+            f"problem expects {problem.state_dim}"
+        )
+
+    t0, t1, dt = scenario.time["t0"], scenario.time["t1"], scenario.time["dt"]
+    state0 = project_initial(problem, np.asarray(initial, dtype=float), t=t0)
+    trajectory = integrate(problem, state0, t0, t1, dt,
+                           method=scenario.time.get("method", "rk4"))
 
     csv_path = out_dir / scenario.output.get("trajectory", "trajectory.csv")
     write_trajectory_csv(csv_path, trajectory,
@@ -295,7 +320,7 @@ def _execute(scenario, out_dir, check_only=False):
     elif "hamiltonian" in trajectory.monitors and not bundle.time_dependent:
         report["energy_drift"] = trajectory.monitor_drift("hamiltonian")
     report["trajectory"] = {"path": csv_path.name, "steps": len(trajectory) - 1}
-    return finish(EXIT_OK)
+    return EXIT_OK
 
 
 def _jsonable(obj):
@@ -413,7 +438,7 @@ def main(argv=None):
         return EXIT_MALFORMED
     except DiracMechError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

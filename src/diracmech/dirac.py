@@ -13,7 +13,7 @@ Every representation reduces internally to a local form consisting of
 
 * velocity coordinates ``eta`` (rank r) and complementary equations
   ``etahat`` acting on (xdot, y),
-* dual coordinates ``zeta`` / ``zetahat`` acting on (p, xidot),
+* dual coordinates ``zeta`` (r rows) acting on (p, xidot),
 * structure functions ``structure(x)[a, b, j]`` (antisymmetric in a, b),
 * optional affine offsets (``velocity_offset`` rows of etahat, ``drift``
   coefficients on xi) for the affine variants,
@@ -24,7 +24,10 @@ Membership in the structure is the vanishing of
     etahat(x) (xdot, y) - velocity_offset(x),
     zeta(x) (p, xidot) + structure(x)[eta(x)(xdot, y), xi] + drift(x) xi,
 
-together with the phase equations at (x, xi).
+together with the phase equations at (x, xi).  These rows are linear in w
+and are assembled in one place, ``DiracAlgebroid.membership_system``, as
+(J, const) with residual J w + const.  The Euler-Lagrange, Hamilton and
+control dynamics (``dynamics``, ``problems``) only fill the slots of w.
 """
 
 import numpy as np
@@ -138,13 +141,12 @@ def scale_dual(point, s):
 class LocalForm:
     """Pointwise-evaluable local data of a Dirac structure (see module docs)."""
 
-    def __init__(self, chart, eta, etahat, zeta, zetahat=None, structure=None,
+    def __init__(self, chart, eta, etahat, zeta, structure=None,
                  velocity_offset=None, drift=None, phase=None):
         self.chart = chart
         self.eta = eta
         self.etahat = etahat
         self.zeta = zeta
-        self.zetahat = zetahat
         self.structure = structure
         self.velocity_offset = velocity_offset
         self.drift = drift
@@ -196,39 +198,38 @@ class DiracAlgebroid:
         """Linear system (J, const): membership residual is J w + const."""
         x = _as_base_point(self.chart, x)
         xi = np.asarray(xi, dtype=float).reshape(-1)
-        n, m = self.chart.base_dim, self.chart.fiber_dim
+        m = self.chart.fiber_dim
         if xi.size != m:
             raise EvaluationError(f"xi has length {xi.size}, expected {m}")
+        return self._membership(x, xi)
+
+    def _membership(self, x, xi):
+        """``membership_system`` for an (x, xi) the caller has already checked."""
+        n, m = self.chart.base_dim, self.chart.fiber_dim
         lf = self.local_form()
-        eta = np.asarray(lf.eta(x), dtype=float)
         etahat = np.asarray(lf.etahat(x), dtype=float)
         zeta = np.asarray(lf.zeta(x), dtype=float)
-        c = lf.structure_at(x)
-        r = eta.shape[0]
         q = etahat.shape[0]
-        if r + q != n + m:
+        if q + zeta.shape[0] != n + m:
             raise StructureError(
-                f"local form has {r} + {q} rows, expected n + m = {n + m}"
+                f"local form has {q} + {zeta.shape[0]} rows, expected n + m = {n + m}"
             )
         J = np.zeros((n + m, 2 * (n + m)))
         const = np.zeros(n + m)
         # velocity rows act on (xdot, y)
         J[:q, :n] = etahat[:, :n]
         J[:q, 2 * n + m:] = etahat[:, n:]
-        off = lf.offset_at(x)
-        if off is not None:
-            const[:q] = -off
+        if lf.velocity_offset is not None:
+            const[:q] = -lf.offset_at(x)
         # momentum rows act on (p, xidot) plus the structure term through eta
         J[q:, n + m:2 * n + m] = zeta[:, :n]
         J[q:, n:n + m] = zeta[:, n:]
-        if c.size:
-            cxi = np.einsum("abj,j->ab", c, xi)
-            mix = cxi @ eta
+        if lf.structure is not None:
+            mix = np.einsum("abj,j->ab", lf.structure_at(x), xi) @ lf.eta(x)
             J[q:, :n] += mix[:, :n]
             J[q:, 2 * n + m:] += mix[:, n:]
-        dr = lf.drift_at(x)
-        if dr is not None:
-            const[q:] += dr @ xi
+        if lf.drift is not None:
+            const[q:] += lf.drift_at(x) @ xi
         return J, const
 
     def residual(self, point):
@@ -373,13 +374,13 @@ class PiGraphDirac(DiracAlgebroid):
         super().__init__(algebroid.chart)
         self.algebroid = algebroid
         n, m = self.chart.base_dim, self.chart.fiber_dim
-        # eta and zetahat are constant; etahat and zeta are copies of them
+        # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in
         eta_block = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
-        zetahat_block = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
+        etahat_template = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
 
         def etahat(x):
-            out = zetahat_block.copy()
+            out = etahat_template.copy()
             out[:, n:] = -algebroid.anchor(x)
             return out
 
@@ -388,10 +389,8 @@ class PiGraphDirac(DiracAlgebroid):
             out[:, :n] = algebroid.anchor(x).T
             return out
 
-        self._lf = LocalForm(
-            self.chart, lambda x: eta_block, etahat, zeta, lambda x: zetahat_block,
-            structure=algebroid.structure,
-        )
+        self._lf = LocalForm(self.chart, lambda x: eta_block, etahat, zeta,
+                             structure=algebroid.structure)
 
     def local_form(self):
         return self._lf
@@ -413,10 +412,10 @@ class OmegaGraphDirac(DiracAlgebroid):
         n, m = chart.base_dim, chart.fiber_dim
         self._rho = rho
         self._cform = cform
-        # eta and zetahat are constant; etahat and zeta are copies of them
+        # eta is constant; etahat and zeta are copies of constant templates
         # with rho filled in
         eta_block = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
-        zetahat_block = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
+        etahat_template = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
 
         def rho_at(x):
             r = _check_finite("rho", rho(np.asarray(x, float)))
@@ -436,7 +435,7 @@ class OmegaGraphDirac(DiracAlgebroid):
             return 0.5 * (c - np.swapaxes(c, 0, 1))
 
         def etahat(x):
-            out = zetahat_block.copy()
+            out = etahat_template.copy()
             out[:, :n] = -rho_at(x)
             return out
 
@@ -449,7 +448,7 @@ class OmegaGraphDirac(DiracAlgebroid):
             return -cform_at(x)
 
         self._lf = LocalForm(chart, lambda x: eta_block, etahat, zeta,
-                             lambda x: zetahat_block, structure=structure)
+                             structure=structure)
 
     def local_form(self):
         return self._lf
@@ -466,18 +465,16 @@ class CanonicalDirac(DiracAlgebroid):
     def __init__(self, dim, base_labels=None):
         chart = Chart(dim, dim, base_labels=base_labels)
         super().__init__(chart)
-        eye, zero = np.eye(dim), np.zeros((dim, dim))
-        eta = _constant(np.hstack([zero, eye]))
+        eye = np.eye(dim)
+        eta = _constant(np.hstack([np.zeros((dim, dim)), eye]))
         etahat = _constant(np.hstack([eye, -eye]))
         zeta = _constant(np.hstack([eye, eye]))
-        zetahat = _constant(np.hstack([eye, zero]))
 
         self._lf = LocalForm(
             chart,
             eta=lambda x: eta,
             etahat=lambda x: etahat,
             zeta=lambda x: zeta,
-            zetahat=lambda x: zetahat,
         )
 
     def local_form(self):
@@ -498,17 +495,18 @@ class CanonicalDirac(DiracAlgebroid):
 class GeneralLocalDirac(DiracAlgebroid):
     """User-supplied local form (velocity/dual coordinate maps plus structure).
 
-    ``eta``/``etahat`` act on (xdot, y); ``zeta``/``zetahat`` act on
-    (p, xidot); ``structure(x)`` has shape (r, r, m), antisymmetric in its
-    first two indices; ``phase`` evaluates affine equations a(x) + B(x) xi.
-    The rank r is taken from the evaluated matrix shapes and verified
-    numerically through the kernel-dimension check of ``basis_at``.
+    ``eta`` (r rows) and ``etahat`` act on (xdot, y); ``zeta`` (r rows) acts
+    on (p, xidot); ``structure(x)`` has shape (r, r, m), antisymmetric in
+    its first two indices; ``phase`` evaluates affine equations
+    a(x) + B(x) xi.  ``membership_system`` assembles membership, and with
+    it every formalism's dynamics, from these maps.  The rank r is taken
+    from the evaluated matrix shapes and verified numerically through the
+    kernel-dimension check of ``basis_at``.
     """
 
     kind = "general_local"
 
-    def __init__(self, chart, eta, etahat, zeta, zetahat=None, structure=None,
-                 phase=None):
+    def __init__(self, chart, eta, etahat, zeta, structure=None, phase=None):
         super().__init__(chart)
         m = chart.fiber_dim
 
@@ -527,49 +525,46 @@ class GeneralLocalDirac(DiracAlgebroid):
                     )
                 return 0.5 * (c - np.swapaxes(c, 0, 1))
 
-        self._lf = LocalForm(chart, eta, etahat, zeta, zetahat,
+        self._lf = LocalForm(chart, eta, etahat, zeta,
                              structure=wrapped_structure, phase=phase)
 
     @classmethod
     def from_velocity_splitting(cls, chart, eta, etahat, structure=None, phase=None):
-        """Build the dual maps from the velocity splitting.
+        """Build the dual map from the velocity splitting.
 
-        The stacked map T = [eta; etahat] must be invertible; the dual maps
-        are the rows of inv(T).T, which makes the pointwise subspaces
+        The stacked map T = [eta; etahat] must be invertible; ``zeta`` is
+        the first r rows of inv(T).T, which makes the pointwise subspaces
         isotropic by construction.
         """
-        def dual_rows(x):
-            T = np.vstack([np.asarray(eta(x), float), np.asarray(etahat(x), float)])
-            return np.linalg.inv(T).T
-
         def zeta(x):
-            r = np.asarray(eta(x), float).shape[0]
-            return dual_rows(x)[:r]
+            e = np.asarray(eta(x), float)
+            T = np.vstack([e, np.asarray(etahat(x), float)])
+            return np.linalg.inv(T).T[:e.shape[0]]
 
-        def zetahat(x):
-            r = np.asarray(eta(x), float).shape[0]
-            return dual_rows(x)[r:]
-
-        return cls(chart, eta, etahat, zeta, zetahat, structure, phase)
+        return cls(chart, eta, etahat, zeta, structure, phase)
 
     def local_form(self):
         return self._lf
 
     def validate(self, probe_points, rng=None, tol=1e-10):
-        """Check invertibility, isotropy, and kernel dimension at probe points."""
+        """Check invertibility, the rank of zeta, isotropy and kernel dimension.
+
+        [eta; etahat] must be a linear isomorphism, and zeta must have full
+        row rank with as many rows as eta, at every probe point.
+        """
         rng = rng or np.random.default_rng(0)
         for x in probe_points:
             x = np.asarray(x, dtype=float).reshape(-1)
             lf = self._lf
-            T = np.vstack([np.asarray(lf.eta(x), float), np.asarray(lf.etahat(x), float)])
+            eta = np.asarray(lf.eta(x), float)
+            T = np.vstack([eta, np.asarray(lf.etahat(x), float)])
             if linalg.numeric_rank(T) != T.shape[0] or T.shape[0] != T.shape[1]:
                 raise StructureError("eta/etahat do not form a linear isomorphism")
-            rows = [np.asarray(lf.zeta(x), float)]
-            if lf.zetahat is not None:
-                rows.append(np.asarray(lf.zetahat(x), float))
-                S = np.vstack(rows)
-                if linalg.numeric_rank(S) != S.shape[0] or S.shape[0] != S.shape[1]:
-                    raise StructureError("zeta/zetahat do not form a linear isomorphism")
+            zeta = np.asarray(lf.zeta(x), float)
+            if zeta.shape[0] != eta.shape[0] or linalg.numeric_rank(zeta) != eta.shape[0]:
+                raise StructureError(
+                    f"zeta must have full row rank {eta.shape[0]}, the row count of eta"
+                )
             xi = self.phase_point(x)
             points = self.basis_at(x, xi)
             for i, pi in enumerate(points):
@@ -625,14 +620,14 @@ class InducedDirac(DiracAlgebroid):
         constrained = np.array(
             sorted(removed), dtype=int
         )
-        # eta and zetahat are constant; etahat and zeta are copies of them
+        # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in
         eta_block = _constant(_selector_rows(n + free, n + m))
-        zetahat_block = _constant(_selector_rows(
+        etahat_template = _constant(_selector_rows(
             np.concatenate([np.arange(n), n + constrained]), n + m))
 
         def etahat(x):
-            out = zetahat_block.copy()
+            out = etahat_template.copy()
             out[:n, n + free] = -algebroid.anchor(x)[:, free]
             return out
 
@@ -669,8 +664,8 @@ class InducedDirac(DiracAlgebroid):
                 return np.asarray(x, float)[idx]
 
         self._lf = LocalForm(self.chart, lambda x: eta_block, etahat, zeta,
-                             lambda x: zetahat_block, structure=structure,
-                             velocity_offset=velocity_offset, drift=drift, phase=phase)
+                             structure=structure, velocity_offset=velocity_offset,
+                             drift=drift, phase=phase)
 
     def local_form(self):
         return self._lf
@@ -708,32 +703,25 @@ class TimeExtendedDirac(DiracAlgebroid):
         def split(x):
             return np.asarray(x, float)[1:]
 
+        def clocked(e):
+            """Base rows with a zero column for the clock slot in front."""
+            return np.hstack([np.zeros((e.shape[0], 1)), e])
+
+        clock_row = _constant(np.eye(1, 1 + nb + m))
+
         def eta(x):
-            e = np.asarray(blf.eta(split(x)), float)
-            return np.hstack([np.zeros((e.shape[0], 1)), e[:, :nb], e[:, nb:]])
+            return clocked(np.asarray(blf.eta(split(x)), float))
 
         def etahat(x):
-            e = np.asarray(blf.etahat(split(x)), float)
-            top = np.zeros((1, 1 + nb + m))
-            top[0, 0] = 1.0
-            rest = np.hstack([np.zeros((e.shape[0], 1)), e[:, :nb], e[:, nb:]])
-            return np.vstack([top, rest])
+            return np.vstack([clock_row, clocked(np.asarray(blf.etahat(split(x)), float))])
 
         def zeta(x):
-            z = np.asarray(blf.zeta(split(x)), float)
-            return np.hstack([np.zeros((z.shape[0], 1)), z[:, :nb], z[:, nb:]])
+            return clocked(np.asarray(blf.zeta(split(x)), float))
 
-        def zetahat(x):
-            if blf.zetahat is None:
-                return None
-            z = np.asarray(blf.zetahat(split(x)), float)
-            top = np.zeros((1, 1 + nb + m))
-            top[0, 0] = 1.0
-            rest = np.hstack([np.zeros((z.shape[0], 1)), z[:, :nb], z[:, nb:]])
-            return np.vstack([top, rest])
-
-        def structure(x):
-            return blf.structure_at(split(x))
+        structure = None
+        if blf.structure is not None:
+            def structure(x):
+                return blf.structure_at(split(x))
 
         def velocity_offset(x):
             base_off = blf.offset_at(split(x))
@@ -752,7 +740,7 @@ class TimeExtendedDirac(DiracAlgebroid):
             def phase(x, xi):
                 return blf.phase_at(split(x), xi)
 
-        self._lf = LocalForm(chart, eta, etahat, zeta, zetahat,
+        self._lf = LocalForm(chart, eta, etahat, zeta,
                              structure=structure, velocity_offset=velocity_offset,
                              drift=drift, phase=phase)
 

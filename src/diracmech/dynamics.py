@@ -2,7 +2,9 @@
 
 Given a Dirac structure in local form and a Lagrangian L(x, y) or a
 Hamiltonian H(x, xi), the generators below evaluate the defining equations
-of the induced dynamics as residual vectors:
+of the induced dynamics as residual vectors.  Each one fills the slots of
+a Pontryagin point (x, xi, xdot, xidot, p, y) and returns the structure's
+membership residual there (``DiracAlgebroid.residual``):
 
 * Euler-Lagrange: momenta slots are filled with xi = dL/dy,
   p = -dL/dx, and the total derivative of dL/dy expanded by the chain rule
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import fd
 from .algebroid import _check_finite
-from .dirac import TimeExtendedDirac, time_extend  # noqa: F401  (re-export)
+from .dirac import PontryaginPoint, TimeExtendedDirac, time_extend  # noqa: F401  (re-export)
 from .errors import EvaluationError, HyperregularityError, StructureError
 
 GRADIENT_CHECK_RTOL = 1e-5
@@ -32,6 +34,18 @@ GRADIENT_CHECK_RTOL = 1e-5
 def _pair(state):
     a, b = state
     return np.asarray(a, dtype=float).reshape(-1), np.asarray(b, dtype=float).reshape(-1)
+
+
+def _check_partials(owner, point, checks, rtol):
+    """Raise if an analytic partial of (label, analytic, numeric) deviates."""
+    for label, analytic, numeric in checks:
+        analytic = np.asarray(analytic, dtype=float)
+        scale = 1.0 + np.max(np.abs(numeric), initial=0.0)
+        if np.max(np.abs(analytic - numeric), initial=0.0) > rtol * scale:
+            raise StructureError(
+                f"analytic {label} of {owner} deviates from finite differences "
+                f"at {point}"
+            )
 
 
 class Lagrangian:
@@ -116,14 +130,8 @@ class Lagrangian:
             if self._hess_yx is not None and x.size:
                 checks.append(("hess_yx", self._hess_yx(x, y),
                                fd.jacobian(lambda z: self.grad_y(z, y), x)))
-            for label, analytic, numeric in checks:
-                analytic = np.asarray(analytic, dtype=float)
-                scale = 1.0 + np.max(np.abs(numeric), initial=0.0)
-                if np.max(np.abs(analytic - numeric), initial=0.0) > rtol * scale:
-                    raise StructureError(
-                        f"analytic {label} of Lagrangian {self.name or '<anonymous>'} "
-                        f"deviates from finite differences at (x={x}, y={y})"
-                    )
+            _check_partials(f"Lagrangian {self.name or '<anonymous>'}",
+                            f"(x={x}, y={y})", checks, rtol)
 
 
 class Hamiltonian:
@@ -166,14 +174,8 @@ class Hamiltonian:
             if self._grad_xi is not None:
                 checks.append(("grad_xi", self._grad_xi(x, xi),
                                fd.gradient(lambda z: self._fn(x, z), xi)))
-            for label, analytic, numeric in checks:
-                analytic = np.asarray(analytic, dtype=float)
-                scale = 1.0 + np.max(np.abs(numeric), initial=0.0)
-                if np.max(np.abs(analytic - numeric), initial=0.0) > rtol * scale:
-                    raise StructureError(
-                        f"analytic {label} of Hamiltonian {self.name or '<anonymous>'} "
-                        f"deviates from finite differences at (x={x}, xi={xi})"
-                    )
+            _check_partials(f"Hamiltonian {self.name or '<anonymous>'}",
+                            f"(x={x}, xi={xi})", checks, rtol)
 
 
 class ControlSystem:
@@ -236,23 +238,21 @@ class ControlSystem:
         for x, u in probes:
             x = np.asarray(x, dtype=float)
             u = np.asarray(u, dtype=float)
-            pairs = []
+            checks = []
             if self._f_x is not None and x.size:
-                pairs.append((self._f_x(x, u), fd.jacobian(lambda z: self._f(z, u), x)))
+                checks.append(("f_x", self._f_x(x, u),
+                               fd.jacobian(lambda z: self._f(z, u), x)))
             if self._f_u is not None:
-                pairs.append((self._f_u(x, u), fd.jacobian(lambda z: self._f(x, z), u)))
+                checks.append(("f_u", self._f_u(x, u),
+                               fd.jacobian(lambda z: self._f(x, z), u)))
             if self._cost_x is not None and x.size:
-                pairs.append((self._cost_x(x, u), fd.gradient(lambda z: self._cost(z, u), x)))
+                checks.append(("cost_x", self._cost_x(x, u),
+                               fd.gradient(lambda z: self._cost(z, u), x)))
             if self._cost_u is not None:
-                pairs.append((self._cost_u(x, u), fd.gradient(lambda z: self._cost(x, z), u)))
-            for analytic, numeric in pairs:
-                analytic = np.asarray(analytic, dtype=float)
-                scale = 1.0 + np.max(np.abs(numeric), initial=0.0)
-                if np.max(np.abs(analytic - numeric), initial=0.0) > rtol * scale:
-                    raise StructureError(
-                        f"analytic partial of control system {self.name or '<anonymous>'} "
-                        "deviates from finite differences"
-                    )
+                checks.append(("cost_u", self._cost_u(x, u),
+                               fd.gradient(lambda z: self._cost(x, z), u)))
+            _check_partials(f"control system {self.name or '<anonymous>'}",
+                            f"(x={x}, u={u})", checks, rtol)
 
 
 class LegendreImage(NamedTuple):
@@ -288,18 +288,6 @@ def legendre_map(lagrangian, x, y, dirac=None):
     return LegendreImage(x, xi, ok, res)
 
 
-def _momentum_rows(lf, x, xi, eta_value, p, xidot):
-    zeta = np.asarray(lf.zeta(x), dtype=float)
-    rows = zeta @ np.concatenate([p, xidot])
-    c = lf.structure_at(x)
-    if c.size:
-        rows = rows + np.einsum("abj,b,j->a", c, eta_value, xi)
-    dr = lf.drift_at(x)
-    if dr is not None:
-        rows = rows + dr @ xi
-    return rows
-
-
 def el_residual(dirac, lagrangian, state, rate):
     """Implicit Euler-Lagrange residual at (state, rate).
 
@@ -309,19 +297,10 @@ def el_residual(dirac, lagrangian, state, rate):
     """
     x, y = _pair(state)
     xdot, ydot = _pair(rate)
-    lf = dirac.local_form()
     xi = lagrangian.grad_y(x, y)
-    p = -lagrangian.grad_x(x, y)
-    xidot = lagrangian.momentum_rate(x, y, xdot, ydot)
-    v = np.concatenate([xdot, y])
-    etahat = np.asarray(lf.etahat(x), dtype=float)
-    vel = etahat @ v
-    off = lf.offset_at(x)
-    if off is not None:
-        vel = vel - off
-    eta_value = np.asarray(lf.eta(x), dtype=float) @ v
-    mom = _momentum_rows(lf, x, xi, eta_value, p, xidot)
-    return ELResidual(np.concatenate([vel, mom]), lf.phase_at(x, xi))
+    point = PontryaginPoint(x, xi, xdot, lagrangian.momentum_rate(x, y, xdot, ydot),
+                            -lagrangian.grad_x(x, y), y)
+    return ELResidual(dirac.residual(point), dirac.phase_residual(x, xi))
 
 
 def hamilton_residual(dirac, hamiltonian, state, rate):
@@ -332,18 +311,9 @@ def hamilton_residual(dirac, hamiltonian, state, rate):
     """
     x, xi = _pair(state)
     xdot, xidot = _pair(rate)
-    lf = dirac.local_form()
-    y = hamiltonian.grad_xi(x, xi)
-    p = hamiltonian.grad_x(x, xi)
-    v = np.concatenate([xdot, y])
-    etahat = np.asarray(lf.etahat(x), dtype=float)
-    vel = etahat @ v
-    off = lf.offset_at(x)
-    if off is not None:
-        vel = vel - off
-    eta_value = np.asarray(lf.eta(x), dtype=float) @ v
-    mom = _momentum_rows(lf, x, xi, eta_value, p, xidot)
-    return HamiltonResidual(np.concatenate([vel, mom]), lf.phase_at(x, xi))
+    point = PontryaginPoint(x, xi, xdot, xidot, hamiltonian.grad_x(x, xi),
+                            hamiltonian.grad_xi(x, xi))
+    return HamiltonResidual(dirac.residual(point), dirac.phase_residual(x, xi))
 
 
 def invert_vertical_derivative(lagrangian, x, xi, y0=None, tol=1e-12, max_iter=50,
@@ -480,16 +450,7 @@ def pmp_residual(system, dirac, state, rate):
     """
     x, u, xi = (np.asarray(v, dtype=float).reshape(-1) for v in state)
     xdot, xidot = _pair(rate)
-    lf = dirac.local_form()
-    y = system.f(x, u)
     p = system.f_x(x, u).T @ xi - system.cost_x(x, u)
-    v = np.concatenate([xdot, y])
-    etahat = np.asarray(lf.etahat(x), dtype=float)
-    vel = etahat @ v
-    off = lf.offset_at(x)
-    if off is not None:
-        vel = vel - off
-    eta_value = np.asarray(lf.eta(x), dtype=float) @ v
-    mom = _momentum_rows(lf, x, xi, eta_value, p, xidot)
+    point = PontryaginPoint(x, xi, xdot, xidot, p, system.f(x, u))
     stationarity = system.f_u(x, u).T @ xi - system.cost_u(x, u)
-    return PMPResidual(np.concatenate([vel, mom]), stationarity)
+    return PMPResidual(dirac.residual(point), stationarity)

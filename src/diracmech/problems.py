@@ -8,11 +8,13 @@ momentum rates are not determined by the structure, so they are excluded
 from the Newton solve and reconstructed from the time derivative of the
 phase constraints.
 
-All residuals here are affine in the rates.  The builders hand the solver
-their affine parts (A, b), assembled once per state and cached, so the
-rate solve and its verification share one assembly; the assembly is
-algebraically identical to the reference generators in ``dynamics`` (a
-unit test pins the two against each other).
+Every residual is a slot fill of the one membership kernel
+``DiracAlgebroid.membership_system`` -> (J, const): a builder writes the
+fiber vector as w = slots @ rate + w0, w0 = (0, 0, p, y), and hands the
+solver the affine parts A = J[rows] @ slots, b = J[rows] @ w0 + const[rows],
+where ``rows`` drops the pinned-fiber selector rows.  ``rows`` and the
+constant part of ``slots`` are built once per problem, (A, b) once per
+state (cached, so the rate solve and its verification share one assembly).
 """
 
 import numpy as np
@@ -75,21 +77,26 @@ class _StateCache:
         return self.parts
 
 
-def _structure_blocks(dirac, x, xi):
-    """(etahat, eta, zeta, mix, offset, drift_xi): state-dependent matrices.
+def _membership_parts(dirac):
+    """(x, xi, slots, p, y) -> (A, b) of the solved membership rows.
 
-    ``mix`` is the structure contraction (c . xi) eta acting on (xdot, y).
+    The fiber vector is w = slots @ rate + w0 with w0 = (0, 0, p, y); the
+    rows are all membership rows but the pinned-fiber selector rows, which
+    follow the n base velocity rows of an induced structure.
     """
-    lf = dirac.local_form()
-    etahat = np.asarray(lf.etahat(x), dtype=float)
-    eta = np.asarray(lf.eta(x), dtype=float)
-    zeta = np.asarray(lf.zeta(x), dtype=float)
-    c = lf.structure_at(x)
-    mix = np.einsum("abj,j->ab", c, xi) @ eta if c.size else np.zeros_like(eta)
-    off = lf.offset_at(x)
-    dr = lf.drift_at(x)
-    drift_xi = dr @ xi if dr is not None else 0.0
-    return etahat, eta, zeta, mix, off, drift_xi
+    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+    dropped = _dropped_fiber_rows(dirac)
+    # a slice where it can be: fancy indexing releases the GIL, and the
+    # hand-offs slow the threads of a --sweep
+    rows = np.r_[0:n, n + dropped:n + m] if dropped else slice(None)
+    zero_rates = np.zeros(n + m)
+
+    def parts(x, xi, slots, p, y):
+        J, const = dirac._membership(x, xi)
+        J = J[rows]
+        return J @ slots, J @ np.concatenate([zero_rates, p, y]) + const[rows]
+
+    return parts
 
 
 def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
@@ -102,36 +109,24 @@ def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     free, embed = _fiber_embedding(dirac)
-    dropped = _dropped_fiber_rows(dirac)
-    r = free.size
-    state_dim = n + r
+    state_dim = n + free.size
     time_dependent = isinstance(dirac, TimeExtendedDirac)
+    membership = _membership_parts(dirac)
+    # the rate is (xdot, ydot_free); xidot = hyx xdot + hyy ydot is filled
+    # in per state
+    slots_template = np.zeros((2 * (n + m), state_dim))
+    slots_template[:n, :n] = np.eye(n)
 
     def split(state):
         return state[:n], embed(state[n:])
 
     def assemble(state):
         x, y = split(state)
-        xi = lagrangian.grad_y(x, y)
-        p = -lagrangian.grad_x(x, y)
-        hyy = lagrangian.hess_yy(x, y)
-        hyx = lagrangian.hess_yx(x, y)
-        etahat, eta, zeta, mix, off, drift_xi = _structure_blocks(dirac, x, xi)
-        q = etahat.shape[0]
-        rows = q - dropped + zeta.shape[0]
-        A = np.zeros((rows, state_dim))
-        b = np.zeros(rows)
-        qv = q - dropped
-        A[:qv, :n] = etahat[:qv, :n]
-        b[:qv] = etahat[:qv, n:] @ y
-        if off is not None:
-            b[:qv] -= off[:qv]
-        # momentum rows: zeta (p, xidot) + mix (xdot, y) + drift
-        zp, zxi = zeta[:, :n], zeta[:, n:]
-        A[qv:, :n] = zxi @ hyx + mix[:, :n]
-        A[qv:, n:] = zxi @ hyy[:, free]
-        b[qv:] = zp @ p + mix[:, n:] @ y + drift_xi
-        return A, b
+        slots = slots_template.copy()
+        slots[n:n + m, :n] = lagrangian.hess_yx(x, y)
+        slots[n:n + m, n:] = lagrangian.hess_yy(x, y)[:, free]
+        return membership(x, lagrangian.grad_y(x, y), slots,
+                          -lagrangian.grad_x(x, y), y)
 
     algebraic = None
     if dirac.phase_residual(np.zeros(n), np.zeros(m)).size:
@@ -169,41 +164,25 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     state_dim = n + m
-    dropped = _dropped_fiber_rows(dirac)
-    if isinstance(dirac, InducedDirac):
-        free = np.asarray(dirac.free_fiber, dtype=int)
-    else:
-        free = np.arange(m)
+    membership = _membership_parts(dirac)
+    free, embed = _fiber_embedding(dirac)
     constrained = np.setdiff1d(np.arange(m), free)
+    # values the pinned components of dH/dxi must take: 1 at a fixed index
+    target = embed(np.zeros(free.size))[constrained]
+    # the rate is (xdot, xidot) itself
+    slots = np.eye(2 * (n + m), state_dim)
 
     def assemble(state):
         x, xi = state[:n], state[n:]
-        y = hamiltonian.grad_xi(x, xi)
-        p = hamiltonian.grad_x(x, xi)
-        etahat, eta, zeta, mix, off, drift_xi = _structure_blocks(dirac, x, xi)
-        q = etahat.shape[0]
-        qv = q - dropped
-        rows = qv + zeta.shape[0]
-        A = np.zeros((rows, state_dim))
-        b = np.zeros(rows)
-        A[:qv, :n] = etahat[:qv, :n]
-        b[:qv] = etahat[:qv, n:] @ y
-        if off is not None:
-            b[:qv] -= off[:qv]
-        A[qv:, :n] = mix[:, :n]
-        A[qv:, n:] = zeta[:, n:]
-        b[qv:] = zeta[:, :n] @ p + mix[:, n:] @ y + drift_xi
-        return A, b
+        return membership(x, xi, slots, hamiltonian.grad_x(x, xi),
+                          hamiltonian.grad_xi(x, xi))
 
     def algebraic(t, state):
         state = np.asarray(state, dtype=float)
         x, xi = state[:n], state[n:]
         parts = [dirac.phase_residual(x, xi)]
         if constrained.size:
-            y = hamiltonian.grad_xi(x, xi)
-            fixed = dirac.fixed_fiber if isinstance(dirac, InducedDirac) else None
-            target = np.array([1.0 if i == fixed else 0.0 for i in constrained])
-            parts.append(y[constrained] - target)
+            parts.append(hamiltonian.grad_xi(x, xi)[constrained] - target)
         return np.concatenate(parts)
 
     has_algebraic = bool(constrained.size) or bool(
@@ -249,23 +228,16 @@ def pmp_problem(system, dirac, name=""):
         state = np.asarray(state, dtype=float)
         return state[:n], state[n:n + q], state[n + q:]
 
+    membership = _membership_parts(dirac)
+    # the rate is (xdot, udot, xidot); udot has no slot
+    slots = np.zeros((2 * (n + m), state_dim))
+    slots[:n, :n] = np.eye(n)
+    slots[n:n + m, n + q:] = np.eye(m)
+
     def assemble(state):
         x, u, xi = unpack(state)
-        y = system.f(x, u)
         p = system.f_x(x, u).T @ xi - system.cost_x(x, u)
-        etahat, eta, zeta, mix, off, drift_xi = _structure_blocks(dirac, x, xi)
-        qv = etahat.shape[0]
-        rows = qv + zeta.shape[0]
-        A = np.zeros((rows, state_dim))
-        b = np.zeros(rows)
-        A[:qv, :n] = etahat[:, :n]
-        b[:qv] = etahat[:, n:] @ y
-        if off is not None:
-            b[:qv] -= off
-        A[qv:, :n] = mix[:, :n]
-        A[qv:, n + q:] = zeta[:, n:]
-        b[qv:] = zeta[:, :n] @ p + mix[:, n:] @ y + drift_xi
-        return A, b
+        return membership(x, xi, slots, p, system.f(x, u))
 
     def algebraic(t, state):
         x, u, xi = unpack(state)

@@ -213,3 +213,81 @@ class TestCheck:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["checks"]["isotropy"]["passed"] is True
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("override, named", [
+        ({"time": {"t0": 0.0, "t1": 1.0, "dt": "abc"}}, "time.dt"),
+        ({"time": {"t0": 0.0, "t1": 1.0, "dt": float("nan")}}, "time.dt"),
+        ({"time": {"t0": 0.0, "t1": 1.0, "dt": float("inf")}}, "time.dt"),
+        ({"params": {"mass": "x"}}, "params.mass"),
+        ({"params": {"mass": float("nan")}}, "params.mass"),
+        ({"initial": [float("nan"), 0.0]}, "initial[0]"),
+        ({"checks": "isotropy"}, "checks must be a list"),
+    ], ids=["dt-string", "dt-nan", "dt-inf", "param-string", "param-nan",
+            "initial-nan", "checks-string"])
+    def test_malformed_number_exits_5(self, tmp_path, capsys, override, named):
+        path = write_scenario(tmp_path, dict(BASE_DOC, **override))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
+
+
+class TestReports:
+    @pytest.mark.parametrize("override, expected, key", [
+        ({}, EXIT_OK, "trajectory"),
+        ({"system": "spinning_top"}, EXIT_UNKNOWN_SYSTEM, "error"),
+        ({"formalism": "pmp"}, EXIT_MALFORMED, "error"),
+        ({"initial": [1.0]}, EXIT_MALFORMED, "error"),
+        ({"constraint": {"fiber": [9]}}, EXIT_MALFORMED, "error"),
+        ({"system": "euler_top", "initial": [1.0, 0.5, 0.5], "params": {"J1": 0.0}},
+         EXIT_DEGENERATE, "degeneracy"),
+        ({"params": {"mass": 0.0}, "checks": ["legendre_equivalence"]},
+         EXIT_DEGENERATE, "degeneracy"),
+    ], ids=["ok", "unknown-system", "formalism", "initial-length", "constraint",
+            "degenerate-run", "degenerate-check"])
+    def test_every_exit_writes_report(self, tmp_path, override, expected, key):
+        path = write_scenario(tmp_path, dict(BASE_DOC, **override))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == expected
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == expected
+        assert key in report
+
+    @pytest.mark.parametrize("error", ["SolverError", "InitializationError",
+                                       "EvaluationError", "HyperregularityError"])
+    def test_solver_failures_write_report(self, tmp_path, monkeypatch, error):
+        import diracmech.cli as cli
+        import diracmech.errors as errors
+
+        def failing(*args, **kwargs):
+            raise getattr(errors, error)("injected failure")
+
+        monkeypatch.setattr(cli, "integrate", failing)
+        path = write_scenario(tmp_path, dict(BASE_DOC))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == 1
+        assert report["error"] == "injected failure"
+
+    def test_failed_check_writes_report(self, tmp_path, monkeypatch):
+        import diracmech.cli as cli
+
+        monkeypatch.setattr(cli, "run_checks",
+                            lambda *args, **kwargs: {"isotropy": {"passed": False}})
+        path = write_scenario(tmp_path, dict(BASE_DOC, checks=["isotropy"]))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == EXIT_CHECK_FAILED
+
+    def test_failing_sweep_run_keeps_the_others(self, tmp_path):
+        doc = dict(BASE_DOC, time={"t0": 0.0, "t1": 0.05, "dt": 0.01},
+                   checks=["legendre_equivalence"])
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", str(path), "--out", str(tmp_path), "--sweep", "mass=0:1:2"])
+        assert code == EXIT_DEGENERATE
+        failed = json.loads((tmp_path / "mass=0" / "r.json").read_text())
+        assert failed["exit_code"] == EXIT_DEGENERATE
+        ok = json.loads((tmp_path / "mass=1" / "r.json").read_text())
+        assert ok["exit_code"] == EXIT_OK
+        assert (tmp_path / "mass=1" / "t.csv").exists()

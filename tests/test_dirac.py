@@ -301,14 +301,24 @@ class TestGeneralLocal:
         )
         local.validate([np.zeros(1), np.array([0.7]), np.array([-1.2])])
 
+    def test_rank_deficient_zeta_rejected(self):
+        local = GeneralLocalDirac(
+            Chart(1, 2),
+            eta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            etahat=lambda x: np.array([[1.0, -1.0, 0.0]]),
+            zeta=lambda x: np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
+        )
+        with pytest.raises(StructureError, match="zeta"):
+            local.validate([np.zeros(1)])
+
 
 class TestConstantBlocks:
     @pytest.mark.parametrize("builder, names", [
-        (lambda: CanonicalDirac(2), ("eta", "etahat", "zeta", "zetahat")),
-        (lambda: PiGraphDirac(make_random_pigraph(seed=3)), ("eta", "zetahat")),
-        (lambda: canonical_like_omega(2), ("eta", "zetahat")),
+        (lambda: CanonicalDirac(2), ("eta", "etahat", "zeta")),
+        (lambda: PiGraphDirac(make_random_pigraph(seed=3)), ("eta",)),
+        (lambda: canonical_like_omega(2), ("eta",)),
         (lambda: induce(PiGraphDirac(make_random_pigraph(seed=3)),
-                        LinearConstraint(fiber=(2,))), ("eta", "zetahat")),
+                        LinearConstraint(fiber=(2,))), ("eta",)),
     ], ids=["canonical", "pi-graph", "omega-graph", "induced"])
     def test_constant_blocks_are_shared_and_read_only(self, builder, names):
         lf = builder().local_form()

@@ -1,0 +1,116 @@
+"""Property tests over random skew algebroids and random adapted constraints.
+
+The induced structure's Euler-Lagrange rows (through the membership kernel)
+and the Lagrangian problem's affine rows are compared with the direct
+adapted-coordinate oracle ``nonholonomic_el_residual``, and the closed-form
+induced subspace with the pointwise oracle ``pointwise_induce``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diracmech import (
+    AffineConstraint,
+    LinearConstraint,
+    PiGraphDirac,
+    el_residual,
+    induce,
+    induce_affine,
+    nonholonomic_el_residual,
+    pointwise_induce,
+)
+from diracmech.linalg import max_principal_angle
+from diracmech.problems import lagrangian_problem
+from diracmech.systems import quadratic_lagrangian
+
+from conftest import make_random_pigraph
+
+TOL = 1e-9
+
+
+@st.composite
+def constrained_systems(draw, affine=True):
+    """(algebroid, constraint, zero indices, fixed index, Lagrangian, rng)."""
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 4))
+    order = draw(st.permutations(range(m)))
+    k = draw(st.integers(0, m - 1))
+    zero = tuple(sorted(order[:k]))
+    # the pinned-to-one index needs one more fiber index left free
+    fixed = order[k] if affine and k <= m - 2 and draw(st.booleans()) else None
+    weights = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=m, max_size=m)))
+    algebroid = make_random_pigraph(seed=seed, base_dim=n, fiber_dim=m)
+
+    # diagonal SPD mass matrix that varies with x, so every partial is exercised
+    def mass(x):
+        return np.diag(weights * (2.0 + np.sin(np.sum(x))))
+
+    def mass_diff(x):
+        return np.array([np.diag(weights * np.cos(np.sum(x)))] * n)
+
+    lagrangian = quadratic_lagrangian(mass, mass_matrix_diff=mass_diff)
+    if fixed is None:
+        constraint = LinearConstraint(fiber=zero)
+    else:
+        constraint = AffineConstraint(fixed=fixed, fiber=zero)
+    return algebroid, constraint, zero, fixed, lagrangian, np.random.default_rng(seed)
+
+
+def _induced(algebroid, constraint):
+    if isinstance(constraint, AffineConstraint):
+        return induce_affine(PiGraphDirac(algebroid), constraint)
+    return induce(PiGraphDirac(algebroid), constraint)
+
+
+@settings(deadline=None, max_examples=30)
+@given(constrained_systems())
+def test_induced_el_residual_matches_oracle(system):
+    algebroid, constraint, _, _, lagrangian, rng = system
+    induced = _induced(algebroid, constraint)
+    n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
+    for _ in range(3):
+        state = (rng.standard_normal(n), rng.standard_normal(m))
+        rate = (rng.standard_normal(n), rng.standard_normal(m))
+        direct, phase_d = nonholonomic_el_residual(algebroid, constraint, lagrangian,
+                                                   state, rate)
+        via_dirac, phase_i = el_residual(induced, lagrangian, state, rate)
+        assert np.max(np.abs(direct - via_dirac)) <= TOL
+        assert np.array_equal(phase_d, phase_i)
+
+
+@settings(deadline=None, max_examples=30)
+@given(constrained_systems())
+def test_problem_rows_match_oracle(system):
+    algebroid, constraint, zero, fixed, lagrangian, rng = system
+    problem = lagrangian_problem(_induced(algebroid, constraint), lagrangian)
+    n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
+    pinned = sorted(zero + ((fixed,) if fixed is not None else ()))
+    free = [i for i in range(m) if i not in pinned]
+    for _ in range(3):
+        state = rng.standard_normal(problem.state_dim)
+        rate = rng.standard_normal(problem.state_dim)
+        y, ydot = np.zeros(m), np.zeros(m)
+        y[free], ydot[free] = state[n:], rate[n:]
+        if fixed is not None:
+            y[fixed] = 1.0
+        rows, _ = nonholonomic_el_residual(algebroid, constraint, lagrangian,
+                                           (state[:n], y), (rate[:n], ydot))
+        # the pinned selector rows follow the n base velocity rows
+        expected = np.concatenate([rows[:n], rows[n + len(pinned):]])
+        assert np.max(np.abs(problem.residual(0.0, state, rate) - expected)) <= TOL
+
+
+@settings(deadline=None, max_examples=30)
+@given(constrained_systems(affine=False))
+def test_induced_subspace_matches_pointwise_oracle(system):
+    algebroid, constraint, _, _, _, rng = system
+    base = PiGraphDirac(algebroid)
+    induced = induce(base, constraint)
+    n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
+    for _ in range(3):
+        x, xi = rng.standard_normal(n), rng.standard_normal(m)
+        closed = induced.basis_matrix_at(x, xi)
+        oracle = pointwise_induce(base, constraint, x, xi)
+        assert max_principal_angle(closed, oracle) <= TOL
