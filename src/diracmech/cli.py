@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``run <scenario.json> [--out DIR] [--sweep PARAM=a:b:n]`` integrates the
-  scenario and writes a trajectory CSV plus a JSON report;
+  scenario and writes a trajectory CSV plus a JSON report; a sweep runs
+  its values one after another in the calling process, each into its own
+  sub-directory;
 * ``list-systems [--json]`` prints the catalog of built-in systems;
 * ``check <scenario.json> [--out DIR]`` runs the structure checks only.
 
@@ -14,7 +16,6 @@ exit writes the report with ``exit_code`` and ``error`` or ``degeneracy``.
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -49,6 +50,20 @@ def _finite(label, value):
     if not math.isfinite(number):
         raise ScenarioError(f"{label} must be a finite number (got {value!r})")
     return number
+
+
+def _check_constraint(constraint):
+    if not isinstance(constraint, dict):
+        raise ScenarioError("constraint must be an object with 1-based index lists")
+    unknown = set(constraint) - {"fiber", "base"}
+    if unknown:
+        raise ScenarioError(f"unknown constraint fields: {sorted(unknown)} "
+                            "(expected fiber, base)")
+    for key, indices in constraint.items():
+        if not (isinstance(indices, list) and all(
+                type(i) is int and i >= 1 for i in indices)):
+            raise ScenarioError(f"constraint.{key} must be a list of positive "
+                                f"integers (got {indices!r})")
 
 
 class Scenario:
@@ -99,11 +114,13 @@ class Scenario:
         if bad:
             raise ScenarioError(f"unknown checks: {bad}")
         constraint = doc.get("constraint")
-        if constraint is not None and not isinstance(constraint, dict):
-            raise ScenarioError("constraint must be an object with 1-based index lists")
+        if constraint is not None:
+            _check_constraint(constraint)
         params = doc.get("params") or {}
         if not isinstance(params, dict):
             raise ScenarioError("params must be an object of numbers")
+        if not isinstance(doc["initial"], list):
+            raise ScenarioError("initial must be a list of numbers")
         try:
             t0, t1 = float(time["t0"]), float(time["t1"])
             if not (np.isfinite(t1 - t0) and t1 > t0):
@@ -112,6 +129,10 @@ class Scenario:
             dt = _finite("time.dt", time["dt"])
             if dt <= 0.0:
                 raise ScenarioError(f"time.dt must be positive (got {dt})")
+            # round() takes a ratio of exactly 1/2 to zero steps
+            if (t1 - t0) / dt <= 0.5:
+                raise ScenarioError(
+                    f"time span t1 - t0 = {t1 - t0} rounds to zero steps of dt = {dt}")
             return cls(
                 system=doc["system"],
                 params={key: _finite(f"params.{key}", v) for key, v in params.items()},
@@ -357,16 +378,11 @@ def cmd_run(args):
         raise ScenarioError("sweep needs at least one sample")
     values = np.linspace(lo, hi, count)
     codes = []
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        futures = []
-        for value in values:
-            doc = scenario.to_dict()
-            doc.setdefault("params", {})[name] = float(value)
-            sub = Scenario.from_dict(doc)
-            sub_dir = Path(args.out) / f"{name}={value:.17g}"
-            futures.append(pool.submit(_execute, sub, sub_dir))
-        for future in futures:
-            codes.append(future.result())
+    for value in values:
+        doc = scenario.to_dict()
+        doc.setdefault("params", {})[name] = float(value)
+        sub = Scenario.from_dict(doc)
+        codes.append(_execute(sub, Path(args.out) / f"{name}={value:.17g}"))
     return max(codes)
 
 

@@ -183,14 +183,9 @@ class DiracAlgebroid:
     def __init__(self, chart):
         self.chart = chart
 
-    # representations fill this in
+    # representations build ``self._lf`` in their constructors
     def local_form(self):
-        raise NotImplementedError
-
-    @property
-    def is_affine(self):
-        lf = self.local_form()
-        return lf.velocity_offset is not None or lf.drift is not None
+        return self._lf
 
     # -- membership ----------------------------------------------------------
 
@@ -392,9 +387,6 @@ class PiGraphDirac(DiracAlgebroid):
         self._lf = LocalForm(self.chart, lambda x: eta_block, etahat, zeta,
                              structure=algebroid.structure)
 
-    def local_form(self):
-        return self._lf
-
 
 class OmegaGraphDirac(DiracAlgebroid):
     """Graph of a linear 2-form on the dual bundle.
@@ -450,9 +442,6 @@ class OmegaGraphDirac(DiracAlgebroid):
         self._lf = LocalForm(chart, lambda x: eta_block, etahat, zeta,
                              structure=structure)
 
-    def local_form(self):
-        return self._lf
-
 
 class CanonicalDirac(DiracAlgebroid):
     """Canonical structure on the dual of a tangent bundle (requires n = m).
@@ -476,9 +465,6 @@ class CanonicalDirac(DiracAlgebroid):
             etahat=lambda x: etahat,
             zeta=lambda x: zeta,
         )
-
-    def local_form(self):
-        return self._lf
 
     def as_pi_graph(self):
         """The same structure as the graph of the trivial algebroid bivector."""
@@ -542,9 +528,6 @@ class GeneralLocalDirac(DiracAlgebroid):
             return np.linalg.inv(T).T[:e.shape[0]]
 
         return cls(chart, eta, etahat, zeta, structure, phase)
-
-    def local_form(self):
-        return self._lf
 
     def validate(self, probe_points, rng=None, tol=1e-10):
         """Check invertibility, the rank of zeta, isotropy and kernel dimension.
@@ -667,9 +650,6 @@ class InducedDirac(DiracAlgebroid):
                              structure=structure, velocity_offset=velocity_offset,
                              drift=drift, phase=phase)
 
-    def local_form(self):
-        return self._lf
-
     def project_support(self, x):
         x = np.array(x, dtype=float).reshape(-1)
         for a in self.zero_base:
@@ -743,9 +723,6 @@ class TimeExtendedDirac(DiracAlgebroid):
         self._lf = LocalForm(chart, eta, etahat, zeta,
                              structure=structure, velocity_offset=velocity_offset,
                              drift=drift, phase=phase)
-
-    def local_form(self):
-        return self._lf
 
     def project_support(self, x):
         x = np.array(x, dtype=float).reshape(-1)

@@ -137,12 +137,11 @@ class Lagrangian:
 class Hamiltonian:
     """Scalar field on the dual bundle with first partials."""
 
-    def __init__(self, fn, grad_x=None, grad_xi=None, name="", probes=None, meta=None):
+    def __init__(self, fn, grad_x=None, grad_xi=None, name="", probes=None):
         self._fn = fn
         self._grad_x = grad_x
         self._grad_xi = grad_xi
         self.name = name
-        self.meta = dict(meta or {})
         if probes is not None:
             self.validate(probes)
 
@@ -321,11 +320,16 @@ def invert_vertical_derivative(lagrangian, x, xi, y0=None, tol=1e-12, max_iter=5
     """Solve dL/dy(x, y) = xi for y by Newton iteration with multistart fallback."""
     x = np.asarray(x, dtype=float).reshape(-1)
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    rng = np.random.default_rng(seed)
     scale = 1.0 + float(np.max(np.abs(xi), initial=0.0))
-    starts = [np.zeros(xi.size) if y0 is None else np.asarray(y0, float).reshape(-1)]
-    starts += [scale * rng.standard_normal(xi.size) for _ in range(multistart)]
-    for y in starts:
+
+    def starts():
+        yield np.zeros(xi.size) if y0 is None else np.asarray(y0, float).reshape(-1)
+        # seeded only once the first start has failed
+        rng = np.random.default_rng(seed)
+        for _ in range(multistart):
+            yield scale * rng.standard_normal(xi.size)
+
+    for y in starts():
         y = y.copy()
         for _ in range(max_iter):
             g = lagrangian.grad_y(x, y) - xi
@@ -358,8 +362,6 @@ def legendre_transform(lagrangian, probes, tol=1e-12, max_iter=50, multistart=8,
     stationarity of the defining supremum, so dH/dxi is the inverse map
     itself and dH/dx = -dL/dx at the inverse point.
     """
-    settings = {"tol": tol, "max_iter": max_iter, "multistart": multistart, "seed": seed}
-
     def inverse(x, xi):
         return invert_vertical_derivative(lagrangian, x, xi, tol=tol,
                                           max_iter=max_iter, multistart=multistart,
@@ -390,8 +392,7 @@ def legendre_transform(lagrangian, probes, tol=1e-12, max_iter=50, multistart=8,
         return -lagrangian.grad_x(x, inverse(x, xi))
 
     return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi,
-                       name=name or f"legendre({lagrangian.name})",
-                       meta={"inverse_solver": settings})
+                       name=name or f"legendre({lagrangian.name})")
 
 
 def nonholonomic_el_residual(algebroid, constraint, lagrangian, state, rate):

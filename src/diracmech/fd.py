@@ -44,14 +44,3 @@ def jacobian(f, x, rel=REL_FIRST):
         probe = np.atleast_1d(np.asarray(f(x), dtype=float))
         return np.zeros((probe.size, 0))
     return np.stack(cols, axis=-1)
-
-
-def hessian(f, x, grad=None):
-    """Second-derivative matrix of a scalar function.
-
-    With an analytic ``grad`` supplied, a single central difference of it is
-    taken; otherwise nested central differences are used.
-    """
-    if grad is not None:
-        return jacobian(grad, x, rel=REL_FIRST)
-    return jacobian(lambda z: gradient(f, z), x, rel=REL_SECOND)

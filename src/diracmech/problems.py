@@ -86,8 +86,8 @@ def _membership_parts(dirac):
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     dropped = _dropped_fiber_rows(dirac)
-    # a slice where it can be: fancy indexing releases the GIL, and the
-    # hand-offs slow the threads of a --sweep
+    # a slice where it can be: it is a view, and on a 6x12 J costs about
+    # 0.3 us per call against 2-2.6 us for an index array
     rows = np.r_[0:n, n + dropped:n + m] if dropped else slice(None)
     zero_rates = np.zeros(n + m)
 

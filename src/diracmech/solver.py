@@ -227,7 +227,8 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     """Integrate from t0 to t1 with the given nominal step.
 
     The span t1 - t0 must be positive and finite; it is divided into
-    round((t1 - t0) / dt) equal steps (at least one).  After each
+    round((t1 - t0) / dt) equal steps, of which there must be at least
+    one (a span of at most dt/2 is rejected).  After each
     step the state is re-projected onto the algebraic channel and monitors
     are recorded.  Raises with the step index attached when the inner rate
     solve degenerates.
@@ -239,7 +240,9 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     span = float(t1) - float(t0)
     if not (np.isfinite(span) and span > 0.0):
         raise SolverError(f"time span t1 - t0 = {span} must be positive and finite")
-    nsteps = max(1, int(round(span / dt)))
+    nsteps = int(round(span / dt))
+    if nsteps < 1:
+        raise SolverError(f"time span t1 - t0 = {span} rounds to zero steps of dt = {dt}")
     dt_eff = span / nsteps
 
     state = _project_state(problem, t0, np.asarray(state0, dtype=float).copy())

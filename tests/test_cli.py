@@ -56,7 +56,7 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="schema"):
             Scenario.from_dict(dict(BASE_DOC, schema="other/1"))
 
-    @pytest.mark.parametrize("t1", [-1.0, 0.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, float("inf"), float("nan"), 0.001])
     def test_backwards_span_rejected(self, t1):
         doc = dict(BASE_DOC, time={"t0": 0.0, "t1": t1, "dt": 0.01})
         with pytest.raises(ScenarioError, match="span"):
@@ -156,6 +156,21 @@ class TestRun:
         reports = sorted(tmp_path.glob("spring=*/r.json"))
         assert len(reports) == 2
 
+    def test_sweep_matches_separate_runs(self, tmp_path):
+        doc = json.loads((SCENARIOS / "euler_top.json").read_text())
+        doc["time"]["t1"] = 0.05
+        path = write_scenario(tmp_path, doc)
+        sweep_dir = tmp_path / "sweep"
+        assert main(["run", str(path), "--out", str(sweep_dir),
+                     "--sweep", "J3=2.5:3.5:3"]) == EXIT_OK
+        for value in (2.5, 3.0, 3.5):
+            alone = dict(doc, params=dict(doc["params"], J3=value))
+            alone_path = write_scenario(tmp_path, alone, name=f"J3_{value}.json")
+            alone_dir = tmp_path / f"alone_{value}"
+            assert main(["run", str(alone_path), "--out", str(alone_dir)]) == EXIT_OK
+            swept = (sweep_dir / f"J3={value:.17g}" / "euler_top.csv").read_bytes()
+            assert swept == (alone_dir / "euler_top.csv").read_bytes()
+
     def test_structure_check_failure_exit_code(self, tmp_path, monkeypatch):
         # register a deliberately broken system: the structure functions
         # violate the Jacobi identity, so the jacobi check must fail the run
@@ -224,8 +239,17 @@ class TestMalformedNumbers:
         ({"params": {"mass": float("nan")}}, "params.mass"),
         ({"initial": [float("nan"), 0.0]}, "initial[0]"),
         ({"checks": "isotropy"}, "checks must be a list"),
+        ({"initial": "10"}, "initial must be a list"),
+        ({"constraint": {"fibre": [1]}}, "fibre"),
+        ({"constraint": {"fiber": ["a"]}}, "constraint.fiber"),
+        ({"constraint": {"fiber": 1}}, "constraint.fiber"),
+        ({"constraint": {"fiber": [1.7]}, "initial": [1.0]}, "constraint.fiber"),
+        ({"constraint": {"base": [True]}}, "constraint.base"),
+        ({"time": {"t0": 0.0, "t1": 0.001, "dt": 0.01}}, "span"),
     ], ids=["dt-string", "dt-nan", "dt-inf", "param-string", "param-nan",
-            "initial-nan", "checks-string"])
+            "initial-nan", "checks-string", "initial-string", "constraint-key",
+            "constraint-string", "constraint-int", "constraint-float",
+            "constraint-bool", "short-span"])
     def test_malformed_number_exits_5(self, tmp_path, capsys, override, named):
         path = write_scenario(tmp_path, dict(BASE_DOC, **override))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED

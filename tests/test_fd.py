@@ -1,6 +1,7 @@
 import numpy as np
 
 from diracmech import fd
+from diracmech.dynamics import Lagrangian
 
 
 def test_steps_scale_with_coordinate_magnitude():
@@ -34,15 +35,15 @@ def test_jacobian_shape_and_empty_domain():
 
 
 def test_hessian_nested_versus_analytic_gradient():
-    def f(x):
-        return np.cos(x[0]) + x[0] ** 2 * x[1]
+    def f(x, y):
+        return np.cos(y[0]) + y[0] ** 2 * y[1]
 
-    def grad(x):
-        return np.array([-np.sin(x[0]) + 2 * x[0] * x[1], x[0] ** 2])
+    def grad(x, y):
+        return np.array([-np.sin(y[0]) + 2 * y[0] * y[1], y[0] ** 2])
 
-    x = np.array([0.7, -0.2])
+    x, y = np.zeros(0), np.array([0.7, -0.2])
     expected = np.array([[-np.cos(0.7) - 0.4, 1.4], [1.4, 0.0]])
-    nested = fd.hessian(f, x)
-    direct = fd.hessian(f, x, grad=grad)
+    nested = Lagrangian(f).hess_yy(x, y)
+    direct = Lagrangian(f, grad_y=grad).hess_yy(x, y)
     assert np.max(np.abs(nested - expected)) <= 1e-6
     assert np.max(np.abs(direct - expected)) <= 1e-9

@@ -186,7 +186,7 @@ class TestIntegrate:
         with pytest.raises(SolverError, match="dt"):
             integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("t1", [-1.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, np.inf, np.nan, 4e-4])
     def test_nonpositive_span_rejected(self, oscillator_problem, t1):
         with pytest.raises(SolverError, match="span"):
             integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, t1, 1e-3)
