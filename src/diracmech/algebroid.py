@@ -43,6 +43,22 @@ def _check_finite(name, arr):
     return arr
 
 
+def _antisymmetric(name, c):
+    """Exact antisymmetric part of c in its first two indices.
+
+    Raises StructureError naming the worst entry when c is not
+    antisymmetric there to within 2 * STRUCTURE_ANTISYM_TOL.
+    """
+    sym = c + np.swapaxes(c, 0, 1)
+    if np.max(np.abs(sym), initial=0.0) > 2.0 * STRUCTURE_ANTISYM_TOL:
+        i, j, k = np.unravel_index(int(np.argmax(np.abs(sym))), sym.shape)
+        raise StructureError(
+            f"{name}: not antisymmetric in the first two indices, "
+            f"c[{i},{j},{k}] + c[{j},{i},{k}] = {sym[i, j, k]:.3e}"
+        )
+    return 0.5 * (c - np.swapaxes(c, 0, 1))
+
+
 class Chart:
     """Coordinate chart of a vector bundle: n base and m fiber coordinates."""
 
@@ -175,14 +191,7 @@ class SkewAlgebroid:
         c = _check_finite("structure", self._structure_fn(x))
         if c.shape != (m, m, m):
             raise EvaluationError(f"structure has shape {c.shape}, expected ({m}, {m}, {m})")
-        sym = c + np.swapaxes(c, 0, 1)
-        if np.max(np.abs(sym), initial=0.0) > 2.0 * STRUCTURE_ANTISYM_TOL:
-            i, j, k = np.unravel_index(int(np.argmax(np.abs(sym))), sym.shape)
-            raise StructureError(
-                f"structure functions are not antisymmetric: "
-                f"c[{i},{j},{k}] + c[{j},{i},{k}] = {sym[i, j, k]:.3e}"
-            )
-        return 0.5 * (c - np.swapaxes(c, 0, 1))
+        return _antisymmetric("structure functions", c)
 
     def bracket(self, X, Y, x):
         """Bracket [X, Y] at x.

@@ -129,10 +129,12 @@ class Scenario:
             dt = _finite("time.dt", time["dt"])
             if dt <= 0.0:
                 raise ScenarioError(f"time.dt must be positive (got {dt})")
+            steps = (t1 - t0) / dt
             # round() takes a ratio of exactly 1/2 to zero steps
-            if (t1 - t0) / dt <= 0.5:
+            if not (math.isfinite(steps) and steps > 0.5):
                 raise ScenarioError(
-                    f"time span t1 - t0 = {t1 - t0} rounds to zero steps of dt = {dt}")
+                    f"time span t1 - t0 = {t1 - t0} is {steps} steps of time.dt = {dt}: "
+                    "it must round to a finite count of at least one")
             return cls(
                 system=doc["system"],
                 params={key: _finite(f"params.{key}", v) for key, v in params.items()},

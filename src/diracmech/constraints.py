@@ -210,14 +210,13 @@ class IntegrabilityReport:
     """Verdicts of the two coordinate integrability conditions."""
 
     def __init__(self, cond1, cond2, anchor_violation, anchor_witness,
-                 structure_violation, structure_witness, probes):
+                 structure_violation, structure_witness):
         self.cond1 = cond1
         self.cond2 = cond2
         self.anchor_violation = anchor_violation
         self.anchor_witness = anchor_witness
         self.structure_violation = structure_violation
         self.structure_witness = structure_witness
-        self.probes = probes
 
     @property
     def is_dirac_lie(self):
@@ -303,5 +302,4 @@ def check_integrability(induced, probes=20, tol=1e-9, jacobi_tol=1e-6, seed=11):
         anchor_witness=anchor_witness,
         structure_violation=structure_violation,
         structure_witness=structure_witness,
-        probes=xs,
     )

@@ -9,19 +9,23 @@ fiber part is stacked in the fixed order
 
 used by every kernel computation here.
 
-Every representation reduces internally to a local form consisting of
+Every representation reduces to a local form.  ``local_form(x)`` returns
+its coordinate blocks at a base point as a ``LocalForm`` value:
 
 * velocity coordinates ``eta`` (rank r) and complementary equations
   ``etahat`` acting on (xdot, y),
 * dual coordinates ``zeta`` (r rows) acting on (p, xidot),
-* structure functions ``structure(x)[a, b, j]`` (antisymmetric in a, b),
-* optional affine offsets (``velocity_offset`` rows of etahat, ``drift``
-  coefficients on xi) for the affine variants,
-* phase equations cutting the supported subset of the dual bundle.
+* the affine ``offset`` of the etahat rows (None for linear structures).
+
+The structure functions ``structure(x)[a, b, j]`` (antisymmetric in a, b)
+and the affine ``drift(x)`` coefficients on xi are separate methods, None
+when they vanish: they cost more than the blocks, and the velocity
+residual, velocity space and core never read them.  The phase equations
+cutting the supported subset of the dual bundle are the ``_phase`` hook.
 
 Membership in the structure is the vanishing of
 
-    etahat(x) (xdot, y) - velocity_offset(x),
+    etahat(x) (xdot, y) - offset(x),
     zeta(x) (p, xidot) + structure(x)[eta(x)(xdot, y), xi] + drift(x) xi,
 
 together with the phase equations at (x, xi).  These rows are linear in w
@@ -30,10 +34,18 @@ and are assembled in one place, ``DiracAlgebroid.membership_system``, as
 control dynamics (``dynamics``, ``problems``) only fill the slots of w.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import fd, linalg
-from .algebroid import Chart, SkewAlgebroid, _as_base_point, _check_finite
+from .algebroid import (
+    Chart,
+    SkewAlgebroid,
+    _antisymmetric,
+    _as_base_point,
+    _check_finite,
+)
 from .errors import (
     BasePointMismatchError,
     ConstraintError,
@@ -138,54 +150,44 @@ def scale_dual(point, s):
     )
 
 
-class LocalForm:
-    """Pointwise-evaluable local data of a Dirac structure (see module docs)."""
+class LocalForm(NamedTuple):
+    """Coordinate blocks of a local form at one base point (see module docs)."""
 
-    def __init__(self, chart, eta, etahat, zeta, structure=None,
-                 velocity_offset=None, drift=None, phase=None):
-        self.chart = chart
-        self.eta = eta
-        self.etahat = etahat
-        self.zeta = zeta
-        self.structure = structure
-        self.velocity_offset = velocity_offset
-        self.drift = drift
-        self.phase = phase
-
-    def structure_at(self, x):
-        if self.structure is None:
-            r = self.eta(x).shape[0]
-            return np.zeros((r, r, self.chart.fiber_dim))
-        return np.asarray(self.structure(x), dtype=float)
-
-    def offset_at(self, x):
-        if self.velocity_offset is None:
-            return None
-        return np.asarray(self.velocity_offset(x), dtype=float).reshape(-1)
-
-    def drift_at(self, x):
-        if self.drift is None:
-            return None
-        return np.asarray(self.drift(x), dtype=float)
-
-    def phase_at(self, x, xi):
-        if self.phase is None:
-            return np.zeros(0)
-        return np.asarray(self.phase(np.asarray(x, float), np.asarray(xi, float)),
-                          dtype=float).reshape(-1)
+    eta: np.ndarray
+    etahat: np.ndarray
+    zeta: np.ndarray
+    offset: np.ndarray | None = None
 
 
 class DiracAlgebroid:
-    """Common behavior of all representations, driven by the local form."""
+    """Common behavior of all representations, driven by the local form.
+
+    A representation overrides ``local_form(x)``, which returns the blocks,
+    and, where they do not vanish, ``structure(x)`` and ``drift(x)``, which
+    give the structure terms only membership reads, and the phase hook
+    ``_phase(x, xi)``.
+    """
 
     kind = "abstract"
 
     def __init__(self, chart):
         self.chart = chart
 
-    # representations build ``self._lf`` in their constructors
-    def local_form(self):
-        return self._lf
+    def local_form(self, x):
+        """The blocks (eta, etahat, zeta, offset) at base point x."""
+        raise NotImplementedError
+
+    def structure(self, x):
+        """Structure functions (r, r, m) at x, or None when they vanish."""
+        return None
+
+    def drift(self, x):
+        """Affine drift coefficients (r, m) on xi at x, or None."""
+        return None
+
+    def _phase(self, x, xi):
+        """Phase equations at a checked (x, xi); empty on the whole dual bundle."""
+        return np.zeros(0)
 
     # -- membership ----------------------------------------------------------
 
@@ -201,30 +203,30 @@ class DiracAlgebroid:
     def _membership(self, x, xi):
         """``membership_system`` for an (x, xi) the caller has already checked."""
         n, m = self.chart.base_dim, self.chart.fiber_dim
-        lf = self.local_form()
-        etahat = np.asarray(lf.etahat(x), dtype=float)
-        zeta = np.asarray(lf.zeta(x), dtype=float)
-        q = etahat.shape[0]
-        if q + zeta.shape[0] != n + m:
+        lf = self.local_form(x)
+        q = lf.etahat.shape[0]
+        if q + lf.zeta.shape[0] != n + m:
             raise StructureError(
-                f"local form has {q} + {zeta.shape[0]} rows, expected n + m = {n + m}"
+                f"local form has {q} + {lf.zeta.shape[0]} rows, expected n + m = {n + m}"
             )
         J = np.zeros((n + m, 2 * (n + m)))
         const = np.zeros(n + m)
         # velocity rows act on (xdot, y)
-        J[:q, :n] = etahat[:, :n]
-        J[:q, 2 * n + m:] = etahat[:, n:]
-        if lf.velocity_offset is not None:
-            const[:q] = -lf.offset_at(x)
+        J[:q, :n] = lf.etahat[:, :n]
+        J[:q, 2 * n + m:] = lf.etahat[:, n:]
+        if lf.offset is not None:
+            const[:q] = -lf.offset
         # momentum rows act on (p, xidot) plus the structure term through eta
-        J[q:, n + m:2 * n + m] = zeta[:, :n]
-        J[q:, n:n + m] = zeta[:, n:]
-        if lf.structure is not None:
-            mix = np.einsum("abj,j->ab", lf.structure_at(x), xi) @ lf.eta(x)
+        J[q:, n + m:2 * n + m] = lf.zeta[:, :n]
+        J[q:, n:n + m] = lf.zeta[:, n:]
+        c = self.structure(x)
+        if c is not None:
+            mix = np.einsum("abj,j->ab", c, xi) @ lf.eta
             J[q:, :n] += mix[:, :n]
             J[q:, 2 * n + m:] += mix[:, n:]
-        if lf.drift is not None:
-            const[q:] += lf.drift_at(x) @ xi
+        drift = self.drift(x)
+        if drift is not None:
+            const[q:] += drift @ xi
         return J, const
 
     def residual(self, point):
@@ -262,26 +264,21 @@ class DiracAlgebroid:
     def velocity_residual(self, pair):
         """etahat rows at a velocity pair; zero iff the pair is admissible."""
         x = _as_base_point(self.chart, pair.x)
-        lf = self.local_form()
-        etahat = np.asarray(lf.etahat(x), dtype=float)
-        v = np.concatenate([pair.xdot, pair.y])
-        out = etahat @ v
-        off = lf.offset_at(x)
-        if off is not None:
-            out = out - off
+        lf = self.local_form(x)
+        out = lf.etahat @ np.concatenate([pair.xdot, pair.y])
+        if lf.offset is not None:
+            out = out - lf.offset
         return out
 
     def velocity_space(self, x):
         """Orthonormal columns spanning the (model) velocity fiber at x."""
         x = _as_base_point(self.chart, x)
-        lf = self.local_form()
-        return linalg.null_space(np.asarray(lf.etahat(x), dtype=float))
+        return linalg.null_space(self.local_form(x).etahat)
 
     def core_at(self, x):
         """Orthonormal columns (p, xidot) spanning the core fiber at x."""
         x = _as_base_point(self.chart, x)
-        lf = self.local_form()
-        zeta = np.asarray(lf.zeta(x), dtype=float)
+        zeta = self.local_form(x).zeta
         core = linalg.null_space(zeta)
         n, m = self.chart.base_dim, self.chart.fiber_dim
         r = zeta.shape[0]
@@ -297,7 +294,7 @@ class DiracAlgebroid:
     def phase_residual(self, x, xi):
         x = _as_base_point(self.chart, x)
         xi = np.asarray(xi, dtype=float).reshape(-1)
-        return self.local_form().phase_at(x, xi)
+        return self._phase(x, xi)
 
     def phase_membership(self, x, xi, tol=PHASE_TOL):
         """(bool, residual): whether (x, xi) satisfies the phase equations."""
@@ -341,13 +338,6 @@ class DiracAlgebroid:
         return x, xi
 
 
-def _selector_rows(indices, width):
-    rows = np.zeros((len(indices), width))
-    for k, i in enumerate(indices):
-        rows[k, i] = 1.0
-    return rows
-
-
 def _constant(block):
     """Read-only float copy of an x-independent local-form block."""
     block = np.array(block, dtype=float)
@@ -371,21 +361,20 @@ class PiGraphDirac(DiracAlgebroid):
         n, m = self.chart.base_dim, self.chart.fiber_dim
         # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in
-        eta_block = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
-        etahat_template = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
+        self._eta = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
+        self._etahat = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
 
-        def etahat(x):
-            out = etahat_template.copy()
-            out[:, n:] = -algebroid.anchor(x)
-            return out
+    def local_form(self, x):
+        n = self.chart.base_dim
+        rho = self.algebroid.anchor(x)
+        etahat = self._etahat.copy()
+        etahat[:, n:] = -rho
+        zeta = self._eta.copy()
+        zeta[:, :n] = rho.T
+        return LocalForm(self._eta, etahat, zeta)
 
-        def zeta(x):
-            out = eta_block.copy()
-            out[:, :n] = algebroid.anchor(x).T
-            return out
-
-        self._lf = LocalForm(self.chart, lambda x: eta_block, etahat, zeta,
-                             structure=algebroid.structure)
+    def structure(self, x):
+        return self.algebroid.structure(x)
 
 
 class OmegaGraphDirac(DiracAlgebroid):
@@ -406,41 +395,26 @@ class OmegaGraphDirac(DiracAlgebroid):
         self._cform = cform
         # eta is constant; etahat and zeta are copies of constant templates
         # with rho filled in
-        eta_block = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
-        etahat_template = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
+        self._eta = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
+        self._etahat = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
 
-        def rho_at(x):
-            r = _check_finite("rho", rho(np.asarray(x, float)))
-            if r.shape != (m, n):
-                raise EvaluationError(f"rho has shape {r.shape}, expected ({m}, {n})")
-            return r
+    def local_form(self, x):
+        n, m = self.chart.base_dim, self.chart.fiber_dim
+        rho = _check_finite("rho", self._rho(x))
+        if rho.shape != (m, n):
+            raise EvaluationError(f"rho has shape {rho.shape}, expected ({m}, {n})")
+        etahat = self._etahat.copy()
+        etahat[:, :n] = -rho
+        zeta = self._eta.copy()
+        zeta[:, n:] = rho.T
+        return LocalForm(self._eta, etahat, zeta)
 
-        def cform_at(x):
-            c = _check_finite("cform", cform(np.asarray(x, float)))
-            if c.shape != (n, n, m):
-                raise EvaluationError(
-                    f"cform has shape {c.shape}, expected ({n}, {n}, {m})"
-                )
-            sym = c + np.swapaxes(c, 0, 1)
-            if np.max(np.abs(sym), initial=0.0) > 2e-12:
-                raise StructureError("cform is not antisymmetric in its base indices")
-            return 0.5 * (c - np.swapaxes(c, 0, 1))
-
-        def etahat(x):
-            out = etahat_template.copy()
-            out[:, :n] = -rho_at(x)
-            return out
-
-        def zeta(x):
-            out = eta_block.copy()
-            out[:, n:] = rho_at(x).T
-            return out
-
-        def structure(x):
-            return -cform_at(x)
-
-        self._lf = LocalForm(chart, lambda x: eta_block, etahat, zeta,
-                             structure=structure)
+    def structure(self, x):
+        n, m = self.chart.base_dim, self.chart.fiber_dim
+        c = _check_finite("cform", self._cform(x))
+        if c.shape != (n, n, m):
+            raise EvaluationError(f"cform has shape {c.shape}, expected ({n}, {n}, {m})")
+        return -_antisymmetric("cform", c)
 
 
 class CanonicalDirac(DiracAlgebroid):
@@ -455,16 +429,14 @@ class CanonicalDirac(DiracAlgebroid):
         chart = Chart(dim, dim, base_labels=base_labels)
         super().__init__(chart)
         eye = np.eye(dim)
-        eta = _constant(np.hstack([np.zeros((dim, dim)), eye]))
-        etahat = _constant(np.hstack([eye, -eye]))
-        zeta = _constant(np.hstack([eye, eye]))
-
-        self._lf = LocalForm(
-            chart,
-            eta=lambda x: eta,
-            etahat=lambda x: etahat,
-            zeta=lambda x: zeta,
+        self._form = LocalForm(
+            eta=_constant(np.hstack([np.zeros((dim, dim)), eye])),
+            etahat=_constant(np.hstack([eye, -eye])),
+            zeta=_constant(np.hstack([eye, eye])),
         )
+
+    def local_form(self, x):
+        return self._form
 
     def as_pi_graph(self):
         """The same structure as the graph of the trivial algebroid bivector."""
@@ -494,25 +466,26 @@ class GeneralLocalDirac(DiracAlgebroid):
 
     def __init__(self, chart, eta, etahat, zeta, structure=None, phase=None):
         super().__init__(chart)
-        m = chart.fiber_dim
+        self._blocks = (eta, etahat, zeta)
+        self._structure = structure
+        self._phase_eqs = phase
 
-        wrapped_structure = None
-        if structure is not None:
-            def wrapped_structure(x, _raw=structure):
-                c = _check_finite("structure", _raw(np.asarray(x, float)))
-                if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != m:
-                    raise EvaluationError(
-                        f"structure has shape {c.shape}, expected (r, r, {m})"
-                    )
-                sym = c + np.swapaxes(c, 0, 1)
-                if np.max(np.abs(sym), initial=0.0) > 2e-12:
-                    raise StructureError(
-                        "local-form structure functions are not antisymmetric"
-                    )
-                return 0.5 * (c - np.swapaxes(c, 0, 1))
+    def local_form(self, x):
+        return LocalForm(*(np.asarray(block(x), dtype=float) for block in self._blocks))
 
-        self._lf = LocalForm(chart, eta, etahat, zeta,
-                             structure=wrapped_structure, phase=phase)
+    def structure(self, x):
+        if self._structure is None:
+            return None
+        m = self.chart.fiber_dim
+        c = _check_finite("structure", self._structure(x))
+        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != m:
+            raise EvaluationError(f"structure has shape {c.shape}, expected (r, r, {m})")
+        return _antisymmetric("local-form structure functions", c)
+
+    def _phase(self, x, xi):
+        if self._phase_eqs is None:
+            return np.zeros(0)
+        return np.asarray(self._phase_eqs(x, xi), dtype=float).reshape(-1)
 
     @classmethod
     def from_velocity_splitting(cls, chart, eta, etahat, structure=None, phase=None):
@@ -529,21 +502,18 @@ class GeneralLocalDirac(DiracAlgebroid):
 
         return cls(chart, eta, etahat, zeta, structure, phase)
 
-    def validate(self, probe_points, rng=None, tol=1e-10):
+    def validate(self, probe_points, tol=1e-10):
         """Check invertibility, the rank of zeta, isotropy and kernel dimension.
 
         [eta; etahat] must be a linear isomorphism, and zeta must have full
         row rank with as many rows as eta, at every probe point.
         """
-        rng = rng or np.random.default_rng(0)
         for x in probe_points:
             x = np.asarray(x, dtype=float).reshape(-1)
-            lf = self._lf
-            eta = np.asarray(lf.eta(x), float)
-            T = np.vstack([eta, np.asarray(lf.etahat(x), float)])
+            eta, etahat, zeta, _ = self.local_form(x)
+            T = np.vstack([eta, etahat])
             if linalg.numeric_rank(T) != T.shape[0] or T.shape[0] != T.shape[1]:
                 raise StructureError("eta/etahat do not form a linear isomorphism")
-            zeta = np.asarray(lf.zeta(x), float)
             if zeta.shape[0] != eta.shape[0] or linalg.numeric_rank(zeta) != eta.shape[0]:
                 raise StructureError(
                     f"zeta must have full row rank {eta.shape[0]}, the row count of eta"
@@ -599,61 +569,46 @@ class InducedDirac(DiracAlgebroid):
         self.fixed_fiber = fixed_fiber
         removed = set(zero_fiber) | ({fixed_fiber} if fixed_fiber is not None else set())
         self.free_fiber = tuple(i for i in range(m) if i not in removed)
-        free = np.array(self.free_fiber, dtype=int)
-        constrained = np.array(
-            sorted(removed), dtype=int
-        )
+        self._free = free = np.array(self.free_fiber, dtype=int)
+        constrained = np.array(sorted(removed), dtype=int)
+        self._support = np.array(zero_base, dtype=int)
         # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in
-        eta_block = _constant(_selector_rows(n + free, n + m))
-        etahat_template = _constant(_selector_rows(
-            np.concatenate([np.arange(n), n + constrained]), n + m))
-
-        def etahat(x):
-            out = etahat_template.copy()
-            out[:n, n + free] = -algebroid.anchor(x)[:, free]
-            return out
-
-        def zeta(x):
-            out = eta_block.copy()
-            out[:, :n] = algebroid.anchor(x)[:, free].T
-            return out
-
-        def structure(x):
-            c = algebroid.structure(x)
-            return c[np.ix_(free, free, np.arange(m))]
-
-        velocity_offset = None
-        drift = None
+        self._eta = _constant(np.eye(n + m)[n + free])
+        self._etahat = _constant(np.eye(n + m)[np.r_[np.arange(n), n + constrained]])
         if fixed_fiber is not None:
-            i0 = fixed_fiber
+            # etahat row of the selector y_fixed = 1
+            self._fixed_row = n + int(np.searchsorted(constrained, fixed_fiber))
 
-            def velocity_offset(x):
-                rho = algebroid.anchor(x)
-                off = np.zeros(n + constrained.size)
-                off[:n] = rho[:, i0]
-                off[n + int(np.searchsorted(constrained, i0))] = 1.0
-                return off
+    def local_form(self, x):
+        n = self.chart.base_dim
+        free = self._free
+        rho = self.algebroid.anchor(x)
+        etahat = self._etahat.copy()
+        etahat[:n, n + free] = -rho[:, free]
+        zeta = self._eta.copy()
+        zeta[:, :n] = rho[:, free].T
+        offset = None
+        if self.fixed_fiber is not None:
+            offset = np.zeros(etahat.shape[0])
+            offset[:n] = rho[:, self.fixed_fiber]
+            offset[self._fixed_row] = 1.0
+        return LocalForm(self._eta, etahat, zeta, offset)
 
-            def drift(x):
-                c = algebroid.structure(x)
-                return c[free, i0, :]
+    def structure(self, x):
+        return self.algebroid.structure(x)[np.ix_(self._free, self._free)]
 
-        phase = None
-        if zero_base:
-            idx = np.array(zero_base, dtype=int)
+    def drift(self, x):
+        if self.fixed_fiber is None:
+            return None
+        return self.algebroid.structure(x)[self._free, self.fixed_fiber, :]
 
-            def phase(x, xi):
-                return np.asarray(x, float)[idx]
-
-        self._lf = LocalForm(self.chart, lambda x: eta_block, etahat, zeta,
-                             structure=structure, velocity_offset=velocity_offset,
-                             drift=drift, phase=phase)
+    def _phase(self, x, xi):
+        return x[self._support]
 
     def project_support(self, x):
         x = np.array(x, dtype=float).reshape(-1)
-        for a in self.zero_base:
-            x[a] = 0.0
+        x[self._support] = 0.0
         return x
 
 
@@ -677,57 +632,37 @@ class TimeExtendedDirac(DiracAlgebroid):
         )
         super().__init__(chart)
         self.base = base
-        nb, m = base.chart.base_dim, base.chart.fiber_dim
-        blf = base.local_form()
+        self._clock_row = _constant(np.eye(1, chart.base_dim + chart.fiber_dim))
 
-        def split(x):
-            return np.asarray(x, float)[1:]
+    def local_form(self, x):
+        eta, etahat, zeta, offset = self.base.local_form(x[1:])
+        if offset is None:
+            offset = np.zeros(etahat.shape[0])
+        return LocalForm(
+            _clocked(eta),
+            np.vstack([self._clock_row, _clocked(etahat)]),
+            _clocked(zeta),
+            np.concatenate([[1.0], offset]),
+        )
 
-        def clocked(e):
-            """Base rows with a zero column for the clock slot in front."""
-            return np.hstack([np.zeros((e.shape[0], 1)), e])
+    def structure(self, x):
+        return self.base.structure(x[1:])
 
-        clock_row = _constant(np.eye(1, 1 + nb + m))
+    def drift(self, x):
+        return self.base.drift(x[1:])
 
-        def eta(x):
-            return clocked(np.asarray(blf.eta(split(x)), float))
-
-        def etahat(x):
-            return np.vstack([clock_row, clocked(np.asarray(blf.etahat(split(x)), float))])
-
-        def zeta(x):
-            return clocked(np.asarray(blf.zeta(split(x)), float))
-
-        structure = None
-        if blf.structure is not None:
-            def structure(x):
-                return blf.structure_at(split(x))
-
-        def velocity_offset(x):
-            base_off = blf.offset_at(split(x))
-            if base_off is None:
-                # etahat and eta rows together number nb + m
-                base_off = np.zeros(nb + m - np.shape(blf.eta(split(x)))[0])
-            return np.concatenate([[1.0], base_off])
-
-        drift = None
-        if blf.drift is not None:
-            def drift(x):
-                return blf.drift_at(split(x))
-
-        phase = None
-        if blf.phase is not None:
-            def phase(x, xi):
-                return blf.phase_at(split(x), xi)
-
-        self._lf = LocalForm(chart, eta, etahat, zeta,
-                             structure=structure, velocity_offset=velocity_offset,
-                             drift=drift, phase=phase)
+    def _phase(self, x, xi):
+        return self.base._phase(x[1:], xi)
 
     def project_support(self, x):
         x = np.array(x, dtype=float).reshape(-1)
         x[1:] = self.base.project_support(x[1:])
         return x
+
+
+def _clocked(block):
+    """Base rows with a zero column for the clock slot in front."""
+    return np.hstack([np.zeros((block.shape[0], 1)), block])
 
 
 def time_extend(dirac):

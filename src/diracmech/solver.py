@@ -16,8 +16,6 @@ from . import fd
 from .errors import DegenerateDynamicsError, InitializationError, SolverError
 
 NEWTON_TOL = 1e-10
-NEWTON_STEP_TOL = 1e-12
-NEWTON_MAX_ITER = 50
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 100
 CONDITION_LIMIT = 1e12
@@ -39,7 +37,7 @@ class ImplicitProblem:
 
     def __init__(self, state_dim, affine, algebraic=None, monitors=None,
                  free_rate_slots=None, velocity_pair=None, state_labels=None,
-                 rate_labels=None, angle_indices=(), name=""):
+                 name=""):
         self.state_dim = int(state_dim)
         self.affine = affine
         self.algebraic = algebraic
@@ -54,10 +52,7 @@ class ImplicitProblem:
         self.state_labels = list(state_labels) if state_labels else [
             f"s{k + 1}" for k in range(self.state_dim)
         ]
-        self.rate_labels = list(rate_labels) if rate_labels else [
-            lbl + "_dot" for lbl in self.state_labels
-        ]
-        self.angle_indices = tuple(angle_indices)
+        self.rate_labels = [lbl + "_dot" for lbl in self.state_labels]
         self.name = name
 
     def residual(self, t, state, rate):
@@ -130,13 +125,13 @@ def _reconstruct_fixed_rates(problem, t, state, rate):
     return rate
 
 
-def solve_rate(problem, t, state, rate_guess=None, tol=NEWTON_TOL,
-               max_iter=NEWTON_MAX_ITER):
+def solve_rate(problem, t, state, rate_guess=None):
     """Solve the affine residual for the rates at (t, state).
 
-    A guess whose residual is already within ``tol`` is returned after one
-    iteration.  Otherwise the exact system A[:, free] r = -b is solved and
-    the residual re-evaluated, which takes two.  Raises
+    A guess whose residual is already within ``NEWTON_TOL`` is returned
+    after one iteration.  Otherwise the exact system A[:, free] r = -b is
+    solved and the residual re-evaluated, which takes two; a residual still
+    above ``NEWTON_TOL`` after that raises SolverError.  Raises
     DegenerateDynamicsError when A[:, free] has condition number above
     1e12, which is the expected signal for singular Lagrangians rather
     than a crash.
@@ -145,39 +140,29 @@ def solve_rate(problem, t, state, rate_guess=None, tol=NEWTON_TOL,
     d = problem.state_dim
     rate = np.zeros(d) if rate_guess is None else np.asarray(rate_guess, float).copy()
     free = problem.free_rate_slots
-
-    def res(r):
-        return np.asarray(problem.residual(t, state, r), dtype=float).reshape(-1)
-
-    r = res(rate)
+    r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
     if r.size != free.size:
         raise SolverError(
             f"residual has {r.size} rows for {free.size} solved rate slots"
         )
-    J = None
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.linalg.norm(r) <= tol:
-            break
-        if J is None:
-            J = np.asarray(problem.affine(t, state)[0], dtype=float)[:, free]
-            sigma = np.linalg.svd(J, compute_uv=False)
-            if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
-                raise DegenerateDynamicsError(
-                    f"degenerate implicit dynamics at (t={t}, state={state}): "
-                    f"rate Jacobian singular values {sigma}",
-                    t=t, state=state, singular_values=sigma,
-                )
-        step = np.linalg.solve(J, -r)
-        rate[free] += step
-        r = res(rate)
-        if np.linalg.norm(step) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(rate[free])):
-            break
+    iterations = 1
+    if np.linalg.norm(r) > NEWTON_TOL:
+        J = np.asarray(problem.affine(t, state)[0], dtype=float)[:, free]
+        sigma = np.linalg.svd(J, compute_uv=False)
+        if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
+            raise DegenerateDynamicsError(
+                f"degenerate implicit dynamics at (t={t}, state={state}): "
+                f"rate Jacobian singular values {sigma}",
+                t=t, state=state, singular_values=sigma,
+            )
+        rate[free] += np.linalg.solve(J, -r)
+        r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
+        iterations = 2
     norm = np.linalg.norm(r)
-    if norm > tol:
+    if norm > NEWTON_TOL:
         raise SolverError(
             f"rate solve did not converge at (t={t}, state={state}): "
-            f"residual norm {norm:.3e} after {iterations} iterations"
+            f"residual norm {norm:.3e} after the exact solve"
         )
     rate = _reconstruct_fixed_rates(problem, t, state, rate)
     return rate, iterations, norm
@@ -228,7 +213,8 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
 
     The span t1 - t0 must be positive and finite; it is divided into
     round((t1 - t0) / dt) equal steps, of which there must be at least
-    one (a span of at most dt/2 is rejected).  After each
+    one (a span of at most dt/2 is rejected) and a finite number (a dt so
+    small that the ratio overflows is rejected).  After each
     step the state is re-projected onto the algebraic channel and monitors
     are recorded.  Raises with the step index attached when the inner rate
     solve degenerates.
@@ -240,9 +226,11 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     span = float(t1) - float(t0)
     if not (np.isfinite(span) and span > 0.0):
         raise SolverError(f"time span t1 - t0 = {span} must be positive and finite")
-    nsteps = int(round(span / dt))
-    if nsteps < 1:
-        raise SolverError(f"time span t1 - t0 = {span} rounds to zero steps of dt = {dt}")
+    ratio = span / float(dt)
+    if not (np.isfinite(ratio) and round(ratio) >= 1):
+        raise SolverError(f"time span t1 - t0 = {span} is {ratio} steps of dt = {dt}: "
+                          "it must round to a finite count of at least one")
+    nsteps = int(round(ratio))
     dt_eff = span / nsteps
 
     state = _project_state(problem, t0, np.asarray(state0, dtype=float).copy())

@@ -246,10 +246,11 @@ class TestMalformedNumbers:
         ({"constraint": {"fiber": [1.7]}, "initial": [1.0]}, "constraint.fiber"),
         ({"constraint": {"base": [True]}}, "constraint.base"),
         ({"time": {"t0": 0.0, "t1": 0.001, "dt": 0.01}}, "span"),
+        ({"time": {"t0": 0.0, "t1": 1.0, "dt": 1e-320}}, "time.dt"),
     ], ids=["dt-string", "dt-nan", "dt-inf", "param-string", "param-nan",
             "initial-nan", "checks-string", "initial-string", "constraint-key",
             "constraint-string", "constraint-int", "constraint-float",
-            "constraint-bool", "short-span"])
+            "constraint-bool", "short-span", "dt-overflow"])
     def test_malformed_number_exits_5(self, tmp_path, capsys, override, named):
         path = write_scenario(tmp_path, dict(BASE_DOC, **override))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diracmech import (
+    AffineConstraint,
     BasePointMismatchError,
     CanonicalDirac,
     Chart,
@@ -11,9 +12,11 @@ from diracmech import (
     OmegaGraphDirac,
     PiGraphDirac,
     PontryaginPoint,
+    SkewAlgebroid,
     StructureError,
     VelocityPair,
     induce,
+    induce_affine,
     pairing,
     scale_dual,
     scale_fiber,
@@ -312,6 +315,30 @@ class TestGeneralLocal:
             local.validate([np.zeros(1)])
 
 
+def _lopsided(shape):
+    """Coefficient field with c[0, 1, 0] = 1 and no antisymmetric partner."""
+    c = np.zeros(shape)
+    c[0, 1, 0] = 1.0
+    return lambda x: c
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: OmegaGraphDirac(Chart(2, 2), rho=lambda x: np.eye(2),
+                            cform=_lopsided((2, 2, 2))),
+    lambda: GeneralLocalDirac.from_velocity_splitting(
+        Chart(1, 2),
+        eta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        etahat=lambda x: np.array([[1.0, -1.0, 0.0]]),
+        structure=_lopsided((2, 2, 2)),
+    ),
+], ids=["cform", "general-local"])
+def test_user_coefficients_must_be_antisymmetric(builder):
+    dirac = builder()
+    with pytest.raises(StructureError, match="antisymmetric"):
+        dirac.membership_system(np.zeros(dirac.chart.base_dim),
+                                np.ones(dirac.chart.fiber_dim))
+
+
 class TestConstantBlocks:
     @pytest.mark.parametrize("builder, names", [
         (lambda: CanonicalDirac(2), ("eta", "etahat", "zeta")),
@@ -321,12 +348,12 @@ class TestConstantBlocks:
                         LinearConstraint(fiber=(2,))), ("eta",)),
     ], ids=["canonical", "pi-graph", "omega-graph", "induced"])
     def test_constant_blocks_are_shared_and_read_only(self, builder, names):
-        lf = builder().local_form()
+        dirac = builder()
         rng = np.random.default_rng(11)
-        x1, x2 = rng.standard_normal(2), rng.standard_normal(2)
+        lf1, lf2 = (dirac.local_form(rng.standard_normal(2)) for _ in range(2))
         for name in names:
-            block = getattr(lf, name)(x1)
-            assert block is getattr(lf, name)(x2)
+            block = getattr(lf1, name)
+            assert block is getattr(lf2, name)
             with pytest.raises(ValueError):
                 block[...] = 0.0
 
@@ -335,10 +362,28 @@ class TestConstantBlocks:
                       canonical_like_omega(2),
                       induce(PiGraphDirac(make_random_pigraph(seed=3)),
                              LinearConstraint(fiber=(2,)))):
-            lf = dirac.local_form()
             x = np.array([0.4, -0.7])
             for name in ("etahat", "zeta"):
-                first = getattr(lf, name)(x)
+                first = getattr(dirac.local_form(x), name)
                 expected = first.copy()
                 first[...] = np.nan
-                assert np.array_equal(getattr(lf, name)(x), expected)
+                assert np.array_equal(getattr(dirac.local_form(x), name), expected)
+
+    @pytest.mark.parametrize("constrain", [
+        lambda dirac: dirac,
+        lambda dirac: induce(dirac, LinearConstraint(fiber=(2,))),
+        lambda dirac: induce_affine(dirac, AffineConstraint(fixed=0, fiber=(2,))),
+    ], ids=["pi-graph", "linear-induced", "affine-induced"])
+    def test_one_anchor_evaluation_per_membership_system(self, constrain):
+        algebroid = make_random_pigraph(seed=3)
+        calls = []
+
+        def anchor(x):
+            calls.append(x)
+            return algebroid.anchor(x)
+
+        dirac = constrain(PiGraphDirac(
+            SkewAlgebroid(algebroid.chart, anchor, algebroid.structure)))
+        calls.clear()  # induction probes the anchor for containment
+        dirac.membership_system(np.array([0.4, -0.7]), np.array([1.0, 2.0, 3.0]))
+        assert len(calls) == 1

@@ -332,14 +332,12 @@ class TestTimeExtension:
 
     def test_extension_keeps_structure_blocks(self, disc, disc_pi):
         ext = time_extend(disc_pi)
-        lf_base = disc_pi.local_form()
-        lf_ext = ext.local_form()
         x = np.array([0.0, 0.9])
-        c_base = lf_base.structure_at(x[1:])
-        assert np.array_equal(lf_ext.structure_at(x), c_base)
-        etahat = lf_ext.etahat(x)
+        c_base = disc_pi.structure(x[1:])
+        assert np.array_equal(ext.structure(x), c_base)
+        etahat = ext.local_form(x).etahat
         assert np.array_equal(etahat[0], [1.0] + [0.0] * 5)
-        assert np.array_equal(etahat[1:, 1:], lf_base.etahat(x[1:]))
+        assert np.array_equal(etahat[1:, 1:], disc_pi.local_form(x[1:]).etahat)
 
 
 class TestPMP:

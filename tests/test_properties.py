@@ -3,22 +3,36 @@
 The induced structure's Euler-Lagrange rows (through the membership kernel)
 and the Lagrangian problem's affine rows are compared with the direct
 adapted-coordinate oracle ``nonholonomic_el_residual``, and the closed-form
-induced subspace with the pointwise oracle ``pointwise_induce``.
+induced subspace with the pointwise oracle ``pointwise_induce``.  The
+pi-graph, the linear and affine induced structures and the time extension
+of a pi-graph are checked for isotropy and core = annihilator of the
+velocity space; the two linear ones also for both homotheties.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracmech import (
     AffineConstraint,
     LinearConstraint,
     PiGraphDirac,
+    PontryaginPoint,
     el_residual,
     induce,
     induce_affine,
     nonholonomic_el_residual,
     pointwise_induce,
+    scale_dual,
+    scale_fiber,
+    time_extend,
+)
+from diracmech.checks import (
+    CORE_TOL,
+    ISOTROPY_TOL,
+    core_annihilator_check,
+    isotropy_check,
 )
 from diracmech.linalg import max_principal_angle
 from diracmech.problems import lagrangian_problem
@@ -114,3 +128,56 @@ def test_induced_subspace_matches_pointwise_oracle(system):
         closed = induced.basis_matrix_at(x, xi)
         oracle = pointwise_induce(base, constraint, x, xi)
         assert max_principal_angle(closed, oracle) <= TOL
+
+
+def _representation(kind, algebroid, zero, fixed):
+    """One of the four representations whose local form the kernel reads."""
+    base = PiGraphDirac(algebroid)
+    if kind == "pi-graph":
+        return base
+    if kind == "linear-induced":
+        return induce(base, LinearConstraint(fiber=zero))
+    if kind == "affine-induced":
+        assume(fixed is not None)
+        return induce_affine(base, AffineConstraint(fixed=fixed, fiber=zero))
+    return time_extend(base)
+
+
+REPRESENTATIONS = ["pi-graph", "linear-induced", "affine-induced", "time-extended"]
+
+
+@pytest.mark.parametrize("kind", REPRESENTATIONS)
+@settings(deadline=None, max_examples=30)
+@given(system=constrained_systems())
+def test_basis_is_isotropic(kind, system):
+    algebroid, _, zero, fixed, _, rng = system
+    dirac = _representation(kind, algebroid, zero, fixed)
+    seed = int(rng.integers(2**16))
+    assert isotropy_check(dirac, probes=3, seed=seed)["max_violation"] <= ISOTROPY_TOL
+
+
+@pytest.mark.parametrize("kind", REPRESENTATIONS)
+@settings(deadline=None, max_examples=30)
+@given(system=constrained_systems())
+def test_core_is_annihilator_of_velocities(kind, system):
+    algebroid, _, zero, fixed, _, rng = system
+    dirac = _representation(kind, algebroid, zero, fixed)
+    seed = int(rng.integers(2**16))
+    assert core_annihilator_check(dirac, probes=3, seed=seed)["max_violation"] <= CORE_TOL
+
+
+@pytest.mark.parametrize("kind", ["pi-graph", "linear-induced"])
+@settings(deadline=None, max_examples=30)
+@given(system=constrained_systems(affine=False))
+def test_homotheties_keep_members(kind, system):
+    algebroid, _, zero, fixed, _, rng = system
+    dirac = _representation(kind, algebroid, zero, fixed)
+    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+    for _ in range(3):
+        x, xi = dirac.sample_phase_point(rng)
+        basis = dirac.basis_matrix_at(x, xi)
+        member = PontryaginPoint.from_fiber_vector(
+            x, xi, basis @ rng.standard_normal(n + m))
+        for t in (0.0, 0.5, 2.0, -1.0):
+            assert np.max(np.abs(dirac.residual(scale_fiber(member, t)))) <= TOL
+            assert np.max(np.abs(dirac.residual(scale_dual(member, t)))) <= TOL

@@ -127,6 +127,15 @@ class TestSolveRate:
                        0.0, np.zeros(2))
         assert info.value.singular_values[-1] == pytest.approx(5e-13)
 
+    def test_residual_left_after_exact_solve_raises(self):
+        # a residual that is not affine in the rates keeps 0.1 r^2 after the solve
+        problem = affine_problem(np.eye(2), [1.0, -2.0])
+        affine_residual = problem.residual
+        problem.residual = lambda t, state, rate: (affine_residual(t, state, rate)
+                                                   + 0.1 * rate ** 2)
+        with pytest.raises(SolverError, match="exact solve"):
+            solve_rate(problem, 0.0, np.zeros(2))
+
     def test_row_count_mismatch_rejected(self):
         problem = affine_problem([[1.0, 0.0]], [1.0])
         with pytest.raises(SolverError, match="rows"):
@@ -186,7 +195,7 @@ class TestIntegrate:
         with pytest.raises(SolverError, match="dt"):
             integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("t1", [-1.0, 0.0, np.inf, np.nan, 4e-4])
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, np.inf, np.nan, 4e-4, 1e306])
     def test_nonpositive_span_rejected(self, oscillator_problem, t1):
         with pytest.raises(SolverError, match="span"):
             integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, t1, 1e-3)
