@@ -4,7 +4,8 @@ For a hyperregular Lagrangian the numerically inverted fiber derivative
 produces a Hamiltonian generating identical phase dynamics.  Shown here on
 the oscillator and on the constrained rolling disc, where the dual-side
 formulation carries the constrained phase relations as an algebraic
-channel and reconstructs the pinned momentum rates from them.
+channel, and the time derivative of those relations, appended to the
+rate system, fixes the pinned momentum rates.
 """
 
 import numpy as np

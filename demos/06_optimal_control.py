@@ -3,8 +3,8 @@
 A parametrized velocity constraint y = f(x, u) with a running cost turns
 into phase dynamics driven by the control Hamiltonian xi . f - L together
 with the stationarity equations dH/du = 0.  The controls are algebraic
-unknowns: they carry no residual rows, and their rates come from the time
-derivative of the stationarity channel.
+unknowns: they carry no membership rows, and the time derivative of the
+stationarity channel, appended to the rate system, fixes their rates.
 """
 
 import numpy as np

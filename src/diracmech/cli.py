@@ -121,6 +121,19 @@ class Scenario:
             raise ScenarioError("params must be an object of numbers")
         if not isinstance(doc["initial"], list):
             raise ScenarioError("initial must be a list of numbers")
+        output = doc.get("output") or {}
+        if not isinstance(output, dict):
+            raise ScenarioError("output must be an object of file names")
+        for key in ("trajectory", "report"):
+            if not isinstance(output.get(key, ""), str):
+                raise ScenarioError(f"output.{key} must be a file name (got {output[key]!r})")
+        source = doc.get("hamiltonian_source", "legendre")
+        if source not in ("legendre", "closed"):
+            raise ScenarioError(
+                f"hamiltonian_source must be 'legendre' or 'closed' (got {source!r})")
+        seed = doc.get("seed", 0)
+        if type(seed) is not int:
+            raise ScenarioError(f"seed must be an integer (got {seed!r})")
         try:
             t0, t1 = float(time["t0"]), float(time["t1"])
             if not (np.isfinite(t1 - t0) and t1 > t0):
@@ -141,8 +154,7 @@ class Scenario:
                 constraint=constraint, formalism=formalism,
                 initial=[_finite(f"initial[{k}]", v) for k, v in enumerate(doc["initial"])],
                 time={"t0": t0, "t1": t1, "dt": dt, "method": method},
-                checks=checks, output=doc.get("output"), seed=doc.get("seed", 0),
-                hamiltonian_source=doc.get("hamiltonian_source", "legendre"),
+                checks=checks, output=output, seed=seed, hamiltonian_source=source,
             )
         except (TypeError, ValueError) as err:
             raise ScenarioError(f"scenario has non-numeric entries: {err}") from err

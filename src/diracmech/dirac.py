@@ -17,16 +17,17 @@ its coordinate blocks at a base point as a ``LocalForm`` value:
 * dual coordinates ``zeta`` (r rows) acting on (p, xidot),
 * the affine ``offset`` of the etahat rows (None for linear structures).
 
-The structure functions ``structure(x)[a, b, j]`` (antisymmetric in a, b)
-and the affine ``drift(x)`` coefficients on xi are separate methods, None
-when they vanish: they cost more than the blocks, and the velocity
-residual, velocity space and core never read them.  The phase equations
-cutting the supported subset of the dual bundle are the ``_phase`` hook.
+The structure functions c[a, b, j] (antisymmetric in a, b) and the affine
+drift coefficients on xi come from a separate method, ``structure_terms(x)
+-> (c, drift)``, each None when it vanishes: they cost more than the
+blocks, and the velocity residual, velocity space and core never read
+them.  The phase equations cutting the supported subset of the dual
+bundle are the ``_phase`` hook.
 
 Membership in the structure is the vanishing of
 
     etahat(x) (xdot, y) - offset(x),
-    zeta(x) (p, xidot) + structure(x)[eta(x)(xdot, y), xi] + drift(x) xi,
+    zeta(x) (p, xidot) + c(x)[eta(x)(xdot, y), xi] + drift(x) xi,
 
 together with the phase equations at (x, xi).  These rows are linear in w
 and are assembled in one place, ``DiracAlgebroid.membership_system``, as
@@ -163,8 +164,8 @@ class DiracAlgebroid:
     """Common behavior of all representations, driven by the local form.
 
     A representation overrides ``local_form(x)``, which returns the blocks,
-    and, where they do not vanish, ``structure(x)`` and ``drift(x)``, which
-    give the structure terms only membership reads, and the phase hook
+    and, where they do not vanish, ``structure_terms(x)``, which gives the
+    structure terms only membership reads, and the phase hook
     ``_phase(x, xi)``.
     """
 
@@ -177,13 +178,12 @@ class DiracAlgebroid:
         """The blocks (eta, etahat, zeta, offset) at base point x."""
         raise NotImplementedError
 
-    def structure(self, x):
-        """Structure functions (r, r, m) at x, or None when they vanish."""
-        return None
+    def structure_terms(self, x):
+        """(structure functions (r, r, m), affine drift (r, m) on xi) at x.
 
-    def drift(self, x):
-        """Affine drift coefficients (r, m) on xi at x, or None."""
-        return None
+        Either is None when it vanishes.
+        """
+        return None, None
 
     def _phase(self, x, xi):
         """Phase equations at a checked (x, xi); empty on the whole dual bundle."""
@@ -219,12 +219,11 @@ class DiracAlgebroid:
         # momentum rows act on (p, xidot) plus the structure term through eta
         J[q:, n + m:2 * n + m] = lf.zeta[:, :n]
         J[q:, n:n + m] = lf.zeta[:, n:]
-        c = self.structure(x)
+        c, drift = self.structure_terms(x)
         if c is not None:
             mix = np.einsum("abj,j->ab", c, xi) @ lf.eta
             J[q:, :n] += mix[:, :n]
             J[q:, 2 * n + m:] += mix[:, n:]
-        drift = self.drift(x)
         if drift is not None:
             const[q:] += drift @ xi
         return J, const
@@ -373,8 +372,8 @@ class PiGraphDirac(DiracAlgebroid):
         zeta[:, :n] = rho.T
         return LocalForm(self._eta, etahat, zeta)
 
-    def structure(self, x):
-        return self.algebroid.structure(x)
+    def structure_terms(self, x):
+        return self.algebroid.structure(x), None
 
 
 class OmegaGraphDirac(DiracAlgebroid):
@@ -409,12 +408,12 @@ class OmegaGraphDirac(DiracAlgebroid):
         zeta[:, n:] = rho.T
         return LocalForm(self._eta, etahat, zeta)
 
-    def structure(self, x):
+    def structure_terms(self, x):
         n, m = self.chart.base_dim, self.chart.fiber_dim
         c = _check_finite("cform", self._cform(x))
         if c.shape != (n, n, m):
             raise EvaluationError(f"cform has shape {c.shape}, expected ({n}, {n}, {m})")
-        return -_antisymmetric("cform", c)
+        return -_antisymmetric("cform", c), None
 
 
 class CanonicalDirac(DiracAlgebroid):
@@ -473,14 +472,14 @@ class GeneralLocalDirac(DiracAlgebroid):
     def local_form(self, x):
         return LocalForm(*(np.asarray(block(x), dtype=float) for block in self._blocks))
 
-    def structure(self, x):
+    def structure_terms(self, x):
         if self._structure is None:
-            return None
+            return None, None
         m = self.chart.fiber_dim
         c = _check_finite("structure", self._structure(x))
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != m:
             raise EvaluationError(f"structure has shape {c.shape}, expected (r, r, {m})")
-        return _antisymmetric("local-form structure functions", c)
+        return _antisymmetric("local-form structure functions", c), None
 
     def _phase(self, x, xi):
         if self._phase_eqs is None:
@@ -595,13 +594,10 @@ class InducedDirac(DiracAlgebroid):
             offset[self._fixed_row] = 1.0
         return LocalForm(self._eta, etahat, zeta, offset)
 
-    def structure(self, x):
-        return self.algebroid.structure(x)[np.ix_(self._free, self._free)]
-
-    def drift(self, x):
-        if self.fixed_fiber is None:
-            return None
-        return self.algebroid.structure(x)[self._free, self.fixed_fiber, :]
+    def structure_terms(self, x):
+        c = self.algebroid.structure(x)
+        drift = None if self.fixed_fiber is None else c[self._free, self.fixed_fiber, :]
+        return c[np.ix_(self._free, self._free)], drift
 
     def _phase(self, x, xi):
         return x[self._support]
@@ -645,11 +641,8 @@ class TimeExtendedDirac(DiracAlgebroid):
             np.concatenate([[1.0], offset]),
         )
 
-    def structure(self, x):
-        return self.base.structure(x[1:])
-
-    def drift(self, x):
-        return self.base.drift(x[1:])
+    def structure_terms(self, x):
+        return self.base.structure_terms(x[1:])
 
     def _phase(self, x, xi):
         return self.base._phase(x[1:], xi)

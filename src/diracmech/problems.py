@@ -3,10 +3,7 @@ into implicit problems for the integrator.
 
 For structures induced by adapted constraints, the Lagrangian problem works
 in reduced coordinates (the pinned fiber components are eliminated), while
-the Hamiltonian problem keeps the full dual state: the pinned components'
-momentum rates are not determined by the structure, so they are excluded
-from the Newton solve and reconstructed from the time derivative of the
-phase constraints.
+the Hamiltonian problem keeps the full dual state.
 
 Every residual is a slot fill of the one membership kernel
 ``DiracAlgebroid.membership_system`` -> (J, const): a builder writes the
@@ -15,10 +12,14 @@ solver the affine parts A = J[rows] @ slots, b = J[rows] @ w0 + const[rows],
 where ``rows`` drops the pinned-fiber selector rows.  ``rows`` and the
 constant part of ``slots`` are built once per problem, (A, b) once per
 state (cached, so the rate solve and its verification share one assembly).
+Rates without a membership row (the Hamiltonian's pinned momentum rates,
+the control rates) are fixed by the state Jacobian G of the function the
+builder pins, appended to A with zeros in b, so that A is square.
 """
 
 import numpy as np
 
+from . import fd
 from .dirac import InducedDirac, TimeExtendedDirac, VelocityPair
 from .errors import SolverError
 from .solver import ImplicitProblem
@@ -75,6 +76,13 @@ class _StateCache:
             self.parts = self.assemble(state)
             self.key = key
         return self.parts
+
+
+def _with_pinned_rows(parts, pinned, state):
+    """Append the state Jacobian of ``pinned`` to A, with zeros in b."""
+    A, b = parts
+    G = fd.jacobian(pinned, state)
+    return np.vstack([A, G]), np.concatenate([b, np.zeros(G.shape[0])])
 
 
 def _membership_parts(dirac):
@@ -157,10 +165,10 @@ def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
 def hamiltonian_problem(dirac, hamiltonian, name=""):
     """Implicit phase-dynamics problem with state (x, xi).
 
-    The solved rows are the velocity rows and the retained momentum rows;
-    for induced structures the pinned fiber components of dH/dxi join the
-    phase equations as the algebraic channel, and their momentum rates are
-    reconstructed from its time derivative.
+    The rows are the velocity rows and the retained momentum rows; for
+    induced structures the pinned fiber components of dH/dxi join the phase
+    equations as the algebraic channel, and the rows of their state
+    Jacobian fix the momentum rates the structure leaves free.
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     state_dim = n + m
@@ -172,23 +180,25 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
     # the rate is (xdot, xidot) itself
     slots = np.eye(2 * (n + m), state_dim)
 
+    def pinned(state):
+        return hamiltonian.grad_xi(state[:n], state[n:])[constrained]
+
     def assemble(state):
         x, xi = state[:n], state[n:]
-        return membership(x, xi, slots, hamiltonian.grad_x(x, xi),
-                          hamiltonian.grad_xi(x, xi))
+        parts = membership(x, xi, slots, hamiltonian.grad_x(x, xi),
+                           hamiltonian.grad_xi(x, xi))
+        if constrained.size:
+            parts = _with_pinned_rows(parts, pinned, state)
+        return parts
 
     def algebraic(t, state):
         state = np.asarray(state, dtype=float)
-        x, xi = state[:n], state[n:]
-        parts = [dirac.phase_residual(x, xi)]
-        if constrained.size:
-            parts.append(hamiltonian.grad_xi(x, xi)[constrained] - target)
-        return np.concatenate(parts)
+        phase = dirac.phase_residual(state[:n], state[n:])
+        return np.concatenate([phase, pinned(state) - target]) if constrained.size else phase
 
     has_algebraic = bool(constrained.size) or bool(
         dirac.phase_residual(np.zeros(n), np.zeros(m)).size
     )
-    free_rate_slots = np.concatenate([np.arange(n), n + free])
 
     def monitor(t, state):
         state = np.asarray(state, dtype=float)
@@ -204,7 +214,6 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
         state_dim, _StateCache(assemble),
         algebraic=algebraic if has_algebraic else None,
         monitors={"hamiltonian": monitor},
-        free_rate_slots=free_rate_slots,
         velocity_pair=velocity_pair, state_labels=labels,
         name=name or f"hamilton[{hamiltonian.name}]",
     )
@@ -213,10 +222,11 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
 def pmp_problem(system, dirac, name=""):
     """Control-stationarity problem with state (x, u, xi).
 
-    The controls carry no residual rows of their own: the stationarity
-    equations form the algebraic channel and the control rates are
-    reconstructed from its time derivative (an index-1 formulation when the
-    control Hessian of the Hamiltonian is invertible).
+    The controls carry no membership rows of their own: the stationarity
+    equations form the algebraic channel, and the rows of their state
+    Jacobian fix the control rates (an index-1 formulation when the control
+    Hessian of the Hamiltonian is invertible; a singular one raises
+    DegenerateDynamicsError in the rate solve).
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     if _dropped_fiber_rows(dirac):
@@ -234,14 +244,15 @@ def pmp_problem(system, dirac, name=""):
     slots[:n, :n] = np.eye(n)
     slots[n:n + m, n + q:] = np.eye(m)
 
+    def stationarity(state):
+        x, u, xi = unpack(state)
+        return system.f_u(x, u).T @ xi - system.cost_u(x, u)
+
     def assemble(state):
         x, u, xi = unpack(state)
         p = system.f_x(x, u).T @ xi - system.cost_x(x, u)
-        return membership(x, xi, slots, p, system.f(x, u))
-
-    def algebraic(t, state):
-        x, u, xi = unpack(state)
-        return system.f_u(x, u).T @ xi - system.cost_u(x, u)
+        return _with_pinned_rows(membership(x, xi, slots, p, system.f(x, u)),
+                                 stationarity, state)
 
     def monitor(t, state):
         x, u, xi = unpack(state)
@@ -256,11 +267,10 @@ def pmp_problem(system, dirac, name=""):
         + [f"u{k + 1}" for k in range(q)]
         + list(dirac.chart.dual_labels)
     )
-    free_rate_slots = np.concatenate([np.arange(n), n + q + np.arange(m)])
     return ImplicitProblem(
-        state_dim, _StateCache(assemble), algebraic=algebraic,
+        state_dim, _StateCache(assemble),
+        algebraic=lambda t, state: stationarity(state),
         monitors={"hamiltonian": monitor},
-        free_rate_slots=free_rate_slots,
         velocity_pair=velocity_pair, state_labels=labels,
         name=name or f"pmp[{system.name}]",
     )

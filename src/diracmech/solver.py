@@ -2,10 +2,10 @@
 
 A problem packages the affine parts (A, b) of a residual R = A rate + b,
 an optional algebraic channel constraining states, and named monitor
-functions.  At each evaluation point the solved rates come from the exact
-linear system A[:, free] r = -b; rate components not determined by the
-structure (listed outside ``free_rate_slots``) are reconstructed afterwards
-from the time derivative of the algebraic channel.
+functions.  A is square: at each evaluation point the rates come from the
+one exact linear system A r = -b.  Rates that a structure leaves free are
+fixed by rows the problem builder appends to A (the time derivative of the
+components it pins), so the solver knows nothing about them.
 After every accepted step the state is re-projected onto the algebraic
 channel by Gauss-Newton to prevent constraint drift.
 """
@@ -25,29 +25,21 @@ class ImplicitProblem:
     """Residual system A(t, state) rate + b(t, state) = 0 with algebraic
     state constraints.
 
-    ``affine`` maps (t, state) to the pair (A, b): A has one row per solved
-    rate slot and ``state_dim`` columns, b one entry per row.  With no
-    ``free_rate_slots`` every slot is solved and A[:, free] is square of
-    size ``state_dim``.  ``algebraic`` maps (t, state) to constraint values
-    (empty or None for unconstrained problems).  ``monitors`` are named
+    ``affine`` maps (t, state) to the pair (A, b): A is square of size
+    ``state_dim``, b has one entry per row.  ``algebraic`` maps (t, state)
+    to the constraint values the projection drives to zero (None for
+    unconstrained problems).  ``monitors`` are named
     scalar functions of (t, state) recorded along trajectories.
     ``velocity_pair`` optionally maps (t, state, rate) to a VelocityPair
     for admissibility reporting.
     """
 
     def __init__(self, state_dim, affine, algebraic=None, monitors=None,
-                 free_rate_slots=None, velocity_pair=None, state_labels=None,
-                 name=""):
+                 velocity_pair=None, state_labels=None, name=""):
         self.state_dim = int(state_dim)
         self.affine = affine
         self.algebraic = algebraic
         self.monitors = dict(monitors or {})
-        if free_rate_slots is None:
-            self.free_rate_slots = np.arange(self.state_dim)
-        else:
-            self.free_rate_slots = np.asarray(sorted(free_rate_slots), dtype=int)
-        self.fixed_rate_slots = np.setdiff1d(np.arange(self.state_dim),
-                                             self.free_rate_slots)
         self.velocity_pair = velocity_pair
         self.state_labels = list(state_labels) if state_labels else [
             f"s{k + 1}" for k in range(self.state_dim)
@@ -106,48 +98,26 @@ def project_initial(problem, guess, t=0.0, tol=PROJECTION_TOL,
     )
 
 
-def _reconstruct_fixed_rates(problem, t, state, rate):
-    """Fill excluded rate slots from the time derivative of the algebraic channel."""
-    fixed = problem.fixed_rate_slots
-    if fixed.size == 0:
-        return rate
-    g0 = problem.algebraic_at(t, state)
-    if g0.size == 0:
-        return rate
-    A = fd.jacobian(lambda s: problem.algebraic_at(t, s), state)
-    h = float(fd.steps(t))
-    dgdt = (problem.algebraic_at(t + h, state) - problem.algebraic_at(t - h, state)) / (2.0 * h)
-    free = problem.free_rate_slots
-    rhs = -(dgdt + A[:, free] @ rate[free])
-    sol, *_ = np.linalg.lstsq(A[:, fixed], rhs, rcond=None)
-    rate = rate.copy()
-    rate[fixed] = sol
-    return rate
-
-
 def solve_rate(problem, t, state, rate_guess=None):
     """Solve the affine residual for the rates at (t, state).
 
     A guess whose residual is already within ``NEWTON_TOL`` is returned
-    after one iteration.  Otherwise the exact system A[:, free] r = -b is
-    solved and the residual re-evaluated, which takes two; a residual still
-    above ``NEWTON_TOL`` after that raises SolverError.  Raises
-    DegenerateDynamicsError when A[:, free] has condition number above
-    1e12, which is the expected signal for singular Lagrangians rather
-    than a crash.
+    after one iteration.  Otherwise the exact system A r = -b is solved and
+    the residual re-evaluated, which takes two; a residual still above
+    ``NEWTON_TOL`` after that raises SolverError, and so does a residual
+    without ``state_dim`` rows.  Raises DegenerateDynamicsError when A has
+    condition number above 1e12, which is the expected signal for singular
+    Lagrangians and controls rather than a crash.
     """
     state = np.asarray(state, dtype=float)
     d = problem.state_dim
     rate = np.zeros(d) if rate_guess is None else np.asarray(rate_guess, float).copy()
-    free = problem.free_rate_slots
     r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
-    if r.size != free.size:
-        raise SolverError(
-            f"residual has {r.size} rows for {free.size} solved rate slots"
-        )
+    if r.size != d:
+        raise SolverError(f"residual has {r.size} rows for {d} rate slots")
     iterations = 1
     if np.linalg.norm(r) > NEWTON_TOL:
-        J = np.asarray(problem.affine(t, state)[0], dtype=float)[:, free]
+        J = np.asarray(problem.affine(t, state)[0], dtype=float)
         sigma = np.linalg.svd(J, compute_uv=False)
         if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
             raise DegenerateDynamicsError(
@@ -155,7 +125,7 @@ def solve_rate(problem, t, state, rate_guess=None):
                 f"rate Jacobian singular values {sigma}",
                 t=t, state=state, singular_values=sigma,
             )
-        rate[free] += np.linalg.solve(J, -r)
+        rate += np.linalg.solve(J, -r)
         r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
         iterations = 2
     norm = np.linalg.norm(r)
@@ -164,7 +134,6 @@ def solve_rate(problem, t, state, rate_guess=None):
             f"rate solve did not converge at (t={t}, state={state}): "
             f"residual norm {norm:.3e} after the exact solve"
         )
-    rate = _reconstruct_fixed_rates(problem, t, state, rate)
     return rate, iterations, norm
 
 

@@ -247,10 +247,16 @@ class TestMalformedNumbers:
         ({"constraint": {"base": [True]}}, "constraint.base"),
         ({"time": {"t0": 0.0, "t1": 0.001, "dt": 0.01}}, "span"),
         ({"time": {"t0": 0.0, "t1": 1.0, "dt": 1e-320}}, "time.dt"),
+        ({"output": {"trajectory": "t.csv", "report": 1}}, "output.report"),
+        ({"output": {"trajectory": ["t.csv"], "report": "r.json"}}, "output.trajectory"),
+        ({"formalism": "hamiltonian", "hamiltonian_source": "closd"},
+         "hamiltonian_source"),
+        ({"seed": 1.5}, "seed"),
     ], ids=["dt-string", "dt-nan", "dt-inf", "param-string", "param-nan",
             "initial-nan", "checks-string", "initial-string", "constraint-key",
             "constraint-string", "constraint-int", "constraint-float",
-            "constraint-bool", "short-span", "dt-overflow"])
+            "constraint-bool", "short-span", "dt-overflow", "output-report",
+            "output-trajectory", "hamiltonian-source", "seed-float"])
     def test_malformed_number_exits_5(self, tmp_path, capsys, override, named):
         path = write_scenario(tmp_path, dict(BASE_DOC, **override))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
@@ -270,8 +276,10 @@ class TestReports:
          EXIT_DEGENERATE, "degeneracy"),
         ({"params": {"mass": 0.0}, "checks": ["legendre_equivalence"]},
          EXIT_DEGENERATE, "degeneracy"),
+        ({"system": "lqr_pmp", "formalism": "pmp", "initial": [1.0, 0.0, 0.0],
+          "params": {"q": 1.0, "r": 0.0}}, EXIT_DEGENERATE, "degeneracy"),
     ], ids=["ok", "unknown-system", "formalism", "initial-length", "constraint",
-            "degenerate-run", "degenerate-check"])
+            "degenerate-run", "degenerate-check", "singular-control"])
     def test_every_exit_writes_report(self, tmp_path, override, expected, key):
         path = write_scenario(tmp_path, dict(BASE_DOC, **override))
         assert main(["run", str(path), "--out", str(tmp_path)]) == expected

@@ -387,3 +387,22 @@ class TestConstantBlocks:
         calls.clear()  # induction probes the anchor for containment
         dirac.membership_system(np.array([0.4, -0.7]), np.array([1.0, 2.0, 3.0]))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("constrain", [
+        lambda dirac: dirac,
+        lambda dirac: induce(dirac, LinearConstraint(fiber=(2,))),
+        lambda dirac: induce_affine(dirac, AffineConstraint(fixed=0, fiber=(2,))),
+    ], ids=["pi-graph", "linear-induced", "affine-induced"])
+    def test_one_structure_evaluation_per_membership_system(self, constrain):
+        algebroid = make_random_pigraph(seed=3)
+        calls = []
+
+        def structure(x):
+            calls.append(x)
+            return algebroid.structure(x)
+
+        dirac = constrain(PiGraphDirac(
+            SkewAlgebroid(algebroid.chart, algebroid.anchor, structure)))
+        calls.clear()  # induction probes the structure for containment
+        dirac.membership_system(np.array([0.4, -0.7]), np.array([1.0, 2.0, 3.0]))
+        assert len(calls) == 1

@@ -333,8 +333,10 @@ class TestTimeExtension:
     def test_extension_keeps_structure_blocks(self, disc, disc_pi):
         ext = time_extend(disc_pi)
         x = np.array([0.0, 0.9])
-        c_base = disc_pi.structure(x[1:])
-        assert np.array_equal(ext.structure(x), c_base)
+        c_base, drift_base = disc_pi.structure_terms(x[1:])
+        c_ext, drift_ext = ext.structure_terms(x)
+        assert np.array_equal(c_ext, c_base)
+        assert drift_ext is None and drift_base is None
         etahat = ext.local_form(x).etahat
         assert np.array_equal(etahat[0], [1.0] + [0.0] * 5)
         assert np.array_equal(etahat[1:, 1:], disc_pi.local_form(x[1:]).etahat)

@@ -1,5 +1,6 @@
 """The residual that a builder's affine parts generate must agree with the
-reference residual generators row for row."""
+reference residual generators row for row.  Rows a builder appends for a
+pinned channel must be the state Jacobian of the generator's channel."""
 
 import numpy as np
 import pytest
@@ -40,7 +41,13 @@ def _hamiltonian_induced(request):
     def reference(state, rate):
         rows, _ = hamilton_residual(dirac, ham, (state[:1], state[1:]),
                                     (rate[:1], rate[1:]))
-        return np.concatenate([rows[:1], rows[3:]]), None
+        return np.concatenate([rows[:1], rows[3:]]), pinned
+
+    def pinned(state):
+        # the dropped selector rows y3 = y4 = 0 at y = dH/dxi
+        rows, _ = hamilton_residual(dirac, ham, (state[:1], state[1:]),
+                                    (np.zeros(1), np.zeros(4)))
+        return rows[1:3]
 
     return hamiltonian_problem(dirac, ham), reference
 
@@ -51,7 +58,12 @@ def _pmp(request):
     def reference(state, rate):
         out = pmp_residual(bundle.control, bundle.dirac,
                            (state[:1], state[1:2], state[2:]), (rate[:1], rate[2:]))
-        return out.residual, out.stationarity
+        return out.residual, stationarity
+
+    def stationarity(state):
+        return pmp_residual(bundle.control, bundle.dirac,
+                            (state[:1], state[1:2], state[2:]),
+                            (np.zeros(1), np.zeros(1))).stationarity
 
     return pmp_problem(bundle.control, bundle.dirac), reference
 
@@ -76,6 +88,16 @@ CASES = {
 }
 
 
+def _jacobian(channel, state, h=1e-6):
+    """Central differences of ``channel`` at ``state``, one column per slot."""
+    columns = []
+    for k in range(state.size):
+        e = np.zeros(state.size)
+        e[k] = h
+        columns.append((channel(state + e) - channel(state - e)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_affine_residual_matches_generator(case, request):
     problem, reference = CASES[case](request)
@@ -83,8 +105,13 @@ def test_affine_residual_matches_generator(case, request):
     for _ in range(10):
         state = rng.standard_normal(problem.state_dim)
         rate = rng.standard_normal(problem.state_dim)
-        rows, stationarity = reference(state, rate)
-        assert np.max(np.abs(problem.residual(0.0, state, rate) - rows)) <= 1e-12
-        if stationarity is not None:
-            alg = problem.algebraic_at(0.0, state)
-            assert np.max(np.abs(alg - stationarity)) <= 1e-12
+        rows, pinned = reference(state, rate)
+        residual = problem.residual(0.0, state, rate)
+        assert residual.size == problem.state_dim
+        assert np.max(np.abs(residual[:rows.size] - rows)) <= 1e-12
+        if pinned is None:
+            assert rows.size == problem.state_dim
+            continue
+        assert np.max(np.abs(problem.algebraic_at(0.0, state) - pinned(state))) <= 1e-12
+        appended = _jacobian(pinned, state) @ rate
+        assert np.max(np.abs(residual[rows.size:] - appended)) <= 1e-8
