@@ -66,6 +66,23 @@ def _check_constraint(constraint):
                                 f"integers (got {indices!r})")
 
 
+def _check_output(output):
+    """Output names are plain file names inside the output directory."""
+    if not isinstance(output, dict):
+        raise ScenarioError("output must be an object of file names")
+    unknown = set(output) - {"trajectory", "report"}
+    if unknown:
+        raise ScenarioError(f"unknown output fields: {sorted(unknown)} "
+                            "(expected trajectory, report)")
+    for key, name in output.items():
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(c in name for c in "/\\\0")):
+            raise ScenarioError(f"output.{key} must be a plain file name with no "
+                                f"path separator (got {name!r})")
+    if output.get("trajectory", "trajectory.csv") == output.get("report", "report.json"):
+        raise ScenarioError("output.trajectory and output.report must differ")
+
+
 class Scenario:
     """Parsed scenario document; ``from_dict``/``to_dict`` round-trip exactly."""
 
@@ -122,11 +139,7 @@ class Scenario:
         if not isinstance(doc["initial"], list):
             raise ScenarioError("initial must be a list of numbers")
         output = doc.get("output") or {}
-        if not isinstance(output, dict):
-            raise ScenarioError("output must be an object of file names")
-        for key in ("trajectory", "report"):
-            if not isinstance(output.get(key, ""), str):
-                raise ScenarioError(f"output.{key} must be a file name (got {output[key]!r})")
+        _check_output(output)
         source = doc.get("hamiltonian_source", "legendre")
         if source not in ("legendre", "closed"):
             raise ScenarioError(
@@ -226,9 +239,11 @@ def scenario_schema():
             "checks": {"type": "array", "items": {"enum": sorted(CHECK_NAMES)}},
             "output": {
                 "type": "object",
+                "additionalProperties": False,
                 "properties": {
-                    "trajectory": {"type": "string"},
-                    "report": {"type": "string"},
+                    key: {"type": "string", "pattern": r"^[^/\\\u0000]+$",
+                          "not": {"enum": [".", ".."]}}
+                    for key in ("trajectory", "report")
                 },
             },
             "seed": {"type": "integer"},

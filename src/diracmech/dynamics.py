@@ -17,6 +17,13 @@ membership residual there (``DiracAlgebroid.residual``):
 
 No regularity of the Lagrangian is assumed; degeneracy is the solver's
 business.
+
+For a hyperregular Lagrangian, ``legendre_transform`` builds the dual
+Hamiltonian by inverting the fiber derivative numerically, once per phase
+point: H, dH/dx, dH/dxi and the Jacobian ``hess_xi`` of dH/dxi share one
+memoised inverse, and ``hess_xi`` is exact from the fiber Hessian there.
+The Hamiltonian problem on an induced structure takes its pinned rows
+from ``hess_xi``.
 """
 
 from typing import NamedTuple
@@ -135,12 +142,18 @@ class Lagrangian:
 
 
 class Hamiltonian:
-    """Scalar field on the dual bundle with first partials."""
+    """Scalar field on the dual bundle with first partials and dH/dxi's Jacobian.
 
-    def __init__(self, fn, grad_x=None, grad_xi=None, name="", probes=None):
+    As for ``Lagrangian``, missing analytic partials fall back to central
+    finite differences, and supplied ones are validated at ``probes``.
+    """
+
+    def __init__(self, fn, grad_x=None, grad_xi=None, hess_xi=None, name="",
+                 probes=None):
         self._fn = fn
         self._grad_x = grad_x
         self._grad_xi = grad_xi
+        self._hess_xi = hess_xi
         self.name = name
         if probes is not None:
             self.validate(probes)
@@ -162,6 +175,19 @@ class Hamiltonian:
             return np.asarray(self._grad_xi(x, xi), dtype=float).reshape(-1)
         return fd.gradient(lambda z: self._fn(x, z), xi)
 
+    def hess_xi(self, x, xi):
+        """Jacobian of dH/dxi over the state (x, xi), shape (m, n + m)."""
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        if self._hess_xi is not None:
+            return np.asarray(self._hess_xi(x, xi), dtype=float)
+        return self._hess_xi_fd(x, xi)
+
+    def _hess_xi_fd(self, x, xi):
+        n = x.size
+        return fd.jacobian(lambda s: self.grad_xi(s[:n], s[n:]),
+                           np.concatenate([x.reshape(-1), xi.reshape(-1)]))
+
     def validate(self, probes, rtol=GRADIENT_CHECK_RTOL):
         for x, xi in probes:
             x = np.asarray(x, dtype=float)
@@ -173,6 +199,8 @@ class Hamiltonian:
             if self._grad_xi is not None:
                 checks.append(("grad_xi", self._grad_xi(x, xi),
                                fd.gradient(lambda z: self._fn(x, z), xi)))
+            if self._hess_xi is not None:
+                checks.append(("hess_xi", self._hess_xi(x, xi), self._hess_xi_fd(x, xi)))
             _check_partials(f"Hamiltonian {self.name or '<anonymous>'}",
                             f"(x={x}, xi={xi})", checks, rtol)
 
@@ -358,14 +386,30 @@ def legendre_transform(lagrangian, probes, tol=1e-12, max_iter=50, multistart=8,
     ``probes`` is a sequence of (x, y) points on which hyperregularity is
     verified at construction (invertible fiber Hessian, round-trip through
     the vertical derivative).  The returned Hamiltonian solves the inverse
-    map by Newton iteration on every evaluation; its partials use the
+    map y*(x, xi) by Newton iteration once per point: the last inverse is
+    memoised on the bytes of (x, xi), so H and every partial at one point
+    share it (a failed inversion is not kept).  The partials use the
     stationarity of the defining supremum, so dH/dxi is the inverse map
-    itself and dH/dx = -dL/dx at the inverse point.
+    itself and dH/dx = -dL/dx at the inverse point, and the Jacobian of
+    dH/dxi over (x, xi) is exact from the fiber Hessians at y*:
+    [-Lyy^-1 Lyx, Lyy^-1].
     """
+    # (key, y*) of the last successful inversion, replaced as one tuple so
+    # that a reader never pairs one point's key with another point's y*
+    last = [None]
+
     def inverse(x, xi):
-        return invert_vertical_derivative(lagrangian, x, xi, tol=tol,
-                                          max_iter=max_iter, multistart=multistart,
-                                          seed=seed)
+        x = np.asarray(x, dtype=float).reshape(-1)
+        xi = np.asarray(xi, dtype=float).reshape(-1)
+        key = (x.tobytes(), xi.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            y = invert_vertical_derivative(lagrangian, x, xi, tol=tol,
+                                           max_iter=max_iter, multistart=multistart,
+                                           seed=seed)
+            y.flags.writeable = False
+            entry = last[0] = (key, y)
+        return entry[1]
 
     for x, y in probes:
         x = np.asarray(x, dtype=float)
@@ -386,12 +430,23 @@ def legendre_transform(lagrangian, probes, tol=1e-12, max_iter=50, multistart=8,
         return float(np.asarray(xi, float) @ y) - lagrangian(x, y)
 
     def grad_xi(x, xi):
-        return inverse(x, xi)
+        return inverse(x, xi).copy()
 
     def grad_x(x, xi):
         return -lagrangian.grad_x(x, inverse(x, xi))
 
-    return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi,
+    def hess_xi(x, xi):
+        y = inverse(x, xi)
+        hyy = lagrangian.hess_yy(x, y)
+        rhs = np.hstack([-lagrangian.hess_yx(x, y), np.eye(y.size)])
+        try:
+            return np.linalg.solve(hyy, rhs)
+        except np.linalg.LinAlgError:
+            raise HyperregularityError(
+                f"fiber Hessian is singular at x={x}, xi={xi}", x=x, xi=xi
+            ) from None
+
+    return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi, hess_xi=hess_xi,
                        name=name or f"legendre({lagrangian.name})")
 
 

@@ -14,7 +14,10 @@ constant part of ``slots`` are built once per problem, (A, b) once per
 state (cached, so the rate solve and its verification share one assembly).
 Rates without a membership row (the Hamiltonian's pinned momentum rates,
 the control rates) are fixed by the state Jacobian G of the function the
-builder pins, appended to A with zeros in b, so that A is square.
+builder pins, appended to A with zeros in b, so that A is square: the
+pinned rows of ``Hamiltonian.hess_xi`` (exact from the fiber Hessian for a
+Legendre transform, which inverts the fiber derivative once per point),
+and a finite-difference Jacobian of the control stationarity.
 """
 
 import numpy as np
@@ -78,10 +81,9 @@ class _StateCache:
         return self.parts
 
 
-def _with_pinned_rows(parts, pinned, state):
-    """Append the state Jacobian of ``pinned`` to A, with zeros in b."""
+def _with_pinned_rows(parts, G):
+    """Append the state Jacobian G of the pinned function to A, with zeros in b."""
     A, b = parts
-    G = fd.jacobian(pinned, state)
     return np.vstack([A, G]), np.concatenate([b, np.zeros(G.shape[0])])
 
 
@@ -167,8 +169,9 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
 
     The rows are the velocity rows and the retained momentum rows; for
     induced structures the pinned fiber components of dH/dxi join the phase
-    equations as the algebraic channel, and the rows of their state
-    Jacobian fix the momentum rates the structure leaves free.
+    equations as the algebraic channel, and their rows of the Hamiltonian's
+    ``hess_xi`` (exact for a Legendre transform, finite differences
+    otherwise) fix the momentum rates the structure leaves free.
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     state_dim = n + m
@@ -188,7 +191,7 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
         parts = membership(x, xi, slots, hamiltonian.grad_x(x, xi),
                            hamiltonian.grad_xi(x, xi))
         if constrained.size:
-            parts = _with_pinned_rows(parts, pinned, state)
+            parts = _with_pinned_rows(parts, hamiltonian.hess_xi(x, xi)[constrained])
         return parts
 
     def algebraic(t, state):
@@ -252,7 +255,7 @@ def pmp_problem(system, dirac, name=""):
         x, u, xi = unpack(state)
         p = system.f_x(x, u).T @ xi - system.cost_x(x, u)
         return _with_pinned_rows(membership(x, xi, slots, p, system.f(x, u)),
-                                 stationarity, state)
+                                 fd.jacobian(stationarity, state))
 
     def monitor(t, state):
         x, u, xi = unpack(state)

@@ -249,6 +249,15 @@ class TestMalformedNumbers:
         ({"time": {"t0": 0.0, "t1": 1.0, "dt": 1e-320}}, "time.dt"),
         ({"output": {"trajectory": "t.csv", "report": 1}}, "output.report"),
         ({"output": {"trajectory": ["t.csv"], "report": "r.json"}}, "output.trajectory"),
+        ({"output": {"trajectory": "t.csv", "report": ""}}, "output.report"),
+        ({"output": {"trajectory": "", "report": "r.json"}}, "output.trajectory"),
+        ({"output": {"trajectory": "t.csv", "report": "."}}, "output.report"),
+        ({"output": {"trajectory": "..", "report": "r.json"}}, "output.trajectory"),
+        ({"output": {"trajectory": "t.csv", "report": "nope/r.json"}}, "output.report"),
+        ({"output": {"trajectory": "a\\t.csv", "report": "r.json"}}, "output.trajectory"),
+        ({"output": {"trajectory": "t\0.csv", "report": "r.json"}}, "output.trajectory"),
+        ({"output": {"trajectory": "t.csv", "reprot": "r.json"}}, "reprot"),
+        ({"output": {"trajectory": "same", "report": "same"}}, "output.trajectory"),
         ({"formalism": "hamiltonian", "hamiltonian_source": "closd"},
          "hamiltonian_source"),
         ({"seed": 1.5}, "seed"),
@@ -256,7 +265,10 @@ class TestMalformedNumbers:
             "initial-nan", "checks-string", "initial-string", "constraint-key",
             "constraint-string", "constraint-int", "constraint-float",
             "constraint-bool", "short-span", "dt-overflow", "output-report",
-            "output-trajectory", "hamiltonian-source", "seed-float"])
+            "output-trajectory", "output-empty-report", "output-empty-trajectory",
+            "output-dot", "output-dotdot", "output-subdirectory", "output-backslash",
+            "output-nul", "output-key", "output-same-name", "hamiltonian-source",
+            "seed-float"])
     def test_malformed_number_exits_5(self, tmp_path, capsys, override, named):
         path = write_scenario(tmp_path, dict(BASE_DOC, **override))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED

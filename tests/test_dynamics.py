@@ -6,6 +6,7 @@ from diracmech import (
     CanonicalDirac,
     Chart,
     ControlSystem,
+    Hamiltonian,
     HyperregularityError,
     Lagrangian,
     LinearConstraint,
@@ -177,6 +178,27 @@ class TestHamilton:
             assert np.max(np.abs(res)) <= 1e-9
 
 
+def quartic_lagrangian():
+    """L = |y|^2 / 2 + |y|^4 / 4: hyperregular but not quadratic in y."""
+    return Lagrangian(
+        lambda x, y: 0.5 * y @ y + 0.25 * (y @ y) ** 2,
+        grad_x=lambda x, y: np.zeros(x.size),
+        grad_y=lambda x, y: (1.0 + y @ y) * y,
+        hess_yy=lambda x, y: (1.0 + y @ y) * np.eye(y.size) + 2.0 * np.outer(y, y),
+        hess_yx=lambda x, y: np.zeros((y.size, x.size)),
+        name="quartic",
+    )
+
+
+def central_jacobian(f, s, h=1e-6):
+    columns = []
+    for k in range(s.size):
+        e = np.zeros(s.size)
+        e[k] = h
+        columns.append((f(s + e) - f(s - e)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
 class TestLegendreTransform:
     def test_mechanical_closed_form(self):
         rng = np.random.default_rng(2)
@@ -220,6 +242,98 @@ class TestLegendreTransform:
                          hess_yy=lambda x, y: np.zeros((1, 1)))
         with pytest.raises(HyperregularityError):
             legendre_transform(lag, [(np.zeros(1), np.zeros(1))])
+
+    def test_one_inversion_per_point(self, monkeypatch, disc_lagrangian):
+        import diracmech.dynamics as dynamics
+
+        rng = np.random.default_rng(8)
+        probes = [(rng.standard_normal(1), rng.standard_normal(4)) for _ in range(5)]
+        ham = legendre_transform(disc_lagrangian, probes)
+        invert = dynamics.invert_vertical_derivative
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return invert(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "invert_vertical_derivative", counting)
+        x, xi = rng.standard_normal(1), rng.standard_normal(4)
+        ham(x, xi)
+        ham.grad_x(x, xi)
+        y = ham.grad_xi(x, xi)
+        ham.hess_xi(x, xi)
+        assert len(calls) == 1
+        expected = y.copy()
+        y += 1.0
+        assert np.array_equal(ham.grad_xi(x, xi), expected)
+        assert len(calls) == 1
+        x2 = x + 0.25
+        ham(x2, xi)
+        ham.grad_x(x2, xi)
+        ham.grad_xi(x2, xi)
+        ham.hess_xi(x2, xi)
+        assert len(calls) == 2
+
+    def test_failed_inversion_is_not_kept(self, monkeypatch, disc_lagrangian):
+        import diracmech.dynamics as dynamics
+
+        rng = np.random.default_rng(9)
+        probes = [(rng.standard_normal(1), rng.standard_normal(4)) for _ in range(5)]
+        ham = legendre_transform(disc_lagrangian, probes)
+        x, xi = rng.standard_normal(1), rng.standard_normal(4)
+        invert = dynamics.invert_vertical_derivative
+
+        def failing(*args, **kwargs):
+            raise HyperregularityError("injected")
+
+        monkeypatch.setattr(dynamics, "invert_vertical_derivative", failing)
+        with pytest.raises(HyperregularityError):
+            ham.grad_xi(x, xi)
+        monkeypatch.setattr(dynamics, "invert_vertical_derivative", invert)
+        assert np.array_equal(ham.grad_xi(x, xi), invert(disc_lagrangian, x, xi))
+
+    @pytest.mark.parametrize("case", ["rolling-disc", "quartic"])
+    def test_exact_hess_xi_matches_central_differences(self, case):
+        lag, n, m = {"rolling-disc": (rolling_disc_lagrangian(), 1, 4),
+                     "quartic": (quartic_lagrangian(), 2, 3)}[case]
+        rng = np.random.default_rng(10)
+        probes = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(5)]
+        ham = legendre_transform(lag, probes)
+        for _ in range(20):
+            x, xi = rng.standard_normal(n), 2.0 * rng.standard_normal(m)
+            exact = ham.hess_xi(x, xi)
+            assert exact.shape == (m, n + m)
+            numeric = central_jacobian(lambda s: ham.grad_xi(s[:n], s[n:]),
+                                       np.concatenate([x, xi]))
+            scale = 1.0 + np.max(np.abs(numeric))
+            assert np.max(np.abs(exact - numeric)) <= 1e-7 * scale
+
+    def test_hess_xi_at_singular_fiber_hessian_raises(self):
+        lag = Lagrangian(lambda x, y: 0.25 * y[0] ** 4,
+                         grad_y=lambda x, y: y ** 3,
+                         hess_yy=lambda x, y: np.diag(3.0 * y ** 2))
+        ham = legendre_transform(lag, [(np.zeros(1), np.array([1.0]))])
+        assert ham.grad_xi(np.zeros(1), np.zeros(1)) == pytest.approx([0.0])
+        with pytest.raises(HyperregularityError):
+            ham.hess_xi(np.zeros(1), np.zeros(1))
+
+    def test_wrong_user_hess_xi_rejected_at_probes(self):
+        def fn(x, xi):
+            return 0.5 * xi @ xi + 0.5 * x @ x
+
+        def grad_xi(x, xi):
+            return xi.copy()
+
+        def right(x, xi):
+            return np.hstack([np.zeros((2, 1)), np.eye(2)])
+
+        def wrong(x, xi):
+            return np.hstack([np.zeros((2, 1)), 2.0 * np.eye(2)])
+
+        probes = [(np.array([0.3]), np.array([0.5, -1.0]))]
+        Hamiltonian(fn, grad_xi=grad_xi, hess_xi=right, probes=probes)
+        with pytest.raises(StructureError, match="hess_xi"):
+            Hamiltonian(fn, grad_xi=grad_xi, hess_xi=wrong, probes=probes)
 
     def test_hyperregular_equivalence_for_oscillator(self):
         dirac = CanonicalDirac(1)

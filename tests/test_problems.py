@@ -5,7 +5,7 @@ pinned channel must be the state Jacobian of the generator's channel."""
 import numpy as np
 import pytest
 
-from diracmech import el_residual, hamilton_residual, pmp_residual
+from diracmech import el_residual, fd, hamilton_residual, legendre_transform, pmp_residual
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 from diracmech.systems import build_system
 
@@ -34,9 +34,9 @@ def _lagrangian_unconstrained(request):
     return lagrangian_problem(dirac, lag), reference
 
 
-def _hamiltonian_induced(request):
+def _hamiltonian_induced(request, ham=None):
     dirac = request.getfixturevalue("disc_induced")
-    ham = request.getfixturevalue("disc_hamiltonian")
+    ham = ham or request.getfixturevalue("disc_hamiltonian")
 
     def reference(state, rate):
         rows, _ = hamilton_residual(dirac, ham, (state[:1], state[1:]),
@@ -50,6 +50,14 @@ def _hamiltonian_induced(request):
         return rows[1:3]
 
     return hamiltonian_problem(dirac, ham), reference
+
+
+def _hamiltonian_induced_legendre(request):
+    # exact pinned rows from the Legendre transform's hess_xi
+    rng = np.random.default_rng(1)
+    probes = [(rng.standard_normal(1), rng.standard_normal(4)) for _ in range(5)]
+    ham = legendre_transform(request.getfixturevalue("disc_lagrangian"), probes)
+    return _hamiltonian_induced(request, ham)
 
 
 def _pmp(request):
@@ -83,6 +91,7 @@ CASES = {
     "lagrangian-induced": _lagrangian_induced,
     "lagrangian-unconstrained": _lagrangian_unconstrained,
     "hamiltonian-induced": _hamiltonian_induced,
+    "hamiltonian-induced-legendre": _hamiltonian_induced_legendre,
     "pmp": _pmp,
     "time-dependent": _time_dependent,
 }
@@ -115,3 +124,18 @@ def test_affine_residual_matches_generator(case, request):
         assert np.max(np.abs(problem.algebraic_at(0.0, state) - pinned(state))) <= 1e-12
         appended = _jacobian(pinned, state) @ rate
         assert np.max(np.abs(residual[rows.size:] - appended)) <= 1e-8
+
+
+def test_closed_hamiltonian_pinned_rows_are_the_fd_jacobian(disc_induced, disc_hamiltonian):
+    # a Hamiltonian without an analytic hess_xi takes the finite-difference
+    # fallback, which keeps the pinned rows bit for bit what fd.jacobian of
+    # the pinned components of dH/dxi gives
+    problem = hamiltonian_problem(disc_induced, disc_hamiltonian)
+    pinned = list(disc_induced.zero_fiber)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        state = rng.standard_normal(problem.state_dim)
+        A, b = problem.affine(0.0, state)
+        G = fd.jacobian(lambda s: disc_hamiltonian.grad_xi(s[:1], s[1:])[pinned], state)
+        assert np.array_equal(A[-2:], G)
+        assert not b[-2:].any()
