@@ -25,7 +25,7 @@ import numpy as np
 
 from .checks import CHECK_NAMES, run_checks
 from .errors import ConstraintError, DegenerateDynamicsError, DiracMechError, ScenarioError
-from .solver import admissibility_report, integrate, project_initial
+from .solver import METHODS, admissibility_report, integrate, project_initial
 from .systems import CATALOG, build_problem, build_system
 
 SCHEMA_VERSION = "diracmech/scenario-v1"
@@ -37,15 +37,11 @@ EXIT_CHECK_FAILED = 3
 EXIT_UNKNOWN_SYSTEM = 4
 EXIT_MALFORMED = 5
 
-_SCENARIO_KEYS = {"schema", "system", "params", "constraint", "formalism",
-                  "initial", "time", "checks", "output", "seed",
-                  "hamiltonian_source"}
-
 
 def _finite(label, value):
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ScenarioError(f"{label} must be a finite number (got {value!r})")
@@ -66,6 +62,15 @@ def _check_constraint(constraint):
                                 f"integers (got {indices!r})")
 
 
+def _check_plain_name(label, name):
+    """A plain file name: a non-empty UTF-8 string, not . or .., with no separator."""
+    # a lone surrogate is the one character UTF-8 cannot encode
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name)):
+        raise ScenarioError(f"{label} must be a plain file name with no "
+                            f"path separator (got {name!r})")
+
+
 def _check_output(output):
     """Output names are plain file names inside the output directory."""
     if not isinstance(output, dict):
@@ -75,10 +80,7 @@ def _check_output(output):
         raise ScenarioError(f"unknown output fields: {sorted(unknown)} "
                             "(expected trajectory, report)")
     for key, name in output.items():
-        if (not isinstance(name, str) or name in ("", ".", "..")
-                or any(c in name for c in "/\\\0")):
-            raise ScenarioError(f"output.{key} must be a plain file name with no "
-                                f"path separator (got {name!r})")
+        _check_plain_name(f"output.{key}", name)
     if output.get("trajectory", "trajectory.csv") == output.get("report", "report.json"):
         raise ScenarioError("output.trajectory and output.report must differ")
 
@@ -105,7 +107,7 @@ class Scenario:
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ScenarioError("scenario document must be a JSON object")
-        unknown = set(doc) - _SCENARIO_KEYS
+        unknown = set(doc) - set(scenario_schema()["properties"])
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         if doc.get("schema") != SCHEMA_VERSION:
@@ -115,11 +117,13 @@ class Scenario:
         for key in ("system", "initial", "time"):
             if key not in doc:
                 raise ScenarioError(f"scenario is missing required field '{key}'")
+        if not isinstance(doc["system"], str):
+            raise ScenarioError(f"system must be a name (got {doc['system']!r})")
         time = doc["time"]
         if not isinstance(time, dict) or not {"t0", "t1", "dt"} <= set(time):
             raise ScenarioError("time must carry t0, t1, and dt")
         method = time.get("method", "rk4")
-        if method not in ("rk4", "implicit-midpoint"):
+        if not isinstance(method, str) or method not in METHODS:
             raise ScenarioError(f"unknown integration method '{method}'")
         formalism = doc.get("formalism", "lagrangian")
         if formalism not in ("lagrangian", "hamiltonian", "pmp"):
@@ -145,8 +149,8 @@ class Scenario:
             raise ScenarioError(
                 f"hamiltonian_source must be 'legendre' or 'closed' (got {source!r})")
         seed = doc.get("seed", 0)
-        if type(seed) is not int:
-            raise ScenarioError(f"seed must be an integer (got {seed!r})")
+        if type(seed) is not int or seed < 0:
+            raise ScenarioError(f"seed must be a non-negative integer (got {seed!r})")
         try:
             t0, t1 = float(time["t0"]), float(time["t1"])
             if not (np.isfinite(t1 - t0) and t1 > t0):
@@ -169,7 +173,7 @@ class Scenario:
                 time={"t0": t0, "t1": t1, "dt": dt, "method": method},
                 checks=checks, output=output, seed=seed, hamiltonian_source=source,
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ScenarioError(f"scenario has non-numeric entries: {err}") from err
 
     def to_dict(self):
@@ -233,7 +237,7 @@ def scenario_schema():
                     "t0": {"type": "number"},
                     "t1": {"type": "number"},
                     "dt": {"type": "number", "exclusiveMinimum": 0},
-                    "method": {"enum": ["rk4", "implicit-midpoint"]},
+                    "method": {"enum": list(METHODS)},
                 },
             },
             "checks": {"type": "array", "items": {"enum": sorted(CHECK_NAMES)}},
@@ -246,7 +250,7 @@ def scenario_schema():
                     for key in ("trajectory", "report")
                 },
             },
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
             "hamiltonian_source": {"enum": ["legendre", "closed"]},
         },
     }
@@ -282,12 +286,13 @@ def _angle_state_indices(bundle, formalism):
 
 
 def _execute(scenario, out_dir, check_only=False):
-    """Run (or only check) one scenario; every exit path writes the report."""
+    """Run (or only check) one scenario; every exit path writes the report,
+    or exits 1 with a message on stderr when the report cannot be written."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = {"schema": "diracmech/report-v1", "system": scenario.system,
               "formalism": scenario.formalism}
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         code = _run(scenario, out_dir, check_only, report)
     except DegenerateDynamicsError as err:
         report["degeneracy"] = {
@@ -301,10 +306,18 @@ def _execute(scenario, out_dir, check_only=False):
         report["error"] = str(err)
         print(f"error: {err}", file=sys.stderr)
         code = EXIT_MALFORMED if isinstance(err, ScenarioError) else EXIT_ERROR
+    except OSError as err:
+        report["error"] = f"cannot write the outputs: {err}"
+        print(f"error: {report['error']}", file=sys.stderr)
+        code = EXIT_ERROR
     report["exit_code"] = code
     report_path = out_dir / scenario.output.get("report", "report.json")
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    try:
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write the report: {err}", file=sys.stderr)
+        return EXIT_ERROR
     return code
 
 
@@ -393,9 +406,11 @@ def _parse_sweep(spec):
     try:
         name, rest = spec.split("=", 1)
         a, b, count = rest.split(":")
-        return name, float(a), float(b), int(count)
+        a, b, count = float(a), float(b), int(count)
     except ValueError as err:
         raise ScenarioError(f"malformed sweep '{spec}', expected PARAM=a:b:n") from err
+    _check_plain_name("sweep PARAM", name)  # it names each run's sub-directory
+    return name, a, b, count
 
 
 def cmd_run(args):

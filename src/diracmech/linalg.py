@@ -79,10 +79,3 @@ def max_principal_angle(a_cols, b_cols):
     ang = principal_angles(a_cols, b_cols)
     return float(ang[0]) if ang.size else 0.0
 
-
-def subspaces_equal(a_cols, b_cols, tol=1e-10):
-    a = np.atleast_2d(np.asarray(a_cols, dtype=float))
-    b = np.atleast_2d(np.asarray(b_cols, dtype=float))
-    if numeric_rank(a) != numeric_rank(b):
-        return False
-    return max_principal_angle(a, b) <= tol

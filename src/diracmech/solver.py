@@ -6,6 +6,9 @@ functions.  A is square: at each evaluation point the rates come from the
 one exact linear system A r = -b.  Rates that a structure leaves free are
 fixed by rows the problem builder appends to A (the time derivative of the
 components it pins), so the solver knows nothing about them.
+``METHODS`` maps each method to its step: rk4, or implicit midpoint, the
+fixed point s = state + dt * rate(t + dt/2, (state + s)/2) iterated with
+one exact rate solve each time, which raises SolverError unless it contracts.
 After every accepted step the state is re-projected onto the algebraic
 channel by Gauss-Newton to prevent constraint drift.
 """
@@ -104,7 +107,7 @@ def solve_rate(problem, t, state, rate_guess=None):
     A guess whose residual is already within ``NEWTON_TOL`` is returned
     after one iteration.  Otherwise the exact system A r = -b is solved and
     the residual re-evaluated, which takes two; a residual still above
-    ``NEWTON_TOL`` after that raises SolverError, and so does a residual
+    ``NEWTON_TOL`` after that, or not finite, raises SolverError, and so does a residual
     without ``state_dim`` rows.  Raises DegenerateDynamicsError when A has
     condition number above 1e12, which is the expected signal for singular
     Lagrangians and controls rather than a crash.
@@ -129,18 +132,12 @@ def solve_rate(problem, t, state, rate_guess=None):
         r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
         iterations = 2
     norm = np.linalg.norm(r)
-    if norm > NEWTON_TOL:
+    if not norm <= NEWTON_TOL:
         raise SolverError(
             f"rate solve did not converge at (t={t}, state={state}): "
             f"residual norm {norm:.3e} after the exact solve"
         )
     return rate, iterations, norm
-
-
-def _project_state(problem, t, state):
-    if problem.algebraic is None:
-        return state
-    return project_initial(problem, state, t=t)
 
 
 def _rk4_step(problem, t, state, dt, k1):
@@ -152,29 +149,26 @@ def _rk4_step(problem, t, state, dt, k1):
 
 
 def _implicit_midpoint_step(problem, t, state, dt, k1):
-    d = problem.state_dim
-    new = state + dt * k1
-
-    def gap(s):
+    s = state + dt * k1
+    update = previous = np.inf
+    for iters in range(1, 31):
+        # guess k1, not the last iterate: a warm-start hit would freeze the
+        # rate at a residual of NEWTON_TOL rather than solving it exactly
         mid_rate, _, _ = solve_rate(problem, t + dt / 2, 0.5 * (state + s), rate_guess=k1)
-        return s - state - dt * mid_rate
-
-    iters = 0
-    g = gap(new)
-    for iters in range(1, 30):
-        if np.linalg.norm(g) <= NEWTON_TOL:
+        new = state + dt * mid_rate
+        previous, update = update, np.linalg.norm(new - s)
+        s = new
+        if update == 0.0 or update >= previous:  # the roundoff floor
             break
-        J = np.zeros((d, d))
-        h = fd.steps(new)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h[k]
-            J[:, k] = (gap(new + e) - gap(new - e)) / (2.0 * h[k])
-        new = new + np.linalg.solve(J, -g)
-        g = gap(new)
-    if np.linalg.norm(g) > NEWTON_TOL:
-        raise SolverError(f"implicit midpoint step did not converge at t={t}")
-    return new, iters
+    if not update <= NEWTON_TOL:
+        raise SolverError(
+            f"implicit midpoint iteration did not contract at t={t}: "
+            f"last update {update:.3e} after {iters} iterations"
+        )
+    return s, iters
+
+
+METHODS = {"rk4": _rk4_step, "implicit-midpoint": _implicit_midpoint_step}
 
 
 def integrate(problem, state0, t0, t1, dt, method="rk4"):
@@ -190,7 +184,7 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
-    if method not in ("rk4", "implicit-midpoint"):
+    if method not in METHODS:
         raise SolverError(f"unknown method '{method}'")
     span = float(t1) - float(t0)
     if not (np.isfinite(span) and span > 0.0):
@@ -202,7 +196,7 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     nsteps = int(round(ratio))
     dt_eff = span / nsteps
 
-    state = _project_state(problem, t0, np.asarray(state0, dtype=float).copy())
+    state = project_initial(problem, state0, t=t0)
     times = [float(t0)]
     states = [state.copy()]
     rate, iters, norm = solve_rate(problem, t0, state)
@@ -214,17 +208,14 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     for step_index in range(nsteps):
         t = t0 + step_index * dt_eff
         try:
-            if method == "rk4":
-                state, it = _rk4_step(problem, t, state, dt_eff, rate)
-            else:
-                state, it = _implicit_midpoint_step(problem, t, state, dt_eff, rate)
+            state, it = METHODS[method](problem, t, state, dt_eff, rate)
         except DegenerateDynamicsError as err:
             raise DegenerateDynamicsError(
                 f"{err} (while stepping from t={t}, step {step_index})",
                 t=err.t, state=err.state, singular_values=err.singular_values,
             ) from err
         t_new = t0 + (step_index + 1) * dt_eff
-        state = _project_state(problem, t_new, state)
+        state = project_initial(problem, state, t=t_new)
         rate, iters, norm = solve_rate(problem, t_new, state, rate_guess=rate)
         times.append(t_new)
         states.append(state.copy())
@@ -263,8 +254,3 @@ def admissibility_report(dirac, trajectory, velocity_pair=None):
         norms.append(float(np.max(np.abs(res), initial=0.0)))
     return AdmissibilityReport(norms, trajectory.times)
 
-
-def energy_monitor(lagrangian, state):
-    """Fiber Euler derivative minus the value, y . dL/dy - L, at (x, y)."""
-    x, y = state
-    return lagrangian.energy(np.asarray(x, float), np.asarray(y, float))

@@ -7,6 +7,7 @@ import pytest
 from diracmech.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
+    EXIT_ERROR,
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_UNKNOWN_SYSTEM,
@@ -156,6 +157,15 @@ class TestRun:
         reports = sorted(tmp_path.glob("spring=*/r.json"))
         assert len(reports) == 2
 
+    def test_sweep_parameter_stays_inside_out(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, dict(BASE_DOC))
+        escaped = tmp_path / "escaped" / "mass"
+        code = main(["run", str(path), "--out", str(tmp_path / "out"),
+                     f"--sweep={escaped}=1:2:2"])
+        assert code == EXIT_MALFORMED
+        assert "sweep PARAM" in capsys.readouterr().err
+        assert not (tmp_path / "escaped").exists()
+
     def test_sweep_matches_separate_runs(self, tmp_path):
         doc = json.loads((SCENARIOS / "euler_top.json").read_text())
         doc["time"]["t1"] = 0.05
@@ -261,6 +271,13 @@ class TestMalformedNumbers:
         ({"formalism": "hamiltonian", "hamiltonian_source": "closd"},
          "hamiltonian_source"),
         ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"system": ["harmonic_oscillator"]}, "system"),
+        ({"initial": [10**400, 0.0]}, "initial[0]"),
+        ({"params": {"mass": 10**400}}, "params.mass"),
+        ({"time": {"t0": 0.0, "t1": 10**400, "dt": 0.01}}, "too large"),
+        ({"output": {"trajectory": "\ud800.csv", "report": "r.json"}},
+         "output.trajectory"),
     ], ids=["dt-string", "dt-nan", "dt-inf", "param-string", "param-nan",
             "initial-nan", "checks-string", "initial-string", "constraint-key",
             "constraint-string", "constraint-int", "constraint-float",
@@ -268,13 +285,63 @@ class TestMalformedNumbers:
             "output-trajectory", "output-empty-report", "output-empty-trajectory",
             "output-dot", "output-dotdot", "output-subdirectory", "output-backslash",
             "output-nul", "output-key", "output-same-name", "hamiltonian-source",
-            "seed-float"])
+            "seed-float", "seed-negative", "system-list", "initial-huge-int",
+            "param-huge-int", "time-huge-int", "output-surrogate"])
     def test_malformed_number_exits_5(self, tmp_path, capsys, override, named):
         path = write_scenario(tmp_path, dict(BASE_DOC, **override))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("trajectory", ["a" * 300, "taken"],
+                             ids=["name-too-long", "name-is-directory"])
+    def test_unwritable_trajectory_exits_1_with_report(self, tmp_path, capsys,
+                                                       trajectory):
+        (tmp_path / "out" / "taken").mkdir(parents=True)
+        doc = dict(BASE_DOC, output={"trajectory": trajectory, "report": "r.json"})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "r.json").read_text())
+        assert report["exit_code"] == EXIT_ERROR
+        assert "cannot write the outputs" in report["error"]
+
+    @pytest.mark.parametrize("case", ["report-name-too-long", "out-is-a-file"])
+    def test_unwritable_report_exits_1_on_stderr(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        report = "r.json"
+        if case == "out-is-a-file":
+            out.write_text("")
+        else:
+            report = "a" * 300
+        doc = dict(BASE_DOC, output={"trajectory": "t.csv", "report": report})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "cannot write the report" in err
+
+
+class TestImplicitMidpoint:
+    def test_euler_top_keeps_energy(self, tmp_path):
+        doc = dict(BASE_DOC, system="euler_top", initial=[1.0, 0.5, 0.2],
+                   time={"t0": 0.0, "t1": 10.0, "dt": 0.1, "method": "implicit-midpoint"})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["energy_drift"] <= 1e-12
+
+    def test_non_contracting_step_exits_1(self, tmp_path):
+        doc = dict(BASE_DOC, time={"t0": 0.0, "t1": 6.0, "dt": 3.0,
+                                   "method": "implicit-midpoint"})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == EXIT_ERROR
+        assert "did not contract" in report["error"]
 
 
 class TestReports:

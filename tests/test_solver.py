@@ -9,13 +9,12 @@ from diracmech import (
     SolverError,
     Trajectory,
     admissibility_report,
-    energy_monitor,
     integrate,
     lagrangian_problem,
     project_initial,
     solve_rate,
 )
-from diracmech import fd
+from diracmech import fd, solver
 from diracmech.problems import hamiltonian_problem
 from diracmech.systems import build_problem, build_system
 
@@ -136,6 +135,10 @@ class TestSolveRate:
         with pytest.raises(SolverError, match="exact solve"):
             solve_rate(problem, 0.0, np.zeros(2))
 
+    def test_non_finite_residual_raises(self):
+        with pytest.raises(SolverError, match="nan"):
+            solve_rate(affine_problem(np.eye(2), [np.nan, 1.0]), 0.0, np.zeros(2))
+
     def test_row_count_mismatch_rejected(self):
         problem = affine_problem([[1.0, 0.0]], [1.0])
         with pytest.raises(SolverError, match="rows"):
@@ -211,6 +214,29 @@ class TestIntegrate:
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((3.9 <= ratios) & (ratios <= 4.1))
 
+    def test_implicit_midpoint_solves_per_step(self, monkeypatch):
+        # one exact rate solve per fixed-point iteration, a few iterations
+        # per step at a small dt, plus the solve at the accepted state
+        calls = []
+        solve = solver.solve_rate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_rate", counting)
+        problem = build_problem(build_system("euler_top"), "lagrangian")
+        traj = integrate(problem, np.array([1.0, 0.5, 0.2]), 0.0, 0.05, 1e-3,
+                         method="implicit-midpoint")
+        assert len(traj) - 1 == 50
+        assert len(calls) / 50 <= 6
+
+    def test_implicit_midpoint_rejects_non_contracting_step(self, oscillator_problem):
+        # dt * L / 2 = 1.5 for the unit oscillator: the iteration diverges
+        with pytest.raises(SolverError, match="did not contract"):
+            integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, 6.0, 3.0,
+                      method="implicit-midpoint")
+
     def test_unknown_method_rejected(self, oscillator_problem):
         with pytest.raises(SolverError, match="method"):
             integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, 1.0, 1e-2,
@@ -264,13 +290,13 @@ class TestEnergy:
 
     def test_monitor_matches_direct_evaluation(self, disc_lagrangian):
         x, y = np.array([0.3]), np.array([1.0, 2.0, 0.0, 0.0])
-        direct = energy_monitor(disc_lagrangian, (x, y))
+        direct = disc_lagrangian.energy(x, y)
         assert direct == pytest.approx(float(y @ disc_lagrangian.grad_y(x, y))
                                        - disc_lagrangian(x, y))
 
     def test_fiber_linear_lagrangian_has_zero_energy(self):
         lag = Lagrangian(lambda x, y: 2.0 * y[0] - y[1])
-        assert energy_monitor(lag, (np.zeros(1), np.array([3.0, 4.0]))) == pytest.approx(0.0, abs=1e-9)
+        assert lag.energy(np.zeros(1), np.array([3.0, 4.0])) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestReconstruction:
