@@ -20,6 +20,9 @@ from . import fd
 from .errors import EvaluationError, StructureError
 
 STRUCTURE_ANTISYM_TOL = 1e-12
+# largest basis Jacobiator entry (``basis_jacobi_violation``) of a Lie algebroid;
+# the nested differences of ``jacobiator`` set this floor
+JACOBI_TOL = 1e-6
 
 
 def _as_base_point(chart, x):

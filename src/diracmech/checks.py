@@ -9,13 +9,13 @@ system, not a defect, so it never fails the run.
 import numpy as np
 
 from . import linalg
+from .algebroid import JACOBI_TOL
 from .constraints import LinearConstraint, check_integrability, induce
 from .dirac import InducedDirac, pairing
 from .dynamics import el_residual, hamilton_residual, legendre_transform
 from .errors import DiracMechError
 
 ISOTROPY_TOL = 1e-10
-JACOBI_TOL = 1e-6
 CORE_TOL = 1e-8
 LEGENDRE_TOL = 1e-7
 

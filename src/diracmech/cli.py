@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CHECK_NAMES, run_checks
-from .errors import ConstraintError, DegenerateDynamicsError, DiracMechError, ScenarioError
+from .errors import (ConstraintError, DegenerateDynamicsError, DiracMechError, ScenarioError,
+                     SolverError)
 from .solver import METHODS, admissibility_report, integrate, project_initial
 from .systems import CATALOG, build_problem, build_system
 
@@ -107,7 +108,8 @@ class Scenario:
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ScenarioError("scenario document must be a JSON object")
-        unknown = set(doc) - set(scenario_schema()["properties"])
+        fields = scenario_schema()["properties"]
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         if doc.get("schema") != SCHEMA_VERSION:
@@ -122,6 +124,10 @@ class Scenario:
         time = doc["time"]
         if not isinstance(time, dict) or not {"t0", "t1", "dt"} <= set(time):
             raise ScenarioError("time must carry t0, t1, and dt")
+        unknown = set(time) - set(fields["time"]["properties"])
+        if unknown:
+            raise ScenarioError(f"unknown time fields: {sorted(unknown)} "
+                                "(expected t0, t1, dt, method)")
         method = time.get("method", "rk4")
         if not isinstance(method, str) or method not in METHODS:
             raise ScenarioError(f"unknown integration method '{method}'")
@@ -233,6 +239,7 @@ def scenario_schema():
             "time": {
                 "type": "object",
                 "required": ["t0", "t1", "dt"],
+                "additionalProperties": False,
                 "properties": {
                     "t0": {"type": "number"},
                     "t1": {"type": "number"},
@@ -366,6 +373,12 @@ def _run(scenario, out_dir, check_only, report):
     state0 = project_initial(problem, np.asarray(initial, dtype=float), t=t0)
     trajectory = integrate(problem, state0, t0, t1, dt,
                            method=scenario.time.get("method", "rk4"))
+    drifting = [k for k in ("energy", "hamiltonian") if k in trajectory.monitors]
+    if drifting and not bundle.time_dependent:
+        drift = trajectory.monitor_drift(drifting[0])
+        if not math.isfinite(drift):
+            raise SolverError(f"drift of monitor '{drifting[0]}' is not finite ({drift})")
+        report["energy_drift"] = drift
 
     csv_path = out_dir / scenario.output.get("trajectory", "trajectory.csv")
     write_trajectory_csv(csv_path, trajectory,
@@ -378,10 +391,6 @@ def _run(scenario, out_dir, check_only, report):
     if problem.velocity_pair is not None:
         adm = admissibility_report(bundle.dirac, trajectory)
         report["admissibility"] = {"max": adm.max}
-    if "energy" in trajectory.monitors:
-        report["energy_drift"] = trajectory.monitor_drift("energy")
-    elif "hamiltonian" in trajectory.monitors and not bundle.time_dependent:
-        report["energy_drift"] = trajectory.monitor_drift("hamiltonian")
     report["trajectory"] = {"path": csv_path.name, "steps": len(trajectory) - 1}
     return EXIT_OK
 

@@ -11,11 +11,17 @@ as an independent oracle for the closed form.
 import numpy as np
 
 from . import linalg
+from .algebroid import JACOBI_TOL
 from .dirac import CanonicalDirac, InducedDirac, PiGraphDirac
 from .errors import ConstraintError, StructureError
 
 CONTAINMENT_TOL = 1e-8
 CONTAINMENT_PROBES = 20
+# integrability verdicts: random support points, the entry size that counts
+# as a violation, and the probe seed
+INTEGRABILITY_PROBES = 20
+INTEGRABILITY_TOL = 1e-9
+INTEGRABILITY_SEED = 11
 
 
 class LinearConstraint:
@@ -234,7 +240,7 @@ class IntegrabilityReport:
         }
 
 
-def check_integrability(induced, probes=20, tol=1e-9, jacobi_tol=1e-6, seed=11):
+def check_integrability(induced):
     """Test whether an induced structure closes under the ambient bracket.
 
     Condition 1: anchor rows of the support-transverse base directions
@@ -254,18 +260,16 @@ def check_integrability(induced, probes=20, tol=1e-9, jacobi_tol=1e-6, seed=11):
     free = list(induced.free_fiber)
     removed = list(induced.zero_fiber)
     base_idx = list(induced.zero_base)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(INTEGRABILITY_SEED)
     xs = []
-    for _ in range(probes):
+    for _ in range(INTEGRABILITY_PROBES):
         x = rng.standard_normal(n)
         for a in base_idx:
             x[a] = 0.0
         xs.append(x)
-    if not xs:
-        xs = [np.zeros(n)]
 
     jac_max = algebroid.basis_jacobi_violation(xs[:5])
-    if jac_max > jacobi_tol:
+    if jac_max > JACOBI_TOL:
         raise StructureError(
             f"base algebroid fails the Jacobi test (violation {jac_max:.3e}); "
             "integrability verdicts are only meaningful over Lie algebroids"
@@ -296,8 +300,8 @@ def check_integrability(induced, probes=20, tol=1e-9, jacobi_tol=1e-6, seed=11):
                             "value": float(c[i, j, k]),
                         }
     return IntegrabilityReport(
-        cond1=bool(anchor_violation <= tol),
-        cond2=bool(structure_violation <= tol),
+        cond1=bool(anchor_violation <= INTEGRABILITY_TOL),
+        cond2=bool(structure_violation <= INTEGRABILITY_TOL),
         anchor_violation=anchor_violation,
         anchor_witness=anchor_witness,
         structure_violation=structure_violation,

@@ -16,7 +16,11 @@ membership residual there (``DiracAlgebroid.residual``):
   the controls must satisfy xi df/du = dL/du.
 
 No regularity of the Lagrangian is assumed; degeneracy is the solver's
-business.
+business.  L, H and the control system enter only through their partials.
+Each class keeps one table that maps every partial to its central-difference
+fallback: a partial is the user's analytic callable when one is supplied and
+its fallback otherwise, and ``validate`` holds each supplied callable to
+that same fallback at the probe points.
 
 For a hyperregular Lagrangian, ``legendre_transform`` builds the dual
 Hamiltonian by inverting the fiber derivative numerically, once per phase
@@ -32,10 +36,16 @@ import numpy as np
 
 from . import fd
 from .algebroid import _check_finite
-from .dirac import PontryaginPoint, TimeExtendedDirac, time_extend  # noqa: F401  (re-export)
+from .dirac import PontryaginPoint
 from .errors import EvaluationError, HyperregularityError, StructureError
 
 GRADIENT_CHECK_RTOL = 1e-5
+# Newton inversion of the fiber derivative: residual tolerance relative to
+# 1 + max|xi|, iterations per start, and seeded random starts after y = 0
+INVERSION_TOL = 1e-12
+INVERSION_MAX_ITER = 50
+INVERSION_MULTISTART = 8
+INVERSION_SEED = 0
 
 
 def _pair(state):
@@ -43,72 +53,94 @@ def _pair(state):
     return np.asarray(a, dtype=float).reshape(-1), np.asarray(b, dtype=float).reshape(-1)
 
 
-def _check_partials(owner, point, checks, rtol):
-    """Raise if an analytic partial of (label, analytic, numeric) deviates."""
-    for label, analytic, numeric in checks:
-        analytic = np.asarray(analytic, dtype=float)
-        scale = 1.0 + np.max(np.abs(numeric), initial=0.0)
-        if np.max(np.abs(analytic - numeric), initial=0.0) > rtol * scale:
-            raise StructureError(
-                f"analytic {label} of {owner} deviates from finite differences "
-                f"at {point}"
-            )
+class _Partials:
+    """A function of a point (a, b) with optional analytic partials.
+
+    Each subclass declares ``_FALLBACKS``, one table that maps every partial
+    it offers to its central-difference fallback, a function of
+    (self, a, b) that differences the function (or a lower partial) there;
+    ``_VECTORS`` names the partials returned flat, and ``_KIND`` and
+    ``_POINT`` name the class and the point's two arguments in errors.  A
+    partial is the supplied analytic callable where there is one and its
+    fallback otherwise, and ``validate`` holds every supplied callable to
+    the very fallback it replaces.
+    """
+
+    def __init__(self, name, probes, **analytic):
+        self.name = name
+        self._analytic = {label: fn for label, fn in analytic.items() if fn is not None}
+        if probes is not None:
+            self.validate(probes)
+
+    def _partial(self, label, a, b, fallback=False):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        analytic = self._analytic.get(label)
+        if analytic is None or fallback:
+            value = self._FALLBACKS[label](self, a, b)
+        else:
+            value = np.asarray(analytic(a, b), dtype=float)
+        return value.reshape(-1) if label in self._VECTORS else value
+
+    def _outer_step(self, label):
+        """Relative step for differencing partial ``label``: coarse if that is a fallback too."""
+        return fd.REL_FIRST if label in self._analytic else fd.REL_SECOND
+
+    def validate(self, probes, rtol=GRADIENT_CHECK_RTOL):
+        """Raise StructureError where a supplied partial deviates from its fallback."""
+        for a, b in probes:
+            for label in self._analytic:
+                numeric = self._partial(label, a, b, fallback=True)
+                scale = 1.0 + np.max(np.abs(numeric), initial=0.0)
+                if np.max(np.abs(self._partial(label, a, b) - numeric), initial=0.0) > rtol * scale:
+                    at = ", ".join(f"{k}={np.asarray(v, dtype=float)}"
+                                   for k, v in zip(self._POINT, (a, b)))
+                    raise StructureError(
+                        f"analytic {label} of {self._KIND} {self.name or '<anonymous>'} "
+                        f"deviates from finite differences at ({at})"
+                    )
 
 
-class Lagrangian:
+class Lagrangian(_Partials):
     """Scalar field on the velocity bundle with first and second partials.
 
     Analytic partials are optional; missing ones fall back to central
     finite differences (nested for second derivatives).  When analytic
     partials and probe points are both given, the partials are validated
-    against finite differences at registration.
+    against those fallbacks at registration.
     """
+
+    _KIND, _POINT = "Lagrangian", ("x", "y")
+    _VECTORS = ("grad_x", "grad_y")
+    _FALLBACKS = {
+        "grad_x": lambda self, x, y: fd.jacobian(lambda z: self._fn(z, y), x),
+        "grad_y": lambda self, x, y: fd.jacobian(lambda z: self._fn(x, z), y),
+        "hess_yy": lambda self, x, y: fd.jacobian(lambda z: self.grad_y(x, z), y,
+                                                  rel=self._outer_step("grad_y")),
+        "hess_yx": lambda self, x, y: fd.jacobian(lambda z: self.grad_y(z, y), x,
+                                                  rel=self._outer_step("grad_y")),
+    }
 
     def __init__(self, fn, grad_x=None, grad_y=None, hess_yy=None, hess_yx=None,
                  name="", probes=None):
         self._fn = fn
-        self._grad_x = grad_x
-        self._grad_y = grad_y
-        self._hess_yy = hess_yy
-        self._hess_yx = hess_yx
-        self.name = name
-        if probes is not None:
-            self.validate(probes)
+        super().__init__(name, probes, grad_x=grad_x, grad_y=grad_y, hess_yy=hess_yy,
+                         hess_yx=hess_yx)
 
     def __call__(self, x, y):
         return float(self._fn(np.asarray(x, float), np.asarray(y, float)))
 
     def grad_x(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self._grad_x is not None:
-            return np.asarray(self._grad_x(x, y), dtype=float).reshape(-1)
-        return fd.gradient(lambda z: self._fn(z, y), x)
+        return self._partial("grad_x", x, y)
 
     def grad_y(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self._grad_y is not None:
-            return np.asarray(self._grad_y(x, y), dtype=float).reshape(-1)
-        return fd.gradient(lambda z: self._fn(x, z), y)
+        return self._partial("grad_y", x, y)
 
     def hess_yy(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self._hess_yy is not None:
-            return np.asarray(self._hess_yy(x, y), dtype=float)
-        rel = fd.REL_FIRST if self._grad_y is not None else fd.REL_SECOND
-        return fd.jacobian(lambda z: self.grad_y(x, z), y, rel=rel)
+        return self._partial("hess_yy", x, y)
 
     def hess_yx(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self._hess_yx is not None:
-            return np.asarray(self._hess_yx(x, y), dtype=float)
-        if x.size == 0:
-            return np.zeros((y.size, 0))
-        rel = fd.REL_FIRST if self._grad_y is not None else fd.REL_SECOND
-        return fd.jacobian(lambda z: self.grad_y(z, y), x, rel=rel)
+        return self._partial("hess_yx", x, y)
 
     def momentum_rate(self, x, y, xdot, ydot):
         """Total time derivative of dL/dy along the given rates."""
@@ -119,94 +151,54 @@ class Lagrangian:
         y = np.asarray(y, dtype=float)
         return float(y @ self.grad_y(x, y)) - self(x, y)
 
-    def validate(self, probes, rtol=GRADIENT_CHECK_RTOL):
-        """Compare supplied analytic partials with central differences."""
-        for x, y in probes:
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            checks = []
-            if self._grad_x is not None and x.size:
-                checks.append(("grad_x", self._grad_x(x, y),
-                               fd.gradient(lambda z: self._fn(z, y), x)))
-            if self._grad_y is not None:
-                checks.append(("grad_y", self._grad_y(x, y),
-                               fd.gradient(lambda z: self._fn(x, z), y)))
-            if self._hess_yy is not None:
-                checks.append(("hess_yy", self._hess_yy(x, y),
-                               fd.jacobian(lambda z: self.grad_y(x, z), y)))
-            if self._hess_yx is not None and x.size:
-                checks.append(("hess_yx", self._hess_yx(x, y),
-                               fd.jacobian(lambda z: self.grad_y(z, y), x)))
-            _check_partials(f"Lagrangian {self.name or '<anonymous>'}",
-                            f"(x={x}, y={y})", checks, rtol)
 
-
-class Hamiltonian:
+class Hamiltonian(_Partials):
     """Scalar field on the dual bundle with first partials and dH/dxi's Jacobian.
 
     As for ``Lagrangian``, missing analytic partials fall back to central
     finite differences, and supplied ones are validated at ``probes``.
     """
 
+    _KIND, _POINT = "Hamiltonian", ("x", "xi")
+    _VECTORS = ("grad_x", "grad_xi")
+    _FALLBACKS = {
+        "grad_x": lambda self, x, xi: fd.jacobian(lambda z: self._fn(z, xi), x),
+        "grad_xi": lambda self, x, xi: fd.jacobian(lambda z: self._fn(x, z), xi),
+        "hess_xi": lambda self, x, xi: fd.jacobian(
+            lambda s: self.grad_xi(s[:x.size], s[x.size:]),
+            np.concatenate([x.reshape(-1), xi.reshape(-1)]), rel=self._outer_step("grad_xi")),
+    }
+
     def __init__(self, fn, grad_x=None, grad_xi=None, hess_xi=None, name="",
                  probes=None):
         self._fn = fn
-        self._grad_x = grad_x
-        self._grad_xi = grad_xi
-        self._hess_xi = hess_xi
-        self.name = name
-        if probes is not None:
-            self.validate(probes)
+        super().__init__(name, probes, grad_x=grad_x, grad_xi=grad_xi, hess_xi=hess_xi)
 
     def __call__(self, x, xi):
         return float(self._fn(np.asarray(x, float), np.asarray(xi, float)))
 
     def grad_x(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if self._grad_x is not None:
-            return np.asarray(self._grad_x(x, xi), dtype=float).reshape(-1)
-        return fd.gradient(lambda z: self._fn(z, xi), x)
+        return self._partial("grad_x", x, xi)
 
     def grad_xi(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if self._grad_xi is not None:
-            return np.asarray(self._grad_xi(x, xi), dtype=float).reshape(-1)
-        return fd.gradient(lambda z: self._fn(x, z), xi)
+        return self._partial("grad_xi", x, xi)
 
     def hess_xi(self, x, xi):
         """Jacobian of dH/dxi over the state (x, xi), shape (m, n + m)."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if self._hess_xi is not None:
-            return np.asarray(self._hess_xi(x, xi), dtype=float)
-        return self._hess_xi_fd(x, xi)
-
-    def _hess_xi_fd(self, x, xi):
-        n = x.size
-        return fd.jacobian(lambda s: self.grad_xi(s[:n], s[n:]),
-                           np.concatenate([x.reshape(-1), xi.reshape(-1)]))
-
-    def validate(self, probes, rtol=GRADIENT_CHECK_RTOL):
-        for x, xi in probes:
-            x = np.asarray(x, dtype=float)
-            xi = np.asarray(xi, dtype=float)
-            checks = []
-            if self._grad_x is not None and x.size:
-                checks.append(("grad_x", self._grad_x(x, xi),
-                               fd.gradient(lambda z: self._fn(z, xi), x)))
-            if self._grad_xi is not None:
-                checks.append(("grad_xi", self._grad_xi(x, xi),
-                               fd.gradient(lambda z: self._fn(x, z), xi)))
-            if self._hess_xi is not None:
-                checks.append(("hess_xi", self._hess_xi(x, xi), self._hess_xi_fd(x, xi)))
-            _check_partials(f"Hamiltonian {self.name or '<anonymous>'}",
-                            f"(x={x}, xi={xi})", checks, rtol)
+        return self._partial("hess_xi", x, xi)
 
 
-class ControlSystem:
+class ControlSystem(_Partials):
     """Parametrized velocity constraint y = f(x, u) with running cost L(x, u)."""
+
+    _KIND, _POINT = "control system", ("x", "u")
+    _VECTORS = ("cost_x", "cost_u")
+    _FALLBACKS = {
+        "f_x": lambda self, x, u: fd.jacobian(lambda z: self._f(z, u), x),
+        "f_u": lambda self, x, u: fd.jacobian(lambda z: self._f(x, z), u),
+        "cost_x": lambda self, x, u: fd.jacobian(lambda z: self._cost(z, u), x),
+        "cost_u": lambda self, x, u: fd.jacobian(lambda z: self._cost(x, z), u),
+    }
 
     def __init__(self, f, cost, f_x=None, f_u=None, cost_x=None, cost_u=None,
                  control_dim=1, name="", probes=None):
@@ -214,14 +206,8 @@ class ControlSystem:
             raise EvaluationError("control dimension must be >= 1")
         self._f = f
         self._cost = cost
-        self._f_x = f_x
-        self._f_u = f_u
-        self._cost_x = cost_x
-        self._cost_u = cost_u
         self.control_dim = int(control_dim)
-        self.name = name
-        if probes is not None:
-            self.validate(probes)
+        super().__init__(name, probes, f_x=f_x, f_u=f_u, cost_x=cost_x, cost_u=cost_u)
 
     def f(self, x, u):
         return _check_finite("control field", self._f(np.asarray(x, float), np.asarray(u, float))).reshape(-1)
@@ -230,56 +216,20 @@ class ControlSystem:
         return float(self._cost(np.asarray(x, float), np.asarray(u, float)))
 
     def f_x(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if self._f_x is not None:
-            return np.asarray(self._f_x(x, u), dtype=float)
-        return fd.jacobian(lambda z: self._f(z, u), x)
+        return self._partial("f_x", x, u)
 
     def f_u(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if self._f_u is not None:
-            return np.asarray(self._f_u(x, u), dtype=float)
-        return fd.jacobian(lambda z: self._f(x, z), u)
+        return self._partial("f_u", x, u)
 
     def cost_x(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if self._cost_x is not None:
-            return np.asarray(self._cost_x(x, u), dtype=float).reshape(-1)
-        return fd.gradient(lambda z: self._cost(z, u), x)
+        return self._partial("cost_x", x, u)
 
     def cost_u(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if self._cost_u is not None:
-            return np.asarray(self._cost_u(x, u), dtype=float).reshape(-1)
-        return fd.gradient(lambda z: self._cost(x, z), u)
+        return self._partial("cost_u", x, u)
 
     def hamiltonian(self, x, u, xi):
         """xi . f(x, u) - L(x, u), the control-parametrized Hamiltonian."""
         return float(np.asarray(xi, float) @ self.f(x, u)) - self.cost(x, u)
-
-    def validate(self, probes, rtol=GRADIENT_CHECK_RTOL):
-        for x, u in probes:
-            x = np.asarray(x, dtype=float)
-            u = np.asarray(u, dtype=float)
-            checks = []
-            if self._f_x is not None and x.size:
-                checks.append(("f_x", self._f_x(x, u),
-                               fd.jacobian(lambda z: self._f(z, u), x)))
-            if self._f_u is not None:
-                checks.append(("f_u", self._f_u(x, u),
-                               fd.jacobian(lambda z: self._f(x, z), u)))
-            if self._cost_x is not None and x.size:
-                checks.append(("cost_x", self._cost_x(x, u),
-                               fd.gradient(lambda z: self._cost(z, u), x)))
-            if self._cost_u is not None:
-                checks.append(("cost_u", self._cost_u(x, u),
-                               fd.gradient(lambda z: self._cost(x, z), u)))
-            _check_partials(f"control system {self.name or '<anonymous>'}",
-                            f"(x={x}, u={u})", checks, rtol)
 
 
 class LegendreImage(NamedTuple):
@@ -343,25 +293,24 @@ def hamilton_residual(dirac, hamiltonian, state, rate):
     return HamiltonResidual(dirac.residual(point), dirac.phase_residual(x, xi))
 
 
-def invert_vertical_derivative(lagrangian, x, xi, y0=None, tol=1e-12, max_iter=50,
-                               multistart=8, seed=0):
+def invert_vertical_derivative(lagrangian, x, xi):
     """Solve dL/dy(x, y) = xi for y by Newton iteration with multistart fallback."""
     x = np.asarray(x, dtype=float).reshape(-1)
     xi = np.asarray(xi, dtype=float).reshape(-1)
     scale = 1.0 + float(np.max(np.abs(xi), initial=0.0))
 
     def starts():
-        yield np.zeros(xi.size) if y0 is None else np.asarray(y0, float).reshape(-1)
+        yield np.zeros(xi.size)
         # seeded only once the first start has failed
-        rng = np.random.default_rng(seed)
-        for _ in range(multistart):
+        rng = np.random.default_rng(INVERSION_SEED)
+        for _ in range(INVERSION_MULTISTART):
             yield scale * rng.standard_normal(xi.size)
 
     for y in starts():
         y = y.copy()
-        for _ in range(max_iter):
+        for _ in range(INVERSION_MAX_ITER):
             g = lagrangian.grad_y(x, y) - xi
-            if np.linalg.norm(g) <= tol * scale:
+            if np.linalg.norm(g) <= INVERSION_TOL * scale:
                 return y
             H = lagrangian.hess_yy(x, y)
             try:
@@ -371,7 +320,7 @@ def invert_vertical_derivative(lagrangian, x, xi, y0=None, tol=1e-12, max_iter=5
             y = y + step
             if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(y)):
                 g = lagrangian.grad_y(x, y) - xi
-                if np.linalg.norm(g) <= tol * scale:
+                if np.linalg.norm(g) <= INVERSION_TOL * scale:
                     return y
                 break
     raise HyperregularityError(
@@ -379,8 +328,7 @@ def invert_vertical_derivative(lagrangian, x, xi, y0=None, tol=1e-12, max_iter=5
     )
 
 
-def legendre_transform(lagrangian, probes, tol=1e-12, max_iter=50, multistart=8,
-                       seed=0, name=""):
+def legendre_transform(lagrangian, probes, name=""):
     """Hamiltonian of a hyperregular Lagrangian, H(x, xi) = xi . y* - L(x, y*).
 
     ``probes`` is a sequence of (x, y) points on which hyperregularity is
@@ -404,9 +352,7 @@ def legendre_transform(lagrangian, probes, tol=1e-12, max_iter=50, multistart=8,
         key = (x.tobytes(), xi.tobytes())
         entry = last[0]
         if entry is None or entry[0] != key:
-            y = invert_vertical_derivative(lagrangian, x, xi, tol=tol,
-                                           max_iter=max_iter, multistart=multistart,
-                                           seed=seed)
+            y = invert_vertical_derivative(lagrangian, x, xi)
             y.flags.writeable = False
             entry = last[0] = (key, y)
         return entry[1]

@@ -17,20 +17,11 @@ def steps(x, rel=REL_FIRST):
     return rel * np.maximum(1.0, np.abs(x))
 
 
-def gradient(f, x, rel=REL_FIRST):
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    h = steps(x, rel)
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h[i]
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
-    return g
-
-
 def jacobian(f, x, rel=REL_FIRST):
-    """Central-difference Jacobian of a vector function, shape (len(f), len(x))."""
+    """Central-difference Jacobian, shape (len(f), len(x)).
+
+    A scalar f gives its gradient, shape (len(x),), when x is not empty.
+    """
     x = np.asarray(x, dtype=float)
     h = steps(x, rel)
     cols = []

@@ -17,7 +17,8 @@ the control rates) are fixed by the state Jacobian G of the function the
 builder pins, appended to A with zeros in b, so that A is square: the
 pinned rows of ``Hamiltonian.hess_xi`` (exact from the fiber Hessian for a
 Legendre transform, which inverts the fiber derivative once per point),
-and a finite-difference Jacobian of the control stationarity.
+and the Jacobian of the control stationarity f_u^T xi - cost_u, by central
+differences over (x, u) and exact, f_u^T, over xi.
 """
 
 import numpy as np
@@ -109,7 +110,7 @@ def _membership_parts(dirac):
     return parts
 
 
-def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
+def lagrangian_problem(dirac, lagrangian, name=""):
     """Implicit Euler-Lagrange problem with state (x, y_free).
 
     Residual rows are the velocity rows of etahat and the momentum rows;
@@ -120,7 +121,6 @@ def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     free, embed = _fiber_embedding(dirac)
     state_dim = n + free.size
-    time_dependent = isinstance(dirac, TimeExtendedDirac)
     membership = _membership_parts(dirac)
     # the rate is (xdot, ydot_free); xidot = hyx xdot + hyy ydot is filled
     # in per state
@@ -145,7 +145,7 @@ def lagrangian_problem(dirac, lagrangian, monitor_energy=True, name=""):
             return dirac.phase_residual(x, lagrangian.grad_y(x, y))
 
     monitors = {}
-    if monitor_energy and not time_dependent:
+    if not isinstance(dirac, TimeExtendedDirac):
         def energy(t, state):
             x, y = split(np.asarray(state, float))
             return lagrangian.energy(x, y)
@@ -247,15 +247,16 @@ def pmp_problem(system, dirac, name=""):
     slots[:n, :n] = np.eye(n)
     slots[n:n + m, n + q:] = np.eye(m)
 
-    def stationarity(state):
-        x, u, xi = unpack(state)
+    def stationarity(x, u, xi):
         return system.f_u(x, u).T @ xi - system.cost_u(x, u)
 
     def assemble(state):
         x, u, xi = unpack(state)
         p = system.f_x(x, u).T @ xi - system.cost_x(x, u)
-        return _with_pinned_rows(membership(x, xi, slots, p, system.f(x, u)),
-                                 fd.jacobian(stationarity, state))
+        # the stationarity is linear in xi: its xi-columns are f_u^T exactly
+        G = np.hstack([fd.jacobian(lambda v: stationarity(v[:n], v[n:], xi), state[:n + q]),
+                       system.f_u(x, u).T])
+        return _with_pinned_rows(membership(x, xi, slots, p, system.f(x, u)), G)
 
     def monitor(t, state):
         x, u, xi = unpack(state)
@@ -272,7 +273,7 @@ def pmp_problem(system, dirac, name=""):
     )
     return ImplicitProblem(
         state_dim, _StateCache(assemble),
-        algebraic=lambda t, state: stationarity(state),
+        algebraic=lambda t, state: stationarity(*unpack(state)),
         monitors={"hamiltonian": monitor},
         velocity_pair=velocity_pair, state_labels=labels,
         name=name or f"pmp[{system.name}]",

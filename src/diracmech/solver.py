@@ -13,6 +13,8 @@ After every accepted step the state is re-projected onto the algebraic
 channel by Gauss-Newton to prevent constraint drift.
 """
 
+import math
+
 import numpy as np
 
 from . import fd
@@ -81,15 +83,14 @@ class Trajectory:
         return float(np.max(np.abs(channel - channel[0]), initial=0.0))
 
 
-def project_initial(problem, guess, t=0.0, tol=PROJECTION_TOL,
-                    max_iter=PROJECTION_MAX_ITER):
+def project_initial(problem, guess, t=0.0):
     """Gauss-Newton projection of a state guess onto the algebraic channel."""
     state = np.asarray(guess, dtype=float).copy()
     g = problem.algebraic_at(t, state)
     if g.size == 0:
         return state
-    for _ in range(max_iter):
-        if np.linalg.norm(g) <= tol:
+    for _ in range(PROJECTION_MAX_ITER):
+        if np.linalg.norm(g) <= PROJECTION_TOL:
             return state
         J = fd.jacobian(lambda s: problem.algebraic_at(t, s), state)
         step, *_ = np.linalg.lstsq(J, -g, rcond=None)
@@ -171,6 +172,14 @@ def _implicit_midpoint_step(problem, t, state, dt, k1):
 METHODS = {"rk4": _rk4_step, "implicit-midpoint": _implicit_midpoint_step}
 
 
+def _record_monitors(problem, monitors, t, state):
+    for name, fn in problem.monitors.items():
+        value = fn(t, state)
+        if not math.isfinite(value):
+            raise SolverError(f"monitor '{name}' is not finite at t={t} ({value})")
+        monitors[name].append(value)
+
+
 def integrate(problem, state0, t0, t1, dt, method="rk4"):
     """Integrate from t0 to t1 with the given nominal step.
 
@@ -179,8 +188,9 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     one (a span of at most dt/2 is rejected) and a finite number (a dt so
     small that the ratio overflows is rejected).  After each
     step the state is re-projected onto the algebraic channel and monitors
-    are recorded.  Raises with the step index attached when the inner rate
-    solve degenerates.
+    are recorded; a monitor value that is not finite raises SolverError.
+    Raises with the step index attached when the inner rate solve
+    degenerates.
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
@@ -203,7 +213,8 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     rates = [rate.copy()]
     newton = [iters]
     norms = [norm]
-    monitors = {k: [fn(t0, state)] for k, fn in problem.monitors.items()}
+    monitors = {k: [] for k in problem.monitors}
+    _record_monitors(problem, monitors, t0, state)
 
     for step_index in range(nsteps):
         t = t0 + step_index * dt_eff
@@ -222,8 +233,7 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
         rates.append(rate.copy())
         newton.append(max(iters, it))
         norms.append(norm)
-        for k, fn in problem.monitors.items():
-            monitors[k].append(fn(t_new, state))
+        _record_monitors(problem, monitors, t_new, state)
 
     return Trajectory(times, states, rates, monitors, newton, norms, problem)
 
@@ -238,13 +248,10 @@ class AdmissibilityReport:
         return float(np.max(self.norms, initial=0.0))
 
 
-def admissibility_report(dirac, trajectory, velocity_pair=None):
-    """Velocity-bundle membership residuals along a trajectory.
-
-    ``velocity_pair`` maps (t, state, rate) to a VelocityPair; by default
-    the problem's own extractor is used.
-    """
-    extract = velocity_pair or trajectory.problem.velocity_pair
+def admissibility_report(dirac, trajectory):
+    """Velocity-bundle membership residuals along a trajectory, through the
+    problem's ``velocity_pair`` extractor."""
+    extract = trajectory.problem.velocity_pair
     if extract is None:
         raise SolverError("no velocity-pair extractor available for this problem")
     norms = []

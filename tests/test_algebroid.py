@@ -118,7 +118,7 @@ class TestBracket:
         for _ in range(10):
             x = rng.standard_normal(2)
             lhs = alg.bracket(X, fy_section, x)
-            anchor_term = float(alg.anchor(x) @ X(x) @ fd.gradient(f, x))
+            anchor_term = float(alg.anchor(x) @ X(x) @ fd.jacobian(f, x))
             rhs = f(x) * alg.bracket(X, Y, x) + anchor_term * Y(x)
             assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
@@ -143,8 +143,8 @@ class TestBracket:
             xi = rng.standard_normal(m)
             z = np.concatenate([x, xi])
             P = alg.linear_bivector(x, xi)
-            gX = fd.gradient(fX, z)
-            gY = fd.gradient(fY, z)
+            gX = fd.jacobian(fX, z)
+            gY = fd.jacobian(fY, z)
             numeric = float(gX @ P @ gY)
             coordinate = float(alg.bracket(X, Y, x) @ xi)
             assert abs(numeric - coordinate) <= 1e-6 * (1.0 + abs(coordinate))

@@ -278,6 +278,8 @@ class TestMalformedNumbers:
         ({"time": {"t0": 0.0, "t1": 10**400, "dt": 0.01}}, "too large"),
         ({"output": {"trajectory": "\ud800.csv", "report": "r.json"}},
          "output.trajectory"),
+        ({"time": {"t0": 0.0, "t1": 1.0, "dt": 0.01, "methd": "implicit-midpoint"}},
+         "methd"),
     ], ids=["dt-string", "dt-nan", "dt-inf", "param-string", "param-nan",
             "initial-nan", "checks-string", "initial-string", "constraint-key",
             "constraint-string", "constraint-int", "constraint-float",
@@ -286,13 +288,51 @@ class TestMalformedNumbers:
             "output-dot", "output-dotdot", "output-subdirectory", "output-backslash",
             "output-nul", "output-key", "output-same-name", "hamiltonian-source",
             "seed-float", "seed-negative", "system-list", "initial-huge-int",
-            "param-huge-int", "time-huge-int", "output-surrogate"])
+            "param-huge-int", "time-huge-int", "output-surrogate", "time-key"])
     def test_malformed_number_exits_5(self, tmp_path, capsys, override, named):
         path = write_scenario(tmp_path, dict(BASE_DOC, **override))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteMonitors:
+    def test_overflowing_monitor_exits_1(self, tmp_path):
+        doc = dict(BASE_DOC, formalism="hamiltonian", initial=[1e300, 1e300],
+                   time={"t0": 0.0, "t1": 0.01, "dt": 1e-3})
+        path = write_scenario(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+        report = _strict_json((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == EXIT_ERROR
+        assert "monitor 'hamiltonian' is not finite at t=0.0" in report["error"]
+
+    def test_overflowing_drift_exits_1(self, tmp_path, monkeypatch):
+        import diracmech.cli as cli
+
+        integrate = cli.integrate
+
+        def spread(*args, **kwargs):
+            # finite monitor values whose difference overflows
+            trajectory = integrate(*args, **kwargs)
+            trajectory.monitors["energy"][0] = 1.5e308
+            trajectory.monitors["energy"][-1] = -1.5e308
+            return trajectory
+
+        monkeypatch.setattr(cli, "integrate", spread)
+        path = write_scenario(tmp_path, dict(BASE_DOC))
+        with np.errstate(over="ignore"):
+            assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+        report = _strict_json((tmp_path / "r.json").read_text())
+        assert "drift of monitor 'energy' is not finite" in report["error"]
 
 
 class TestOutputErrors:

@@ -510,7 +510,81 @@ class TestPMP:
             assert np.max(np.abs(out.stationarity)) <= 1e-6
 
 
+def _partial_cases():
+    """(constructor, function keywords, partial, exact partial, x dim, second dim)."""
+
+    def lagrangian(x, y):
+        return np.sin(x[0]) * y[0] ** 2 + x[0] * y[0] * y[1] + y[1] ** 3 / 3.0
+
+    def hamiltonian(x, xi):
+        return np.cos(x[0]) * xi[0] ** 2 + x[0] * xi[0] * xi[1] + xi[1] ** 4 / 4.0
+
+    def control_f(x, u):
+        return np.array([x[1] * u[0], np.sin(x[0]) + u[0] ** 2])
+
+    def control_cost(x, u):
+        return 0.5 * u[0] ** 2 * x[0] ** 2 + x[1] * u[0]
+
+    lag = {
+        "grad_x": lambda x, y: np.array([np.cos(x[0]) * y[0] ** 2 + y[0] * y[1]]),
+        "grad_y": lambda x, y: np.array([2.0 * np.sin(x[0]) * y[0] + x[0] * y[1],
+                                         x[0] * y[0] + y[1] ** 2]),
+        "hess_yy": lambda x, y: np.array([[2.0 * np.sin(x[0]), x[0]], [x[0], 2.0 * y[1]]]),
+        "hess_yx": lambda x, y: np.array([[2.0 * np.cos(x[0]) * y[0] + y[1]], [y[0]]]),
+    }
+    ham = {
+        "grad_x": lambda x, xi: np.array([-np.sin(x[0]) * xi[0] ** 2 + xi[0] * xi[1]]),
+        "grad_xi": lambda x, xi: np.array([2.0 * np.cos(x[0]) * xi[0] + x[0] * xi[1],
+                                           x[0] * xi[0] + xi[1] ** 3]),
+        "hess_xi": lambda x, xi: np.array([
+            [-2.0 * np.sin(x[0]) * xi[0] + xi[1], 2.0 * np.cos(x[0]), x[0]],
+            [xi[0], x[0], 3.0 * xi[1] ** 2]]),
+    }
+    ctl = {
+        "f_x": lambda x, u: np.array([[0.0, u[0]], [np.cos(x[0]), 0.0]]),
+        "f_u": lambda x, u: np.array([[x[1]], [2.0 * u[0]]]),
+        "cost_x": lambda x, u: np.array([u[0] ** 2 * x[0], u[0]]),
+        "cost_u": lambda x, u: np.array([u[0] * x[0] ** 2 + x[1]]),
+    }
+    cases = []
+    for label, exact in lag.items():
+        cases.append((lambda **kw: Lagrangian(lagrangian, **kw),
+                      "Lagrangian", label, exact, 1, 2))
+    for label, exact in ham.items():
+        cases.append((lambda **kw: Hamiltonian(hamiltonian, **kw),
+                      "Hamiltonian", label, exact, 1, 2))
+    for label, exact in ctl.items():
+        cases.append((lambda **kw: ControlSystem(control_f, control_cost, **kw),
+                      "control system", label, exact, 2, 1))
+    return cases
+
+
+PARTIAL_CASES = _partial_cases()
+
+
 class TestValidation:
+    @pytest.mark.parametrize("case", PARTIAL_CASES, ids=[
+        f"{kind.split()[0].lower()}-{label}" for _, kind, label, *_ in PARTIAL_CASES])
+    def test_each_partial_is_held_to_its_fallback(self, case):
+        build, kind, label, exact, n, k = case
+        rng = np.random.default_rng(13)
+        probes = [(rng.standard_normal(n), rng.standard_normal(k)) for _ in range(5)]
+        build(**{label: exact}, name="probe", probes=probes)
+
+        def doubled(a, b):
+            return 2.0 * exact(a, b)
+
+        with pytest.raises(StructureError, match=f"analytic {label} of {kind} probe deviates"):
+            build(**{label: doubled}, name="probe", probes=probes)
+
+    def test_exact_disc_hessians_pass_without_grad_y(self):
+        # the fallback the Hessians are held to differences the numerical
+        # grad_y with the coarse outer step, so exact ones are accepted
+        disc = rolling_disc_lagrangian()
+        rng = np.random.default_rng(14)
+        probes = [(rng.standard_normal(1), rng.standard_normal(4)) for _ in range(20)]
+        Lagrangian(disc, hess_yy=disc.hess_yy, hess_yx=disc.hess_yx, probes=probes)
+
     def test_wrong_analytic_gradient_rejected(self):
         with pytest.raises(StructureError, match="grad_y"):
             Lagrangian(lambda x, y: 0.5 * y[0] ** 2,

@@ -17,7 +17,8 @@ def test_gradient_of_smooth_scalar():
         return np.sin(x[0]) * x[1] ** 2
 
     x = np.array([0.4, -1.3])
-    g = fd.gradient(f, x)
+    g = fd.jacobian(f, x)
+    assert g.shape == (2,)
     expected = np.array([np.cos(0.4) * 1.69, np.sin(0.4) * -2.6])
     assert np.max(np.abs(g - expected)) <= 1e-9
 
