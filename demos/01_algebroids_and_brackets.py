@@ -9,7 +9,7 @@ import numpy as np
 from diracmech import basis_sections
 from diracmech.systems import rolling_disc_algebroid, so3_algebroid
 
-disc = rolling_disc_algebroid(m=1.0, R=1.0, J1=1.0, J2=1.0)
+disc = rolling_disc_algebroid(R=1.0)
 e = basis_sections(disc.chart)
 
 print("== rolling disc ==")

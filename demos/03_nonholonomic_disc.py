@@ -22,7 +22,7 @@ from diracmech import (
 from diracmech.linalg import max_principal_angle
 from diracmech.systems import rolling_disc_algebroid, rolling_disc_lagrangian
 
-algebroid = rolling_disc_algebroid(m=1.0, R=1.0, J1=1.0, J2=1.0)
+algebroid = rolling_disc_algebroid(R=1.0)
 base = PiGraphDirac(algebroid)
 constraint = LinearConstraint(fiber=(2, 3))  # pin the slip generators
 induced = induce(base, constraint)

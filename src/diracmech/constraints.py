@@ -240,6 +240,25 @@ class IntegrabilityReport:
         }
 
 
+def _largest_entry(xs, blocks, indices):
+    """(largest |entry|, witness) of the blocks taken at the probes xs.
+
+    ``indices`` maps each block axis to global indices.  The witness is the
+    first maximal entry in probe-then-C order, None when every entry is zero.
+    """
+    stacked = np.array(blocks)
+    if not stacked.any():
+        return 0.0, None
+    flat = int(np.argmax(np.abs(stacked)))
+    probe, *entry = np.unravel_index(flat, stacked.shape)
+    value = float(stacked.flat[flat])
+    return abs(value), {
+        "entry": tuple(int(idx[e]) for idx, e in zip(indices, entry)),
+        "x": xs[probe].copy(),
+        "value": value,
+    }
+
+
 def check_integrability(induced):
     """Test whether an induced structure closes under the ambient bracket.
 
@@ -256,17 +275,12 @@ def check_integrability(induced):
     if induced.fixed_fiber is not None:
         raise ConstraintError("integrability checks cover linear constraints only")
     algebroid = induced.algebroid
-    n = induced.chart.base_dim
     free = list(induced.free_fiber)
     removed = list(induced.zero_fiber)
     base_idx = list(induced.zero_base)
     rng = np.random.default_rng(INTEGRABILITY_SEED)
-    xs = []
-    for _ in range(INTEGRABILITY_PROBES):
-        x = rng.standard_normal(n)
-        for a in base_idx:
-            x[a] = 0.0
-        xs.append(x)
+    xs = rng.standard_normal((INTEGRABILITY_PROBES, induced.chart.base_dim))
+    xs[:, base_idx] = 0.0
 
     jac_max = algebroid.basis_jacobi_violation(xs[:5])
     if jac_max > JACOBI_TOL:
@@ -275,30 +289,11 @@ def check_integrability(induced):
             "integrability verdicts are only meaningful over Lie algebroids"
         )
 
-    anchor_violation = 0.0
-    anchor_witness = None
-    structure_violation = 0.0
-    structure_witness = None
-    for x in xs:
-        rho = algebroid.anchor(x)
-        for a in base_idx:
-            for i in free:
-                v = float(abs(rho[a, i]))
-                if v > anchor_violation:
-                    anchor_violation = v
-                    anchor_witness = {"entry": (int(a), int(i)), "x": x.copy(), "value": float(rho[a, i])}
-        c = algebroid.structure(x)
-        for i in free:
-            for j in free:
-                for k in removed:
-                    v = float(abs(c[i, j, k]))
-                    if v > structure_violation:
-                        structure_violation = v
-                        structure_witness = {
-                            "entry": (int(i), int(j), int(k)),
-                            "x": x.copy(),
-                            "value": float(c[i, j, k]),
-                        }
+    anchor_violation, anchor_witness = _largest_entry(
+        xs, [algebroid.anchor(x)[np.ix_(base_idx, free)] for x in xs], (base_idx, free))
+    structure_violation, structure_witness = _largest_entry(
+        xs, [algebroid.structure(x)[np.ix_(free, free, removed)] for x in xs],
+        (free, free, removed))
     return IntegrabilityReport(
         cond1=bool(anchor_violation <= INTEGRABILITY_TOL),
         cond2=bool(structure_violation <= INTEGRABILITY_TOL),

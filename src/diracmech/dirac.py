@@ -260,6 +260,18 @@ class DiracAlgebroid:
             for k in range(basis.shape[1])
         ]
 
+    def isotropy_violation(self, x, xi):
+        """Largest |pairing| of two basis vectors of the subspace at (x, xi).
+
+        The pairing matches the (xdot, xidot) half of one fiber vector with
+        the (p, y) half of the other, so the basis B pairs as (G + G^T)/2
+        with G = B[:n+m]^T B[n+m:].
+        """
+        basis = self.basis_matrix_at(x, xi)
+        half = self.chart.base_dim + self.chart.fiber_dim
+        gram = basis[:half].T @ basis[half:]
+        return float(np.max(np.abs(0.5 * (gram + gram.T))))
+
     def velocity_residual(self, pair):
         """etahat rows at a velocity pair; zero iff the pair is admissible."""
         x = _as_base_point(self.chart, pair.x)
@@ -517,14 +529,8 @@ class GeneralLocalDirac(DiracAlgebroid):
                 raise StructureError(
                     f"zeta must have full row rank {eta.shape[0]}, the row count of eta"
                 )
-            xi = self.phase_point(x)
-            points = self.basis_at(x, xi)
-            for i, pi in enumerate(points):
-                for pj in points[i:]:
-                    if abs(pairing(pi, pj)) > tol:
-                        raise StructureError(
-                            f"pointwise subspace at x={x} is not isotropic"
-                        )
+            if self.isotropy_violation(x, self.phase_point(x)) > tol:
+                raise StructureError(f"pointwise subspace at x={x} is not isotropic")
 
 
 class InducedDirac(DiracAlgebroid):

@@ -82,7 +82,7 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
 
 # -- rolling disc -------------------------------------------------------------
 
-def rolling_disc_algebroid(m=1.0, R=1.0, J1=1.0, J2=1.0):
+def rolling_disc_algebroid(R=1.0):
     """Rank-4 reduction of a vertical disc rolling without slipping.
 
     Base coordinate: the steering angle phi.  Fiber basis: steering rate,
@@ -113,7 +113,7 @@ def rolling_disc_mass(m=1.0, R=1.0, J1=1.0, J2=1.0):
         c, s = np.cos(phi), np.sin(phi)
         return np.array([
             [J1, 0.0, 0.0, 0.0],
-            [0.0, m * R ** 2 + J2, m * R * c, m * R * s],
+            [0.0, m * R * R + J2, m * R * c, m * R * s],
             [0.0, m * R * c, m, 0.0],
             [0.0, m * R * s, 0.0, m],
         ])
@@ -162,7 +162,7 @@ class SystemBundle:
 
     def __init__(self, name, chart, dirac, base_dirac, algebroid=None,
                  lagrangian=None, closed_hamiltonian=None, control=None,
-                 constraint=None, angle_bases=(), time_dependent=False):
+                 angle_bases=(), time_dependent=False):
         self.name = name
         self.chart = chart
         self.dirac = dirac
@@ -171,7 +171,6 @@ class SystemBundle:
         self.lagrangian = lagrangian
         self.closed_hamiltonian = closed_hamiltonian
         self.control = control
-        self.constraint = constraint
         self.angle_bases = tuple(angle_bases)
         self.time_dependent = time_dependent
 
@@ -193,9 +192,9 @@ class SystemBundle:
         return legendre_transform(self.lagrangian, probes)
 
 
-def _resolve_constraint(spec_constraint, override):
+def _resolve_constraint(override):
     if override is None:
-        return spec_constraint
+        return None
     fiber = tuple(int(i) - 1 for i in override.get("fiber", ()))
     base = tuple(int(a) - 1 for a in override.get("base", ()))
     if any(i < 0 for i in fiber) or any(a < 0 for a in base):
@@ -213,8 +212,7 @@ def _build_canonical_particle(params, constraint):
     dirac = induce(base, constraint) if constraint else base
     return SystemBundle("canonical_particle", base.chart, dirac, base,
                         algebroid=base.as_pi_graph().algebroid,
-                        lagrangian=lag, closed_hamiltonian=ham,
-                        constraint=constraint)
+                        lagrangian=lag, closed_hamiltonian=ham)
 
 
 def _build_harmonic_oscillator(params, constraint):
@@ -235,13 +233,12 @@ def _build_harmonic_oscillator(params, constraint):
     dirac = induce(base, constraint) if constraint else base
     return SystemBundle("harmonic_oscillator", base.chart, dirac, base,
                         algebroid=base.as_pi_graph().algebroid,
-                        lagrangian=lag, closed_hamiltonian=ham,
-                        constraint=constraint)
+                        lagrangian=lag, closed_hamiltonian=ham)
 
 
 def _build_rolling_disc(params, constraint):
     m, R, J1, J2 = params["m"], params["R"], params["J1"], params["J2"]
-    algebroid = rolling_disc_algebroid(m, R, J1, J2)
+    algebroid = rolling_disc_algebroid(R)
     base = PiGraphDirac(algebroid)
     if constraint is None:
         constraint = LinearConstraint(fiber=(2, 3))
@@ -250,7 +247,7 @@ def _build_rolling_disc(params, constraint):
                         algebroid=algebroid,
                         lagrangian=rolling_disc_lagrangian(m, R, J1, J2),
                         closed_hamiltonian=rolling_disc_hamiltonian(m, R, J1, J2),
-                        constraint=constraint, angle_bases=(0,))
+                        angle_bases=(0,))
 
 
 def _build_euler_top(params, constraint):
@@ -262,7 +259,7 @@ def _build_euler_top(params, constraint):
     dirac = induce(base, constraint) if constraint else base
     return SystemBundle("euler_top", algebroid.chart, dirac, base,
                         algebroid=algebroid, lagrangian=lag,
-                        closed_hamiltonian=ham, constraint=constraint)
+                        closed_hamiltonian=ham)
 
 
 def _build_forced_oscillator(params, constraint):
@@ -396,7 +393,7 @@ def build_system(name, params=None, constraint_override=None):
         if key not in merged:
             raise ScenarioError(f"unknown parameter '{key}' for system {name}")
         merged[key] = float(value)
-    constraint = _resolve_constraint(None, constraint_override)
+    constraint = _resolve_constraint(constraint_override)
     return spec.builder(merged, constraint)
 
 

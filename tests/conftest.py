@@ -72,6 +72,25 @@ def make_random_pigraph(seed=0, base_dim=2, fiber_dim=3):
     return SkewAlgebroid(chart, anchor, structure, name=f"random{seed}")
 
 
+def make_frame_algebroid(seed, n):
+    """The tangent bundle in the frame f_i = A(x)_i^a d_a: Lie, with x-dependent c."""
+    rng = np.random.default_rng(seed)
+    K = 0.3 * rng.normal(size=(n, n))
+    W = rng.normal(size=(n, n, n))
+
+    def frame(x):
+        return np.eye(n) + K * np.sin(W @ x)
+
+    def structure(x):
+        a = frame(x)
+        da = (K * np.cos(W @ x))[:, :, None] * W  # da[i, l, b] = d_b A_i^l
+        # [f_i, f_j] = (f_i A_j^l - f_j A_i^l) d_l, in the frame f
+        v = np.einsum("ib,jlb->ijl", a, da) - np.einsum("jb,ilb->ijl", a, da)
+        return v @ np.linalg.inv(a)
+
+    return SkewAlgebroid(Chart(n, n), lambda x: frame(x).T, structure, name=f"frame{seed}")
+
+
 @pytest.fixture
 def random_pigraph():
     return PiGraphDirac(make_random_pigraph(seed=42))

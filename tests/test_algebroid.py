@@ -1,11 +1,26 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from diracmech import Chart, EvaluationError, Section, SkewAlgebroid, StructureError, basis_sections
+from diracmech import (
+    CanonicalDirac,
+    Chart,
+    EvaluationError,
+    LinearConstraint,
+    PiGraphDirac,
+    Section,
+    SkewAlgebroid,
+    StructureError,
+    basis_sections,
+    check_integrability,
+    induce,
+)
 from diracmech import fd
+from diracmech.checks import jacobi_check
 from diracmech.systems import rolling_disc_algebroid, so3_algebroid
 
-from conftest import make_random_pigraph, smooth_section
+from conftest import make_frame_algebroid, make_random_pigraph, smooth_section
 
 
 def identity_algebroid(n):
@@ -172,6 +187,88 @@ class TestJacobiator:
         e = basis_sections(so3.chart)
         out = so3.jacobiator(e[0], e[1], e[2], np.zeros(0))
         assert np.max(np.abs(out)) <= 1e-12
+
+
+def section_jacobi_violation(alg, points):
+    """Largest Section-based Jacobiator entry over basis triples i < j < k."""
+    e = basis_sections(alg.chart)
+    return max(
+        (float(np.max(np.abs(alg.jacobiator(X, Y, Z, x))))
+         for x in points for X, Y, Z in itertools.combinations(e, 3)),
+        default=0.0,
+    )
+
+
+def broken_top():
+    rng = np.random.default_rng(12)
+    raw = rng.standard_normal((3, 3, 3))
+    c = raw - np.swapaxes(raw, 0, 1)
+    return SkewAlgebroid(Chart(0, 3), lambda x: np.zeros((0, 3)), lambda x: c)
+
+
+class TestClosedFormJacobiator:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("base_dim", [0, 1, 2])
+    @pytest.mark.parametrize("fiber_dim", [3, 4])
+    def test_matches_section_jacobiator(self, seed, base_dim, fiber_dim):
+        alg = make_random_pigraph(seed=seed, base_dim=base_dim, fiber_dim=fiber_dim)
+        rng = np.random.default_rng(seed)
+        points = [rng.standard_normal(base_dim) for _ in range(2)]
+        oracle = section_jacobi_violation(alg, points)
+        assert oracle > 0.1
+        closed = alg.basis_jacobi_violation(points)
+        assert abs(closed - oracle) <= 1e-6 * (1.0 + oracle)
+
+    @pytest.mark.parametrize("alg", [
+        so3_algebroid(), rolling_disc_algebroid(), CanonicalDirac(2).as_pi_graph().algebroid,
+    ], ids=["so3", "disc", "canonical"])
+    def test_catalog_is_lie(self, alg):
+        rng = np.random.default_rng(3)
+        points = [rng.standard_normal(alg.chart.base_dim) for _ in range(5)]
+        assert alg.basis_jacobi_violation(points) == 0.0
+        assert section_jacobi_violation(alg, points) <= 1e-6
+
+    def test_broken_top_matches_section_jacobiator(self):
+        alg = broken_top()
+        closed = alg.basis_jacobi_violation([np.zeros(0)])
+        assert closed == pytest.approx(3.3432124503504577, rel=1e-12)
+        assert closed == pytest.approx(section_jacobi_violation(alg, [np.zeros(0)]), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lie_algebroid_with_varying_structure_reads_its_floor(self, seed):
+        # one difference level of c: about 1e-9 here, where the nested
+        # Section-based differences read up to about 4e-7
+        alg = make_frame_algebroid(seed, 4)
+        rng = np.random.default_rng(seed)
+        points = [rng.standard_normal(4) for _ in range(10)]
+        assert alg.basis_jacobi_violation(points) <= 1e-8
+
+    def test_jacobi_check_cost_on_the_disc(self, monkeypatch):
+        def no_bracket(*args, **kwargs):
+            raise AssertionError("the closed form must not build brackets")
+
+        monkeypatch.setattr(SkewAlgebroid, "bracket", no_bracket)
+        calls = []
+        disc = rolling_disc_algebroid()
+        structure = disc._structure_fn
+
+        def counted(x):
+            calls.append(1)
+            return structure(x)
+
+        disc._structure_fn = counted
+        report = jacobi_check(disc, probes=20)
+        assert report["passed"] and report["max_violation"] == 0.0
+        # c at x and at x +- h on the one-dimensional base
+        assert len(calls) == 3 * 20
+        check_integrability(induce(PiGraphDirac(disc), LinearConstraint(fiber=(2, 3))))
+
+    def test_overflowing_structure_raises(self):
+        c = 1e200 * broken_top().structure(np.zeros(0))
+        alg = SkewAlgebroid(Chart(0, 3), lambda x: np.zeros((0, 3)), lambda x: c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError):
+                jacobi_check(alg)
 
 
 class TestLinearBivector:

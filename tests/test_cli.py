@@ -335,6 +335,18 @@ class TestNonFiniteMonitors:
         assert "drift of monitor 'energy' is not finite" in report["error"]
 
 
+class TestOverflowingParameters:
+    def test_huge_disc_radius_exits_1(self, tmp_path):
+        doc = dict(BASE_DOC, system="rolling_disc", initial=[0.0, 1.0, 2.0],
+                   params={"R": 1e200}, time={"t0": 0.0, "t1": 0.01, "dt": 1e-3})
+        path = write_scenario(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+        report = _strict_json((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == EXIT_ERROR
+        assert report["error"]
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize("trajectory", ["a" * 300, "taken"],
                              ids=["name-too-long", "name-is-directory"])

@@ -18,9 +18,11 @@ from diracmech import (
     pointwise_induce,
     time_extend,
 )
+from diracmech.constraints import INTEGRABILITY_PROBES, INTEGRABILITY_SEED
 from diracmech.linalg import max_principal_angle
+from diracmech.systems import rolling_disc_algebroid
 
-from conftest import make_random_pigraph
+from conftest import make_frame_algebroid, make_random_pigraph
 
 
 def particular_member(dirac, x, xi):
@@ -241,6 +243,45 @@ class TestIntegrability:
         assert report.cond1 is False
         assert report.cond2 is True
         assert report.anchor_witness["entry"] == (1, 0)
+
+    @pytest.mark.parametrize("algebroid, constraint", [
+        (rolling_disc_algebroid(), LinearConstraint(fiber=(2, 3))),
+        (rolling_disc_algebroid(), LinearConstraint(fiber=(3,))),
+        (rolling_disc_algebroid(), LinearConstraint()),
+        (make_frame_algebroid(0, 3), LinearConstraint(fiber=(2,), base=(1,))),
+        (make_frame_algebroid(1, 4), LinearConstraint(fiber=(0, 3), base=(0, 2))),
+    ], ids=["disc-slips", "disc-one-slip", "disc-free", "frame3", "frame4"])
+    def test_witnesses_match_the_loop_reference(self, algebroid, constraint):
+        induced = induce(PiGraphDirac(algebroid), constraint)
+        free, removed = induced.free_fiber, induced.zero_fiber
+        # the per-entry loops over the same probes; strict > keeps the first maximum
+        rng = np.random.default_rng(INTEGRABILITY_SEED)
+        best = {"anchor": (0.0, None), "structure": (0.0, None)}
+        for _ in range(INTEGRABILITY_PROBES):
+            x = rng.standard_normal(algebroid.chart.base_dim)
+            x[list(induced.zero_base)] = 0.0
+            rho, c = algebroid.anchor(x), algebroid.structure(x)
+            entries = [("anchor", (a, i), rho[a, i])
+                       for a in induced.zero_base for i in free]
+            entries += [("structure", (i, j, k), c[i, j, k])
+                        for i in free for j in free for k in removed]
+            for key, entry, value in entries:
+                if abs(value) > best[key][0]:
+                    best[key] = (abs(value), {"entry": entry, "x": x.copy(),
+                                              "value": float(value)})
+        report = check_integrability(induced)
+        for key in ("anchor", "structure"):
+            violation, witness = best[key]
+            assert getattr(report, f"{key}_violation") == violation
+            got = getattr(report, f"{key}_witness")
+            if witness is None:
+                assert got is None
+            else:
+                assert got["entry"] == witness["entry"]
+                assert got["value"] == witness["value"]
+                assert np.array_equal(got["x"], witness["x"])
+        if constraint.base:
+            assert report.anchor_violation > 0.0 and report.structure_violation > 0.0
 
     def test_non_lie_base_rejected(self):
         # generic constant antisymmetric structure functions violate Jacobi

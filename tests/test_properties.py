@@ -5,7 +5,8 @@ and the Lagrangian problem's affine rows are compared with the direct
 adapted-coordinate oracle ``nonholonomic_el_residual``, and the closed-form
 induced subspace with the pointwise oracle ``pointwise_induce``.  The
 pi-graph, the linear and affine induced structures and the time extension
-of a pi-graph are checked for isotropy and core = annihilator of the
+of a pi-graph are checked for isotropy (and the pairing matrix against the
+pairwise ``pairing``) and core = annihilator of the
 velocity space; the two linear ones also for both homotheties.
 """
 
@@ -23,6 +24,7 @@ from diracmech import (
     induce,
     induce_affine,
     nonholonomic_el_residual,
+    pairing,
     pointwise_induce,
     scale_dual,
     scale_fiber,
@@ -158,6 +160,20 @@ def test_basis_is_isotropic(kind, data):
     dirac = _representation(kind, algebroid, zero, fixed)
     seed = int(rng.integers(2**16))
     assert isotropy_check(dirac, probes=3, seed=seed)["max_violation"] <= ISOTROPY_TOL
+
+
+@pytest.mark.parametrize("kind", REPRESENTATIONS)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_isotropy_violation_matches_pairings(kind, data):
+    system = data.draw(constrained_systems(pin_one=kind == "affine-induced"))
+    algebroid, _, zero, fixed, _, rng = system
+    dirac = _representation(kind, algebroid, zero, fixed)
+    for _ in range(3):
+        x, xi = dirac.sample_phase_point(rng)
+        points = dirac.basis_at(x, xi)
+        oracle = max(abs(pairing(p, q)) for i, p in enumerate(points) for q in points[i:])
+        assert abs(dirac.isotropy_violation(x, xi) - oracle) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", REPRESENTATIONS)
