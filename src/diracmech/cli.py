@@ -11,13 +11,18 @@ Subcommands:
 
 Exit codes: 0 success, 1 any other package error (e.g. a solve that does
 not converge), 2 degenerate implicit dynamics, 3 structure-check failure,
-4 unknown system, 5 malformed scenario.  Once a scenario is loaded, every
-exit writes the report with ``exit_code`` and ``error`` or ``degeneracy``.
+4 unknown system, 5 a document that ``scenario_schema()`` rejects or that
+breaks a cross-field rule (span, step count, distinct output names), a
+malformed ``--sweep``, a formalism the system lacks, a wrong initial length,
+or a constraint that does not fit the system.  Once a scenario is loaded,
+every exit writes the report with ``exit_code`` and ``error`` or ``degeneracy``.
 """
 
 import argparse
 import json
 import math
+import operator
+import re
 import sys
 from pathlib import Path
 
@@ -39,51 +44,66 @@ EXIT_UNKNOWN_SYSTEM = 4
 EXIT_MALFORMED = 5
 
 
-def _finite(label, value):
+# JSON type: (test, name in messages); a bool is never a number
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "a list"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "integer": (lambda v: type(v) is int, "an integer"),
+    "number": (lambda v: (type(v) is int or isinstance(v, float)) and math.isfinite(v),
+               "a finite number"),
+}
+# keyword: (test of a value against the keyword's argument, message)
+_RULES = {
+    "const": (operator.eq, "must be {!r}"),
+    "enum": (lambda v, options: v in options, "must be one of {}"),
+    "minimum": (operator.ge, "must be at least {}"),
+    "exclusiveMinimum": (operator.gt, "must be greater than {}"),
+    "pattern": (lambda v, pattern: re.search(pattern, v), "must match {!r}"),
+    "minItems": (lambda v, n: len(v) >= n, "must have at least {} entries"),
+    "minProperties": (lambda v, n: len(v) >= n, "must have at least {} entries"),
+}
+SCHEMA_KEYWORDS = frozenset(_RULES) | {
+    "type", "required", "properties", "additionalProperties", "items",
+    "$schema", "title", "description", "examples"}
+
+
+def validate(value, schema, path=""):
+    """Check ``value`` against ``schema``, written in ``SCHEMA_KEYWORDS``.
+
+    ``"number"`` is a finite int or float, never a ``bool`` (``json.load``
+    accepts ``NaN`` and ``Infinity``, so finiteness belongs to the type); an
+    int too large for a float fails as "too large".  ``"integer"`` is
+    ``type(value) is int``, which rejects ``1.0`` and ``True``.  A failure
+    raises ``ScenarioError`` whose message starts with the JSON path, e.g.
+    ``time.dt``, ``initial[0]``, ``output.report``, and names an unknown key.
+    ``$schema``, ``title``, ``description`` and ``examples`` are ignored.
+    """
+    where = path or "scenario"
+    kind = schema.get("type")
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ScenarioError(f"{label} must be a finite number (got {value!r})")
-    return number
-
-
-def _check_constraint(constraint):
-    if not isinstance(constraint, dict):
-        raise ScenarioError("constraint must be an object with 1-based index lists")
-    unknown = set(constraint) - {"fiber", "base"}
-    if unknown:
-        raise ScenarioError(f"unknown constraint fields: {sorted(unknown)} "
-                            "(expected fiber, base)")
-    for key, indices in constraint.items():
-        if not (isinstance(indices, list) and all(
-                type(i) is int and i >= 1 for i in indices)):
-            raise ScenarioError(f"constraint.{key} must be a list of positive "
-                                f"integers (got {indices!r})")
-
-
-def _check_plain_name(label, name):
-    """A plain file name: a non-empty UTF-8 string, not . or .., with no separator."""
-    # a lone surrogate is the one character UTF-8 cannot encode
-    if (not isinstance(name, str) or name in ("", ".", "..")
-            or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name)):
-        raise ScenarioError(f"{label} must be a plain file name with no "
-                            f"path separator (got {name!r})")
-
-
-def _check_output(output):
-    """Output names are plain file names inside the output directory."""
-    if not isinstance(output, dict):
-        raise ScenarioError("output must be an object of file names")
-    unknown = set(output) - {"trajectory", "report"}
-    if unknown:
-        raise ScenarioError(f"unknown output fields: {sorted(unknown)} "
-                            "(expected trajectory, report)")
-    for key, name in output.items():
-        _check_plain_name(f"output.{key}", name)
-    if output.get("trajectory", "trajectory.csv") == output.get("report", "report.json"):
-        raise ScenarioError("output.trajectory and output.report must differ")
+        typed = kind is None or _TYPES[kind][0](value)
+    except OverflowError:
+        raise ScenarioError(f"{where} is too large for a float") from None
+    if not typed:
+        raise ScenarioError(f"{where} must be {_TYPES[kind][1]} (got {value!r})")
+    for keyword, (holds, rule) in _RULES.items():
+        if keyword in schema and not holds(value, schema[keyword]):
+            raise ScenarioError(f"{where} {rule.format(schema[keyword])} (got {value!r})")
+    if kind == "object":
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ScenarioError(f"{where} is missing required field {key!r}")
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, extra)
+            if sub is False:
+                raise ScenarioError(f"{where} has unknown field {key!r}")
+            if sub is not True:
+                validate(item, sub, f"{path}.{key}" if path else key)
+    if kind == "array" and "items" in schema:
+        for k, item in enumerate(value):
+            validate(item, schema["items"], f"{where}[{k}]")
 
 
 class Scenario:
@@ -93,94 +113,38 @@ class Scenario:
                  params=None, constraint=None, checks=(), output=None,
                  seed=0, hamiltonian_source="legendre"):
         self.system = system
-        self.params = dict(params or {})
+        self.params = {key: float(v) for key, v in (params or {}).items()}
         self.constraint = constraint
         self.formalism = formalism
         self.initial = [float(v) for v in initial]
         self.time = dict(time)
         self.checks = list(checks)
-        self.output = dict(output or {"trajectory": "trajectory.csv",
-                                      "report": "report.json"})
+        self.output = {"trajectory": "trajectory.csv", "report": "report.json",
+                       **(output or {})}
         self.seed = int(seed)
         self.hamiltonian_source = hamiltonian_source
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario document must be a JSON object")
-        fields = scenario_schema()["properties"]
-        unknown = set(doc) - set(fields)
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise ScenarioError(
-                f"scenario schema must be '{SCHEMA_VERSION}' (got {doc.get('schema')!r})"
-            )
-        for key in ("system", "initial", "time"):
-            if key not in doc:
-                raise ScenarioError(f"scenario is missing required field '{key}'")
-        if not isinstance(doc["system"], str):
-            raise ScenarioError(f"system must be a name (got {doc['system']!r})")
+        """Validate ``doc`` against ``scenario_schema()``, then the rules that
+        span fields: the time span and its step count, distinct output names."""
+        validate(doc, scenario_schema())
         time = doc["time"]
-        if not isinstance(time, dict) or not {"t0", "t1", "dt"} <= set(time):
-            raise ScenarioError("time must carry t0, t1, and dt")
-        unknown = set(time) - set(fields["time"]["properties"])
-        if unknown:
-            raise ScenarioError(f"unknown time fields: {sorted(unknown)} "
-                                "(expected t0, t1, dt, method)")
-        method = time.get("method", "rk4")
-        if not isinstance(method, str) or method not in METHODS:
-            raise ScenarioError(f"unknown integration method '{method}'")
-        formalism = doc.get("formalism", "lagrangian")
-        if formalism not in ("lagrangian", "hamiltonian", "pmp"):
-            raise ScenarioError(f"unknown formalism '{formalism}'")
-        checks = doc.get("checks", [])
-        if not isinstance(checks, list):
-            raise ScenarioError("checks must be a list of check names")
-        bad = [c for c in checks if c not in CHECK_NAMES]
-        if bad:
-            raise ScenarioError(f"unknown checks: {bad}")
-        constraint = doc.get("constraint")
-        if constraint is not None:
-            _check_constraint(constraint)
-        params = doc.get("params") or {}
-        if not isinstance(params, dict):
-            raise ScenarioError("params must be an object of numbers")
-        if not isinstance(doc["initial"], list):
-            raise ScenarioError("initial must be a list of numbers")
-        output = doc.get("output") or {}
-        _check_output(output)
-        source = doc.get("hamiltonian_source", "legendre")
-        if source not in ("legendre", "closed"):
+        t0, t1, dt = float(time["t0"]), float(time["t1"]), float(time["dt"])
+        steps = (t1 - t0) / dt
+        # needs a positive finite span too; round() takes a ratio of 1/2 to 0 steps
+        if not (math.isfinite(steps) and steps > 0.5):
             raise ScenarioError(
-                f"hamiltonian_source must be 'legendre' or 'closed' (got {source!r})")
-        seed = doc.get("seed", 0)
-        if type(seed) is not int or seed < 0:
-            raise ScenarioError(f"seed must be a non-negative integer (got {seed!r})")
-        try:
-            t0, t1 = float(time["t0"]), float(time["t1"])
-            if not (np.isfinite(t1 - t0) and t1 > t0):
-                raise ScenarioError(
-                    f"time span t1 - t0 = {t1 - t0} must be positive and finite")
-            dt = _finite("time.dt", time["dt"])
-            if dt <= 0.0:
-                raise ScenarioError(f"time.dt must be positive (got {dt})")
-            steps = (t1 - t0) / dt
-            # round() takes a ratio of exactly 1/2 to zero steps
-            if not (math.isfinite(steps) and steps > 0.5):
-                raise ScenarioError(
-                    f"time span t1 - t0 = {t1 - t0} is {steps} steps of time.dt = {dt}: "
-                    "it must round to a finite count of at least one")
-            return cls(
-                system=doc["system"],
-                params={key: _finite(f"params.{key}", v) for key, v in params.items()},
-                constraint=constraint, formalism=formalism,
-                initial=[_finite(f"initial[{k}]", v) for k, v in enumerate(doc["initial"])],
-                time={"t0": t0, "t1": t1, "dt": dt, "method": method},
-                checks=checks, output=output, seed=seed, hamiltonian_source=source,
-            )
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ScenarioError(f"scenario has non-numeric entries: {err}") from err
+                f"time span t1 - t0 = {t1 - t0} is {steps} steps of time.dt = {dt}: "
+                "it must be positive and round to a finite count of at least one")
+        # every other field of the document is the constructor argument of that name
+        fields = dict(doc, time={"t0": t0, "t1": t1, "dt": dt,
+                                 "method": time.get("method", "rk4")})
+        del fields["schema"]
+        scenario = cls(**fields)
+        if scenario.output["trajectory"] == scenario.output["report"]:
+            raise ScenarioError("output.trajectory and output.report must differ")
+        return scenario
 
     def to_dict(self):
         doc = {
@@ -208,7 +172,8 @@ class Scenario:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integer literals
+        except (OSError, ValueError, RecursionError) as err:
             raise ScenarioError(f"cannot read scenario {path}: {err}") from err
         return cls.from_dict(doc)
 
@@ -223,14 +188,16 @@ def scenario_schema():
         "additionalProperties": False,
         "properties": {
             "schema": {"const": SCHEMA_VERSION},
-            "system": {"enum": sorted(CATALOG)},
+            "system": {"type": "string", "examples": sorted(CATALOG)},
             "params": {"type": "object", "additionalProperties": {"type": "number"}},
             "constraint": {
                 "type": "object",
+                "minProperties": 1,
                 "additionalProperties": False,
                 "properties": {
-                    "fiber": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                    "base": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                    key: {"type": "array", "minItems": 1,
+                          "items": {"type": "integer", "minimum": 1}}
+                    for key in ("fiber", "base")
                 },
                 "description": "1-based fiber/base indices pinned to zero",
             },
@@ -252,8 +219,9 @@ def scenario_schema():
                 "type": "object",
                 "additionalProperties": False,
                 "properties": {
-                    key: {"type": "string", "pattern": r"^[^/\\\u0000]+$",
-                          "not": {"enum": [".", ".."]}}
+                    # a plain file name: not . or .., no separator, NUL or lone surrogate
+                    key: {"type": "string",
+                          "pattern": r"^(?!\.\.?$)[^/\\\u0000\ud800-\udfff]+$"}
                     for key in ("trajectory", "report")
                 },
             },
@@ -318,7 +286,7 @@ def _execute(scenario, out_dir, check_only=False):
         print(f"error: {report['error']}", file=sys.stderr)
         code = EXIT_ERROR
     report["exit_code"] = code
-    report_path = out_dir / scenario.output.get("report", "report.json")
+    report_path = out_dir / scenario.output["report"]
     try:
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
@@ -369,10 +337,12 @@ def _run(scenario, out_dir, check_only, report):
             f"problem expects {problem.state_dim}"
         )
 
-    t0, t1, dt = scenario.time["t0"], scenario.time["t1"], scenario.time["dt"]
-    state0 = project_initial(problem, np.asarray(initial, dtype=float), t=t0)
-    trajectory = integrate(problem, state0, t0, t1, dt,
-                           method=scenario.time.get("method", "rk4"))
+    # a non-finite value here fails the solve or monitor check, unlike in a
+    # structure check, where NaN compared with a tolerance can pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        state0 = project_initial(problem, np.asarray(initial, dtype=float),
+                                 t=scenario.time["t0"])
+        trajectory = integrate(problem, state0, **scenario.time)
     drifting = [k for k in ("energy", "hamiltonian") if k in trajectory.monitors]
     if drifting and not bundle.time_dependent:
         drift = trajectory.monitor_drift(drifting[0])
@@ -380,7 +350,7 @@ def _run(scenario, out_dir, check_only, report):
             raise SolverError(f"drift of monitor '{drifting[0]}' is not finite ({drift})")
         report["energy_drift"] = drift
 
-    csv_path = out_dir / scenario.output.get("trajectory", "trajectory.csv")
+    csv_path = out_dir / scenario.output["trajectory"]
     write_trajectory_csv(csv_path, trajectory,
                          _angle_state_indices(bundle, scenario.formalism))
 
@@ -418,7 +388,9 @@ def _parse_sweep(spec):
         a, b, count = float(a), float(b), int(count)
     except ValueError as err:
         raise ScenarioError(f"malformed sweep '{spec}', expected PARAM=a:b:n") from err
-    _check_plain_name("sweep PARAM", name)  # it names each run's sub-directory
+    # it names each run's sub-directory, so it obeys the output-name rule
+    validate(name, scenario_schema()["properties"]["output"]["properties"]["report"],
+             "sweep PARAM")
     return name, a, b, count
 
 
@@ -502,12 +474,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MALFORMED
     except DiracMechError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_MALFORMED if isinstance(err, ScenarioError) else EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -200,7 +200,8 @@ def _resolve_constraint(override):
     if any(i < 0 for i in fiber) or any(a < 0 for a in base):
         raise ScenarioError("constraint indices are 1-based and must be positive")
     if not fiber and not base:
-        return None
+        raise ScenarioError("an empty constraint override pins nothing: "
+                            "give at least one fiber or base index")
     return LinearConstraint(fiber=fiber, base=base)
 
 

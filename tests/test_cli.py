@@ -1,9 +1,12 @@
+import inspect
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diracmech.cli as cli
 from diracmech.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
@@ -11,8 +14,11 @@ from diracmech.cli import (
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_UNKNOWN_SYSTEM,
+    SCHEMA_KEYWORDS,
     Scenario,
     main,
+    scenario_schema,
+    validate,
 )
 from diracmech.errors import ScenarioError
 
@@ -60,13 +66,87 @@ class TestScenario:
     @pytest.mark.parametrize("t1", [-1.0, 0.0, float("inf"), float("nan"), 0.001])
     def test_backwards_span_rejected(self, t1):
         doc = dict(BASE_DOC, time={"t0": 0.0, "t1": t1, "dt": 0.01})
-        with pytest.raises(ScenarioError, match="span"):
+        # a non-finite bound is not a number to the schema, before any span rule
+        named = "span" if np.isfinite(t1) else r"^time\.t1 must be a finite number"
+        with pytest.raises(ScenarioError, match=named):
             Scenario.from_dict(doc)
 
     def test_nonpositive_step_rejected(self):
         doc = dict(BASE_DOC, time={"t0": 0.0, "t1": 1.0, "dt": 0.0})
         with pytest.raises(ScenarioError, match="dt"):
             Scenario.from_dict(doc)
+
+
+def _subschemas(schema):
+    yield schema
+    for key in ("items", "additionalProperties"):
+        if isinstance(schema.get(key), dict):
+            yield from _subschemas(schema[key])
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+
+
+class TestSchemaInterpreter:
+    def test_schema_uses_only_interpreted_keywords(self):
+        for sub in _subschemas(scenario_schema()):
+            assert set(sub) <= SCHEMA_KEYWORDS, sorted(set(sub) - SCHEMA_KEYWORDS)
+            assert sub.get("type", "number") in cli._TYPES
+
+    def test_schema_fields_are_constructor_arguments(self):
+        fields = set(scenario_schema()["properties"]) - {"schema"}
+        assert fields == set(inspect.signature(Scenario).parameters)
+
+    def test_annotations_are_ignored(self):
+        validate(1.0, {"$schema": "x", "title": "t", "description": "d", "examples": ["a"]})
+
+    def test_output_defaults_fill_missing_names(self):
+        scenario = Scenario.from_dict(dict(BASE_DOC, output={"trajectory": "x.csv"}))
+        assert scenario.output == {"trajectory": "x.csv", "report": "report.json"}
+
+    # documents that a reader coercing or defaulting these fields would run
+    @pytest.mark.parametrize("override, named", [
+        ({"params": 0}, "params"),
+        ({"params": []}, "params"),
+        ({"params": None}, "params"),
+        ({"params": ""}, "params"),
+        ({"output": 0}, "output"),
+        ({"output": False}, "output"),
+        ({"output": []}, "output"),
+        ({"time": {"t0": 0.0, "t1": 0.5, "dt": "0.01"}}, "time.dt"),
+        ({"time": {"t0": 0.0, "t1": "0.05", "dt": 0.01}}, "time.t1"),
+        ({"initial": ["1", "0"]}, "initial[0]"),
+        ({"params": {"mass": True}}, "params.mass"),
+        ({"constraint": None}, "constraint"),
+        ({"constraint": {}}, "constraint"),
+    ], ids=["params-zero", "params-list", "params-null", "params-empty-string",
+            "output-zero", "output-false", "output-list", "dt-string", "t1-string",
+            "initial-strings", "param-bool", "constraint-null", "constraint-empty"])
+    def test_former_leniency_exits_5(self, tmp_path, capsys, override, named):
+        path = write_scenario(tmp_path, dict(BASE_DOC, **override))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
+        assert f"error: {named} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(dict(BASE_DOC, system="caf\xe9"), ensure_ascii=False).encode("latin-1"),
+        b'{"seed": ' + b"1" * 5000 + b"}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "long-integer", "deep-nesting"])
+    def test_unreadable_document_exits_5(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert "cannot read scenario" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("constraint", [{"fiber": []}, {"base": []}], ids=["fiber", "base"])
+    def test_empty_constraint_override_exits_5(self, tmp_path, capsys, constraint):
+        doc = dict(BASE_DOC, system="rolling_disc", initial=[0.0, 1.0, 2.0],
+                   constraint=constraint, time={"t0": 0.0, "t1": 0.01, "dt": 1e-3})
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_MALFORMED
+        assert f"error: constraint.{next(iter(constraint))} " in capsys.readouterr().err
 
 
 class TestRun:
@@ -345,6 +425,15 @@ class TestOverflowingParameters:
         report = _strict_json((tmp_path / "r.json").read_text())
         assert report["exit_code"] == EXIT_ERROR
         assert report["error"]
+
+    def test_handled_error_prints_no_numpy_warning(self, tmp_path):
+        doc = dict(BASE_DOC, system="rolling_disc", initial=[0.0, 1.0, 2.0],
+                   params={"R": 1e200}, time={"t0": 0.0, "t1": 0.01, "dt": 1e-3})
+        path = write_scenario(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestOutputErrors:

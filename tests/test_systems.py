@@ -35,6 +35,12 @@ def test_zero_based_override_rejected():
         build_system("rolling_disc", constraint_override={"fiber": [0, 3]})
 
 
+@pytest.mark.parametrize("override", [{}, {"fiber": []}, {"fiber": [], "base": []}])
+def test_empty_override_rejected(override):
+    with pytest.raises(ScenarioError, match="empty constraint override"):
+        build_system("rolling_disc", constraint_override=override)
+
+
 def test_constrained_particle_integrates():
     bundle = build_system("canonical_particle", constraint_override={"fiber": [2]})
     problem = build_problem(bundle, "lagrangian")
