@@ -14,7 +14,6 @@ from .constraints import (
     LinearConstraint,
     check_integrability,
     induce,
-    induce_affine,
     pointwise_induce,
 )
 from .dirac import (
@@ -106,7 +105,6 @@ __all__ = [
     "hamilton_residual",
     "hamiltonian_problem",
     "induce",
-    "induce_affine",
     "integrate",
     "invert_vertical_derivative",
     "lagrangian_problem",

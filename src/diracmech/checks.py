@@ -78,7 +78,7 @@ def legendre_equivalence_check(dirac, lagrangian, probes=50, seed=0,
         hamiltonian = legendre_transform(lagrangian, probe_pts)
     prob_l = lagrangian_problem(dirac, lagrangian)
     prob_h = hamiltonian_problem(dirac, hamiltonian)
-    free = np.asarray(dirac.free_fiber, dtype=int) if isinstance(dirac, InducedDirac) else np.arange(m)
+    free = list(dirac.free_fiber)
 
     worst = 0.0
     for _ in range(probes):
@@ -87,10 +87,7 @@ def legendre_equivalence_check(dirac, lagrangian, probes=50, seed=0,
         state_l[:n] = dirac.project_support(state_l[:n])
         rate_l, _, _ = solve_rate(prob_l, 0.0, state_l)
         x = state_l[:n]
-        y = np.zeros(m)
-        y[free] = state_l[n:]
-        if isinstance(dirac, InducedDirac) and dirac.fixed_fiber is not None:
-            y[dirac.fixed_fiber] = 1.0
+        y = dirac.embed_fiber(state_l[n:])
         xdot = rate_l[:n]
         ydot = np.zeros(m)
         ydot[free] = rate_l[n:]

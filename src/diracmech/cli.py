@@ -388,6 +388,8 @@ def _parse_sweep(spec):
         a, b, count = float(a), float(b), int(count)
     except ValueError as err:
         raise ScenarioError(f"malformed sweep '{spec}', expected PARAM=a:b:n") from err
+    if not np.isfinite([a, b, b - a]).all():
+        raise ScenarioError(f"sweep '{spec}' needs finite bounds a, b and b - a")
     # it names each run's sub-directory, so it obeys the output-name rule
     validate(name, scenario_schema()["properties"]["output"]["properties"]["report"],
              "sweep PARAM")

@@ -3,9 +3,14 @@
 Adapted-coordinate constraints (index selectors with x^A = 0 on the base
 and y^I = 0 on the fiber, plus an optional fiber index pinned to 1 in the
 affine case) admit a closed-form induced structure on bivector-graph bases.
-A general matrix form W(x), whose kernel on (xdot, y) is the constraint
-subspace, is supported through the pointwise assembly only, which doubles
-as an independent oracle for the closed form.
+``induce`` is the one entry for both kinds, ``LinearConstraint`` and
+``AffineConstraint``: it merges the constraint's selectors with those the
+base structure carries (every structure exposes ``zero_fiber``,
+``zero_base`` and ``fixed_fiber``), and ``InducedDirac`` checks the merged
+selectors.  A general matrix form W(x), whose kernel on (xdot, y) is the
+constraint subspace, is supported through the pointwise assembly only,
+which doubles as an independent oracle for the closed form and reads the
+constraint objects, never a structure's selectors.
 """
 
 import numpy as np
@@ -16,7 +21,6 @@ from .dirac import CanonicalDirac, InducedDirac, PiGraphDirac
 from .errors import ConstraintError, StructureError
 
 CONTAINMENT_TOL = 1e-8
-CONTAINMENT_PROBES = 20
 # integrability verdicts: random support points, the entry size that counts
 # as a violation, and the probe seed
 INTEGRABILITY_PROBES = 20
@@ -66,78 +70,34 @@ class AffineConstraint:
         return LinearConstraint(fiber=self.fiber + (self.fixed,), base=self.base)
 
 
-def _graph_data(dirac):
-    """Underlying algebroid and inherited selectors of a bivector-graph base."""
-    if isinstance(dirac, PiGraphDirac):
-        return dirac.algebroid, (), (), None
-    if isinstance(dirac, CanonicalDirac):
-        return dirac.as_pi_graph().algebroid, (), (), None
-    if isinstance(dirac, InducedDirac):
-        return dirac.algebroid, dirac.zero_fiber, dirac.zero_base, dirac.fixed_fiber
-    raise ConstraintError(
-        "closed-form induction needs a bivector-graph base "
-        f"(got representation '{dirac.kind}')"
-    )
-
-
-def _check_containment(dirac, algebroid, fiber_idx, base_idx, rng=None):
-    """Verify on support probes that the constrained graph vectors are admissible."""
-    rng = rng or np.random.default_rng(7)
-    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    free = [i for i in range(m) if i not in fiber_idx]
-    from .dirac import VelocityPair
-
-    for _ in range(CONTAINMENT_PROBES):
-        x = rng.standard_normal(n)
-        for a in base_idx:
-            x[a] = 0.0
-        x = dirac.project_support(x)
-        rho = algebroid.anchor(x)
-        for i in free:
-            y = np.zeros(m)
-            y[i] = 1.0
-            pair = VelocityPair(x, rho[:, i], y)
-            res = dirac.velocity_residual(pair)
-            if np.max(np.abs(res), initial=0.0) > CONTAINMENT_TOL:
-                raise ConstraintError(
-                    f"constraint subspace leaves the velocity bundle at x={x}: "
-                    f"residual {res}"
-                )
-
-
 def induce(dirac, constraint):
-    """Closed-form induced structure for adapted constraints on graph bases."""
-    if not isinstance(constraint, LinearConstraint):
-        raise ConstraintError("induce expects a LinearConstraint")
-    if not constraint.is_adapted:
+    """Closed-form induced structure of an adapted constraint on a graph base.
+
+    ``constraint`` is a ``LinearConstraint`` in adapted form or an
+    ``AffineConstraint``; its selectors join those the base already carries.
+    """
+    if isinstance(constraint, LinearConstraint):
+        if not constraint.is_adapted:
+            raise ConstraintError(
+                "general matrix constraints are only supported pointwise; "
+                "use pointwise_induce"
+            )
+        fixed = dirac.fixed_fiber
+    elif isinstance(constraint, AffineConstraint):
+        fixed = constraint.fixed
+        if dirac.fixed_fiber not in (None, fixed):
+            raise ConstraintError("base structure already pins a different fiber index")
+    else:
+        raise ConstraintError("induce expects a LinearConstraint or an AffineConstraint")
+    if isinstance(dirac, CanonicalDirac):
+        dirac = dirac.as_pi_graph()
+    if not isinstance(dirac, (PiGraphDirac, InducedDirac)):
         raise ConstraintError(
-            "general matrix constraints are only supported pointwise; "
-            "use pointwise_induce"
+            "closed-form induction needs a bivector-graph base "
+            f"(got representation '{dirac.kind}')"
         )
-    algebroid, old_fiber, old_base, fixed = _graph_data(dirac)
-    fiber_idx = tuple(sorted(set(old_fiber) | set(constraint.fiber)))
-    base_idx = tuple(sorted(set(old_base) | set(constraint.base)))
-    if fixed is not None and fixed in fiber_idx:
-        raise ConstraintError("new constraint pins the affine fiber index to zero")
-    _check_containment(dirac, algebroid, fiber_idx, base_idx)
-    return InducedDirac(algebroid, zero_fiber=fiber_idx, zero_base=base_idx,
-                        fixed_fiber=fixed)
-
-
-def induce_affine(dirac, constraint):
-    """Closed-form affine induced structure (one fiber coordinate pinned to 1)."""
-    if not isinstance(constraint, AffineConstraint):
-        raise ConstraintError("induce_affine expects an AffineConstraint")
-    algebroid, old_fiber, old_base, fixed = _graph_data(dirac)
-    if fixed is not None and fixed != constraint.fixed:
-        raise ConstraintError("base structure already pins a different fiber index")
-    if constraint.fixed in old_fiber:
-        raise ConstraintError("affine index is pinned to zero by the base structure")
-    fiber_idx = tuple(sorted(set(old_fiber) | set(constraint.fiber)))
-    base_idx = tuple(sorted(set(old_base) | set(constraint.base)))
-    _check_containment(dirac, algebroid, fiber_idx + (constraint.fixed,), base_idx)
-    return InducedDirac(algebroid, zero_fiber=fiber_idx, zero_base=base_idx,
-                        fixed_fiber=constraint.fixed)
+    return InducedDirac(dirac.algebroid, zero_fiber=dirac.zero_fiber + constraint.fiber,
+                        zero_base=dirac.zero_base + constraint.base, fixed_fiber=fixed)
 
 
 def _constraint_space_at(dirac, constraint, x):

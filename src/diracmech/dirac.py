@@ -167,12 +167,39 @@ class DiracAlgebroid:
     and, where they do not vanish, ``structure_terms(x)``, which gives the
     structure terms only membership reads, and the phase hook
     ``_phase(x, xi)``.
+
+    Every structure carries the adapted selectors of the constraints it was
+    induced by: ``zero_fiber`` (fiber indices pinned to y = 0),
+    ``zero_base`` (base indices of the support x = 0) and ``fixed_fiber``
+    (the fiber index pinned to y = 1, or None).  They are empty except on
+    ``InducedDirac``; ``free_fiber`` lists the fiber indices left free.
     """
 
     kind = "abstract"
 
-    def __init__(self, chart):
+    def __init__(self, chart, zero_fiber=(), zero_base=(), fixed_fiber=None):
         self.chart = chart
+        self.zero_fiber = tuple(zero_fiber)
+        self.zero_base = tuple(zero_base)
+        self.fixed_fiber = fixed_fiber
+        pinned = set(self.zero_fiber) | ({fixed_fiber} - {None})
+        self.free_fiber = tuple(i for i in range(chart.fiber_dim) if i not in pinned)
+        self._free = np.array(self.free_fiber, dtype=int)
+        self._support = np.array(self.zero_base, dtype=int)
+        # the pinned fiber values, None when every fiber index is free
+        self._pinned_fiber = None
+        if pinned:
+            self._pinned_fiber = np.zeros(chart.fiber_dim)
+            if fixed_fiber is not None:
+                self._pinned_fiber[fixed_fiber] = 1.0
+
+    def embed_fiber(self, y_free):
+        """Fiber vector with components ``y_free`` at ``free_fiber``, the pinned ones set."""
+        if self._pinned_fiber is None:
+            return np.asarray(y_free, dtype=float)
+        y = self._pinned_fiber.copy()
+        y[self._free] = y_free
+        return y
 
     def local_form(self, x):
         """The blocks (eta, etahat, zeta, offset) at base point x."""
@@ -186,8 +213,8 @@ class DiracAlgebroid:
         return None, None
 
     def _phase(self, x, xi):
-        """Phase equations at a checked (x, xi); empty on the whole dual bundle."""
-        return np.zeros(0)
+        """Phase equations at a checked (x, xi): the support equations x^A = 0."""
+        return x[self._support]
 
     # -- membership ----------------------------------------------------------
 
@@ -313,8 +340,10 @@ class DiracAlgebroid:
         return bool(np.max(np.abs(res), initial=0.0) <= tol), res
 
     def project_support(self, x):
-        """Project a base point onto the base support (identity by default)."""
-        return np.asarray(x, dtype=float).reshape(-1)
+        """Project a base point onto the base support x^A = 0."""
+        x = np.array(x, dtype=float).reshape(-1)
+        x[self._support] = 0.0
+        return x
 
     def phase_point(self, x):
         """Some xi with (x, xi) in the phase support (zero if unconstrained)."""
@@ -554,8 +583,7 @@ class InducedDirac(DiracAlgebroid):
     kind = "induced"
 
     def __init__(self, algebroid, zero_fiber=(), zero_base=(), fixed_fiber=None):
-        super().__init__(algebroid.chart)
-        n, m = self.chart.base_dim, self.chart.fiber_dim
+        n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
         zero_fiber = tuple(sorted(set(int(i) for i in zero_fiber)))
         zero_base = tuple(sorted(set(int(a) for a in zero_base)))
         if any(i < 0 or i >= m for i in zero_fiber):
@@ -568,15 +596,10 @@ class InducedDirac(DiracAlgebroid):
                 raise ConstraintError("fixed fiber index out of range")
             if fixed_fiber in zero_fiber:
                 raise ConstraintError("fixed fiber index also marked zero")
+        super().__init__(algebroid.chart, zero_fiber, zero_base, fixed_fiber)
         self.algebroid = algebroid
-        self.zero_fiber = zero_fiber
-        self.zero_base = zero_base
-        self.fixed_fiber = fixed_fiber
-        removed = set(zero_fiber) | ({fixed_fiber} if fixed_fiber is not None else set())
-        self.free_fiber = tuple(i for i in range(m) if i not in removed)
-        self._free = free = np.array(self.free_fiber, dtype=int)
-        constrained = np.array(sorted(removed), dtype=int)
-        self._support = np.array(zero_base, dtype=int)
+        free = self._free
+        constrained = np.setdiff1d(np.arange(m), free)
         # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in
         self._eta = _constant(np.eye(n + m)[n + free])
@@ -604,14 +627,6 @@ class InducedDirac(DiracAlgebroid):
         c = self.algebroid.structure(x)
         drift = None if self.fixed_fiber is None else c[self._free, self.fixed_fiber, :]
         return c[np.ix_(self._free, self._free)], drift
-
-    def _phase(self, x, xi):
-        return x[self._support]
-
-    def project_support(self, x):
-        x = np.array(x, dtype=float).reshape(-1)
-        x[self._support] = 0.0
-        return x
 
 
 class TimeExtendedDirac(DiracAlgebroid):

@@ -1,9 +1,12 @@
 """Builders turning a structure plus a Lagrangian/Hamiltonian/control system
 into implicit problems for the integrator.
 
-For structures induced by adapted constraints, the Lagrangian problem works
-in reduced coordinates (the pinned fiber components are eliminated), while
-the Hamiltonian problem keeps the full dual state.
+The pinned fibers of a structure induced by adapted constraints are read
+from the selectors every structure carries (``free_fiber`` and
+``embed_fiber``; nothing is pinned outside ``InducedDirac``).  The
+Lagrangian problem works in reduced coordinates (the pinned fiber
+components are eliminated), while the Hamiltonian problem keeps the full
+dual state.
 
 Every residual is a slot fill of the one membership kernel
 ``DiracAlgebroid.membership_system`` -> (J, const): a builder writes the
@@ -27,36 +30,6 @@ from . import fd
 from .dirac import InducedDirac, TimeExtendedDirac, VelocityPair
 from .errors import SolverError
 from .solver import ImplicitProblem
-
-
-def _dropped_fiber_rows(dirac):
-    """Number of pinned-fiber selector rows inside etahat."""
-    if isinstance(dirac, InducedDirac):
-        return len(dirac.zero_fiber) + (1 if dirac.fixed_fiber is not None else 0)
-    if isinstance(dirac, TimeExtendedDirac) and isinstance(dirac.base, InducedDirac):
-        raise SolverError(
-            "time extension of an induced structure is not supported by the "
-            "problem builders; induce on the extended bundle instead"
-        )
-    return 0
-
-
-def _fiber_embedding(dirac):
-    """(free indices, embed) for adapted induced structures; identity otherwise."""
-    m = dirac.chart.fiber_dim
-    if isinstance(dirac, InducedDirac):
-        free = np.asarray(dirac.free_fiber, dtype=int)
-        fixed = dirac.fixed_fiber
-
-        def embed(y_red):
-            y = np.zeros(m)
-            y[free] = y_red
-            if fixed is not None:
-                y[fixed] = 1.0
-            return y
-
-        return free, embed
-    return np.arange(m), lambda y_red: np.asarray(y_red, dtype=float)
 
 
 class _StateCache:
@@ -96,7 +69,12 @@ def _membership_parts(dirac):
     follow the n base velocity rows of an induced structure.
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    dropped = _dropped_fiber_rows(dirac)
+    if isinstance(dirac, TimeExtendedDirac) and isinstance(dirac.base, InducedDirac):
+        raise SolverError(
+            "time extension of an induced structure is not supported by the "
+            "problem builders; induce on the extended bundle instead"
+        )
+    dropped = m - len(dirac.free_fiber)
     # a slice where it can be: it is a view, and on a 6x12 J costs about
     # 0.3 us per call against 2-2.6 us for an index array
     rows = np.r_[0:n, n + dropped:n + m] if dropped else slice(None)
@@ -119,7 +97,7 @@ def lagrangian_problem(dirac, lagrangian, name=""):
     the Legendre image form the algebraic channel.
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    free, embed = _fiber_embedding(dirac)
+    free = np.asarray(dirac.free_fiber, dtype=int)
     state_dim = n + free.size
     membership = _membership_parts(dirac)
     # the rate is (xdot, ydot_free); xidot = hyx xdot + hyy ydot is filled
@@ -128,7 +106,7 @@ def lagrangian_problem(dirac, lagrangian, name=""):
     slots_template[:n, :n] = np.eye(n)
 
     def split(state):
-        return state[:n], embed(state[n:])
+        return state[:n], dirac.embed_fiber(state[n:])
 
     def assemble(state):
         x, y = split(state)
@@ -176,10 +154,9 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     state_dim = n + m
     membership = _membership_parts(dirac)
-    free, embed = _fiber_embedding(dirac)
-    constrained = np.setdiff1d(np.arange(m), free)
+    constrained = np.setdiff1d(np.arange(m), dirac.free_fiber)
     # values the pinned components of dH/dxi must take: 1 at a fixed index
-    target = embed(np.zeros(free.size))[constrained]
+    target = dirac.embed_fiber(np.zeros(len(dirac.free_fiber)))[constrained]
     # the rate is (xdot, xidot) itself
     slots = np.eye(2 * (n + m), state_dim)
 
@@ -232,7 +209,7 @@ def pmp_problem(system, dirac, name=""):
     DegenerateDynamicsError in the rate solve).
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    if _dropped_fiber_rows(dirac):
+    if len(dirac.free_fiber) < m:
         raise SolverError("control problems expect an unconstrained structure")
     q = system.control_dim
     state_dim = n + q + m

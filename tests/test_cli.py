@@ -426,13 +426,20 @@ class TestOverflowingParameters:
         assert report["exit_code"] == EXIT_ERROR
         assert report["error"]
 
-    def test_handled_error_prints_no_numpy_warning(self, tmp_path):
+    @pytest.mark.parametrize("params, sweep, code", [
+        ({"R": 1e200}, [], EXIT_ERROR),
+        ({}, ["--sweep", "R=0:inf:2"], EXIT_MALFORMED),
+        ({}, ["--sweep", "R=0:1e400:2"], EXIT_MALFORMED),
+        ({}, ["--sweep", "R=-1e308:1e308:2"], EXIT_MALFORMED),
+    ], ids=["huge-disc-radius", "infinite-sweep-bound", "overflowing-sweep-bound",
+            "overflowing-sweep-span"])
+    def test_handled_error_prints_no_numpy_warning(self, tmp_path, params, sweep, code):
         doc = dict(BASE_DOC, system="rolling_disc", initial=[0.0, 1.0, 2.0],
-                   params={"R": 1e200}, time={"t0": 0.0, "t1": 0.01, "dt": 1e-3})
+                   params=params, time={"t0": 0.0, "t1": 0.01, "dt": 1e-3})
         path = write_scenario(tmp_path, doc)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+            assert main(["run", str(path), "--out", str(tmp_path)] + sweep) == code
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

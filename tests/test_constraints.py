@@ -14,7 +14,6 @@ from diracmech import (
     StructureError,
     check_integrability,
     induce,
-    induce_affine,
     pointwise_induce,
     time_extend,
 )
@@ -142,7 +141,7 @@ class TestPointwiseInduce:
 
 class TestInduceAffine:
     def test_model_subspace_matches_linear_induction(self, disc_pi):
-        affine = induce_affine(disc_pi, AffineConstraint(fixed=1, fiber=(2, 3)))
+        affine = induce(disc_pi, AffineConstraint(fixed=1, fiber=(2, 3)))
         linear = induce(disc_pi, LinearConstraint(fiber=(1, 2, 3)))
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -152,8 +151,21 @@ class TestInduceAffine:
             b = linear.basis_matrix_at(x, xi)
             assert max_principal_angle(a, b) <= 1e-10
 
+    def test_second_fixed_index_rejected(self, disc_pi):
+        affine = induce(disc_pi, AffineConstraint(fixed=1, fiber=(3,)))
+        with pytest.raises(ConstraintError, match="different fiber index"):
+            induce(affine, AffineConstraint(fixed=2))
+
+    @pytest.mark.parametrize("first, second", [
+        (LinearConstraint(fiber=(2, 3)), AffineConstraint(fixed=2)),
+        (AffineConstraint(fixed=1), LinearConstraint(fiber=(1,))),
+    ], ids=["fixed-on-a-zero-pin", "zero-pin-on-the-fixed"])
+    def test_fixed_and_zero_pin_of_one_index_rejected(self, disc_pi, first, second):
+        with pytest.raises(ConstraintError, match="also marked zero"):
+            induce(induce(disc_pi, first), second)
+
     def test_affine_member_has_unit_coordinate(self, disc_pi):
-        affine = induce_affine(disc_pi, AffineConstraint(fixed=1, fiber=(2, 3)))
+        affine = induce(disc_pi, AffineConstraint(fixed=1, fiber=(2, 3)))
         x, xi = np.array([0.3]), np.array([0.1, 0.2, 0.3, 0.4])
         w = particular_member(affine, x, xi)
         member = PontryaginPoint.from_fiber_vector(x, xi, w)
@@ -180,7 +192,7 @@ class TestInduceAffine:
             return c
 
         enlarged = SkewAlgebroid(chart, anchor, structure)
-        affine = induce_affine(PiGraphDirac(enlarged), AffineConstraint(fixed=0))
+        affine = induce(PiGraphDirac(enlarged), AffineConstraint(fixed=0))
 
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -295,7 +307,7 @@ class TestIntegrability:
             check_integrability(induced)
 
     def test_affine_constraint_rejected(self, disc_pi):
-        affine = induce_affine(disc_pi, AffineConstraint(fixed=1, fiber=(2, 3)))
+        affine = induce(disc_pi, AffineConstraint(fixed=1, fiber=(2, 3)))
         with pytest.raises(ConstraintError, match="linear"):
             check_integrability(affine)
 

@@ -16,7 +16,6 @@ from diracmech import (
     StructureError,
     VelocityPair,
     induce,
-    induce_affine,
     pairing,
     scale_dual,
     scale_fiber,
@@ -372,7 +371,7 @@ class TestConstantBlocks:
     @pytest.mark.parametrize("constrain", [
         lambda dirac: dirac,
         lambda dirac: induce(dirac, LinearConstraint(fiber=(2,))),
-        lambda dirac: induce_affine(dirac, AffineConstraint(fixed=0, fiber=(2,))),
+        lambda dirac: induce(dirac, AffineConstraint(fixed=0, fiber=(2,))),
     ], ids=["pi-graph", "linear-induced", "affine-induced"])
     def test_one_anchor_evaluation_per_membership_system(self, constrain):
         algebroid = make_random_pigraph(seed=3)
@@ -384,14 +383,14 @@ class TestConstantBlocks:
 
         dirac = constrain(PiGraphDirac(
             SkewAlgebroid(algebroid.chart, anchor, algebroid.structure)))
-        calls.clear()  # induction probes the anchor for containment
+        assert calls == []  # induction evaluates no field
         dirac.membership_system(np.array([0.4, -0.7]), np.array([1.0, 2.0, 3.0]))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("constrain", [
         lambda dirac: dirac,
         lambda dirac: induce(dirac, LinearConstraint(fiber=(2,))),
-        lambda dirac: induce_affine(dirac, AffineConstraint(fixed=0, fiber=(2,))),
+        lambda dirac: induce(dirac, AffineConstraint(fixed=0, fiber=(2,))),
     ], ids=["pi-graph", "linear-induced", "affine-induced"])
     def test_one_structure_evaluation_per_membership_system(self, constrain):
         algebroid = make_random_pigraph(seed=3)
@@ -403,6 +402,6 @@ class TestConstantBlocks:
 
         dirac = constrain(PiGraphDirac(
             SkewAlgebroid(algebroid.chart, algebroid.anchor, structure)))
-        calls.clear()  # induction probes the structure for containment
+        assert calls == []  # induction evaluates no field
         dirac.membership_system(np.array([0.4, -0.7]), np.array([1.0, 2.0, 3.0]))
         assert len(calls) == 1

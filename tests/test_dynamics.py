@@ -17,7 +17,6 @@ from diracmech import (
     el_residual,
     hamilton_residual,
     induce,
-    induce_affine,
     legendre_map,
     legendre_transform,
     nonholonomic_el_residual,
@@ -391,7 +390,7 @@ class TestNonholonomic:
         alg = make_random_pigraph(seed=21, base_dim=1, fiber_dim=3)
         lag = quadratic_lagrangian(lambda x: np.diag([1.0, 2.0, 3.0]))
         constraint = AffineConstraint(fixed=0, fiber=(2,))
-        induced = induce_affine(PiGraphDirac(alg), constraint)
+        induced = induce(PiGraphDirac(alg), constraint)
         rng = np.random.default_rng(8)
         for _ in range(10):
             state = (rng.standard_normal(1), rng.standard_normal(3))

@@ -1,7 +1,8 @@
 """Property tests over random skew algebroids and random adapted constraints.
 
-The induced structure's Euler-Lagrange rows (through the membership kernel)
-and the Lagrangian problem's affine rows are compared with the direct
+The induced structure's Euler-Lagrange rows (through the membership kernel,
+also with the zero fibers re-induced on top of an affine pin) and the
+Lagrangian problem's affine rows are compared with the direct
 adapted-coordinate oracle ``nonholonomic_el_residual``, and the closed-form
 induced subspace with the pointwise oracle ``pointwise_induce``.  The
 pi-graph, the linear and affine induced structures and the time extension
@@ -22,7 +23,6 @@ from diracmech import (
     PontryaginPoint,
     el_residual,
     induce,
-    induce_affine,
     nonholonomic_el_residual,
     pairing,
     pointwise_induce,
@@ -78,33 +78,34 @@ def constrained_systems(draw, affine=True, pin_one=False):
     return algebroid, constraint, zero, fixed, lagrangian, np.random.default_rng(seed)
 
 
-def _induced(algebroid, constraint):
-    if isinstance(constraint, AffineConstraint):
-        return induce_affine(PiGraphDirac(algebroid), constraint)
-    return induce(PiGraphDirac(algebroid), constraint)
-
-
 @settings(deadline=None, max_examples=30)
 @given(constrained_systems())
 def test_induced_el_residual_matches_oracle(system):
-    algebroid, constraint, _, _, lagrangian, rng = system
-    induced = _induced(algebroid, constraint)
+    algebroid, constraint, zero, fixed, lagrangian, rng = system
+    base = PiGraphDirac(algebroid)
+    variants = [induce(base, constraint)]
+    if fixed is not None:
+        # re-induction: the affine pin first, then the zero fibers as a
+        # linear constraint on the affine structure
+        pinned = induce(base, AffineConstraint(fixed=fixed))
+        variants.append(induce(pinned, LinearConstraint(fiber=zero)))
     n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
     for _ in range(3):
         state = (rng.standard_normal(n), rng.standard_normal(m))
         rate = (rng.standard_normal(n), rng.standard_normal(m))
         direct, phase_d = nonholonomic_el_residual(algebroid, constraint, lagrangian,
                                                    state, rate)
-        via_dirac, phase_i = el_residual(induced, lagrangian, state, rate)
-        assert np.max(np.abs(direct - via_dirac)) <= TOL
-        assert np.array_equal(phase_d, phase_i)
+        for induced in variants:
+            via_dirac, phase_i = el_residual(induced, lagrangian, state, rate)
+            assert np.max(np.abs(direct - via_dirac)) <= TOL
+            assert np.array_equal(phase_d, phase_i)
 
 
 @settings(deadline=None, max_examples=30)
 @given(constrained_systems())
 def test_problem_rows_match_oracle(system):
     algebroid, constraint, zero, fixed, lagrangian, rng = system
-    problem = lagrangian_problem(_induced(algebroid, constraint), lagrangian)
+    problem = lagrangian_problem(induce(PiGraphDirac(algebroid), constraint), lagrangian)
     n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
     pinned = sorted(zero + ((fixed,) if fixed is not None else ()))
     free = [i for i in range(m) if i not in pinned]
@@ -144,7 +145,7 @@ def _representation(kind, algebroid, zero, fixed):
     if kind == "linear-induced":
         return induce(base, LinearConstraint(fiber=zero))
     if kind == "affine-induced":
-        return induce_affine(base, AffineConstraint(fixed=fixed, fiber=zero))
+        return induce(base, AffineConstraint(fixed=fixed, fiber=zero))
     return time_extend(base)
 
 
