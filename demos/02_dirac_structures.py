@@ -27,7 +27,7 @@ print("canonical membership residual (xdot = y, xidot = -p):",
       canonical.residual(point))
 
 # the same structure as a bivector graph and as a 2-form graph
-pi_form = canonical.as_pi_graph()
+pi_form = PiGraphDirac(canonical.algebroid)
 omega_form = OmegaGraphDirac(Chart(1, 1), rho=lambda x: np.eye(1),
                              cform=lambda x: np.zeros((1, 1, 1)))
 x, xi = np.array([0.4]), np.array([-1.1])

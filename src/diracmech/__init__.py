@@ -20,7 +20,6 @@ from .dirac import (
     CanonicalDirac,
     DiracAlgebroid,
     GeneralLocalDirac,
-    InducedDirac,
     OmegaGraphDirac,
     PiGraphDirac,
     PontryaginPoint,
@@ -82,7 +81,6 @@ __all__ = [
     "Hamiltonian",
     "HyperregularityError",
     "ImplicitProblem",
-    "InducedDirac",
     "InitializationError",
     "IntegrabilityReport",
     "Lagrangian",

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import linalg
 from .algebroid import JACOBI_TOL
-from .constraints import LinearConstraint, check_integrability, induce
-from .dirac import InducedDirac
+from .constraints import check_integrability
+from .dirac import PiGraphDirac
 from .dynamics import el_residual, hamilton_residual, legendre_transform
 from .errors import DiracMechError
 
@@ -52,9 +52,7 @@ def core_annihilator_check(dirac, probes=50, seed=0, tol=CORE_TOL):
 
 
 def integrability_check(dirac, base_dirac):
-    target = dirac
-    if not isinstance(target, InducedDirac):
-        target = induce(base_dirac, LinearConstraint())
+    target = dirac if isinstance(dirac, PiGraphDirac) else base_dirac
     return dict(check_integrability(target).as_dict(), passed=True)  # informational verdict
 
 

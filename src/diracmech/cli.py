@@ -80,17 +80,17 @@ def validate(value, schema, path=""):
     ``$schema``, ``title``, ``description`` and ``examples`` are ignored.
     """
     where = path or "scenario"
-    kind = schema.get("type")
+    json_type = schema.get("type")
     try:
-        typed = kind is None or _TYPES[kind][0](value)
+        typed = json_type is None or _TYPES[json_type][0](value)
     except OverflowError:
         raise ScenarioError(f"{where} is too large for a float") from None
     if not typed:
-        raise ScenarioError(f"{where} must be {_TYPES[kind][1]} (got {value!r})")
+        raise ScenarioError(f"{where} must be {_TYPES[json_type][1]} (got {value!r})")
     for keyword, (holds, rule) in _RULES.items():
         if keyword in schema and not holds(value, schema[keyword]):
             raise ScenarioError(f"{where} {rule.format(schema[keyword])} (got {value!r})")
-    if kind == "object":
+    if json_type == "object":
         for key in schema.get("required", ()):
             if key not in value:
                 raise ScenarioError(f"{where} is missing required field {key!r}")
@@ -101,7 +101,7 @@ def validate(value, schema, path=""):
                 raise ScenarioError(f"{where} has unknown field {key!r}")
             if sub is not True:
                 validate(item, sub, f"{path}.{key}" if path else key)
-    if kind == "array" and "items" in schema:
+    if json_type == "array" and "items" in schema:
         for k, item in enumerate(value):
             validate(item, schema["items"], f"{where}[{k}]")
 

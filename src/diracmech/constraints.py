@@ -6,7 +6,7 @@ affine case) admit a closed-form induced structure on bivector-graph bases.
 ``induce`` is the one entry for both kinds, ``LinearConstraint`` and
 ``AffineConstraint``: it merges the constraint's selectors with those the
 base structure carries (every structure exposes ``zero_fiber``,
-``zero_base`` and ``fixed_fiber``), and ``InducedDirac`` checks the merged
+``zero_base`` and ``fixed_fiber``), and ``PiGraphDirac`` checks the merged
 selectors.  A general matrix form W(x), whose kernel on (xdot, y) is the
 constraint subspace, is supported through the pointwise assembly only,
 which doubles as an independent oracle for the closed form and reads the
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebroid import JACOBI_TOL
-from .dirac import CanonicalDirac, InducedDirac, PiGraphDirac
+from .dirac import PiGraphDirac
 from .errors import ConstraintError, StructureError
 
 CONTAINMENT_TOL = 1e-8
@@ -89,14 +89,11 @@ def induce(dirac, constraint):
             raise ConstraintError("base structure already pins a different fiber index")
     else:
         raise ConstraintError("induce expects a LinearConstraint or an AffineConstraint")
-    if isinstance(dirac, CanonicalDirac):
-        dirac = dirac.as_pi_graph()
-    if not isinstance(dirac, (PiGraphDirac, InducedDirac)):
+    if not isinstance(dirac, PiGraphDirac):
         raise ConstraintError(
-            "closed-form induction needs a bivector-graph base "
-            f"(got representation '{dirac.kind}')"
+            f"closed-form induction needs a bivector-graph base (got {type(dirac).__name__})"
         )
-    return InducedDirac(dirac.algebroid, zero_fiber=dirac.zero_fiber + constraint.fiber,
+    return PiGraphDirac(dirac.algebroid, zero_fiber=dirac.zero_fiber + constraint.fiber,
                         zero_base=dirac.zero_base + constraint.base, fixed_fiber=fixed)
 
 
@@ -220,7 +217,7 @@ def _largest_entry(xs, blocks, indices):
 
 
 def check_integrability(induced):
-    """Test whether an induced structure closes under the ambient bracket.
+    """Test whether a bivector-graph structure closes under the ambient bracket.
 
     Condition 1: anchor rows of the support-transverse base directions
     vanish on the constrained fiber indices' complement.  Condition 2: the
@@ -230,8 +227,8 @@ def check_integrability(induced):
     reported.  Requires a linear constraint over a bivector graph whose
     algebroid passes a Jacobi test.
     """
-    if not isinstance(induced, InducedDirac):
-        raise ConstraintError("integrability checks need an induced structure")
+    if not isinstance(induced, PiGraphDirac):
+        raise ConstraintError("integrability checks need a bivector-graph structure")
     if induced.fixed_fiber is not None:
         raise ConstraintError("integrability checks cover linear constraints only")
     algebroid = induced.algebroid

@@ -171,11 +171,10 @@ class DiracAlgebroid:
     Every structure carries the adapted selectors of the constraints it was
     induced by: ``zero_fiber`` (fiber indices pinned to y = 0),
     ``zero_base`` (base indices of the support x = 0) and ``fixed_fiber``
-    (the fiber index pinned to y = 1, or None).  They are empty except on
-    ``InducedDirac``; ``free_fiber`` lists the fiber indices left free.
+    (the fiber index pinned to y = 1, or None).  Only ``PiGraphDirac`` takes
+    them, and ``TimeExtendedDirac`` keeps its base's; ``free_fiber`` lists
+    the fiber indices left free.
     """
-
-    kind = "abstract"
 
     def __init__(self, chart, zero_fiber=(), zero_base=(), fixed_fiber=None):
         self.chart = chart
@@ -386,35 +385,78 @@ def _constant(block):
 
 
 class PiGraphDirac(DiracAlgebroid):
-    """Graph of the linear bivector of a skew algebroid.
+    """Graph of the linear bivector of a skew algebroid, under adapted constraints.
 
-    Membership equations: xdot = rho(x) y and, for each j,
-    xidot_j - c^k_{ij}(x) y^i xi_k + rho^a_j(x) p_a = 0.  The phase support
-    is the whole dual bundle.
+    Built from a skew algebroid together with index selectors: base indices
+    A with x^A = 0 (the support), constrained fiber indices with y = 0, and
+    optionally one distinguished fiber index pinned to y = 1 (the affine
+    case).  Membership equations in the adapted coordinates:
+
+        x^A = 0 (phase),
+        xdot = rho(x)[:, free] y_free (+ rho(x)[:, fixed] in the affine case),
+        y_constrained = 0 (and y_fixed = 1),
+        for each free kappa:
+            xidot_kappa + rho^a_kappa p_a
+            - c^j_{iota kappa} y^iota xi_j (- c^j_{fixed kappa} xi_j) = 0,
+
+    while the xidot components of the constrained indices stay free.  With
+    no selectors this is the plain graph, xdot = rho(x) y and
+    xidot_j - c^k_{ij}(x) y^i xi_k + rho^a_j(x) p_a = 0 on the whole dual
+    bundle.
     """
 
-    kind = "pi_graph"
-
-    def __init__(self, algebroid):
-        super().__init__(algebroid.chart)
+    def __init__(self, algebroid, zero_fiber=(), zero_base=(), fixed_fiber=None):
+        n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
+        zero_fiber = tuple(sorted(set(int(i) for i in zero_fiber)))
+        zero_base = tuple(sorted(set(int(a) for a in zero_base)))
+        if any(i < 0 or i >= m for i in zero_fiber):
+            raise ConstraintError(f"fiber selector out of range for fiber_dim={m}")
+        if any(a < 0 or a >= n for a in zero_base):
+            raise ConstraintError(f"base selector out of range for base_dim={n}")
+        if fixed_fiber is not None:
+            fixed_fiber = int(fixed_fiber)
+            if fixed_fiber < 0 or fixed_fiber >= m:
+                raise ConstraintError("fixed fiber index out of range")
+            if fixed_fiber in zero_fiber:
+                raise ConstraintError("fixed fiber index also marked zero")
+        super().__init__(algebroid.chart, zero_fiber, zero_base, fixed_fiber)
         self.algebroid = algebroid
-        n, m = self.chart.base_dim, self.chart.fiber_dim
+        free = list(self.free_fiber)
+        pinned = [i for i in range(m) if i not in free]
+        # the free fiber columns of rho, their y columns in etahat and the
+        # free block of c: slices when nothing is pinned, so that the
+        # unpinned graph indexes views
+        self._cols = free if pinned else slice(None)
+        self._y_cols = [n + i for i in free] if pinned else slice(n, None)
+        self._c_block = np.ix_(free, free) if pinned else ...
         # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in
-        self._eta = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
-        self._etahat = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
+        eye = np.eye(n + m)
+        self._eta = _constant(eye[self._y_cols])
+        self._etahat = _constant(eye[list(range(n)) + [n + i for i in pinned]])
+        if fixed_fiber is not None:
+            # etahat row of the selector y_fixed = 1
+            self._fixed_row = n + pinned.index(fixed_fiber)
 
     def local_form(self, x):
         n = self.chart.base_dim
         rho = self.algebroid.anchor(x)
+        free_rho = rho[:, self._cols]
         etahat = self._etahat.copy()
-        etahat[:, n:] = -rho
+        etahat[:n, self._y_cols] = -free_rho
         zeta = self._eta.copy()
-        zeta[:, :n] = rho.T
-        return LocalForm(self._eta, etahat, zeta)
+        zeta[:, :n] = free_rho.T
+        offset = None
+        if self.fixed_fiber is not None:
+            offset = np.zeros(etahat.shape[0])
+            offset[:n] = rho[:, self.fixed_fiber]
+            offset[self._fixed_row] = 1.0
+        return LocalForm(self._eta, etahat, zeta, offset)
 
     def structure_terms(self, x):
-        return self.algebroid.structure(x), None
+        c = self.algebroid.structure(x)
+        drift = None if self.fixed_fiber is None else c[self._cols, self.fixed_fiber, :]
+        return c[self._c_block], drift
 
 
 class OmegaGraphDirac(DiracAlgebroid):
@@ -425,8 +467,6 @@ class OmegaGraphDirac(DiracAlgebroid):
     equations: y = rho(x) xdot and, for each a,
     p_a - cform[a, b, k] xi_k xdot^b + rho^i_a xidot_i = 0.
     """
-
-    kind = "omega_graph"
 
     def __init__(self, chart, rho, cform):
         super().__init__(chart)
@@ -457,20 +497,25 @@ class OmegaGraphDirac(DiracAlgebroid):
         return -_antisymmetric("cform", c), None
 
 
-class CanonicalDirac(DiracAlgebroid):
+class CanonicalDirac(PiGraphDirac):
     """Canonical structure on the dual of a tangent bundle (requires n = m).
 
-    Membership equations: xdot = y, xidot = -p.
+    The bivector graph of the trivial algebroid (identity anchor, zero
+    structure), with its constant local form built once.  Membership
+    equations: xdot = y, xidot = -p.
     """
-
-    kind = "canonical"
 
     def __init__(self, dim, base_labels=None):
         chart = Chart(dim, dim, base_labels=base_labels)
-        super().__init__(chart)
+        super().__init__(SkewAlgebroid(
+            chart,
+            anchor=lambda x: np.eye(dim),
+            structure=lambda x: np.zeros((dim, dim, dim)),
+            name="canonical",
+        ))
         eye = np.eye(dim)
         self._form = LocalForm(
-            eta=_constant(np.hstack([np.zeros((dim, dim)), eye])),
+            eta=self._eta,
             etahat=_constant(np.hstack([eye, -eye])),
             zeta=_constant(np.hstack([eye, eye])),
         )
@@ -478,16 +523,8 @@ class CanonicalDirac(DiracAlgebroid):
     def local_form(self, x):
         return self._form
 
-    def as_pi_graph(self):
-        """The same structure as the graph of the trivial algebroid bivector."""
-        n = self.chart.base_dim
-        algebroid = SkewAlgebroid(
-            self.chart,
-            anchor=lambda x: np.eye(n),
-            structure=lambda x: np.zeros((n, n, n)),
-            name="canonical",
-        )
-        return PiGraphDirac(algebroid)
+    def structure_terms(self, x):
+        return None, None
 
 
 class GeneralLocalDirac(DiracAlgebroid):
@@ -501,8 +538,6 @@ class GeneralLocalDirac(DiracAlgebroid):
     from the evaluated matrix shapes and verified numerically through the
     kernel-dimension check of ``basis_at``.
     """
-
-    kind = "general_local"
 
     def __init__(self, chart, eta, etahat, zeta, structure=None, phase=None):
         super().__init__(chart)
@@ -562,83 +597,15 @@ class GeneralLocalDirac(DiracAlgebroid):
                 raise StructureError(f"pointwise subspace at x={x} is not isotropic")
 
 
-class InducedDirac(DiracAlgebroid):
-    """Structure induced from a bivector graph by adapted constraints.
-
-    Built from a skew algebroid together with index selectors: base indices
-    A with x^A = 0 (the support), constrained fiber indices with y = 0, and
-    optionally one distinguished fiber index pinned to y = 1 (the affine
-    case).  Membership equations in the adapted coordinates:
-
-        x^A = 0 (phase),
-        xdot = rho(x)[:, free] y_free (+ rho(x)[:, fixed] in the affine case),
-        y_constrained = 0 (and y_fixed = 1),
-        for each free kappa:
-            xidot_kappa + rho^a_kappa p_a
-            - c^j_{iota kappa} y^iota xi_j (- c^j_{fixed kappa} xi_j) = 0,
-
-    while the xidot components of the constrained indices stay free.
-    """
-
-    kind = "induced"
-
-    def __init__(self, algebroid, zero_fiber=(), zero_base=(), fixed_fiber=None):
-        n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
-        zero_fiber = tuple(sorted(set(int(i) for i in zero_fiber)))
-        zero_base = tuple(sorted(set(int(a) for a in zero_base)))
-        if any(i < 0 or i >= m for i in zero_fiber):
-            raise ConstraintError(f"fiber selector out of range for fiber_dim={m}")
-        if any(a < 0 or a >= n for a in zero_base):
-            raise ConstraintError(f"base selector out of range for base_dim={n}")
-        if fixed_fiber is not None:
-            fixed_fiber = int(fixed_fiber)
-            if fixed_fiber < 0 or fixed_fiber >= m:
-                raise ConstraintError("fixed fiber index out of range")
-            if fixed_fiber in zero_fiber:
-                raise ConstraintError("fixed fiber index also marked zero")
-        super().__init__(algebroid.chart, zero_fiber, zero_base, fixed_fiber)
-        self.algebroid = algebroid
-        free = self._free
-        constrained = np.setdiff1d(np.arange(m), free)
-        # eta is constant; etahat and zeta are copies of constant templates
-        # with the anchor filled in
-        self._eta = _constant(np.eye(n + m)[n + free])
-        self._etahat = _constant(np.eye(n + m)[np.r_[np.arange(n), n + constrained]])
-        if fixed_fiber is not None:
-            # etahat row of the selector y_fixed = 1
-            self._fixed_row = n + int(np.searchsorted(constrained, fixed_fiber))
-
-    def local_form(self, x):
-        n = self.chart.base_dim
-        free = self._free
-        rho = self.algebroid.anchor(x)
-        etahat = self._etahat.copy()
-        etahat[:n, n + free] = -rho[:, free]
-        zeta = self._eta.copy()
-        zeta[:, :n] = rho[:, free].T
-        offset = None
-        if self.fixed_fiber is not None:
-            offset = np.zeros(etahat.shape[0])
-            offset[:n] = rho[:, self.fixed_fiber]
-            offset[self._fixed_row] = 1.0
-        return LocalForm(self._eta, etahat, zeta, offset)
-
-    def structure_terms(self, x):
-        c = self.algebroid.structure(x)
-        drift = None if self.fixed_fiber is None else c[self._free, self.fixed_fiber, :]
-        return c[np.ix_(self._free, self._free)], drift
-
-
 class TimeExtendedDirac(DiracAlgebroid):
     """Affine extension by a clock coordinate with unit speed.
 
     The base gains a leading coordinate t with the equation tdot = 1; its
     conjugate momentum slot stays free (a new core direction).  All other
     data of the underlying structure is kept, evaluated at the original
-    base coordinates.
+    base coordinates, and so are its selectors, the base indices shifted
+    past the clock.
     """
-
-    kind = "time_extended"
 
     def __init__(self, base):
         chart = Chart(
@@ -647,7 +614,8 @@ class TimeExtendedDirac(DiracAlgebroid):
             base_labels=("clock",) + base.chart.base_labels,
             fiber_labels=base.chart.fiber_labels,
         )
-        super().__init__(chart)
+        super().__init__(chart, base.zero_fiber, tuple(a + 1 for a in base.zero_base),
+                         base.fixed_fiber)
         self.base = base
         self._clock_row = _constant(np.eye(1, chart.base_dim + chart.fiber_dim))
 
@@ -667,11 +635,6 @@ class TimeExtendedDirac(DiracAlgebroid):
 
     def _phase(self, x, xi):
         return self.base._phase(x[1:], xi)
-
-    def project_support(self, x):
-        x = np.array(x, dtype=float).reshape(-1)
-        x[1:] = self.base.project_support(x[1:])
-        return x
 
 
 def _clocked(block):

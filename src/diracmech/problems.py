@@ -3,7 +3,7 @@ into implicit problems for the integrator.
 
 The pinned fibers of a structure induced by adapted constraints are read
 from the selectors every structure carries (``free_fiber`` and
-``embed_fiber``; nothing is pinned outside ``InducedDirac``).  The
+``embed_fiber``; only a ``PiGraphDirac`` or its clock extension pins).  The
 Lagrangian problem works in reduced coordinates (the pinned fiber
 components are eliminated), while the Hamiltonian problem keeps the full
 dual state.
@@ -27,7 +27,7 @@ differences over (x, u) and exact, f_u^T, over xi.
 import numpy as np
 
 from . import fd
-from .dirac import InducedDirac, TimeExtendedDirac, VelocityPair
+from .dirac import TimeExtendedDirac, VelocityPair
 from .errors import SolverError
 from .solver import ImplicitProblem
 
@@ -69,11 +69,6 @@ def _membership_parts(dirac):
     follow the n base velocity rows of an induced structure.
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    if isinstance(dirac, TimeExtendedDirac) and isinstance(dirac.base, InducedDirac):
-        raise SolverError(
-            "time extension of an induced structure is not supported by the "
-            "problem builders; induce on the extended bundle instead"
-        )
     dropped = m - len(dirac.free_fiber)
     # a slice where it can be: it is a view, and on a 6x12 J costs about
     # 0.3 us per call against 2-2.6 us for an index array

@@ -212,7 +212,7 @@ def _build_canonical_particle(params, constraint):
     ham = quadratic_hamiltonian(lambda x: mass * np.eye(2), name="free_particle")
     dirac = induce(base, constraint) if constraint else base
     return SystemBundle("canonical_particle", base.chart, dirac, base,
-                        algebroid=base.as_pi_graph().algebroid,
+                        algebroid=base.algebroid,
                         lagrangian=lag, closed_hamiltonian=ham)
 
 
@@ -233,7 +233,7 @@ def _build_harmonic_oscillator(params, constraint):
     )
     dirac = induce(base, constraint) if constraint else base
     return SystemBundle("harmonic_oscillator", base.chart, dirac, base,
-                        algebroid=base.as_pi_graph().algebroid,
+                        algebroid=base.algebroid,
                         lagrangian=lag, closed_hamiltonian=ham)
 
 

@@ -4,6 +4,8 @@ import pytest
 from diracmech import (
     CanonicalDirac,
     Chart,
+    Hamiltonian,
+    Lagrangian,
     LinearConstraint,
     PiGraphDirac,
     Section,
@@ -41,6 +43,27 @@ def disc_lagrangian():
 @pytest.fixture
 def disc_hamiltonian():
     return rolling_disc_hamiltonian()
+
+
+def clocked_lagrangian(lag):
+    """``lag`` on the clock-extended base (t, x); it does not depend on t."""
+
+    def hess_yx(x, y):
+        return np.hstack([np.zeros((y.size, 1)), lag.hess_yx(x[1:], y)])
+
+    return Lagrangian(lambda x, y: lag(x[1:], y),
+                      grad_x=lambda x, y: np.concatenate([[0.0], lag.grad_x(x[1:], y)]),
+                      grad_y=lambda x, y: lag.grad_y(x[1:], y),
+                      hess_yy=lambda x, y: lag.hess_yy(x[1:], y),
+                      hess_yx=hess_yx, name=f"clocked-{lag.name}")
+
+
+def clocked_hamiltonian(ham):
+    """``ham`` on the clock-extended base (t, x), with ``hess_xi`` left to differences."""
+    return Hamiltonian(lambda x, xi: ham(x[1:], xi),
+                       grad_x=lambda x, xi: np.concatenate([[0.0], ham.grad_x(x[1:], xi)]),
+                       grad_xi=lambda x, xi: ham.grad_xi(x[1:], xi),
+                       name=f"clocked-{ham.name}")
 
 
 @pytest.fixture

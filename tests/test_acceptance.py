@@ -228,7 +228,7 @@ def test_criterion_06_structural_property_suite(disc_pi, disc_induced, so3):
 
     from diracmech.algebroid import basis_sections
     jac_worst = 0.0
-    canonical_alg = CanonicalDirac(2).as_pi_graph().algebroid
+    canonical_alg = CanonicalDirac(2).algebroid
     for alg in (disc_pi.algebroid, canonical_alg, so3):
         sections = basis_sections(alg.chart)
         m = alg.chart.fiber_dim

@@ -220,7 +220,7 @@ class TestClosedFormJacobiator:
         assert abs(closed - oracle) <= 1e-6 * (1.0 + oracle)
 
     @pytest.mark.parametrize("alg", [
-        so3_algebroid(), rolling_disc_algebroid(), CanonicalDirac(2).as_pi_graph().algebroid,
+        so3_algebroid(), rolling_disc_algebroid(), CanonicalDirac(2).algebroid,
     ], ids=["so3", "disc", "canonical"])
     def test_catalog_is_lie(self, alg):
         rng = np.random.default_rng(3)

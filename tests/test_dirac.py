@@ -16,12 +16,15 @@ from diracmech import (
     StructureError,
     VelocityPair,
     induce,
+    lagrangian_problem,
     pairing,
     scale_dual,
     scale_fiber,
+    solve_rate,
     time_extend,
 )
 from diracmech.linalg import annihilator, max_principal_angle
+from diracmech.systems import quadratic_lagrangian
 
 from conftest import make_random_pigraph
 
@@ -243,7 +246,7 @@ class TestInvariants:
 
     def test_canonical_three_ways(self):
         canonical = CanonicalDirac(2)
-        pi = canonical.as_pi_graph()
+        pi = PiGraphDirac(canonical.algebroid)
         omega = canonical_like_omega(2)
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -266,7 +269,52 @@ class TestInvariants:
                 assert max_principal_angle(core, ann) <= 1e-8
 
 
+class TestPiGraph:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unpinned_blocks_are_the_plain_graph(self, seed):
+        algebroid = make_random_pigraph(seed=seed)
+        dirac = PiGraphDirac(algebroid)
+        n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
+        x = np.random.default_rng(seed).standard_normal(n)
+        rho, c = algebroid.anchor(x), algebroid.structure(x)
+        eta, etahat, zeta, offset = dirac.local_form(x)
+        assert np.array_equal(eta, np.hstack([np.zeros((m, n)), np.eye(m)]))
+        assert np.array_equal(etahat, np.hstack([np.eye(n), -rho]))
+        assert np.array_equal(zeta, np.hstack([rho.T, np.eye(m)]))
+        assert offset is None
+        terms, drift = dirac.structure_terms(x)
+        assert np.array_equal(terms, c) and drift is None
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_canonical_is_the_trivial_algebroid_graph(self, dim):
+        canonical = CanonicalDirac(dim)
+        graph = PiGraphDirac(canonical.algebroid)
+        x = np.random.default_rng(dim).standard_normal(dim)
+        for built, general in zip(canonical.local_form(x), graph.local_form(x)):
+            assert (built is None and general is None) or np.array_equal(built, general)
+
+
 class TestTimeExtension:
+    @pytest.mark.parametrize("base", [
+        lambda: CanonicalDirac(1),
+        lambda: PiGraphDirac(make_random_pigraph(seed=3)),
+    ], ids=["canonical", "pi-graph"])
+    def test_unconstrained_bases_build_lagrangian_problems(self, base):
+        ext = time_extend(base())
+        n, m = ext.chart.base_dim, ext.chart.fiber_dim
+        lag = quadratic_lagrangian(lambda x: np.eye(m))
+        problem = lagrangian_problem(ext, lag)
+        assert problem.state_dim == n + m
+        rate, _, _ = solve_rate(problem, 0.0, np.ones(n + m))
+        assert rate[0] == pytest.approx(1.0)
+
+    def test_keeps_the_base_selectors_past_the_clock(self, disc_pi):
+        base = induce(disc_pi, AffineConstraint(fixed=1, fiber=(3,), base=(0,)))
+        ext = time_extend(base)
+        assert ext.zero_fiber == (3,) and ext.fixed_fiber == 1
+        assert ext.zero_base == (1,) and ext.free_fiber == base.free_fiber
+        assert np.array_equal(ext.project_support([0.5, 0.7]), [0.5, 0.0])
+
     def test_dimension_gains_clock_direction(self, canonical1):
         ext = time_extend(canonical1)
         assert ext.chart.base_dim == 2 and ext.chart.fiber_dim == 1

@@ -5,9 +5,18 @@ pinned channel must be the state Jacobian of the generator's channel."""
 import numpy as np
 import pytest
 
-from diracmech import el_residual, fd, hamilton_residual, legendre_transform, pmp_residual
+from diracmech import (
+    el_residual,
+    fd,
+    hamilton_residual,
+    legendre_transform,
+    pmp_residual,
+    time_extend,
+)
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 from diracmech.systems import build_system
+
+from conftest import clocked_lagrangian
 
 
 def _lagrangian_induced(request):
@@ -30,6 +39,20 @@ def _lagrangian_unconstrained(request):
     def reference(state, rate):
         rows, _ = el_residual(dirac, lag, (state[:1], state[1:]), (rate[:1], rate[1:]))
         return rows, None
+
+    return lagrangian_problem(dirac, lag), reference
+
+
+def _lagrangian_time_extended_induced(request):
+    dirac = time_extend(request.getfixturevalue("disc_induced"))
+    lag = clocked_lagrangian(request.getfixturevalue("disc_lagrangian"))
+
+    def reference(state, rate):
+        x, y = state[:2], np.array([state[2], state[3], 0.0, 0.0])
+        ydot = np.array([rate[2], rate[3], 0.0, 0.0])
+        rows, _ = el_residual(dirac, lag, (x, y), (rate[:2], ydot))
+        # the selector rows y3 = y4 = 0 follow the clock and base velocity rows
+        return np.concatenate([rows[:2], rows[4:]]), None
 
     return lagrangian_problem(dirac, lag), reference
 
@@ -90,6 +113,7 @@ def _time_dependent(request):
 CASES = {
     "lagrangian-induced": _lagrangian_induced,
     "lagrangian-unconstrained": _lagrangian_unconstrained,
+    "lagrangian-time-extended-induced": _lagrangian_time_extended_induced,
     "hamiltonian-induced": _hamiltonian_induced,
     "hamiltonian-induced-legendre": _hamiltonian_induced_legendre,
     "pmp": _pmp,

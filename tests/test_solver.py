@@ -13,10 +13,13 @@ from diracmech import (
     lagrangian_problem,
     project_initial,
     solve_rate,
+    time_extend,
 )
 from diracmech import fd, solver
 from diracmech.problems import hamiltonian_problem
 from diracmech.systems import build_problem, build_system
+
+from conftest import clocked_hamiltonian, clocked_lagrangian
 
 
 @pytest.fixture
@@ -56,6 +59,16 @@ class TestProjectInitial:
         feasible = np.concatenate([[0.0], xi])
         projected = project_initial(problem, feasible)
         assert np.max(np.abs(projected - feasible)) <= 1e-12
+
+    def test_convergence_on_the_last_allowed_step(self, monkeypatch):
+        # the stationarity is linear, so one Gauss-Newton step reaches it
+        problem = build_problem(build_system("lqr_pmp"), "pmp")
+        guess = np.array([1.0, 0.3, -0.7])
+        expected = project_initial(problem, guess)
+        monkeypatch.setattr(solver, "PROJECTION_MAX_ITER", 1)
+        projected = project_initial(problem, guess)
+        assert np.array_equal(projected, expected)
+        assert np.max(np.abs(projected - [1.0, -0.2, -0.2])) <= 1e-10
 
 
 class TestSolveRate:
@@ -153,6 +166,25 @@ class TestIntegrate:
         assert abs(traj.states[-1][2] - 2.0) <= 1e-9
         assert np.max(traj.residual_norms) <= 1e-9
         assert np.all(np.diff(traj.times) > 0)
+
+    @pytest.mark.parametrize("formalism, steps", [("lagrangian", 300), ("hamiltonian", 100)])
+    def test_clock_extension_reproduces_induced_run(self, formalism, steps, disc_induced,
+                                                    disc_lagrangian, disc_hamiltonian):
+        extended = time_extend(disc_induced)
+        if formalism == "lagrangian":
+            problem = lagrangian_problem(disc_induced, disc_lagrangian)
+            clocked = lagrangian_problem(extended, clocked_lagrangian(disc_lagrangian))
+            state0 = np.array([0.3, 1.0, 2.0])
+        else:
+            problem = hamiltonian_problem(disc_induced, disc_hamiltonian)
+            clocked = hamiltonian_problem(extended, clocked_hamiltonian(disc_hamiltonian))
+            state0 = project_initial(problem, np.array([0.3, 1.0, 2.0, 0.5, -0.5]))
+        dt = 1e-3
+        traj = integrate(problem, state0, 0.0, steps * dt, dt)
+        clocked_traj = integrate(clocked, np.concatenate([[0.0], state0]), 0.0, steps * dt, dt)
+        states, clocked_states = np.array(traj.states), np.array(clocked_traj.states)
+        assert np.max(np.abs(clocked_states[:, 1:] - states)) <= 1e-12
+        assert np.max(np.abs(clocked_states[:, 0] - traj.times)) <= 1e-12
 
     def test_oscillator_cosine(self, oscillator_problem):
         traj = integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, np.pi, 1e-3)
