@@ -18,6 +18,8 @@ from . import fd
 from .errors import EvaluationError, StructureError
 
 STRUCTURE_ANTISYM_TOL = 1e-12
+# supplied section Jacobians against central differences, relative to 1 + max|J|
+JACOBIAN_CHECK_RTOL = 1e-6
 # largest basis Jacobiator entry (``basis_jacobi_violation``) of a Lie algebroid;
 # set for the nested differences of ``jacobiator``, well above the closed form's
 # floor of about 1e-9 on structure functions that vary with x
@@ -127,7 +129,7 @@ class Section:
             fd.jacobian(self._fn, x, rel=self.fd_rel),
         )
 
-    def check_jacobian(self, points, rtol=1e-6):
+    def check_jacobian(self, points):
         """Verify a supplied Jacobian against central differences at probe points."""
         if self._jac is None:
             return
@@ -135,7 +137,7 @@ class Section:
             jn = fd.jacobian(self._fn, np.asarray(x, dtype=float))
             ja = self._jac(np.asarray(x, dtype=float))
             scale = 1.0 + np.max(np.abs(jn))
-            if np.max(np.abs(ja - jn)) > rtol * scale:
+            if np.max(np.abs(ja - jn)) > JACOBIAN_CHECK_RTOL * scale:
                 raise StructureError(
                     f"analytic Jacobian of section {self.name or '<anonymous>'} "
                     f"deviates from finite differences at x={np.asarray(x)}"

@@ -11,11 +11,10 @@ import numpy as np
 from . import linalg
 from .algebroid import JACOBI_TOL
 from .constraints import check_integrability
-from .dirac import PiGraphDirac
+from .dirac import ISOTROPY_TOL, PiGraphDirac
 from .dynamics import el_residual, hamilton_residual, legendre_transform
 from .errors import DiracMechError
 
-ISOTROPY_TOL = 1e-10
 CORE_TOL = 1e-8
 LEGENDRE_TOL = 1e-7
 
@@ -23,22 +22,26 @@ CHECK_NAMES = ("isotropy", "jacobi", "integrability", "core_annihilator",
                "legendre_equivalence")
 
 
-def isotropy_check(dirac, probes=50, seed=0, tol=ISOTROPY_TOL):
+def _verdict(worst, tol):
+    return {"max_violation": worst, "tolerance": tol, "passed": worst <= tol}
+
+
+def isotropy_check(dirac, probes=50, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(probes):
         worst = max(worst, dirac.isotropy_violation(*dirac.sample_phase_point(rng)))
-    return {"max_violation": worst, "tolerance": tol, "passed": worst <= tol}
+    return _verdict(worst, ISOTROPY_TOL)
 
 
-def jacobi_check(algebroid, probes=20, seed=0, tol=JACOBI_TOL):
+def jacobi_check(algebroid, probes=20, seed=0):
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(algebroid.chart.base_dim) for _ in range(probes)]
     worst = algebroid.basis_jacobi_violation(xs)
-    return {"max_violation": worst, "tolerance": tol, "passed": worst <= tol}
+    return _verdict(worst, JACOBI_TOL)
 
 
-def core_annihilator_check(dirac, probes=50, seed=0, tol=CORE_TOL):
+def core_annihilator_check(dirac, probes=50, seed=0):
     rng = np.random.default_rng(seed)
     n = dirac.chart.base_dim
     worst = 0.0
@@ -48,7 +51,7 @@ def core_annihilator_check(dirac, probes=50, seed=0, tol=CORE_TOL):
         vel = dirac.velocity_space(x)
         ann = linalg.annihilator(np.hstack([vel[:n].T, vel[n:].T]))
         worst = max(worst, linalg.max_principal_angle(core, ann))
-    return {"max_violation": worst, "tolerance": tol, "passed": worst <= tol}
+    return _verdict(worst, CORE_TOL)
 
 
 def integrability_check(dirac, base_dirac):
@@ -56,8 +59,7 @@ def integrability_check(dirac, base_dirac):
     return dict(check_integrability(target).as_dict(), passed=True)  # informational verdict
 
 
-def legendre_equivalence_check(dirac, lagrangian, probes=50, seed=0,
-                               tol=LEGENDRE_TOL, hamiltonian=None):
+def legendre_equivalence_check(dirac, lagrangian, probes=50, seed=0, hamiltonian=None):
     """Bidirectional zero-set correspondence through the fiber derivative.
 
     Forward: solve the Euler-Lagrange rates at a random state, push the
@@ -108,7 +110,7 @@ def legendre_equivalence_check(dirac, lagrangian, probes=50, seed=0,
                                xidot - lagrangian.hess_yx(x, y) @ xdot)
         rows, _ = el_residual(dirac, lagrangian, (x, y), (xdot, ydot))
         worst = max(worst, float(np.max(np.abs(rows), initial=0.0)))
-    return {"max_violation": worst, "tolerance": tol, "passed": worst <= tol}
+    return _verdict(worst, LEGENDRE_TOL)
 
 
 def run_checks(bundle, names, seed=0):

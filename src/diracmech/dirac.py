@@ -56,6 +56,8 @@ from .errors import (
 
 PHASE_TOL = 1e-9
 BASE_MATCH_TOL = 1e-12
+# largest pairing of two basis vectors of an isotropic pointwise subspace
+ISOTROPY_TOL = 1e-10
 
 
 class PontryaginPoint:
@@ -119,7 +121,7 @@ class VelocityPair:
                 raise EvaluationError(f"coordinate block '{name}' has non-finite entries")
 
 
-def pairing(p1, p2, tol=BASE_MATCH_TOL):
+def pairing(p1, p2):
     """Symmetric pairing of two Pontryagin points over the same base point.
 
     Returns (p1 . xdot2 + y1 . xidot2 + p2 . xdot1 + y2 . xidot1) / 2; the
@@ -127,9 +129,7 @@ def pairing(p1, p2, tol=BASE_MATCH_TOL):
     """
     if p1.x.size != p2.x.size or p1.xi.size != p2.xi.size:
         raise BasePointMismatchError("points live over charts of different dimensions")
-    if np.max(np.abs(p1.x - p2.x), initial=0.0) > tol or np.max(
-        np.abs(p1.xi - p2.xi), initial=0.0
-    ) > tol:
+    if np.max(np.abs(np.concatenate([p1.x - p2.x, p1.xi - p2.xi])), initial=0.0) > BASE_MATCH_TOL:
         raise BasePointMismatchError("pairing requires a common (x, xi) base point")
     return 0.5 * (
         float(p1.p @ p2.xdot) + float(p1.y @ p2.xidot)
@@ -333,10 +333,10 @@ class DiracAlgebroid:
         xi = np.asarray(xi, dtype=float).reshape(-1)
         return self._phase(x, xi)
 
-    def phase_membership(self, x, xi, tol=PHASE_TOL):
+    def phase_membership(self, x, xi):
         """(bool, residual): whether (x, xi) satisfies the phase equations."""
         res = self.phase_residual(x, xi)
-        return bool(np.max(np.abs(res), initial=0.0) <= tol), res
+        return bool(np.max(np.abs(res), initial=0.0) <= PHASE_TOL), res
 
     def project_support(self, x):
         """Project a base point onto the base support x^A = 0."""
@@ -362,18 +362,18 @@ class DiracAlgebroid:
             )
         return xi
 
-    def sample_phase_point(self, rng, scale=1.0):
+    def sample_phase_point(self, rng):
         """Random (x, xi) on the phase support."""
         n, m = self.chart.base_dim, self.chart.fiber_dim
-        x = self.project_support(scale * rng.standard_normal(n))
+        x = self.project_support(rng.standard_normal(n))
         xi0 = self.phase_point(x)
         res0 = self.phase_residual(x, xi0)
         if res0.size:
             B = fd.jacobian(lambda z: self.phase_residual(x, z), xi0)
             K = linalg.null_space(B)
-            xi = xi0 + K @ (scale * rng.standard_normal(K.shape[1]))
+            xi = xi0 + K @ rng.standard_normal(K.shape[1])
         else:
-            xi = scale * rng.standard_normal(m)
+            xi = rng.standard_normal(m)
         return x, xi
 
 
@@ -577,7 +577,7 @@ class GeneralLocalDirac(DiracAlgebroid):
 
         return cls(chart, eta, etahat, zeta, structure, phase)
 
-    def validate(self, probe_points, tol=1e-10):
+    def validate(self, probe_points):
         """Check invertibility, the rank of zeta, isotropy and kernel dimension.
 
         [eta; etahat] must be a linear isomorphism, and zeta must have full
@@ -593,7 +593,7 @@ class GeneralLocalDirac(DiracAlgebroid):
                 raise StructureError(
                     f"zeta must have full row rank {eta.shape[0]}, the row count of eta"
                 )
-            if self.isotropy_violation(x, self.phase_point(x)) > tol:
+            if self.isotropy_violation(x, self.phase_point(x)) > ISOTROPY_TOL:
                 raise StructureError(f"pointwise subspace at x={x} is not isotropic")
 
 

@@ -38,6 +38,7 @@ from . import fd
 from .algebroid import _check_finite
 from .dirac import PontryaginPoint
 from .errors import EvaluationError, HyperregularityError, StructureError
+from .solver import CONDITION_LIMIT
 
 GRADIENT_CHECK_RTOL = 1e-5
 # Newton inversion of the fiber derivative: residual tolerance relative to
@@ -86,13 +87,13 @@ class _Partials:
         """Relative step for differencing partial ``label``: coarse if that is a fallback too."""
         return fd.REL_FIRST if label in self._analytic else fd.REL_SECOND
 
-    def validate(self, probes, rtol=GRADIENT_CHECK_RTOL):
+    def validate(self, probes):
         """Raise StructureError where a supplied partial deviates from its fallback."""
         for a, b in probes:
             for label in self._analytic:
                 numeric = self._partial(label, a, b, fallback=True)
-                scale = 1.0 + np.max(np.abs(numeric), initial=0.0)
-                if np.max(np.abs(self._partial(label, a, b) - numeric), initial=0.0) > rtol * scale:
+                bound = GRADIENT_CHECK_RTOL * (1.0 + np.max(np.abs(numeric), initial=0.0))
+                if np.max(np.abs(self._partial(label, a, b) - numeric), initial=0.0) > bound:
                     at = ", ".join(f"{k}={np.asarray(v, dtype=float)}"
                                    for k, v in zip(self._POINT, (a, b)))
                     raise StructureError(
@@ -332,8 +333,9 @@ def legendre_transform(lagrangian, probes, name=""):
     """Hamiltonian of a hyperregular Lagrangian, H(x, xi) = xi . y* - L(x, y*).
 
     ``probes`` is a sequence of (x, y) points on which hyperregularity is
-    verified at construction (invertible fiber Hessian, round-trip through
-    the vertical derivative).  The returned Hamiltonian solves the inverse
+    verified at construction (a fiber Hessian of condition number at most
+    ``solver.CONDITION_LIMIT``, round-trip through the vertical
+    derivative).  The returned Hamiltonian solves the inverse
     map y*(x, xi) by Newton iteration once per point: the last inverse is
     memoised on the bytes of (x, xi), so H and every partial at one point
     share it (a failed inversion is not kept).  The partials use the
@@ -361,7 +363,10 @@ def legendre_transform(lagrangian, probes, name=""):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         H = lagrangian.hess_yy(x, y)
-        if not np.all(np.isfinite(H)) or abs(np.linalg.det(H)) < 1e-12:
+        # the rate solve's relative rule; an absolute determinant would
+        # reject a well-conditioned Hessian of small scale
+        sigma = np.linalg.svd(H, compute_uv=False) if np.all(np.isfinite(H)) else np.zeros(1)
+        if sigma.size and not 0.0 < sigma[0] <= CONDITION_LIMIT * sigma[-1]:
             raise HyperregularityError(
                 f"fiber Hessian is singular at probe x={x}, y={y}", x=x
             )

@@ -11,7 +11,7 @@ import scipy.linalg
 RANK_RCOND = 1e-9
 
 
-def null_space(a, rcond=RANK_RCOND, scale=None):
+def null_space(a, scale=None):
     """Orthonormal basis (columns) of the kernel of ``a``.
 
     ``scale`` overrides the reference magnitude for the rank decision; by
@@ -22,25 +22,25 @@ def null_space(a, rcond=RANK_RCOND, scale=None):
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
     ref = (s[0] if s.size else 0.0) if scale is None else float(scale)
-    rank = int(np.sum(s > ref * rcond))
+    rank = int(np.sum(s > ref * RANK_RCOND))
     return vh[rank:].conj().T
 
 
-def numeric_rank(a, rcond=RANK_RCOND):
+def numeric_rank(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > s[0] * rcond)) if s.size else 0
+    return int(np.sum(s > s[0] * RANK_RCOND)) if s.size else 0
 
 
-def orthonormal_span(columns, rcond=RANK_RCOND):
+def orthonormal_span(columns):
     """Orthonormal basis (columns) of the column span of ``columns``."""
     m = np.atleast_2d(np.asarray(columns, dtype=float))
     if m.shape[1] == 0:
         return m.reshape(m.shape[0], 0)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    tol = s[0] * rcond if s.size and s[0] > 0 else 0.0
+    tol = s[0] * RANK_RCOND if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > tol))
     return u[:, :rank]
 
@@ -50,7 +50,7 @@ def annihilator(vectors_rows):
     return null_space(np.atleast_2d(np.asarray(vectors_rows, dtype=float)))
 
 
-def intersect_span_with_kernel(span_cols, constraint_rows, rcond=RANK_RCOND):
+def intersect_span_with_kernel(span_cols, constraint_rows):
     """Columns spanning {v in col-span : constraint_rows @ v = 0}.
 
     The rank decision for the restricted constraints is taken relative to
@@ -62,8 +62,8 @@ def intersect_span_with_kernel(span_cols, constraint_rows, rcond=RANK_RCOND):
     if b.shape[1] == 0 or c.shape[0] == 0:
         return b
     scale = np.linalg.norm(c, 2)
-    alpha = null_space(c @ b, rcond, scale=scale if scale > 0 else None)
-    return orthonormal_span(b @ alpha, rcond)
+    alpha = null_space(c @ b, scale=scale if scale > 0 else None)
+    return orthonormal_span(b @ alpha)
 
 
 def principal_angles(a_cols, b_cols):

@@ -1,0 +1,49 @@
+"""The benchmark under ``bench/`` wraps package names from outside: every
+name it patches must exist, and a traced run must reach the layers it
+counts.  A rename in the package then fails here rather than in the
+benchmark."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from diracmech import cli, solver, systems
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    return tracing
+
+
+def test_probes_install_and_remove(tracing):
+    originals = {name: getattr(cli, name) for name in tracing.Probes.SETUP + ("integrate",)}
+    probes = tracing.Probes(cli)
+    probes.install()
+    try:
+        assert all(getattr(cli, name) is not fn for name, fn in originals.items())
+    finally:
+        probes.remove()
+    assert all(getattr(cli, name) is fn for name, fn in originals.items())
+
+
+def test_tracer_counts_a_traced_run(tracing):
+    solve_rate = solver.solve_rate
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        problem = systems.build_problem(systems.build_system("lqr_pmp"), "pmp")
+        solver.integrate(problem, np.array([1.0, 0.0, 0.0]), 0.0, 0.01, 0.005)
+    finally:
+        tracer.remove()
+    calls = tracer.totals()[0]
+    assert tracer.assemblies > 0 and tracer.solve_iters > 0
+    for name in ("solver.solve_rate", "problems.residual", "problems.algebraic.projection",
+                 "problems.monitor", "fd.jacobian", "systems.build_problem"):
+        assert calls[name] > 0, name
+    assert solver.solve_rate is solve_rate

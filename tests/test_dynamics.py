@@ -23,7 +23,7 @@ from diracmech import (
     pmp_residual,
     time_extend,
 )
-from diracmech.systems import quadratic_lagrangian, rolling_disc_lagrangian
+from diracmech.systems import build_system, quadratic_lagrangian, rolling_disc_lagrangian
 
 from conftest import make_random_pigraph
 
@@ -241,6 +241,19 @@ class TestLegendreTransform:
                          hess_yy=lambda x, y: np.zeros((1, 1)))
         with pytest.raises(HyperregularityError):
             legendre_transform(lag, [(np.zeros(1), np.zeros(1))])
+
+    def test_ill_conditioned_lagrangian_rejected(self):
+        # determinant 0.1, condition number 1e13
+        lag = quadratic_lagrangian(lambda x: np.diag([1e6, 1e-7]))
+        with pytest.raises(HyperregularityError):
+            legendre_transform(lag, [(np.zeros(1), np.ones(2))])
+
+    def test_small_scale_hessian_accepted(self):
+        # condition number 3: hyperregularity is relative to the Hessian's scale
+        bundle = build_system("euler_top", {"J1": 1e-5, "J2": 2e-5, "J3": 3e-5})
+        ham = bundle.hamiltonian()
+        xi = np.array([1e-5, 2e-6, 0.0])
+        assert np.allclose(ham.grad_xi(np.zeros(0), xi), xi / [1e-5, 2e-5, 3e-5])
 
     def test_one_inversion_per_point(self, monkeypatch, disc_lagrangian):
         import diracmech.dynamics as dynamics

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from diracmech import (
+    CanonicalDirac,
+    ControlSystem,
+    LinearConstraint,
     el_residual,
     fd,
     hamilton_residual,
+    induce,
+    integrate,
     legendre_transform,
     pmp_residual,
     time_extend,
 )
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
+from diracmech.solver import PROJECTION_TOL
 from diracmech.systems import build_system
 
 from conftest import clocked_lagrangian
@@ -163,3 +169,18 @@ def test_closed_hamiltonian_pinned_rows_are_the_fd_jacobian(disc_induced, disc_h
         G = fd.jacobian(lambda s: disc_hamiltonian.grad_xi(s[:1], s[1:])[pinned], state)
         assert np.array_equal(A[-2:], G)
         assert not b[-2:].any()
+
+
+def test_pmp_channel_holds_the_phase_equations():
+    # a base constraint x1 = 0 pins no fiber, so the control problem accepts
+    # the structure; its support equation precedes the stationarity in the
+    # channel, and the projection keeps the run on the support
+    dirac = induce(CanonicalDirac(2), LinearConstraint(base=(0,)))
+    system = ControlSystem(lambda x, u: np.array([u[0], 1.0]),
+                           lambda x, u: 0.5 * float(u @ u))
+    problem = pmp_problem(system, dirac)
+    state = np.array([1.0, 0.0, 5e-4, 5e-4, 0.0])
+    channel = problem.algebraic_at(0.0, state)
+    assert channel.size == 2 and np.max(np.abs(channel - [1.0, 0.0])) <= 1e-12
+    trajectory = integrate(problem, state, 0.0, 0.1, 0.01)
+    assert np.max(np.abs(trajectory.states[:, 0])) <= PROJECTION_TOL
