@@ -30,9 +30,17 @@ Membership in the structure is the vanishing of
     zeta(x) (p, xidot) + c(x)[eta(x)(xdot, y), xi] + drift(x) xi,
 
 together with the phase equations at (x, xi).  These rows are linear in w
-and are assembled in one place, ``DiracAlgebroid.membership_system``, as
-(J, const) with residual J w + const.  The Euler-Lagrange, Hamilton and
-control dynamics (``dynamics``, ``problems``) only fill the slots of w.
+and are written in one place, the kernel ``DiracAlgebroid._kernel``, as
+(J, const) with residual J w + const; ``membership_system`` returns them.
+The Euler-Lagrange, Hamilton and control dynamics (``dynamics``,
+``problems``) only fill the slots of w.
+
+(J, const) is affine in xi, with coefficients that depend on x alone.  A
+structure whose coefficients do not depend on x either (``x_independent``:
+a point base, ``CanonicalDirac`` and their clock extensions) tabulates them
+at its first membership call from m + 1 kernel evaluations, so its user
+fields are evaluated m + 1 times then and never again there; every other
+structure (the rolling disc) evaluates them once per call.
 """
 
 from typing import NamedTuple
@@ -166,7 +174,8 @@ class DiracAlgebroid:
     A representation overrides ``local_form(x)``, which returns the blocks,
     and, where they do not vanish, ``structure_terms(x)``, which gives the
     structure terms only membership reads, and the phase hook
-    ``_phase(x, xi)``.
+    ``_phase(x, xi)``.  One whose blocks are constant over a base of
+    positive dimension says so through ``x_independent``.
 
     Every structure carries the adapted selectors of the constraints it was
     induced by: ``zero_fiber`` (fiber indices pinned to y = 0),
@@ -191,6 +200,14 @@ class DiracAlgebroid:
             self._pinned_fiber = np.zeros(chart.fiber_dim)
             if fixed_fiber is not None:
                 self._pinned_fiber[fixed_fiber] = 1.0
+        # (J0, J_k, c0, c_k) of an x-independent structure, built on first use
+        self._table = None
+
+    @property
+    def x_independent(self):
+        """Whether the local form and structure terms are the same at every x:
+        by default only on a point base (a Lie algebra), which has no x."""
+        return self.chart.base_dim == 0
 
     def embed_fiber(self, y_free):
         """Fiber vector with components ``y_free`` at ``free_fiber``, the pinned ones set."""
@@ -227,7 +244,23 @@ class DiracAlgebroid:
         return self._membership(x, xi)
 
     def _membership(self, x, xi):
-        """``membership_system`` for an (x, xi) the caller has already checked."""
+        """``membership_system`` for an (x, xi) the caller has already checked.
+
+        An x-independent structure tabulates (J0, J_k, c0, c_k) on its first
+        call, from the kernel at xi = 0 and at the unit vectors.
+        """
+        if not self.x_independent:
+            return self._kernel(x, xi)
+        if self._table is None:
+            J0, c0 = self._kernel(x, np.zeros(xi.size))
+            units = [self._kernel(x, e) for e in np.eye(xi.size)]
+            self._table = (J0, np.stack([J - J0 for J, _ in units], axis=-1),
+                           c0, np.stack([c - c0 for _, c in units], axis=-1))
+        J0, T, c0, D = self._table
+        return J0 + T @ xi, c0 + D @ xi
+
+    def _kernel(self, x, xi):
+        """The membership rows (J, const) at a checked (x, xi), from the local form."""
         n, m = self.chart.base_dim, self.chart.fiber_dim
         lf = self.local_form(x)
         q = lf.etahat.shape[0]
@@ -501,8 +534,8 @@ class CanonicalDirac(PiGraphDirac):
     """Canonical structure on the dual of a tangent bundle (requires n = m).
 
     The bivector graph of the trivial algebroid (identity anchor, zero
-    structure), with its constant local form built once.  Membership
-    equations: xdot = y, xidot = -p.
+    structure), with its constant local form built once; its membership
+    rows are tabulated.  Membership equations: xdot = y, xidot = -p.
     """
 
     def __init__(self, dim, base_labels=None):
@@ -520,11 +553,12 @@ class CanonicalDirac(PiGraphDirac):
             zeta=_constant(np.hstack([eye, eye])),
         )
 
+    @property
+    def x_independent(self):
+        return True
+
     def local_form(self, x):
         return self._form
-
-    def structure_terms(self, x):
-        return None, None
 
 
 class GeneralLocalDirac(DiracAlgebroid):
@@ -618,6 +652,11 @@ class TimeExtendedDirac(DiracAlgebroid):
                          base.fixed_fiber)
         self.base = base
         self._clock_row = _constant(np.eye(1, chart.base_dim + chart.fiber_dim))
+
+    @property
+    def x_independent(self):
+        # the base is evaluated at x[1:]; the clock coordinate is never read
+        return self.base.x_independent
 
     def local_form(self, x):
         eta, etahat, zeta, offset = self.base.local_form(x[1:])

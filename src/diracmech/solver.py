@@ -11,11 +11,16 @@ fixed point s = state + dt * rate(t + dt/2, (state + s)/2) iterated with
 one exact rate solve each time, which raises SolverError unless it contracts.
 After every accepted step the state is re-projected onto the algebraic
 channel by Gauss-Newton to prevent constraint drift.
+
+The rate solve calls LAPACK directly, ``dgesdd`` for the singular values of
+the condition check and ``dgesv`` for the solve, without the overhead of the
+``numpy.linalg`` wrappers; a nonzero ``info`` from either raises SolverError.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd, dgesv
 
 from . import fd
 from .errors import DegenerateDynamicsError, InitializationError, SolverError
@@ -113,7 +118,8 @@ def solve_rate(problem, t, state, rate_guess=None):
     ``NEWTON_TOL`` after that, or not finite, raises SolverError, and so does a residual
     without ``state_dim`` rows.  Raises DegenerateDynamicsError when A has
     condition number above 1e12, which is the expected signal for singular
-    Lagrangians and controls rather than a crash.
+    Lagrangians and controls rather than a crash, and SolverError when
+    LAPACK reports a failure (a nonzero ``info``).
     """
     state = np.asarray(state, dtype=float)
     d = problem.state_dim
@@ -124,14 +130,19 @@ def solve_rate(problem, t, state, rate_guess=None):
     iterations = 1
     if np.linalg.norm(r) > NEWTON_TOL:
         J = np.asarray(problem.affine(t, state)[0], dtype=float)
-        sigma = np.linalg.svd(J, compute_uv=False)
+        _, sigma, _, info = dgesdd(J, compute_uv=0)
+        if info:
+            raise SolverError(f"LAPACK dgesdd failed with info={info} at t={t}")
         if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
             raise DegenerateDynamicsError(
                 f"degenerate implicit dynamics at (t={t}, state={state}): "
                 f"rate Jacobian singular values {sigma}",
                 t=t, state=state, singular_values=sigma,
             )
-        rate += np.linalg.solve(J, -r)
+        _, _, step, info = dgesv(J, -r, overwrite_b=1)
+        if info:
+            raise SolverError(f"LAPACK dgesv failed with info={info} at t={t}")
+        rate += step
         r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
         iterations = 2
     norm = np.linalg.norm(r)

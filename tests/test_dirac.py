@@ -16,6 +16,7 @@ from diracmech import (
     StructureError,
     VelocityPair,
     induce,
+    integrate,
     lagrangian_problem,
     pairing,
     scale_dual,
@@ -24,7 +25,13 @@ from diracmech import (
     time_extend,
 )
 from diracmech.linalg import annihilator, max_principal_angle
-from diracmech.systems import quadratic_lagrangian
+from diracmech.errors import EvaluationError
+from diracmech.systems import (
+    quadratic_lagrangian,
+    rolling_disc_algebroid,
+    rolling_disc_lagrangian,
+    so3_algebroid,
+)
 
 from conftest import make_random_pigraph
 
@@ -453,3 +460,83 @@ class TestConstantBlocks:
         assert calls == []  # induction evaluates no field
         dirac.membership_system(np.array([0.4, -0.7]), np.array([1.0, 2.0, 3.0]))
         assert len(calls) == 1
+
+
+def _counted(algebroid, calls):
+    """``algebroid`` with its anchor and structure fields logged into ``calls``."""
+    def field(name, fn):
+        def logged(x):
+            calls[name] += 1
+            return fn(x)
+        return logged
+
+    return SkewAlgebroid(algebroid.chart, field("anchor", algebroid.anchor),
+                         field("structure", algebroid.structure), algebroid.name)
+
+
+class TestTabulation:
+    """Structures with x-independent coefficients tabulate their membership rows."""
+
+    @pytest.mark.parametrize("builder, expected", [
+        (lambda: PiGraphDirac(so3_algebroid()), True),
+        (lambda: CanonicalDirac(2), True),
+        (lambda: time_extend(PiGraphDirac(so3_algebroid())), True),
+        (lambda: time_extend(CanonicalDirac(1)), True),
+        (lambda: PiGraphDirac(make_random_pigraph(seed=3)), False),
+        (lambda: induce(PiGraphDirac(rolling_disc_algebroid()),
+                        LinearConstraint(fiber=(2, 3))), False),
+        (lambda: time_extend(PiGraphDirac(make_random_pigraph(seed=3))), False),
+    ], ids=["point-base", "canonical", "clocked-point-base", "clocked-canonical",
+            "pi-graph", "rolling-disc", "clocked-pi-graph"])
+    def test_x_independence_is_a_fact_of_the_representation(self, builder, expected):
+        dirac = builder()
+        assert dirac.x_independent is expected
+        with pytest.raises(AttributeError):
+            dirac.x_independent = not expected
+
+    def test_point_base_evaluates_its_fields_m_plus_one_times(self):
+        calls = {"anchor": 0, "structure": 0}
+        dirac = PiGraphDirac(_counted(so3_algebroid(), calls))
+        lag = quadratic_lagrangian(lambda x: np.diag([1.0, 2.0, 3.0]))
+        traj = integrate(lagrangian_problem(dirac, lag), np.array([0.3, -0.2, 0.9]),
+                         0.0, 0.1, 0.01)
+        assert len(traj) == 11  # ten rk4 steps
+        assert calls == {"anchor": 4, "structure": 4}
+
+    def test_rolling_disc_evaluates_its_fields_once_per_assembly(self):
+        calls = {"anchor": 0, "structure": 0}
+        dirac = induce(PiGraphDirac(_counted(rolling_disc_algebroid(), calls)),
+                       LinearConstraint(fiber=(2, 3)))
+        problem = lagrangian_problem(dirac, rolling_disc_lagrangian())
+        cache = problem.affine
+        assemblies = []
+        assemble = cache.assemble
+
+        def counted_assemble(state):
+            assemblies.append(state)
+            return assemble(state)
+
+        cache.assemble = counted_assemble
+        integrate(problem, np.array([0.0, 1.0, 2.0]), 0.0, 0.1, 0.01)
+        assert len(assemblies) > 11
+        assert calls == {"anchor": len(assemblies), "structure": len(assemblies)}
+
+    @pytest.mark.parametrize("structure, error, message", [
+        (lambda c: np.where(c == 1.0, np.nan, c), EvaluationError,
+         r"structure has non-finite entry at index \(0, 1, 2\)"),
+        (lambda c: np.abs(c), StructureError,
+         r"structure functions: not antisymmetric in the first two indices, "
+         r"c\[0,1,2\] \+ c\[1,0,2\] = 2\.000e\+00"),
+    ], ids=["nan", "not-antisymmetric"])
+    def test_bad_point_base_field_raises_on_first_call(self, structure, error, message):
+        so3 = so3_algebroid()
+        bad = structure(so3.structure(np.zeros(0)))
+        dirac = PiGraphDirac(SkewAlgebroid(so3.chart, so3.anchor, lambda x: bad))
+        xi = np.array([1.0, -2.0, 0.5])
+        with pytest.raises(error, match=message) as direct:
+            dirac._kernel(np.zeros(0), xi)
+        for _ in range(2):  # a failed first use leaves no table behind
+            with pytest.raises(error) as tabulated:
+                dirac.membership_system(np.zeros(0), xi)
+            assert str(tabulated.value) == str(direct.value)
+            assert dirac._table is None

@@ -9,6 +9,12 @@ pi-graph, the linear and affine induced structures and the time extension
 of a pi-graph are checked for isotropy (and the pairing matrix against the
 pairwise ``pairing``) and core = annihilator of the
 velocity space; the two linear ones also for both homotheties.
+
+The structures with x-independent coefficients (random point-base skew
+algebroids, the canonical structure and the clock extension of either)
+return membership rows from a table; those are compared with the kernel
+evaluated directly, on an instance that never builds a table, and checked
+for isotropy and core = annihilator through the table.
 """
 
 import numpy as np
@@ -18,9 +24,12 @@ from hypothesis import strategies as st
 
 from diracmech import (
     AffineConstraint,
+    CanonicalDirac,
+    Chart,
     LinearConstraint,
     PiGraphDirac,
     PontryaginPoint,
+    SkewAlgebroid,
     el_residual,
     induce,
     nonholonomic_el_residual,
@@ -203,3 +212,61 @@ def test_homotheties_keep_members(kind, system):
         for t in (0.0, 0.5, 2.0, -1.0):
             assert np.max(np.abs(dirac.residual(scale_fiber(member, t)))) <= TOL
             assert np.max(np.abs(dirac.residual(scale_dual(member, t)))) <= TOL
+
+
+@st.composite
+def tabulated_structures(draw):
+    """(builder, rng): a builder of fresh x-independent structures.
+
+    A point-base graph of a random antisymmetric c with m = 1..5, or the
+    canonical structure of dimension 1..4, either optionally clock-extended.
+    """
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 5))
+        raw = rng.standard_normal((m, m, m))
+        c = raw - np.swapaxes(raw, 0, 1)
+
+        def base():
+            return PiGraphDirac(SkewAlgebroid(Chart(0, m), lambda x: np.zeros((0, m)),
+                                              lambda x: c))
+    else:
+        dim = draw(st.integers(1, 4))
+
+        def base():
+            return CanonicalDirac(dim)
+    if draw(st.booleans()):
+        return (lambda: time_extend(base())), rng
+    return base, rng
+
+
+@settings(deadline=None, max_examples=60)
+@given(tabulated_structures())
+def test_tabulated_membership_matches_kernel(structure):
+    builder, rng = structure
+    dirac, reference = builder(), builder()
+    assert dirac.x_independent
+    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+    for _ in range(4):
+        x, xi = rng.standard_normal(n), 3.0 * rng.standard_normal(m)
+        J, const = dirac.membership_system(x, xi)
+        J_ref, const_ref = reference._kernel(x, xi)
+        # the table sums xi_k J_k in matmul order, the kernel contracts c
+        # with xi by einsum first: the two may round differently
+        tol = 1e-15 * (1.0 + np.max(np.abs(J_ref)))
+        assert J.shape == J_ref.shape and const.shape == const_ref.shape
+        assert np.max(np.abs(J - J_ref)) <= tol
+        assert np.max(np.abs(const - const_ref), initial=0.0) <= tol
+    assert dirac._table is not None and reference._table is None
+
+
+@settings(deadline=None, max_examples=30)
+@given(tabulated_structures())
+def test_tabulated_structures_are_isotropic_with_core_annihilator(structure):
+    builder, rng = structure
+    dirac = builder()
+    seed = int(rng.integers(2**16))
+    assert isotropy_check(dirac, probes=3, seed=seed)["max_violation"] <= ISOTROPY_TOL
+    assert dirac._table is not None
+    assert core_annihilator_check(dirac, probes=3, seed=seed)["max_violation"] <= CORE_TOL

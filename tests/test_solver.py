@@ -124,7 +124,8 @@ class TestSolveRate:
         def no_svd(*args, **kwargs):
             raise AssertionError("a warm-start hit ran the degeneracy check")
 
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        # the routine the exact solve takes its singular values from
+        monkeypatch.setattr(solver, "dgesdd", no_svd)
         again, iters, _ = solve_rate(problem, 0.0, state, rate_guess=rate)
         assert iters == 1
         assert np.array_equal(again, rate)
@@ -151,6 +152,56 @@ class TestSolveRate:
     def test_non_finite_residual_raises(self):
         with pytest.raises(SolverError, match="nan"):
             solve_rate(affine_problem(np.eye(2), [np.nan, 1.0]), 0.0, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        # 0 * inf is nan, so any guess leaves a non-finite residual; the
+        # command line runs the solver under the same errstate
+        A = np.array([[1.0, 0.0], [0.5, bad]])
+        for guess in (None, np.array([1.0, 2.0])):
+            with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="nan"):
+                solve_rate(affine_problem(A, [1.0, 1.0]), 0.0, np.zeros(2), rate_guess=guess)
+
+    @pytest.mark.parametrize("A, error", [
+        # the largest singular value overflows to inf
+        (np.full((2, 2), 1e308), DegenerateDynamicsError),
+        # condition number 1e300
+        (np.diag([1e300, 1.0]), DegenerateDynamicsError),
+        # well conditioned, but the rates underflow and leave the residual
+        (np.array([[1e308, 1e308], [-1e308, 1e308]]), SolverError),
+    ], ids=["sigma-overflow", "ill-conditioned", "rate-underflow"])
+    def test_extreme_finite_matrix_errors(self, A, error):
+        with pytest.raises(error) as info:
+            solve_rate(affine_problem(A, [1.0, 1.0]), 0.0, np.zeros(2))
+        if error is DegenerateDynamicsError:
+            np.testing.assert_allclose(info.value.singular_values,
+                                       np.linalg.svd(A, compute_uv=False), rtol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_singular_values_match_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        # rank d - 1, so the exact solve always reports its singular values
+        A = rng.standard_normal((d, d - 1)) @ rng.standard_normal((d - 1, d))
+        with pytest.raises(DegenerateDynamicsError) as info:
+            solve_rate(affine_problem(A, rng.standard_normal(d)), 0.0, np.zeros(d))
+        reference = np.linalg.svd(A, compute_uv=False)
+        got = info.value.singular_values
+        assert got.shape == reference.shape
+        assert np.max(np.abs(got - reference)) <= 1e-15 * reference[0]
+
+    @pytest.mark.parametrize("routine", ["dgesdd", "dgesv"])
+    def test_lapack_failure_raises(self, monkeypatch, routine):
+        real = getattr(solver, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 3)
+
+        monkeypatch.setattr(solver, routine, failing)
+        with pytest.raises(SolverError, match=f"{routine} failed with info=3"):
+            solve_rate(affine_problem([[2.0, 1.0], [0.0, 3.0]], [1.0, -2.0]), 0.0,
+                       np.zeros(2))
 
     def test_row_count_mismatch_rejected(self):
         problem = affine_problem([[1.0, 0.0]], [1.0])
