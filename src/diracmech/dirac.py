@@ -22,7 +22,8 @@ drift coefficients on xi come from a separate method, ``structure_terms(x)
 -> (c, drift)``, each None when it vanishes: they cost more than the
 blocks, and the velocity residual, velocity space and core never read
 them.  The phase equations cutting the supported subset of the dual
-bundle are the ``_phase`` hook.
+bundle are the ``_phase`` hook, which returns their values together with
+their Jacobian P over (x, xi).
 
 Membership in the structure is the vanishing of
 
@@ -194,6 +195,9 @@ class DiracAlgebroid:
         self.free_fiber = tuple(i for i in range(chart.fiber_dim) if i not in pinned)
         self._free = np.array(self.free_fiber, dtype=int)
         self._support = np.array(self.zero_base, dtype=int)
+        # Jacobian over (x, xi) of the support equations x^A = 0
+        self._support_rows = _constant(
+            np.eye(chart.base_dim + chart.fiber_dim)[self._support])
         # the pinned fiber values, None when every fiber index is free
         self._pinned_fiber = None
         if pinned:
@@ -229,8 +233,9 @@ class DiracAlgebroid:
         return None, None
 
     def _phase(self, x, xi):
-        """Phase equations at a checked (x, xi): the support equations x^A = 0."""
-        return x[self._support]
+        """(values, Jacobian over (x, xi)) of the phase equations at a checked
+        (x, xi): the support equations x^A = 0 and their unit rows."""
+        return x[self._support], self._support_rows
 
     # -- membership ----------------------------------------------------------
 
@@ -364,7 +369,7 @@ class DiracAlgebroid:
     def phase_residual(self, x, xi):
         x = _as_base_point(self.chart, x)
         xi = np.asarray(xi, dtype=float).reshape(-1)
-        return self._phase(x, xi)
+        return self._phase(x, xi)[0]
 
     def phase_membership(self, x, xi):
         """(bool, residual): whether (x, xi) satisfies the phase equations."""
@@ -380,13 +385,11 @@ class DiracAlgebroid:
     def phase_point(self, x):
         """Some xi with (x, xi) in the phase support (zero if unconstrained)."""
         x = _as_base_point(self.chart, x)
-        m = self.chart.fiber_dim
-        xi0 = np.zeros(m)
-        res0 = self.phase_residual(x, xi0)
+        xi0 = np.zeros(self.chart.fiber_dim)
+        res0, P = self._phase(x, xi0)
         if res0.size == 0:
             return xi0
-        B = fd.jacobian(lambda z: self.phase_residual(x, z), xi0)
-        sol, *_ = np.linalg.lstsq(B, -res0, rcond=None)
+        sol, *_ = np.linalg.lstsq(P[:, x.size:], -res0, rcond=None)
         xi = xi0 + sol
         ok, res = self.phase_membership(x, xi)
         if not ok:
@@ -400,10 +403,9 @@ class DiracAlgebroid:
         n, m = self.chart.base_dim, self.chart.fiber_dim
         x = self.project_support(rng.standard_normal(n))
         xi0 = self.phase_point(x)
-        res0 = self.phase_residual(x, xi0)
+        res0, P = self._phase(x, xi0)
         if res0.size:
-            B = fd.jacobian(lambda z: self.phase_residual(x, z), xi0)
-            K = linalg.null_space(B)
+            K = linalg.null_space(P[:, n:])
             xi = xi0 + K @ rng.standard_normal(K.shape[1])
         else:
             xi = rng.standard_normal(m)
@@ -567,7 +569,9 @@ class GeneralLocalDirac(DiracAlgebroid):
     ``eta`` (r rows) and ``etahat`` act on (xdot, y); ``zeta`` (r rows) acts
     on (p, xidot); ``structure(x)`` has shape (r, r, m), antisymmetric in
     its first two indices; ``phase`` evaluates affine equations
-    a(x) + B(x) xi.  ``membership_system`` assembles membership, and with
+    a(x) + B(x) xi, whose xi-columns B(x) are read exactly from m unit
+    steps in xi and whose x-columns take one central difference.
+    ``membership_system`` assembles membership, and with
     it every formalism's dynamics, from these maps.  The rank r is taken
     from the evaluated matrix shapes and verified numerically through the
     kernel-dimension check of ``basis_at``.
@@ -592,9 +596,19 @@ class GeneralLocalDirac(DiracAlgebroid):
         return _antisymmetric("local-form structure functions", c), None
 
     def _phase(self, x, xi):
+        n, m = self.chart.base_dim, self.chart.fiber_dim
         if self._phase_eqs is None:
-            return np.zeros(0)
-        return np.asarray(self._phase_eqs(x, xi), dtype=float).reshape(-1)
+            return np.zeros(0), np.zeros((0, n + m))
+
+        def phase(z, w):
+            return np.asarray(self._phase_eqs(z, w), dtype=float).reshape(-1)
+
+        value = phase(x, xi)
+        P = np.empty((value.size, n + m))
+        P[:, :n] = fd.jacobian(lambda z: phase(z, xi), x).reshape(value.size, n)
+        for k, e in enumerate(np.eye(m)):
+            P[:, n + k] = phase(x, xi + e) - value  # exact: the phase is affine in xi
+        return value, P
 
     @classmethod
     def from_velocity_splitting(cls, chart, eta, etahat, structure=None, phase=None):
@@ -673,7 +687,8 @@ class TimeExtendedDirac(DiracAlgebroid):
         return self.base.structure_terms(x[1:])
 
     def _phase(self, x, xi):
-        return self.base._phase(x[1:], xi)
+        value, P = self.base._phase(x[1:], xi)
+        return value, _clocked(P)
 
 
 def _clocked(block):

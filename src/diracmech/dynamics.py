@@ -27,7 +27,9 @@ Hamiltonian by inverting the fiber derivative numerically, once per phase
 point: H, dH/dx, dH/dxi and the Jacobian ``hess_xi`` of dH/dxi share one
 memoised inverse, and ``hess_xi`` is exact from the fiber Hessian there.
 The Hamiltonian problem on an induced structure takes its pinned rows
-from ``hess_xi``.
+from ``hess_xi``, and the control problem the (x, u)-columns of its
+stationarity Jacobian from the second partials ``f_u_xu`` and
+``cost_u_xu``.
 """
 
 from typing import NamedTuple
@@ -52,6 +54,12 @@ INVERSION_SEED = 0
 def _pair(state):
     a, b = state
     return np.asarray(a, dtype=float).reshape(-1), np.asarray(b, dtype=float).reshape(-1)
+
+
+def _over_point(partial, a, b, rel):
+    """Central-difference Jacobian of ``partial(a, b)`` over the stacked point (a, b)."""
+    return fd.jacobian(lambda s: partial(s[:a.size], s[a.size:]),
+                       np.concatenate([a.reshape(-1), b.reshape(-1)]), rel=rel)
 
 
 class _Partials:
@@ -165,9 +173,8 @@ class Hamiltonian(_Partials):
     _FALLBACKS = {
         "grad_x": lambda self, x, xi: fd.jacobian(lambda z: self._fn(z, xi), x),
         "grad_xi": lambda self, x, xi: fd.jacobian(lambda z: self._fn(x, z), xi),
-        "hess_xi": lambda self, x, xi: fd.jacobian(
-            lambda s: self.grad_xi(s[:x.size], s[x.size:]),
-            np.concatenate([x.reshape(-1), xi.reshape(-1)]), rel=self._outer_step("grad_xi")),
+        "hess_xi": lambda self, x, xi: _over_point(self.grad_xi, x, xi,
+                                                   self._outer_step("grad_xi")),
     }
 
     def __init__(self, fn, grad_x=None, grad_xi=None, hess_xi=None, name="",
@@ -190,7 +197,12 @@ class Hamiltonian(_Partials):
 
 
 class ControlSystem(_Partials):
-    """Parametrized velocity constraint y = f(x, u) with running cost L(x, u)."""
+    """Parametrized velocity constraint y = f(x, u) with running cost L(x, u).
+
+    The second partials ``f_u_xu`` and ``cost_u_xu`` are the Jacobians of
+    f_u and cost_u over the stacked (x, u), shapes (m, q, n + q) and
+    (q, n + q).
+    """
 
     _KIND, _POINT = "control system", ("x", "u")
     _VECTORS = ("cost_x", "cost_u")
@@ -199,16 +211,20 @@ class ControlSystem(_Partials):
         "f_u": lambda self, x, u: fd.jacobian(lambda z: self._f(x, z), u),
         "cost_x": lambda self, x, u: fd.jacobian(lambda z: self._cost(z, u), x),
         "cost_u": lambda self, x, u: fd.jacobian(lambda z: self._cost(x, z), u),
+        "f_u_xu": lambda self, x, u: _over_point(self.f_u, x, u, self._outer_step("f_u")),
+        "cost_u_xu": lambda self, x, u: _over_point(self.cost_u, x, u,
+                                                    self._outer_step("cost_u")),
     }
 
     def __init__(self, f, cost, f_x=None, f_u=None, cost_x=None, cost_u=None,
-                 control_dim=1, name="", probes=None):
+                 control_dim=1, name="", probes=None, f_u_xu=None, cost_u_xu=None):
         if control_dim < 1:
             raise EvaluationError("control dimension must be >= 1")
         self._f = f
         self._cost = cost
         self.control_dim = int(control_dim)
-        super().__init__(name, probes, f_x=f_x, f_u=f_u, cost_x=cost_x, cost_u=cost_u)
+        super().__init__(name, probes, f_x=f_x, f_u=f_u, cost_x=cost_x, cost_u=cost_u,
+                         f_u_xu=f_u_xu, cost_u_xu=cost_u_xu)
 
     def f(self, x, u):
         return _check_finite("control field", self._f(np.asarray(x, float), np.asarray(u, float))).reshape(-1)
@@ -227,6 +243,12 @@ class ControlSystem(_Partials):
 
     def cost_u(self, x, u):
         return self._partial("cost_u", x, u)
+
+    def f_u_xu(self, x, u):
+        return self._partial("f_u_xu", x, u)
+
+    def cost_u_xu(self, x, u):
+        return self._partial("cost_u_xu", x, u)
 
     def hamiltonian(self, x, u, xi):
         """xi . f(x, u) - L(x, u), the control-parametrized Hamiltonian."""

@@ -13,29 +13,33 @@ w = (xdot, xidot, p, y).  A builder supplies only its fill to ``_problem``:
 
 The solved rows drop the pinned-fiber selector rows (``rows``), so the
 affine parts are A = J[rows, :n+m] @ V, b = J[rows, n+m:] @ (p, y) +
-const[rows], built once per state (cached: the rate solve and its
-verification share one assembly).  Rates without a membership row (the
-Hamiltonian's pinned momentum rates, the control rates) are fixed by G,
-appended to A with zeros in b, so that A is square.  The algebraic channel
-is the structure's phase equations at (x, xi), when it has any, followed by
-the pinned value: the constrained components of dH/dxi (G from
-``hess_xi``, exact for a Legendre transform) or the control stationarity
-f_u^T xi - cost_u (G by central differences over (x, u), f_u^T over xi).
+const[rows].  Rates without a membership row (the Hamiltonian's pinned
+momentum rates, the control rates) are fixed by G, appended to A with
+zeros in b, so that A is square.  The algebraic channel ``algebraic(t,
+state) -> (g, G)`` (``t`` unread, kept for the call shape) is the
+structure's phase equations at (x, xi), when it has any, with G = P @ V
+from their Jacobian P over (x, xi), followed by the pinned value and G:
+the constrained components of dH/dxi (rows of ``hess_xi``) or the control
+stationarity f_u^T xi - cost_u (einsum(f_u_xu, xi) - cost_u_xu over
+(x, u), f_u^T over xi).  Both pairs come from one assembly per state
+(cached: the projection's convergence check, the rate solve and its
+verification share it).
 """
 
 import numpy as np
 
-from . import fd
 from .dirac import TimeExtendedDirac, VelocityPair
 from .errors import SolverError
 from .solver import ImplicitProblem
 
 
 class _StateCache:
-    """Single-slot memo for the affine residual parts at one (t, state).
+    """Single-slot memo of the parts ((A, b), (g, G)) at one (t, state).
 
-    Calling the cache with (t, state) returns ``assemble(state)``, computed
-    only when (t, state) differs from the previous call.
+    Calling the cache with (t, state) returns (A, b) and ``algebraic(t,
+    state)`` returns (g, G), the two halves of ``assemble(state)``, which
+    is computed only when (t, state) differs from the previous call of
+    either.
     """
 
     __slots__ = ("assemble", "key", "parts")
@@ -45,13 +49,19 @@ class _StateCache:
         self.key = None
         self.parts = None
 
-    def __call__(self, t, state):
+    def _parts(self, t, state):
         state = np.asarray(state, dtype=float)
         key = (t, state.tobytes())
         if key != self.key:
             self.parts = self.assemble(state)
             self.key = key
         return self.parts
+
+    def __call__(self, t, state):
+        return self._parts(t, state)[0]
+
+    def algebraic(self, t, state):
+        return self._parts(t, state)[1]
 
 
 def _problem(dirac, point, fill, labels, monitors, name, pinned=None):
@@ -70,25 +80,28 @@ def _problem(dirac, point, fill, labels, monitors, name, pinned=None):
         J, const = J[rows], const[rows]
         A = J[:, :n + m] @ V
         b = J[:, n + m:] @ np.concatenate([p, y]) + const
+        g, G = [], []
+        if has_phase:
+            value, P = dirac._phase(x, xi)
+            g.append(value)
+            G.append(P @ V)
         if pinned is not None:
-            G = pinned[1](state, x, xi, y)
-            A, b = np.vstack([A, G]), np.concatenate([b, np.zeros(G.shape[0])])
-        return A, b
-
-    def algebraic(t, state):
-        x, xi, y = point(state)
-        channel = [dirac.phase_residual(x, xi)] if has_phase else []
-        if pinned is not None:
-            channel.append(pinned[0](state, x, xi, y))
-        return np.concatenate(channel)
+            Gp = pinned[1](state, x, xi, y)
+            A, b = np.vstack([A, Gp]), np.concatenate([b, np.zeros(Gp.shape[0])])
+            g.append(pinned[0](state, x, xi, y))
+            G.append(Gp)
+        if not g:
+            return (A, b), None
+        return (A, b), (np.concatenate(g), np.vstack(G))
 
     def velocity_pair(t, state, rate):
         x, _, y = point(np.asarray(state, dtype=float))
         return VelocityPair(x, np.asarray(rate, float)[:n], y)
 
+    cache = _StateCache(assemble)
     return ImplicitProblem(
-        len(labels), _StateCache(assemble),
-        algebraic=algebraic if has_phase or pinned is not None else None,
+        len(labels), cache,
+        algebraic=cache.algebraic if has_phase or pinned is not None else None,
         monitors=monitors, velocity_pair=velocity_pair, state_labels=labels, name=name,
     )
 
@@ -185,13 +198,15 @@ def pmp_problem(system, dirac, name=""):
         u = state[n:n + q]
         return rate_map, system.f_x(x, u).T @ xi - system.cost_x(x, u)
 
-    def stationarity(x, u, xi):
+    def stationarity(state, x, xi, y):
+        u = state[n:n + q]
         return system.f_u(x, u).T @ xi - system.cost_u(x, u)
 
     def stationarity_jacobian(state, x, xi, y):
         # the stationarity is linear in xi: its xi-columns are f_u^T exactly
-        return np.hstack([fd.jacobian(lambda v: stationarity(v[:n], v[n:], xi), state[:n + q]),
-                          system.f_u(x, state[n:n + q]).T])
+        u = state[n:n + q]
+        xu = np.einsum("iqk,i->qk", system.f_u_xu(x, u), xi) - system.cost_u_xu(x, u)
+        return np.hstack([xu, system.f_u(x, u).T])
 
     def monitor(t, state):
         state = np.asarray(state, dtype=float)
@@ -202,7 +217,5 @@ def pmp_problem(system, dirac, name=""):
         + [f"u{k + 1}" for k in range(q)]
         + list(dirac.chart.dual_labels)
     )
-    pinned = (lambda state, x, xi, y: stationarity(x, state[n:n + q], xi),
-              stationarity_jacobian)
     return _problem(dirac, point, fill, labels, {"hamiltonian": monitor},
-                    name or f"pmp[{system.name}]", pinned)
+                    name or f"pmp[{system.name}]", (stationarity, stationarity_jacobian))

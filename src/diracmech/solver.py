@@ -1,16 +1,17 @@
 """Time integration of implicit residual systems.
 
 A problem packages the affine parts (A, b) of a residual R = A rate + b,
-an optional algebraic channel constraining states, and named monitor
-functions.  A is square: at each evaluation point the rates come from the
-one exact linear system A r = -b.  Rates that a structure leaves free are
-fixed by rows the problem builder appends to A (the time derivative of the
-components it pins), so the solver knows nothing about them.
+an optional algebraic channel constraining states, g(state) = 0 with its
+state Jacobian G, and named monitor functions.  A is square: at each
+evaluation point the rates come from the one exact linear system
+A r = -b.  Rates that a structure leaves free are fixed by rows the
+problem builder appends to A (the time derivative of the components it
+pins), so the solver knows nothing about them.
 ``METHODS`` maps each method to its step: rk4, or implicit midpoint, the
 fixed point s = state + dt * rate(t + dt/2, (state + s)/2) iterated with
 one exact rate solve each time, which raises SolverError unless it contracts.
 After every accepted step the state is re-projected onto the algebraic
-channel by Gauss-Newton to prevent constraint drift.
+channel by Gauss-Newton steps on its G to prevent constraint drift.
 
 The rate solve calls LAPACK directly, ``dgesdd`` for the singular values of
 the condition check and ``dgesv`` for the solve, without the overhead of the
@@ -22,7 +23,6 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dgesv
 
-from . import fd
 from .errors import DegenerateDynamicsError, InitializationError, SolverError
 
 NEWTON_TOL = 1e-10
@@ -37,8 +37,9 @@ class ImplicitProblem:
 
     ``affine`` maps (t, state) to the pair (A, b): A is square of size
     ``state_dim``, b has one entry per row.  ``algebraic`` maps (t, state)
-    to the constraint values the projection drives to zero (None for
-    unconstrained problems).  ``monitors`` are named
+    to the pair (g, G): the constraint values g the projection drives to
+    zero and their Jacobian G over the state, of shape (len(g),
+    ``state_dim``) (None for unconstrained problems).  ``monitors`` are named
     scalar functions of (t, state) recorded along trajectories.
     ``velocity_pair`` optionally maps (t, state, rate) to a VelocityPair
     for admissibility reporting.
@@ -62,9 +63,10 @@ class ImplicitProblem:
         return A @ np.asarray(rate, dtype=float) + b
 
     def algebraic_at(self, t, state):
+        """The constraint values g at (t, state), empty without a channel."""
         if self.algebraic is None:
             return np.zeros(0)
-        return np.asarray(self.algebraic(t, np.asarray(state, float)), dtype=float).reshape(-1)
+        return np.asarray(self.algebraic(t, np.asarray(state, float))[0], dtype=float).reshape(-1)
 
 
 class Trajectory:
@@ -89,11 +91,11 @@ class Trajectory:
 
 
 def project_initial(problem, guess, t=0.0):
-    """Gauss-Newton projection of a state guess onto the algebraic channel."""
+    """Gauss-Newton projection of a state guess onto the algebraic channel (g, G)."""
     state = np.asarray(guess, dtype=float).copy()
-    g = problem.algebraic_at(t, state)
-    if g.size == 0:  # no channel; skips a 2 us norm at every step
+    if problem.algebraic is None:
         return state
+    g, G = problem.algebraic(t, state)
     steps = 0
     while not np.linalg.norm(g) <= PROJECTION_TOL:  # a NaN residual never converges
         if steps == PROJECTION_MAX_ITER:
@@ -101,10 +103,9 @@ def project_initial(problem, guess, t=0.0):
                 f"projection onto the algebraic channel did not converge "
                 f"(residual norm {np.linalg.norm(g):.3e})"
             )
-        J = fd.jacobian(lambda s: problem.algebraic_at(t, s), state)
-        step, *_ = np.linalg.lstsq(J, -g, rcond=None)
+        step, *_ = np.linalg.lstsq(G, -g, rcond=None)
         state = state + step
-        g = problem.algebraic_at(t, state)
+        g, G = problem.algebraic(t, state)
         steps += 1
     return state
 

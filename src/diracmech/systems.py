@@ -6,6 +6,7 @@ available in closed form, the matching Hamiltonian.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .algebroid import Chart, SkewAlgebroid
 from .constraints import LinearConstraint, induce
@@ -57,27 +58,58 @@ def quadratic_lagrangian(mass_matrix, mass_matrix_diff=None, potential=None,
 
 def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
                           potential_grad=None, name=""):
-    """H(x, xi) = xi . M(x)^-1 xi / 2 + U(x), the closed-form partner."""
+    """H(x, xi) = xi . M(x)^-1 xi / 2 + U(x), the closed-form partner.
+
+    H and its partials share one LU factorisation of M per point, memoised
+    on the bytes of (x, xi) with w = M^-1 xi (bitwise what
+    ``np.linalg.solve(M, xi)`` gives).  ``hess_xi`` is exact,
+    [-M^-1 (dM/dx) w, M^-1], with zero x-columns without ``mass_matrix_diff``.
+    """
+    # (key, LU factors, pivots, w) of the last point, replaced as one tuple
+    last = [None]
+
+    def factored(x, xi):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        xi = np.asarray(xi, dtype=float).reshape(-1)
+        key = (x.tobytes(), xi.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            lu, piv, info = dgetrf(np.asarray(mass_matrix(x), dtype=float))
+            if info:
+                raise np.linalg.LinAlgError(f"singular mass matrix at x={x}")
+            w = dgetrs(lu, piv, xi)[0]
+            w.flags.writeable = False
+            entry = last[0] = (key, lu, piv, w)
+        return entry[1:]
 
     def fn(x, xi):
         u = potential(x) if potential is not None else 0.0
-        return 0.5 * float(xi @ np.linalg.solve(mass_matrix(x), xi)) + u
+        return 0.5 * float(xi @ factored(x, xi)[2]) + u
 
     def grad_xi(x, xi):
-        return np.linalg.solve(mass_matrix(x), xi)
+        return factored(x, xi)[2].copy()
 
     def grad_x(x, xi):
         n = np.asarray(x).size
         g = np.zeros(n)
         if mass_matrix_diff is not None:
-            w = np.linalg.solve(mass_matrix(x), xi)
+            w = factored(x, xi)[2]
             dM = np.asarray(mass_matrix_diff(x), dtype=float)
             g -= 0.5 * np.einsum("aij,i,j->a", dM, w, w)
         if potential_grad is not None:
             g += np.asarray(potential_grad(x), dtype=float)
         return g
 
-    return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi, name=name)
+    def hess_xi(x, xi):
+        lu, piv, w = factored(x, xi)
+        inverse = dgetrs(lu, piv, np.eye(w.size))[0]
+        dx = np.zeros((w.size, np.asarray(x).size))
+        if mass_matrix_diff is not None:
+            dM = np.asarray(mass_matrix_diff(x), dtype=float)
+            dx = -inverse @ np.einsum("aij,j->ia", dM, w)
+        return np.hstack([dx, inverse])
+
+    return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi, hess_xi=hess_xi, name=name)
 
 
 # -- rolling disc -------------------------------------------------------------
@@ -309,6 +341,8 @@ def _build_lqr(params, constraint):
         cost_u=lambda x, u: np.array([rw * u[0]]),
         control_dim=1,
         name="scalar_lqr",
+        f_u_xu=lambda x, u: np.zeros((1, 1, 2)),
+        cost_u_xu=lambda x, u: np.array([[0.0, rw]]),
     )
     return SystemBundle("lqr_pmp", base.chart, base, base, control=control)
 

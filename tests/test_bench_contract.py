@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracmech import cli, solver, systems
+from diracmech import ControlSystem, cli, solver, systems
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -39,6 +39,10 @@ def test_tracer_counts_a_traced_run(tracing):
     try:
         problem = systems.build_problem(systems.build_system("lqr_pmp"), "pmp")
         solver.integrate(problem, np.array([1.0, 0.0, 0.0]), 0.0, 0.01, 0.005)
+        # the lqr run differences nothing; a control system without analytic
+        # partials still reaches fd.jacobian through its fallbacks
+        bare = ControlSystem(lambda x, u: u.copy(), lambda x, u: 0.5 * float(u @ u))
+        bare.f_u_xu(np.zeros(1), np.zeros(1))
     finally:
         tracer.remove()
     calls = tracer.totals()[0]

@@ -557,6 +557,9 @@ def _partial_cases():
         "f_u": lambda x, u: np.array([[x[1]], [2.0 * u[0]]]),
         "cost_x": lambda x, u: np.array([u[0] ** 2 * x[0], u[0]]),
         "cost_u": lambda x, u: np.array([u[0] * x[0] ** 2 + x[1]]),
+        # second partials over the stacked (x, u)
+        "f_u_xu": lambda x, u: np.array([[[0.0, 1.0, 0.0]], [[0.0, 0.0, 2.0]]]),
+        "cost_u_xu": lambda x, u: np.array([[2.0 * u[0] * x[0], 1.0, x[0] ** 2]]),
     }
     cases = []
     for label, exact in lag.items():

@@ -8,6 +8,7 @@ import pytest
 from diracmech import (
     CanonicalDirac,
     ControlSystem,
+    Hamiltonian,
     LinearConstraint,
     el_residual,
     fd,
@@ -157,10 +158,13 @@ def test_affine_residual_matches_generator(case, request):
 
 
 def test_closed_hamiltonian_pinned_rows_are_the_fd_jacobian(disc_induced, disc_hamiltonian):
-    # a Hamiltonian without an analytic hess_xi takes the finite-difference
-    # fallback, which keeps the pinned rows bit for bit what fd.jacobian of
-    # the pinned components of dH/dxi gives
-    problem = hamiltonian_problem(disc_induced, disc_hamiltonian)
+    # a Hamiltonian without an analytic hess_xi (the disc's closed form with
+    # its hess_xi left out) takes the finite-difference fallback, which
+    # keeps the pinned rows bit for bit what fd.jacobian of the pinned
+    # components of dH/dxi gives
+    ham = Hamiltonian(disc_hamiltonian, grad_x=disc_hamiltonian.grad_x,
+                      grad_xi=disc_hamiltonian.grad_xi)
+    problem = hamiltonian_problem(disc_induced, ham)
     pinned = list(disc_induced.zero_fiber)
     rng = np.random.default_rng(2)
     for _ in range(5):
