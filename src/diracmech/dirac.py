@@ -23,7 +23,7 @@ drift coefficients on xi come from a separate method, ``structure_terms(x)
 blocks, and the velocity residual, velocity space and core never read
 them.  The phase equations cutting the supported subset of the dual
 bundle are the ``_phase`` hook, which returns their values together with
-their Jacobian P over (x, xi).
+their Jacobian P over (x, xi), and ``_phase_values`` their values alone.
 
 Membership in the structure is the vanishing of
 
@@ -237,6 +237,9 @@ class DiracAlgebroid:
         (x, xi): the support equations x^A = 0 and their unit rows."""
         return x[self._support], self._support_rows
 
+    def _phase_values(self, x, xi):
+        return self._phase(x, xi)[0]
+
     # -- membership ----------------------------------------------------------
 
     def membership_system(self, x, xi):
@@ -369,7 +372,7 @@ class DiracAlgebroid:
     def phase_residual(self, x, xi):
         x = _as_base_point(self.chart, x)
         xi = np.asarray(xi, dtype=float).reshape(-1)
-        return self._phase(x, xi)[0]
+        return self._phase_values(x, xi)
 
     def phase_membership(self, x, xi):
         """(bool, residual): whether (x, xi) satisfies the phase equations."""
@@ -595,14 +598,16 @@ class GeneralLocalDirac(DiracAlgebroid):
             raise EvaluationError(f"structure has shape {c.shape}, expected (r, r, {m})")
         return _antisymmetric("local-form structure functions", c), None
 
+    def _phase_values(self, x, xi):
+        if self._phase_eqs is None:
+            return np.zeros(0)
+        return np.asarray(self._phase_eqs(x, xi), dtype=float).reshape(-1)
+
     def _phase(self, x, xi):
         n, m = self.chart.base_dim, self.chart.fiber_dim
         if self._phase_eqs is None:
             return np.zeros(0), np.zeros((0, n + m))
-
-        def phase(z, w):
-            return np.asarray(self._phase_eqs(z, w), dtype=float).reshape(-1)
-
+        phase = self._phase_values
         value = phase(x, xi)
         P = np.empty((value.size, n + m))
         P[:, :n] = fd.jacobian(lambda z: phase(z, xi), x).reshape(value.size, n)
@@ -689,6 +694,9 @@ class TimeExtendedDirac(DiracAlgebroid):
     def _phase(self, x, xi):
         value, P = self.base._phase(x[1:], xi)
         return value, _clocked(P)
+
+    def _phase_values(self, x, xi):
+        return self.base._phase_values(x[1:], xi)
 
 
 def _clocked(block):

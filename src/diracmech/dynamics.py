@@ -26,15 +26,19 @@ For a hyperregular Lagrangian, ``legendre_transform`` builds the dual
 Hamiltonian by inverting the fiber derivative numerically, once per phase
 point: H, dH/dx, dH/dxi and the Jacobian ``hess_xi`` of dH/dxi share one
 memoised inverse, and ``hess_xi`` is exact from the fiber Hessian there.
+Its Newton steps and ``hess_xi`` call LAPACK ``dgesv`` directly, and a
+singular fiber Hessian or a non-finite step moves on to the next start.
 The Hamiltonian problem on an induced structure takes its pinned rows
 from ``hess_xi``, and the control problem the (x, u)-columns of its
 stationarity Jacobian from the second partials ``f_u_xu`` and
 ``cost_u_xu``.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from . import fd
 from .algebroid import _check_finite
@@ -320,32 +324,35 @@ def invert_vertical_derivative(lagrangian, x, xi):
     """Solve dL/dy(x, y) = xi for y by Newton iteration with multistart fallback."""
     x = np.asarray(x, dtype=float).reshape(-1)
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    scale = 1.0 + float(np.max(np.abs(xi), initial=0.0))
+    scale = 1.0 + float(abs(xi).max(initial=0.0))
 
-    def starts():
-        yield np.zeros(xi.size)
-        # seeded only once the first start has failed
-        rng = np.random.default_rng(INVERSION_SEED)
-        for _ in range(INVERSION_MULTISTART):
-            yield scale * rng.standard_normal(xi.size)
-
-    for y in starts():
-        y = y.copy()
+    def newton(y):
         for _ in range(INVERSION_MAX_ITER):
             g = lagrangian.grad_y(x, y) - xi
-            if np.linalg.norm(g) <= INVERSION_TOL * scale:
+            if math.sqrt(g.dot(g)) <= INVERSION_TOL * scale:
                 return y
-            H = lagrangian.hess_yy(x, y)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                break
+            _, _, step, info = dgesv(lagrangian.hess_yy(x, y), -g, overwrite_b=1)
+            if info:
+                return None
+            size = math.sqrt(step.dot(step))
+            # the square of a finite step may overflow: only then look closer
+            if not math.isfinite(size) and not np.isfinite(step).all():
+                return None
             y = y + step
-            if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(y)):
+            if size <= 1e-14 * (1.0 + math.sqrt(y.dot(y))):
                 g = lagrangian.grad_y(x, y) - xi
-                if np.linalg.norm(g) <= INVERSION_TOL * scale:
-                    return y
-                break
+                return y if math.sqrt(g.dot(g)) <= INVERSION_TOL * scale else None
+        return None
+
+    y = newton(np.zeros(xi.size))
+    if y is not None:
+        return y
+    # seeded only once the zero start has failed
+    rng = np.random.default_rng(INVERSION_SEED)
+    for _ in range(INVERSION_MULTISTART):
+        y = newton(scale * rng.standard_normal(xi.size))
+        if y is not None:
+            return y
     raise HyperregularityError(
         f"vertical derivative could not be inverted at x={x}, xi={xi}", x=x, xi=xi
     )
@@ -410,14 +417,13 @@ def legendre_transform(lagrangian, probes, name=""):
 
     def hess_xi(x, xi):
         y = inverse(x, xi)
-        hyy = lagrangian.hess_yy(x, y)
         rhs = np.hstack([-lagrangian.hess_yx(x, y), np.eye(y.size)])
-        try:
-            return np.linalg.solve(hyy, rhs)
-        except np.linalg.LinAlgError:
+        _, _, jac, info = dgesv(lagrangian.hess_yy(x, y), rhs, overwrite_b=1)
+        if info:
             raise HyperregularityError(
                 f"fiber Hessian is singular at x={x}, xi={xi}", x=x, xi=xi
-            ) from None
+            )
+        return jac
 
     return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi, hess_xi=hess_xi,
                        name=name or f"legendre({lagrangian.name})")

@@ -97,11 +97,11 @@ def project_initial(problem, guess, t=0.0):
         return state
     g, G = problem.algebraic(t, state)
     steps = 0
-    while not np.linalg.norm(g) <= PROJECTION_TOL:  # a NaN residual never converges
+    while not math.sqrt(g.dot(g)) <= PROJECTION_TOL:  # a NaN residual never converges
         if steps == PROJECTION_MAX_ITER:
             raise InitializationError(
                 f"projection onto the algebraic channel did not converge "
-                f"(residual norm {np.linalg.norm(g):.3e})"
+                f"(residual norm {math.sqrt(g.dot(g)):.3e})"
             )
         step, *_ = np.linalg.lstsq(G, -g, rcond=None)
         state = state + step
@@ -129,7 +129,7 @@ def solve_rate(problem, t, state, rate_guess=None):
     if r.size != d:
         raise SolverError(f"residual has {r.size} rows for {d} rate slots")
     iterations = 1
-    if np.linalg.norm(r) > NEWTON_TOL:
+    if math.sqrt(r.dot(r)) > NEWTON_TOL:
         J = np.asarray(problem.affine(t, state)[0], dtype=float)
         _, sigma, _, info = dgesdd(J, compute_uv=0)
         if info:
@@ -146,7 +146,7 @@ def solve_rate(problem, t, state, rate_guess=None):
         rate += step
         r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
         iterations = 2
-    norm = np.linalg.norm(r)
+    norm = math.sqrt(r.dot(r))
     if not norm <= NEWTON_TOL:
         raise SolverError(
             f"rate solve did not converge at (t={t}, state={state}): "
@@ -171,7 +171,8 @@ def _implicit_midpoint_step(problem, t, state, dt, k1):
         # rate at a residual of NEWTON_TOL rather than solving it exactly
         mid_rate, _, _ = solve_rate(problem, t + dt / 2, 0.5 * (state + s), rate_guess=k1)
         new = state + dt * mid_rate
-        previous, update = update, np.linalg.norm(new - s)
+        step = new - s
+        previous, update = update, math.sqrt(step.dot(step))
         s = new
         if update == 0.0 or update >= previous:  # the roundoff floor
             break

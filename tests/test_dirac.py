@@ -207,6 +207,31 @@ class TestPhase:
         ok, _ = local.phase_membership(np.array([1.0, 0.5]), np.zeros(2))
         assert not ok
 
+    def test_phase_residual_evaluates_the_phase_once(self):
+        calls = []
+
+        def phase(x, xi):
+            calls.append(1)
+            return np.array([x[1] + 2.0 * xi[0]])
+
+        local = GeneralLocalDirac.from_velocity_splitting(
+            Chart(2, 2),
+            eta=lambda x: np.hstack([np.zeros((2, 2)), np.eye(2)]),
+            etahat=lambda x: np.hstack([np.eye(2), -np.eye(2)]),
+            phase=phase,
+        )
+        clocked = time_extend(local)
+        x, xi = np.array([1.0, 0.5]), np.array([0.25, -1.0])
+        value, P = local._phase(x, xi)
+        assert len(calls) == 7  # 1 + 2n + m evaluations for the Jacobian
+        for dirac, at in ((local, x), (clocked, np.concatenate([[3.0], x]))):
+            del calls[:]
+            assert np.array_equal(dirac.phase_residual(at, xi), value)
+            assert len(calls) == 1
+        clocked_value, clocked_P = clocked._phase(np.concatenate([[3.0], x]), xi)
+        assert np.array_equal(clocked_value, value)
+        assert np.array_equal(clocked_P, np.hstack([np.zeros((1, 1)), P]))
+
     def test_induced_rolling_disc_unconstrained_phase(self, disc_induced):
         rng = np.random.default_rng(5)
         for _ in range(5):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diracmech.dynamics as dynamics
 from diracmech import (
     AffineConstraint,
     CanonicalDirac,
@@ -256,8 +257,6 @@ class TestLegendreTransform:
         assert np.allclose(ham.grad_xi(np.zeros(0), xi), xi / [1e-5, 2e-5, 3e-5])
 
     def test_one_inversion_per_point(self, monkeypatch, disc_lagrangian):
-        import diracmech.dynamics as dynamics
-
         rng = np.random.default_rng(8)
         probes = [(rng.standard_normal(1), rng.standard_normal(4)) for _ in range(5)]
         ham = legendre_transform(disc_lagrangian, probes)
@@ -287,8 +286,6 @@ class TestLegendreTransform:
         assert len(calls) == 2
 
     def test_failed_inversion_is_not_kept(self, monkeypatch, disc_lagrangian):
-        import diracmech.dynamics as dynamics
-
         rng = np.random.default_rng(9)
         probes = [(rng.standard_normal(1), rng.standard_normal(4)) for _ in range(5)]
         ham = legendre_transform(disc_lagrangian, probes)
@@ -362,6 +359,106 @@ class TestLegendreTransform:
             xidot = lag.hess_yy(x, y) @ ydot
             res_h, _ = hamilton_residual(dirac, ham, (x, xi), (xdot, xidot))
             assert np.max(np.abs(res_h)) <= 1e-7
+
+
+def reference_inverse(lagrangian, x, xi):
+    """The Newton inversion with multistart, written with numpy.linalg."""
+    scale = 1.0 + float(np.max(np.abs(xi), initial=0.0))
+    rng = np.random.default_rng(dynamics.INVERSION_SEED)
+    starts = [np.zeros(xi.size)] + [None] * dynamics.INVERSION_MULTISTART
+    for y in starts:
+        y = scale * rng.standard_normal(xi.size) if y is None else y
+        for _ in range(dynamics.INVERSION_MAX_ITER):
+            g = lagrangian.grad_y(x, y) - xi
+            if np.linalg.norm(g) <= dynamics.INVERSION_TOL * scale:
+                return y
+            try:
+                step = np.linalg.solve(lagrangian.hess_yy(x, y), -g)
+            except np.linalg.LinAlgError:
+                break
+            y = y + step
+            if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(y)):
+                g = lagrangian.grad_y(x, y) - xi
+                if np.linalg.norm(g) <= dynamics.INVERSION_TOL * scale:
+                    return y
+                break
+    raise AssertionError("the reference inversion failed")
+
+
+def reference_hess_xi(lagrangian, x, y):
+    rhs = np.hstack([-lagrangian.hess_yx(x, y), np.eye(y.size)])
+    return np.linalg.solve(lagrangian.hess_yy(x, y), rhs)
+
+
+def counted(calls, fn):
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapped
+
+
+class TestInversion:
+    @pytest.mark.parametrize("case", ["oscillator", "euler-top", "rolling-disc", "quartic"])
+    def test_inverse_and_hess_xi_are_the_numpy_linalg_newton_bitwise(self, case):
+        lag, n, m = {
+            "oscillator": (build_system("harmonic_oscillator", {"mass": 1.7}).lagrangian, 1, 1),
+            "euler-top": (build_system("euler_top").lagrangian, 0, 3),
+            "rolling-disc": (rolling_disc_lagrangian(), 1, 4),
+            "quartic": (quartic_lagrangian(), 2, 3),
+        }[case]
+        rng = np.random.default_rng(11)
+        probes = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(5)]
+        ham = legendre_transform(lag, probes)
+        for _ in range(25):
+            x, xi = rng.standard_normal(n), 3.0 * rng.standard_normal(m)
+            y = reference_inverse(lag, x, xi)
+            assert np.array_equal(dynamics.invert_vertical_derivative(lag, x, xi), y)
+            assert np.array_equal(ham.hess_xi(x, xi), reference_hess_xi(lag, x, y))
+
+    def test_singular_zero_start_moves_on_to_the_seeded_starts(self):
+        # L = y^4 / 4: the fiber Hessian 3 y^2 vanishes at the zero start
+        calls = []
+        lag = Lagrangian(lambda x, y: 0.25 * y[0] ** 4,
+                         grad_y=counted(calls, lambda x, y: y ** 3),
+                         hess_yy=lambda x, y: np.diag(3.0 * y ** 2))
+        x, xi = np.zeros(1), np.array([2.0])
+        scale = 1.0 + abs(xi[0])
+        y = dynamics.invert_vertical_derivative(lag, x, xi)
+        assert abs(y[0] ** 3 - xi[0]) <= dynamics.INVERSION_TOL * scale
+        rng = np.random.default_rng(dynamics.INVERSION_SEED)
+        seeded = [scale * rng.standard_normal(1) for _ in range(dynamics.INVERSION_MULTISTART)]
+        starts = [at for _, at in calls
+                  if not at.any() or any(np.array_equal(at, s) for s in seeded)]
+        assert len(starts) == 2
+        assert not starts[0].any() and np.array_equal(starts[1], seeded[0])
+
+    def test_zero_lagrangian_fails_after_every_start(self):
+        calls = []
+        lag = Lagrangian(lambda x, y: 0.0, grad_y=lambda x, y: np.zeros(1),
+                         hess_yy=counted(calls, lambda x, y: np.zeros((1, 1))))
+        with pytest.raises(HyperregularityError):
+            dynamics.invert_vertical_derivative(lag, np.zeros(1), np.ones(1))
+        assert len(calls) == 1 + dynamics.INVERSION_MULTISTART
+
+    def test_overflowing_step_norm_does_not_end_a_start(self):
+        # the step 1e300 / 2 is finite although its square overflows
+        lag = build_system("harmonic_oscillator", {"mass": 2.0}).lagrangian
+        xi = np.array([1e300])
+        with np.errstate(over="ignore"):  # the norms overflow
+            y = dynamics.invert_vertical_derivative(lag, np.zeros(1), xi)
+        assert np.array_equal(y, xi / 2.0)
+
+    def test_non_finite_step_ends_its_start(self):
+        calls = []
+        lag = Lagrangian(lambda x, y: 0.5 * y @ y,
+                         grad_y=counted(calls, lambda x, y: y.copy()),
+                         hess_yy=lambda x, y: np.full((2, 2), np.nan))
+        x, xi = np.array([0.5]), np.array([1.0, -2.0])
+        with pytest.raises(HyperregularityError, match=r"x=\[0\.5\], xi=\[ 1\. -2\.\]") as err:
+            dynamics.invert_vertical_derivative(lag, x, xi)
+        assert np.array_equal(err.value.x, x) and np.array_equal(err.value.xi, xi)
+        assert len(calls) <= 2 * (1 + dynamics.INVERSION_MULTISTART)
 
 
 class TestNonholonomic:

@@ -130,6 +130,17 @@ class TestSolveRate:
         assert iters == 1
         assert np.array_equal(again, rate)
 
+    def test_norm_is_the_numpy_norm_of_the_residual(self, disc_problem, oscillator_problem):
+        rng = np.random.default_rng(12)
+        for problem in (disc_problem, oscillator_problem):
+            for _ in range(10):
+                state = rng.standard_normal(problem.state_dim)
+                rate, _, norm = solve_rate(problem, 0.0, state)
+                assert norm == np.linalg.norm(problem.residual(0.0, state, rate))
+                again, iters, norm = solve_rate(problem, 0.0, state, rate_guess=rate)
+                assert iters == 1
+                assert norm == np.linalg.norm(problem.residual(0.0, state, again))
+
     def test_condition_limit_on_exact_matrix(self):
         # condition numbers 5e11 and 2e12 sit either side of the 1e12 limit
         rate, _, _ = solve_rate(affine_problem(np.diag([1.0, 2e-12]), [1.0, 1e-12]),
@@ -333,6 +344,33 @@ class TestIntegrate:
     def test_nonpositive_span_rejected(self, oscillator_problem, t1):
         with pytest.raises(SolverError, match="span"):
             integrate(oscillator_problem, np.array([1.0, 0.0]), 0.0, t1, 1e-3)
+
+
+def legendre_disc_state():
+    """A (phi, xi) on the catalog disc's phase support, from the Lagrangian side."""
+    phi = np.array([0.3])
+    xi = build_system("rolling_disc").lagrangian.grad_y(phi, np.array([1.0, -0.5, 0.0, 0.0]))
+    return np.concatenate([phi, xi])
+
+
+class TestPerStepPath:
+    @pytest.mark.parametrize("system, formalism, state0, method", [
+        ("harmonic_oscillator", "hamiltonian", np.array([1.0, 0.0]), "rk4"),
+        ("rolling_disc", "hamiltonian", legendre_disc_state(), "rk4"),
+        ("euler_top", "lagrangian", np.array([1.0, 0.5, 0.2]), "implicit-midpoint"),
+    ], ids=["legendre-oscillator", "legendre-disc", "midpoint-euler-top"])
+    def test_no_numpy_linalg_wrapper(self, monkeypatch, system, formalism, state0, method):
+        # the Hamiltonians come from the numerical Legendre transform; the
+        # disc's pins its constrained momentum rates through hess_xi
+        problem = build_problem(build_system(system), formalism)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("a numpy.linalg wrapper ran on the per-step path")
+
+        monkeypatch.setattr(np.linalg, "norm", banned)
+        monkeypatch.setattr(np.linalg, "solve", banned)
+        traj = integrate(problem, state0, 0.0, 0.05, 1e-3, method=method)
+        assert len(traj) == 51
 
 
 class TestAdmissibility:
