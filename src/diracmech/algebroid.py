@@ -235,11 +235,12 @@ class SkewAlgebroid:
         rho^a_l d_a c_ij^q + c_lp^q c_ij^p, so the cyclic sum over (i, j, k)
         needs one central difference of c (none on a point base).  Triples
         with a repeated index vanish exactly, since c is exactly antisymmetric.
+        Each distinct point (by its bytes) is evaluated once, in order.
         """
         m = self.chart.fiber_dim
         worst = 0.0
-        for x in points:
-            x = _as_base_point(self.chart, x)
+        distinct = {x.tobytes(): x for x in (_as_base_point(self.chart, p) for p in points)}
+        for x in distinct.values():
             c = self.structure(x)
             dc = fd.jacobian(lambda z: self.structure(z).ravel(), x).reshape(m, m, m, -1)
             # t[l, i, j] = [e_l, [e_i, e_j]]

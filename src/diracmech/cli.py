@@ -358,9 +358,7 @@ def _run(scenario, out_dir, check_only, report):
         "max_iterations": int(np.max(trajectory.newton_iterations)),
         "max_residual": float(np.max(trajectory.residual_norms)),
     }
-    if problem.velocity_pair is not None:
-        adm = admissibility_report(bundle.dirac, trajectory)
-        report["admissibility"] = {"max": adm.max}
+    report["admissibility"] = {"max": admissibility_report(bundle.dirac, trajectory).max}
     report["trajectory"] = {"path": csv_path.name, "steps": len(trajectory) - 1}
     return EXIT_OK
 

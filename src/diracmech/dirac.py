@@ -356,7 +356,9 @@ class DiracAlgebroid:
     def core_at(self, x):
         """Orthonormal columns (p, xidot) spanning the core fiber at x."""
         x = _as_base_point(self.chart, x)
-        zeta = self.local_form(x).zeta
+        return self._core(self.local_form(x).zeta)
+
+    def _core(self, zeta):
         core = linalg.null_space(zeta)
         n, m = self.chart.base_dim, self.chart.fiber_dim
         r = zeta.shape[0]

@@ -9,7 +9,9 @@ w = (xdot, xidot, p, y).  A builder supplies only its fill to ``_problem``:
 * ``fill(state, x, xi, y) -> (V, p)``: V maps the rate to (xdot, xidot), p
   is the momentum slot;
 * ``pinned = (value, jacobian)``, functions of (state, x, xi, y): a function
-  pinned to zero and its state Jacobian G.
+  pinned to zero and its state Jacobian G;
+* ``velocity_slots(states)``: the slot y of every state row at once, for
+  the admissibility report (by default ``point`` row by row).
 
 The solved rows drop the pinned-fiber selector rows (``rows``), so the
 affine parts are A = J[rows, :n+m] @ V, b = J[rows, n+m:] @ (p, y) +
@@ -28,7 +30,7 @@ verification share it).
 
 import numpy as np
 
-from .dirac import TimeExtendedDirac, VelocityPair
+from .dirac import TimeExtendedDirac
 from .errors import SolverError
 from .solver import ImplicitProblem
 
@@ -64,7 +66,7 @@ class _StateCache:
         return self._parts(t, state)[1]
 
 
-def _problem(dirac, point, fill, labels, monitors, name, pinned=None):
+def _problem(dirac, point, fill, labels, monitors, name, pinned=None, velocity_slots=None):
     """The implicit problem of one slot fill (see the module docstring)."""
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     dropped = m - len(dirac.free_fiber)
@@ -94,15 +96,15 @@ def _problem(dirac, point, fill, labels, monitors, name, pinned=None):
             return (A, b), None
         return (A, b), (np.concatenate(g), np.vstack(G))
 
-    def velocity_pair(t, state, rate):
-        x, _, y = point(np.asarray(state, dtype=float))
-        return VelocityPair(x, np.asarray(rate, float)[:n], y)
+    def velocities(states, rates):
+        Y = velocity_slots(states) if velocity_slots else np.array([point(s)[2] for s in states])
+        return states[:, :n], rates[:, :n], Y
 
     cache = _StateCache(assemble)
     return ImplicitProblem(
         len(labels), cache,
         algebraic=cache.algebraic if has_phase or pinned is not None else None,
-        monitors=monitors, velocity_pair=velocity_pair, state_labels=labels, name=name,
+        monitors=monitors, velocities=velocities, state_labels=labels, name=name,
     )
 
 
@@ -135,9 +137,14 @@ def lagrangian_problem(dirac, lagrangian, name=""):
 
         monitors["energy"] = energy
 
+    def velocity_slots(states):
+        Y = np.tile(dirac.embed_fiber(np.zeros(free.size)), (len(states), 1))
+        Y[:, free] = states[:, n:]
+        return Y
+
     labels = list(dirac.chart.base_labels) + [dirac.chart.fiber_labels[i] for i in free]
     return _problem(dirac, point, fill, labels, monitors,
-                    name or f"euler-lagrange[{lagrangian.name}]")
+                    name or f"euler-lagrange[{lagrangian.name}]", velocity_slots=velocity_slots)
 
 
 def hamiltonian_problem(dirac, hamiltonian, name=""):

@@ -11,7 +11,8 @@ pins), so the solver knows nothing about them.
 fixed point s = state + dt * rate(t + dt/2, (state + s)/2) iterated with
 one exact rate solve each time, which raises SolverError unless it contracts.
 After every accepted step the state is re-projected onto the algebraic
-channel by Gauss-Newton steps on its G to prevent constraint drift.
+channel by Gauss-Newton steps on its G to prevent constraint drift.  The
+admissibility report reads the states and rates a trajectory holds.
 
 The rate solve calls LAPACK directly, ``dgesdd`` for the singular values of
 the condition check and ``dgesv`` for the solve, without the overhead of the
@@ -23,6 +24,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dgesv
 
+from .dirac import VelocityPair
 from .errors import DegenerateDynamicsError, InitializationError, SolverError
 
 NEWTON_TOL = 1e-10
@@ -41,17 +43,17 @@ class ImplicitProblem:
     zero and their Jacobian G over the state, of shape (len(g),
     ``state_dim``) (None for unconstrained problems).  ``monitors`` are named
     scalar functions of (t, state) recorded along trajectories.
-    ``velocity_pair`` optionally maps (t, state, rate) to a VelocityPair
-    for admissibility reporting.
+    ``velocities`` optionally maps stacked (states, rates) to the stacked
+    velocity pairs (X, Xdot, Y) for admissibility reporting.
     """
 
     def __init__(self, state_dim, affine, algebraic=None, monitors=None,
-                 velocity_pair=None, state_labels=None, name=""):
+                 velocities=None, state_labels=None, name=""):
         self.state_dim = int(state_dim)
         self.affine = affine
         self.algebraic = algebraic
         self.monitors = dict(monitors or {})
-        self.velocity_pair = velocity_pair
+        self.velocities = velocities
         self.state_labels = list(state_labels) if state_labels else [
             f"s{k + 1}" for k in range(self.state_dim)
         ]
@@ -264,15 +266,20 @@ class AdmissibilityReport:
 
 
 def admissibility_report(dirac, trajectory):
-    """Velocity-bundle membership residuals along a trajectory, through the
-    problem's ``velocity_pair`` extractor."""
-    extract = trajectory.problem.velocity_pair
+    """Velocity-bundle membership residuals through the problem's ``velocities``:
+    one product over all samples on an x-independent structure, else
+    ``velocity_residual`` per sample."""
+    extract = trajectory.problem.velocities
     if extract is None:
         raise SolverError("no velocity-pair extractor available for this problem")
-    norms = []
-    for t, s, r in zip(trajectory.times, trajectory.states, trajectory.rates):
-        pair = extract(t, s, r)
-        res = dirac.velocity_residual(pair)
-        norms.append(float(np.max(np.abs(res), initial=0.0)))
-    return AdmissibilityReport(norms, trajectory.times)
-
+    X, Xdot, Y = extract(trajectory.states, trajectory.rates)
+    VelocityPair(X, Xdot, Y)  # the stacked pairs as one: each block is checked finite
+    if dirac.x_independent:
+        lf = dirac.local_form(X[0])
+        res = np.hstack([Xdot, Y]) @ lf.etahat.T
+        if lf.offset is not None:
+            res = res - lf.offset
+    else:
+        res = np.array([dirac.velocity_residual(VelocityPair(*pair))
+                        for pair in zip(X, Xdot, Y)])
+    return AdmissibilityReport(np.max(np.abs(res), axis=1, initial=0.0), trajectory.times)

@@ -290,6 +290,31 @@ class TestRun:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["checks"]["jacobi"]["passed"] is False
 
+    def test_euler_top_reads_its_anchor_once_per_distinct_input(self, tmp_path, monkeypatch):
+        # 4 evaluations build the membership table, 1 the Jacobi check (20
+        # probes of the one empty x), 50 the core check (one local form per
+        # probe) and 1 the admissibility report, whose 5,001 samples read no
+        # velocity_residual on this x-independent structure
+        from diracmech import DiracAlgebroid, SkewAlgebroid
+
+        counts = {"anchor": 0, "velocity_residual": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(SkewAlgebroid, "anchor", counted("anchor", SkewAlgebroid.anchor))
+        monkeypatch.setattr(DiracAlgebroid, "velocity_residual",
+                            counted("velocity_residual", DiracAlgebroid.velocity_residual))
+        assert main(["run", str(SCENARIOS / "euler_top.json"), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "euler_top_report.json").read_text())
+        assert report["trajectory"]["steps"] == 5000 and "admissibility" in report
+        assert counts["anchor"] <= 60
+        assert counts["velocity_residual"] == 0
+
 
 class TestListSystems:
     def test_catalog_lists_all_systems(self, capsys):

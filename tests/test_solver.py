@@ -4,10 +4,13 @@ import pytest
 from diracmech import (
     CanonicalDirac,
     DegenerateDynamicsError,
+    DiracAlgebroid,
+    EvaluationError,
     ImplicitProblem,
     Lagrangian,
     SolverError,
     Trajectory,
+    VelocityPair,
     admissibility_report,
     integrate,
     lagrangian_problem,
@@ -16,8 +19,8 @@ from diracmech import (
     time_extend,
 )
 from diracmech import fd, solver
-from diracmech.problems import hamiltonian_problem
-from diracmech.systems import build_problem, build_system
+from diracmech.problems import hamiltonian_problem, pmp_problem
+from diracmech.systems import CATALOG, build_problem, build_system
 
 from conftest import clocked_hamiltonian, clocked_lagrangian
 
@@ -401,6 +404,77 @@ class TestAdmissibility:
         )
         report = admissibility_report(disc_induced, corrupted)
         assert report.max >= 1e-4
+
+        # the oscillator is x-independent: one product over the samples
+        bundle = build_system("harmonic_oscillator")
+        problem = build_problem(bundle, "lagrangian")
+        traj = integrate(problem, np.array([0.5, 0.0]), 0.0, 0.2, 1e-2)
+        states = traj.states.copy()
+        states[:, 1] += 1e-3  # perturb the velocity channel
+        corrupted = Trajectory(
+            traj.times, states, traj.rates, traj.monitors,
+            traj.newton_iterations, traj.residual_norms, traj.problem,
+        )
+        assert bundle.dirac.x_independent
+        assert admissibility_report(bundle.dirac, corrupted).max >= 1e-4
+        rates = traj.rates.copy()
+        rates[3, 0] = np.nan
+        corrupted = Trajectory(
+            traj.times, traj.states, rates, traj.monitors,
+            traj.newton_iterations, traj.residual_norms, traj.problem,
+        )
+        with pytest.raises(EvaluationError, match="coordinate block 'xdot'"):
+            admissibility_report(bundle.dirac, corrupted)
+
+    @pytest.mark.parametrize("system,formalism,source", [
+        (name, formalism, source)
+        for name, spec in sorted(CATALOG.items())
+        for formalism in spec.formalisms
+        for source in (("legendre", "closed") if formalism == "hamiltonian" else (None,))
+    ])
+    def test_report_matches_per_sample_oracle(self, monkeypatch, system, formalism, source):
+        bundle = build_system(system)
+        dirac = bundle.dirac
+        n = dirac.chart.base_dim
+        if formalism == "lagrangian":
+            problem = lagrangian_problem(dirac, bundle.lagrangian)
+
+            def velocity_slot(state):
+                return dirac.embed_fiber(state[n:])
+        elif formalism == "hamiltonian":
+            ham = bundle.hamiltonian(source)
+            problem = hamiltonian_problem(dirac, ham)
+
+            def velocity_slot(state):
+                return ham.grad_xi(state[:n], state[n:])
+        else:
+            q = bundle.control.control_dim
+            problem = pmp_problem(bundle.control, dirac)
+
+            def velocity_slot(state):
+                return bundle.control.f(state[:n], state[n:n + q])
+        rng = np.random.default_rng(5)
+        state0 = project_initial(problem, 0.5 * rng.standard_normal(problem.state_dim))
+        traj = integrate(problem, state0, 0.0, 0.05, 1e-2)
+        calls = []
+        residual = DiracAlgebroid.velocity_residual
+        monkeypatch.setattr(DiracAlgebroid, "velocity_residual",
+                            lambda self, pair: calls.append(1) or residual(self, pair))
+        for bump in (0.0, 1e-3):
+            # off the solution too, so that the norms are not all zero
+            states = traj.states + bump * rng.standard_normal(traj.states.shape)
+            rates = traj.rates + bump * rng.standard_normal(traj.rates.shape)
+            sampled = Trajectory(traj.times, states, rates, traj.monitors,
+                                 traj.newton_iterations, traj.residual_norms, problem)
+            del calls[:]
+            report = admissibility_report(dirac, sampled)
+            assert len(calls) == (0 if dirac.x_independent else len(traj))
+            expected = [
+                float(np.max(np.abs(residual(dirac, VelocityPair(s[:n], r[:n], velocity_slot(s)))),
+                             initial=0.0))
+                for s, r in zip(states, rates)
+            ]
+            assert report.norms.tolist() == expected
 
 
 class TestEnergy:
