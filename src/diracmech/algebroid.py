@@ -10,6 +10,8 @@ through two smooth fields evaluated at base points x:
 
 The base may be zero-dimensional (a point), which is the Lie-algebra case:
 the anchor is then a (0, m) matrix and all base derivatives vanish.
+It and the tangent algebroid that ``SkewAlgebroid.trivial`` builds are the
+ones whose fields do not vary with x (``x_independent``).
 """
 
 import numpy as np
@@ -178,6 +180,22 @@ class SkewAlgebroid:
         self.name = name
         self._anchor_fn = anchor
         self._structure_fn = structure
+        self._x_independent = chart.base_dim == 0
+
+    @classmethod
+    def trivial(cls, chart, name=""):
+        """The tangent algebroid: identity anchor, zero structure, n = m."""
+        n = chart.base_dim
+        if chart.fiber_dim != n:
+            raise ValueError(f"the trivial algebroid needs base_dim == fiber_dim, got {chart}")
+        algebroid = cls(chart, lambda x: np.eye(n), lambda x: np.zeros((n, n, n)), name)
+        algebroid._x_independent = True
+        return algebroid
+
+    @property
+    def x_independent(self):
+        """Whether the fields are the same at every x; never guessed from values."""
+        return self._x_independent
 
     def anchor(self, x):
         """Anchor matrix rho(x) of shape (n, m)."""

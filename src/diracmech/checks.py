@@ -5,7 +5,8 @@ tolerance it is held to, and a pass flag.  The integrability check reports
 verdicts instead: a constraint failing to close is a property of the
 system, not a defect, so it never fails the run.  Each distinct input is
 evaluated once: the Jacobi check's probe points, and the core-annihilator
-angle, which depends only on the blocks (etahat, zeta) read at each probe.
+angle, which depends only on the blocks (etahat, zeta) read at each probe
+(at the first probe only on an x-independent structure).
 """
 
 import numpy as np
@@ -46,9 +47,10 @@ def jacobi_check(algebroid, probes=20, seed=0):
 def core_annihilator_check(dirac, probes=50, seed=0):
     rng = np.random.default_rng(seed)
     n = dirac.chart.base_dim
+    points = [dirac.project_support(rng.standard_normal(n)) for _ in range(probes)]
     forms = {}
-    for _ in range(probes):
-        lf = dirac.local_form(dirac.project_support(rng.standard_normal(n)))
+    for x in points[:1] if dirac.x_independent else points:
+        lf = dirac.local_form(x)
         forms.setdefault((lf.etahat.tobytes(), lf.zeta.tobytes()), lf)
     worst = 0.0
     for lf in forms.values():

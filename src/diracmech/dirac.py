@@ -37,11 +37,11 @@ The Euler-Lagrange, Hamilton and control dynamics (``dynamics``,
 ``problems``) only fill the slots of w.
 
 (J, const) is affine in xi, with coefficients that depend on x alone.  A
-structure whose coefficients do not depend on x either (``x_independent``:
-a point base, ``CanonicalDirac`` and their clock extensions) tabulates them
-at its first membership call from m + 1 kernel evaluations, so its user
-fields are evaluated m + 1 times then and never again there; every other
-structure (the rolling disc) evaluates them once per call.
+structure whose coefficients do not depend on x either (``x_independent``)
+tabulates them at its first membership call from m + 1 kernel evaluations,
+so its user fields are evaluated m + 1 times then and never again there;
+every other structure (the rolling disc) evaluates them once per call.  A
+graph takes the fact from its algebroid, a clock extension from its base.
 """
 
 from typing import NamedTuple
@@ -175,8 +175,8 @@ class DiracAlgebroid:
     A representation overrides ``local_form(x)``, which returns the blocks,
     and, where they do not vanish, ``structure_terms(x)``, which gives the
     structure terms only membership reads, and the phase hook
-    ``_phase(x, xi)``.  One whose blocks are constant over a base of
-    positive dimension says so through ``x_independent``.
+    ``_phase(x, xi)``.  ``x_independent`` defaults to a point base; graphs
+    read it from their algebroid, clock extensions from their base.
 
     Every structure carries the adapted selectors of the constraints it was
     induced by: ``zero_fiber`` (fiber indices pinned to y = 0),
@@ -461,14 +461,9 @@ class PiGraphDirac(DiracAlgebroid):
                 raise ConstraintError("fixed fiber index also marked zero")
         super().__init__(algebroid.chart, zero_fiber, zero_base, fixed_fiber)
         self.algebroid = algebroid
-        free = list(self.free_fiber)
-        pinned = [i for i in range(m) if i not in free]
-        # the free fiber columns of rho, their y columns in etahat and the
-        # free block of c: slices when nothing is pinned, so that the
-        # unpinned graph indexes views
-        self._cols = free if pinned else slice(None)
-        self._y_cols = [n + i for i in free] if pinned else slice(n, None)
-        self._c_block = np.ix_(free, free) if pinned else ...
+        pinned = [i for i in range(m) if i not in self.free_fiber]
+        self._y_cols = n + self._free
+        self._c_block = np.ix_(self._free, self._free)
         # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in
         eye = np.eye(n + m)
@@ -478,10 +473,14 @@ class PiGraphDirac(DiracAlgebroid):
             # etahat row of the selector y_fixed = 1
             self._fixed_row = n + pinned.index(fixed_fiber)
 
+    @property
+    def x_independent(self):
+        return self.algebroid.x_independent
+
     def local_form(self, x):
         n = self.chart.base_dim
         rho = self.algebroid.anchor(x)
-        free_rho = rho[:, self._cols]
+        free_rho = rho[:, self._free]
         etahat = self._etahat.copy()
         etahat[:n, self._y_cols] = -free_rho
         zeta = self._eta.copy()
@@ -495,7 +494,7 @@ class PiGraphDirac(DiracAlgebroid):
 
     def structure_terms(self, x):
         c = self.algebroid.structure(x)
-        drift = None if self.fixed_fiber is None else c[self._cols, self.fixed_fiber, :]
+        drift = None if self.fixed_fiber is None else c[self._free, self.fixed_fiber, :]
         return c[self._c_block], drift
 
 
@@ -538,34 +537,14 @@ class OmegaGraphDirac(DiracAlgebroid):
 
 
 class CanonicalDirac(PiGraphDirac):
-    """Canonical structure on the dual of a tangent bundle (requires n = m).
+    """Canonical structure on the dual of a tangent bundle: xdot = y, xidot = -p.
 
-    The bivector graph of the trivial algebroid (identity anchor, zero
-    structure), with its constant local form built once; its membership
-    rows are tabulated.  Membership equations: xdot = y, xidot = -p.
+    The graph of the x-independent trivial algebroid, so it and every
+    structure induced from it tabulate their membership rows.
     """
 
     def __init__(self, dim, base_labels=None):
-        chart = Chart(dim, dim, base_labels=base_labels)
-        super().__init__(SkewAlgebroid(
-            chart,
-            anchor=lambda x: np.eye(dim),
-            structure=lambda x: np.zeros((dim, dim, dim)),
-            name="canonical",
-        ))
-        eye = np.eye(dim)
-        self._form = LocalForm(
-            eta=self._eta,
-            etahat=_constant(np.hstack([eye, -eye])),
-            zeta=_constant(np.hstack([eye, eye])),
-        )
-
-    @property
-    def x_independent(self):
-        return True
-
-    def local_form(self, x):
-        return self._form
+        super().__init__(SkewAlgebroid.trivial(Chart(dim, dim, base_labels), name="canonical"))
 
 
 class GeneralLocalDirac(DiracAlgebroid):

@@ -80,6 +80,22 @@ def test_catalog_checks_match_per_probe_loops(system, constraint):
                                   probes=20)
 
 
+@pytest.mark.parametrize("system,constraint", [
+    (name, None) for name in sorted(CATALOG) if name != "rolling_disc"
+] + [("canonical_particle", {"fiber": [2]})])
+def test_core_check_reads_an_x_independent_form_once(monkeypatch, system, constraint):
+    dirac = build_system(system, constraint_override=constraint).dirac
+    assert dirac.x_independent
+    with pytest.MonkeyPatch.context() as patch:  # read the form at every probe
+        patch.setattr(type(dirac), "x_independent", property(lambda self: False))
+        expected = core_annihilator_check(dirac)
+    calls = []
+    local_form = dirac.local_form
+    monkeypatch.setattr(dirac, "local_form", lambda x: calls.append(x) or local_form(x))
+    assert core_annihilator_check(dirac) == expected
+    assert len(calls) == 1
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**16), n=st.integers(2, 3), data=st.data())
 def test_frame_algebroid_checks_match_per_probe_loops(seed, n, data):

@@ -319,11 +319,13 @@ class TestPiGraph:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_canonical_is_the_trivial_algebroid_graph(self, dim):
-        canonical = CanonicalDirac(dim)
-        graph = PiGraphDirac(canonical.algebroid)
+        eye, zero = np.eye(dim), np.zeros((dim, dim))
         x = np.random.default_rng(dim).standard_normal(dim)
-        for built, general in zip(canonical.local_form(x), graph.local_form(x)):
-            assert (built is None and general is None) or np.array_equal(built, general)
+        eta, etahat, zeta, offset = CanonicalDirac(dim).local_form(x)
+        assert np.array_equal(eta, np.hstack([zero, eye]))
+        assert np.array_equal(etahat, np.hstack([eye, -eye]))
+        assert np.array_equal(zeta, np.hstack([eye, eye]))
+        assert offset is None
 
 
 class TestTimeExtension:
@@ -420,7 +422,7 @@ def test_user_coefficients_must_be_antisymmetric(builder):
 
 class TestConstantBlocks:
     @pytest.mark.parametrize("builder, names", [
-        (lambda: CanonicalDirac(2), ("eta", "etahat", "zeta")),
+        (lambda: CanonicalDirac(2), ("eta",)),
         (lambda: PiGraphDirac(make_random_pigraph(seed=3)), ("eta",)),
         (lambda: canonical_like_omega(2), ("eta",)),
         (lambda: induce(PiGraphDirac(make_random_pigraph(seed=3)),
@@ -507,17 +509,33 @@ class TestTabulation:
         (lambda: CanonicalDirac(2), True),
         (lambda: time_extend(PiGraphDirac(so3_algebroid())), True),
         (lambda: time_extend(CanonicalDirac(1)), True),
+        (lambda: induce(CanonicalDirac(2), LinearConstraint(base=(0,))), True),
+        (lambda: induce(CanonicalDirac(2), LinearConstraint(fiber=(1,))), True),
+        (lambda: time_extend(induce(CanonicalDirac(2), LinearConstraint(base=(0,)))), True),
+        (lambda: SkewAlgebroid.trivial(Chart(2, 2)), True),
         (lambda: PiGraphDirac(make_random_pigraph(seed=3)), False),
         (lambda: induce(PiGraphDirac(rolling_disc_algebroid()),
                         LinearConstraint(fiber=(2, 3))), False),
         (lambda: time_extend(PiGraphDirac(make_random_pigraph(seed=3))), False),
+        # constant fields are never guessed: only the trivial constructor says so
+        (lambda: PiGraphDirac(SkewAlgebroid(Chart(2, 2), lambda x: np.eye(2),
+                                            lambda x: np.zeros((2, 2, 2)))), False),
+        (lambda: SkewAlgebroid(Chart(2, 2), lambda x: np.eye(2),
+                               lambda x: np.zeros((2, 2, 2))), False),
     ], ids=["point-base", "canonical", "clocked-point-base", "clocked-canonical",
-            "pi-graph", "rolling-disc", "clocked-pi-graph"])
+            "base-induced-canonical", "fiber-induced-canonical",
+            "clocked-base-induced-canonical", "trivial-algebroid", "pi-graph",
+            "rolling-disc", "clocked-pi-graph", "hand-built-trivial-graph",
+            "hand-built-trivial-algebroid"])
     def test_x_independence_is_a_fact_of_the_representation(self, builder, expected):
-        dirac = builder()
-        assert dirac.x_independent is expected
+        owner = builder()
+        assert owner.x_independent is expected
         with pytest.raises(AttributeError):
-            dirac.x_independent = not expected
+            owner.x_independent = not expected
+
+    def test_trivial_algebroid_needs_equal_dimensions(self):
+        with pytest.raises(ValueError, match="base_dim == fiber_dim"):
+            SkewAlgebroid.trivial(Chart(2, 3))
 
     def test_point_base_evaluates_its_fields_m_plus_one_times(self):
         calls = {"anchor": 0, "structure": 0}
@@ -527,6 +545,24 @@ class TestTabulation:
                          0.0, 0.1, 0.01)
         assert len(traj) == 11  # ten rk4 steps
         assert calls == {"anchor": 4, "structure": 4}
+
+    def test_induced_canonical_evaluates_its_fields_m_plus_one_times(self):
+        calls = {"anchor": 0, "structure": 0}
+        dirac = induce(CanonicalDirac(2), LinearConstraint(fiber=(1,)))
+        algebroid = dirac.algebroid
+        for name in calls:  # wrap the instance's fields, keeping its x-independence
+            fn = getattr(algebroid, f"_{name}_fn")
+
+            def logged(x, name=name, fn=fn):
+                calls[name] += 1
+                return fn(x)
+
+            setattr(algebroid, f"_{name}_fn", logged)
+        lag = quadratic_lagrangian(lambda x: np.eye(2))
+        traj = integrate(lagrangian_problem(dirac, lag), np.array([0.3, -0.2, 0.9]),
+                         0.0, 0.1, 0.01)
+        assert len(traj) == 11  # ten rk4 steps
+        assert calls == {"anchor": 3, "structure": 3}
 
     def test_rolling_disc_evaluates_its_fields_once_per_assembly(self):
         calls = {"anchor": 0, "structure": 0}

@@ -50,6 +50,15 @@ def test_constrained_particle_integrates():
     assert abs(traj.states[-1][1]) <= 1e-12
 
 
+@pytest.mark.parametrize("system,constraint", [(name, None) for name in sorted(CATALOG)] + [
+    ("canonical_particle", {"fiber": [2]}),
+])
+def test_every_structure_but_the_rolling_disc_tabulates(system, constraint):
+    # the induced canonical structure keeps the fact through its algebroid
+    dirac = build_system(system, constraint_override=constraint).dirac
+    assert dirac.x_independent is (system != "rolling_disc")
+
+
 def test_systems_without_constraints_reject_them():
     for name in ("forced_oscillator_timedep", "lqr_pmp"):
         with pytest.raises(ScenarioError, match="constraint"):
