@@ -4,7 +4,8 @@ The package represents skew/Lie algebroids through anchor and structure
 functions, linear (almost) Dirac structures on the dual bundle in several
 concrete forms, induction of new structures by nonholonomic constraints,
 and the implicit Euler-Lagrange / Hamilton residual systems they generate,
-together with a Newton-based integrator and invariant monitors.
+together with an integrator whose rate solve is one exact linear solve per
+evaluation, and invariant monitors.
 """
 
 from .algebroid import Chart, Section, SkewAlgebroid, basis_sections

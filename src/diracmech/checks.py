@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .algebroid import JACOBI_TOL
 from .constraints import check_integrability
-from .dirac import ISOTROPY_TOL, PiGraphDirac
+from .dirac import ISOTROPY_TOL, PiGraphDirac, TimeExtendedDirac
 from .dynamics import el_residual, hamilton_residual, legendre_transform
 from .errors import DiracMechError
 
@@ -140,7 +140,7 @@ def run_checks(bundle, names, seed=0):
             except DiracMechError as err:
                 results[name] = {"skipped": str(err), "passed": True}
         elif name == "legendre_equivalence":
-            if bundle.lagrangian is None or bundle.time_dependent:
+            if bundle.lagrangian is None or isinstance(bundle.dirac, TimeExtendedDirac):
                 results[name] = {"skipped": "needs an autonomous Lagrangian", "passed": True}
             else:
                 results[name] = legendre_equivalence_check(

@@ -19,6 +19,7 @@ every exit writes the report with ``exit_code`` and ``error`` or ``degeneracy``.
 """
 
 import argparse
+import copy
 import json
 import math
 import operator
@@ -29,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CHECK_NAMES, run_checks
+from .dirac import TimeExtendedDirac
 from .errors import (ConstraintError, DegenerateDynamicsError, DiracMechError, ScenarioError,
                      SolverError)
-from .solver import METHODS, admissibility_report, integrate, project_initial
+from .solver import METHODS, admissibility_report, integrate, project_initial, step_count
 from .systems import CATALOG, build_problem, build_system
 
 SCHEMA_VERSION = "diracmech/scenario-v1"
@@ -107,65 +109,42 @@ def validate(value, schema, path=""):
 
 
 class Scenario:
-    """Parsed scenario document; ``from_dict``/``to_dict`` round-trip exactly."""
+    """A scenario document that passed ``scenario_schema()``.
 
-    def __init__(self, system, initial, time, formalism="lagrangian",
-                 params=None, constraint=None, checks=(), output=None,
-                 seed=0, hamiltonian_source="legendre"):
-        self.system = system
-        self.params = {key: float(v) for key, v in (params or {}).items()}
-        self.constraint = constraint
-        self.formalism = formalism
-        self.initial = [float(v) for v in initial]
-        self.time = dict(time)
-        self.checks = list(checks)
+    ``doc`` is the document itself; every schema property but ``schema``
+    reads as an attribute with its default filled in (``time.method`` rk4,
+    ``output`` names trajectory.csv and report.json).
+    """
+
+    def __init__(self, doc):
+        self.doc = doc
+        self.system = doc["system"]
+        self.initial = doc["initial"]
+        time = doc["time"]
+        self.time = {"t0": float(time["t0"]), "t1": float(time["t1"]),
+                     "dt": float(time["dt"]), "method": time.get("method", "rk4")}
+        self.formalism = doc.get("formalism", "lagrangian")
+        self.params = doc.get("params", {})
+        self.constraint = doc.get("constraint")
+        self.checks = doc.get("checks", [])
         self.output = {"trajectory": "trajectory.csv", "report": "report.json",
-                       **(output or {})}
-        self.seed = int(seed)
-        self.hamiltonian_source = hamiltonian_source
+                       **doc.get("output", {})}
+        self.seed = doc.get("seed", 0)
+        self.hamiltonian_source = doc.get("hamiltonian_source", "legendre")
 
     @classmethod
     def from_dict(cls, doc):
         """Validate ``doc`` against ``scenario_schema()``, then the rules that
-        span fields: the time span and its step count, distinct output names."""
+        span fields: ``step_count`` of the time span, distinct output names."""
         validate(doc, scenario_schema())
-        time = doc["time"]
-        t0, t1, dt = float(time["t0"]), float(time["t1"]), float(time["dt"])
-        steps = (t1 - t0) / dt
-        # needs a positive finite span too; round() takes a ratio of 1/2 to 0 steps
-        if not (math.isfinite(steps) and steps > 0.5):
-            raise ScenarioError(
-                f"time span t1 - t0 = {t1 - t0} is {steps} steps of time.dt = {dt}: "
-                "it must be positive and round to a finite count of at least one")
-        # every other field of the document is the constructor argument of that name
-        fields = dict(doc, time={"t0": t0, "t1": t1, "dt": dt,
-                                 "method": time.get("method", "rk4")})
-        del fields["schema"]
-        scenario = cls(**fields)
+        scenario = cls(doc)
+        try:
+            step_count(scenario.time["t0"], scenario.time["t1"], scenario.time["dt"])
+        except SolverError as err:
+            raise ScenarioError(f"time.t0, time.t1 and time.dt: {err}") from err
         if scenario.output["trajectory"] == scenario.output["report"]:
             raise ScenarioError("output.trajectory and output.report must differ")
         return scenario
-
-    def to_dict(self):
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "system": self.system,
-            "formalism": self.formalism,
-            "initial": list(self.initial),
-            "time": dict(self.time),
-        }
-        if self.params:
-            doc["params"] = dict(self.params)
-        if self.constraint is not None:
-            doc["constraint"] = dict(self.constraint)
-        if self.checks:
-            doc["checks"] = list(self.checks)
-        doc["output"] = dict(self.output)
-        if self.seed:
-            doc["seed"] = self.seed
-        if self.hamiltonian_source != "legendre":
-            doc["hamiltonian_source"] = self.hamiltonian_source
-        return doc
 
     @classmethod
     def load(cls, path):
@@ -288,8 +267,10 @@ def _execute(scenario, out_dir, check_only=False):
     report["exit_code"] = code
     report_path = out_dir / scenario.output["report"]
     try:
-        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                               encoding="utf-8")
+        # default writes the numpy scalars and arrays of the check results
+        text = json.dumps(report, indent=2, sort_keys=True,
+                          default=operator.methodcaller("tolist"))
+        report_path.write_text(text + "\n", encoding="utf-8")
     except OSError as err:
         print(f"error: cannot write the report: {err}", file=sys.stderr)
         return EXIT_ERROR
@@ -320,7 +301,7 @@ def _run(scenario, out_dir, check_only, report):
                             seed=scenario.seed)
 
     checks = run_checks(bundle, scenario.checks, seed=scenario.seed)
-    report["checks"] = _jsonable(checks)
+    report["checks"] = checks
     failed = [name for name, result in checks.items() if not result.get("passed", True)]
     if failed:
         print(f"structure checks failed: {failed}", file=sys.stderr)
@@ -328,8 +309,9 @@ def _run(scenario, out_dir, check_only, report):
     if check_only:
         return EXIT_OK
 
+    clocked = isinstance(bundle.dirac, TimeExtendedDirac)
     initial = list(scenario.initial)
-    if bundle.time_dependent:
+    if clocked:
         initial = [scenario.time["t0"]] + initial
     if len(initial) != problem.state_dim:
         raise ScenarioError(
@@ -344,7 +326,7 @@ def _run(scenario, out_dir, check_only, report):
                                  t=scenario.time["t0"])
         trajectory = integrate(problem, state0, **scenario.time)
     drifting = [k for k in ("energy", "hamiltonian") if k in trajectory.monitors]
-    if drifting and not bundle.time_dependent:
+    if drifting and not clocked:
         drift = trajectory.monitor_drift(drifting[0])
         if not math.isfinite(drift):
             raise SolverError(f"drift of monitor '{drifting[0]}' is not finite ({drift})")
@@ -361,22 +343,6 @@ def _run(scenario, out_dir, check_only, report):
     report["admissibility"] = {"max": admissibility_report(bundle.dirac, trajectory).max}
     report["trajectory"] = {"path": csv_path.name, "steps": len(trajectory) - 1}
     return EXIT_OK
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _parse_sweep(spec):
@@ -404,10 +370,9 @@ def cmd_run(args):
     values = np.linspace(lo, hi, count)
     codes = []
     for value in values:
-        doc = scenario.to_dict()
+        doc = copy.deepcopy(scenario.doc)
         doc.setdefault("params", {})[name] = float(value)
-        sub = Scenario.from_dict(doc)
-        codes.append(_execute(sub, Path(args.out) / f"{name}={value:.17g}"))
+        codes.append(_execute(Scenario.from_dict(doc), Path(args.out) / f"{name}={value:.17g}"))
     return max(codes)
 
 

@@ -568,7 +568,15 @@ class GeneralLocalDirac(DiracAlgebroid):
         self._phase_eqs = phase
 
     def local_form(self, x):
-        return LocalForm(*(np.asarray(block(x), dtype=float) for block in self._blocks))
+        width = self.chart.base_dim + self.chart.fiber_dim
+        blocks = []
+        for name, block in zip(("eta", "etahat", "zeta"), self._blocks):
+            value = _check_finite(name, block(x))
+            if value.ndim != 2 or value.shape[1] != width:
+                raise EvaluationError(
+                    f"{name} has shape {value.shape}, expected 2-D with {width} columns")
+            blocks.append(value)
+        return LocalForm(*blocks)
 
     def structure_terms(self, x):
         if self._structure is None:

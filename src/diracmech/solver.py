@@ -64,12 +64,6 @@ class ImplicitProblem:
         A, b = self.affine(t, state)
         return A @ np.asarray(rate, dtype=float) + b
 
-    def algebraic_at(self, t, state):
-        """The constraint values g at (t, state), empty without a channel."""
-        if self.algebraic is None:
-            return np.zeros(0)
-        return np.asarray(self.algebraic(t, np.asarray(state, float))[0], dtype=float).reshape(-1)
-
 
 class Trajectory:
     """Time-sampled solution with monitor channels and solver statistics."""
@@ -197,22 +191,16 @@ def _record_monitors(problem, monitors, t, state):
         monitors[name].append(value)
 
 
-def integrate(problem, state0, t0, t1, dt, method="rk4"):
-    """Integrate from t0 to t1 with the given nominal step.
+def step_count(t0, t1, dt):
+    """The number of equal steps, round((t1 - t0) / dt), that span [t0, t1].
 
-    The span t1 - t0 must be positive and finite; it is divided into
-    round((t1 - t0) / dt) equal steps, of which there must be at least
-    one (a span of at most dt/2 is rejected) and a finite number (a dt so
-    small that the ratio overflows is rejected).  After each
-    step the state is re-projected onto the algebraic channel and monitors
-    are recorded; a monitor value that is not finite raises SolverError.
-    Raises with the step index attached when the inner rate solve
-    degenerates.
+    dt must be positive and the span t1 - t0 positive and finite; there
+    must be at least one step (a span of at most dt/2 is rejected) and a
+    finite number (a dt so small that the ratio overflows is rejected).
+    Raises SolverError otherwise.
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
-    if method not in METHODS:
-        raise SolverError(f"unknown method '{method}'")
     span = float(t1) - float(t0)
     if not (np.isfinite(span) and span > 0.0):
         raise SolverError(f"time span t1 - t0 = {span} must be positive and finite")
@@ -220,8 +208,21 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     if not (np.isfinite(ratio) and round(ratio) >= 1):
         raise SolverError(f"time span t1 - t0 = {span} is {ratio} steps of dt = {dt}: "
                           "it must round to a finite count of at least one")
-    nsteps = int(round(ratio))
-    dt_eff = span / nsteps
+    return int(round(ratio))
+
+
+def integrate(problem, state0, t0, t1, dt, method="rk4"):
+    """Integrate from t0 to t1 in ``step_count(t0, t1, dt)`` equal steps.
+
+    After each step the state is re-projected onto the algebraic channel
+    and monitors are recorded; a monitor value that is not finite raises
+    SolverError.  Raises with the step index attached when the inner rate
+    solve degenerates.
+    """
+    if method not in METHODS:
+        raise SolverError(f"unknown method '{method}'")
+    nsteps = step_count(t0, t1, dt)
+    dt_eff = (float(t1) - float(t0)) / nsteps
 
     state = project_initial(problem, state0, t=t0)
     times = [float(t0)]

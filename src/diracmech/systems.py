@@ -194,7 +194,7 @@ class SystemBundle:
 
     def __init__(self, name, chart, dirac, base_dirac, algebroid=None,
                  lagrangian=None, closed_hamiltonian=None, control=None,
-                 angle_bases=(), time_dependent=False):
+                 angle_bases=()):
         self.name = name
         self.chart = chart
         self.dirac = dirac
@@ -204,7 +204,6 @@ class SystemBundle:
         self.closed_hamiltonian = closed_hamiltonian
         self.control = control
         self.angle_bases = tuple(angle_bases)
-        self.time_dependent = time_dependent
 
     def hamiltonian(self, source="legendre", seed=0):
         """Hamiltonian for the phase formalism.
@@ -237,62 +236,46 @@ def _resolve_constraint(override):
     return LinearConstraint(fiber=fiber, base=base)
 
 
+def _quadratic_system(name, base, constraint, spec, label=None, angle_bases=()):
+    """The bundle of L = y . M(x) y / 2 - U(x) and its closed-form H on
+    ``base``, induced by ``constraint`` when one is given; ``spec`` is
+    (mass_matrix, mass_matrix_diff, potential, potential_grad) and ``label``
+    names L and H (default ``name``)."""
+    label = label or name
+    dirac = induce(base, constraint) if constraint else base
+    return SystemBundle(name, base.chart, dirac, base, algebroid=base.algebroid,
+                        lagrangian=quadratic_lagrangian(*spec, name=label),
+                        closed_hamiltonian=quadratic_hamiltonian(*spec, name=label),
+                        angle_bases=angle_bases)
+
+
 def _build_canonical_particle(params, constraint):
     mass = params["mass"]
-    base = CanonicalDirac(2)
-    lag = quadratic_lagrangian(lambda x: mass * np.eye(2), name="free_particle")
-    ham = quadratic_hamiltonian(lambda x: mass * np.eye(2), name="free_particle")
-    dirac = induce(base, constraint) if constraint else base
-    return SystemBundle("canonical_particle", base.chart, dirac, base,
-                        algebroid=base.algebroid,
-                        lagrangian=lag, closed_hamiltonian=ham)
+    return _quadratic_system("canonical_particle", CanonicalDirac(2), constraint,
+                             (lambda x: mass * np.eye(2), None, None, None),
+                             label="free_particle")
 
 
 def _build_harmonic_oscillator(params, constraint):
     mass, spring = params["mass"], params["spring"]
-    base = CanonicalDirac(1)
-    lag = quadratic_lagrangian(
-        lambda x: np.array([[mass]]),
-        potential=lambda x: 0.5 * spring * float(x[0] ** 2),
-        potential_grad=lambda x: np.array([spring * x[0]]),
-        name="harmonic_oscillator",
-    )
-    ham = quadratic_hamiltonian(
-        lambda x: np.array([[mass]]),
-        potential=lambda x: 0.5 * spring * float(x[0] ** 2),
-        potential_grad=lambda x: np.array([spring * x[0]]),
-        name="harmonic_oscillator",
-    )
-    dirac = induce(base, constraint) if constraint else base
-    return SystemBundle("harmonic_oscillator", base.chart, dirac, base,
-                        algebroid=base.algebroid,
-                        lagrangian=lag, closed_hamiltonian=ham)
+    spec = (lambda x: np.array([[mass]]), None,
+            lambda x: 0.5 * spring * float(x[0] ** 2),
+            lambda x: np.array([spring * x[0]]))
+    return _quadratic_system("harmonic_oscillator", CanonicalDirac(1), constraint, spec)
 
 
 def _build_rolling_disc(params, constraint):
     m, R, J1, J2 = params["m"], params["R"], params["J1"], params["J2"]
-    algebroid = rolling_disc_algebroid(R)
-    base = PiGraphDirac(algebroid)
-    if constraint is None:
-        constraint = LinearConstraint(fiber=(2, 3))
-    dirac = induce(base, constraint)
-    return SystemBundle("rolling_disc", algebroid.chart, dirac, base,
-                        algebroid=algebroid,
-                        lagrangian=rolling_disc_lagrangian(m, R, J1, J2),
-                        closed_hamiltonian=rolling_disc_hamiltonian(m, R, J1, J2),
-                        angle_bases=(0,))
+    return _quadratic_system("rolling_disc", PiGraphDirac(rolling_disc_algebroid(R)),
+                             constraint or LinearConstraint(fiber=(2, 3)),
+                             rolling_disc_mass(m, R, J1, J2) + (None, None),
+                             angle_bases=(0,))
 
 
 def _build_euler_top(params, constraint):
     J = np.array([params["J1"], params["J2"], params["J3"]])
-    algebroid = so3_algebroid()
-    base = PiGraphDirac(algebroid)
-    lag = quadratic_lagrangian(lambda x: np.diag(J), name="euler_top")
-    ham = quadratic_hamiltonian(lambda x: np.diag(J), name="euler_top")
-    dirac = induce(base, constraint) if constraint else base
-    return SystemBundle("euler_top", algebroid.chart, dirac, base,
-                        algebroid=algebroid, lagrangian=lag,
-                        closed_hamiltonian=ham)
+    return _quadratic_system("euler_top", PiGraphDirac(so3_algebroid()), constraint,
+                             (lambda x: np.diag(J), None, None, None))
 
 
 def _build_forced_oscillator(params, constraint):
@@ -324,7 +307,7 @@ def _build_forced_oscillator(params, constraint):
         name="forced_oscillator",
     )
     return SystemBundle("forced_oscillator_timedep", dirac.chart, dirac, base,
-                        lagrangian=lag, time_dependent=True)
+                        lagrangian=lag)
 
 
 def _build_lqr(params, constraint):

@@ -2,6 +2,9 @@
 them to per-probe reference loops that evaluate every probe, on every
 catalog system and on random frame algebroids, where no probe repeats."""
 
+import json
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,6 @@ from diracmech.checks import (
     integrability_check,
     jacobi_check,
 )
-from diracmech.cli import _jsonable
 from diracmech.errors import DiracMechError
 from diracmech.linalg import annihilator, max_principal_angle
 from diracmech.systems import CATALOG, build_system
@@ -54,7 +56,9 @@ def core_reference(dirac, probes=50, seed=0):
 
 def integrability(dirac, base_dirac):
     try:
-        return _jsonable(integrability_check(dirac, base_dirac))
+        # as the report writes it: the numpy values through their tolist
+        return json.dumps(integrability_check(dirac, base_dirac), sort_keys=True,
+                          default=operator.methodcaller("tolist"))
     except DiracMechError as err:
         return str(err)
 

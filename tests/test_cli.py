@@ -1,4 +1,4 @@
-import inspect
+import copy
 import json
 import warnings
 from pathlib import Path
@@ -51,8 +51,29 @@ BASE_DOC = {
 class TestScenario:
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
     def test_shipped_scenarios_round_trip(self, name):
-        doc = json.loads((SCENARIOS / name).read_text())
-        assert Scenario.from_dict(doc).to_dict() == doc
+        # every shipped document loads, the scenario keeps it as read, and a
+        # copy of it, which a sweep edits, reads back into the same attributes
+        scenario = Scenario.load(SCENARIOS / name)
+        assert scenario.doc == json.loads((SCENARIOS / name).read_text())
+        again = Scenario.from_dict(copy.deepcopy(scenario.doc))
+        assert vars(again) == vars(scenario)
+
+    def test_sweep_run_is_the_run_of_its_document(self, tmp_path):
+        # each sub-run of a sweep writes, byte for byte, what a run of the
+        # shipped document with that parameter set writes
+        path = SCENARIOS / "canonical_particle.json"
+        doc = json.loads(path.read_text())
+        sweep_dir = tmp_path / "sweep"
+        assert main(["run", str(path), "--out", str(sweep_dir),
+                     "--sweep", "mass=1:2:2"]) == EXIT_OK
+        for value in (1.0, 2.0):
+            alone = dict(doc, params={"mass": value})
+            alone_dir = tmp_path / f"alone_{value}"
+            alone_path = write_scenario(tmp_path, alone, name=f"mass_{value}.json")
+            assert main(["run", str(alone_path), "--out", str(alone_dir)]) == EXIT_OK
+            for name in doc["output"].values():
+                swept = (sweep_dir / f"mass={value:.17g}" / name).read_bytes()
+                assert swept == (alone_dir / name).read_bytes()
 
     def test_unknown_field_rejected(self):
         doc = dict(BASE_DOC, typo_field=1)
@@ -92,9 +113,31 @@ class TestSchemaInterpreter:
             assert set(sub) <= SCHEMA_KEYWORDS, sorted(set(sub) - SCHEMA_KEYWORDS)
             assert sub.get("type", "number") in cli._TYPES
 
-    def test_schema_fields_are_constructor_arguments(self):
+    def test_every_schema_field_is_an_attribute_with_its_default(self):
         fields = set(scenario_schema()["properties"]) - {"schema"}
-        assert fields == set(inspect.signature(Scenario).parameters)
+        full = dict(BASE_DOC, params={"mass": 2.0}, constraint={"fiber": [1]},
+                    checks=["isotropy"], seed=3, hamiltonian_source="closed")
+        assert fields <= set(full)
+        scenario = Scenario.from_dict(full)
+        assert scenario.doc is full
+        assert {key: getattr(scenario, key) for key in fields} == {
+            key: full[key] for key in fields}
+        required = {"schema", "system", "initial", "time"}
+        minimal = {key: BASE_DOC[key] for key in required}
+        minimal["time"] = {"t0": 0.0, "t1": 0.5, "dt": 0.01}
+        scenario = Scenario.from_dict(minimal)
+        assert {key: getattr(scenario, key) for key in fields} == {
+            "system": "harmonic_oscillator",
+            "initial": [1.0, 0.0],
+            "time": {"t0": 0.0, "t1": 0.5, "dt": 0.01, "method": "rk4"},
+            "formalism": "lagrangian",
+            "params": {},
+            "constraint": None,
+            "checks": [],
+            "output": {"trajectory": "trajectory.csv", "report": "report.json"},
+            "seed": 0,
+            "hamiltonian_source": "legendre",
+        }
 
     def test_annotations_are_ignored(self):
         validate(1.0, {"$schema": "x", "title": "t", "description": "d", "examples": ["a"]})

@@ -395,6 +395,26 @@ class TestGeneralLocal:
         with pytest.raises(StructureError, match="zeta"):
             local.validate([np.zeros(1)])
 
+    @pytest.mark.parametrize("etahat, message", [
+        (np.array([[1.0, np.nan, 0.0]]), r"etahat has non-finite entry at index \(0, 1\)"),
+        (np.array([[1.0, -1.0, 0.0, 0.0]]),
+         r"etahat has shape \(1, 4\), expected 2-D with 3 columns"),
+    ], ids=["nan", "one-column-too-wide"])
+    def test_bad_block_is_named(self, etahat, message):
+        # before the membership rows, the SVD of the velocity space or a
+        # numpy broadcast would fail without naming the block
+        local = GeneralLocalDirac(
+            Chart(1, 2),
+            eta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            etahat=lambda x: etahat,
+            zeta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        )
+        for use in (local.local_form, local.velocity_space):
+            with pytest.raises(EvaluationError, match=message):
+                use(np.zeros(1))
+        with pytest.raises(EvaluationError, match=message):
+            local.membership_system(np.zeros(1), np.ones(2))
+
 
 def _lopsided(shape):
     """Coefficient field with c[0, 1, 0] = 1 and no antisymmetric partner."""

@@ -152,7 +152,7 @@ def test_affine_residual_matches_generator(case, request):
         if pinned is None:
             assert rows.size == problem.state_dim
             continue
-        assert np.max(np.abs(problem.algebraic_at(0.0, state) - pinned(state))) <= 1e-12
+        assert np.max(np.abs(problem.algebraic(0.0, state)[0] - pinned(state))) <= 1e-12
         appended = _jacobian(pinned, state) @ rate
         assert np.max(np.abs(residual[rows.size:] - appended)) <= 1e-8
 
@@ -184,7 +184,7 @@ def test_pmp_channel_holds_the_phase_equations():
                            lambda x, u: 0.5 * float(u @ u))
     problem = pmp_problem(system, dirac)
     state = np.array([1.0, 0.0, 5e-4, 5e-4, 0.0])
-    channel = problem.algebraic_at(0.0, state)
+    channel = problem.algebraic(0.0, state)[0]
     assert channel.size == 2 and np.max(np.abs(channel - [1.0, 0.0])) <= 1e-12
     trajectory = integrate(problem, state, 0.0, 0.1, 0.01)
     assert np.max(np.abs(trajectory.states[:, 0])) <= PROJECTION_TOL
