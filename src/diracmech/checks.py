@@ -15,7 +15,7 @@ from . import linalg
 from .algebroid import JACOBI_TOL
 from .constraints import check_integrability
 from .dirac import ISOTROPY_TOL, PiGraphDirac, TimeExtendedDirac
-from .dynamics import el_residual, hamilton_residual, legendre_transform
+from .dynamics import el_residual, hamilton_residual
 from .errors import DiracMechError
 
 CORE_TOL = 1e-8
@@ -65,7 +65,7 @@ def integrability_check(dirac, base_dirac):
     return dict(check_integrability(target).as_dict(), passed=True)  # informational verdict
 
 
-def legendre_equivalence_check(dirac, lagrangian, probes=50, seed=0, hamiltonian=None):
+def legendre_equivalence_check(dirac, lagrangian, hamiltonian, probes=50, seed=0):
     """Bidirectional zero-set correspondence through the fiber derivative.
 
     Forward: solve the Euler-Lagrange rates at a random state, push the
@@ -79,9 +79,6 @@ def legendre_equivalence_check(dirac, lagrangian, probes=50, seed=0, hamiltonian
 
     rng = np.random.default_rng(seed)
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    if hamiltonian is None:
-        probe_pts = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(5)]
-        hamiltonian = legendre_transform(lagrangian, probe_pts)
     prob_l = lagrangian_problem(dirac, lagrangian)
     prob_h = hamiltonian_problem(dirac, hamiltonian)
     free = list(dirac.free_fiber)

@@ -1,10 +1,11 @@
 """Inducing new Dirac structures from velocity constraints.
 
 Adapted-coordinate constraints (index selectors with x^A = 0 on the base
-and y^I = 0 on the fiber, plus an optional fiber index pinned to 1 in the
-affine case) admit a closed-form induced structure on bivector-graph bases.
-``induce`` is the one entry for both kinds, ``LinearConstraint`` and
-``AffineConstraint``: it merges the constraint's selectors with those the
+and y^I = 0 on the fiber) admit a closed-form induced structure on
+bivector-graph bases.  An ``AffineConstraint`` is a ``LinearConstraint``
+that also pins one fiber index to 1 (``fixed``, None on a linear one), so
+``induce`` reads the selector triple (``fiber``, ``base``, ``fixed``) of
+either without telling them apart: it merges it with the selectors the
 base structure carries (every structure exposes ``zero_fiber``,
 ``zero_base`` and ``fixed_fiber``), and ``PiGraphDirac`` checks the merged
 selectors.  A general matrix form W(x), whose kernel on (xdot, y) is the
@@ -35,7 +36,10 @@ class LinearConstraint:
     lists base indices with x = 0 (the support).  General form: ``matrix``
     maps x to a (codim, n+m) array whose kernel on (xdot, y) is the
     constraint subspace, which must lie inside the velocity bundle.
+    ``fixed`` is None: no fiber index is pinned to 1.
     """
+
+    fixed = None
 
     def __init__(self, fiber=(), base=(), matrix=None):
         self.fiber = tuple(sorted(set(int(i) for i in fiber)))
@@ -49,25 +53,18 @@ class LinearConstraint:
         return self.matrix is None
 
 
-class AffineConstraint:
+class AffineConstraint(LinearConstraint):
     """Affine velocity constraint in adapted form.
 
-    One distinguished fiber coordinate is pinned to 1 (``fixed``), the
-    indices in ``fiber`` are pinned to 0, and ``base`` lists the support
-    equations x = 0.  The model vector constraint pins ``fixed`` to 0 as
-    well.
+    The adapted linear constraint of ``fiber`` and ``base`` with one more
+    fiber coordinate, ``fixed``, pinned to 1.
     """
 
     def __init__(self, fixed, fiber=(), base=()):
+        super().__init__(fiber, base)
         self.fixed = int(fixed)
-        self.fiber = tuple(sorted(set(int(i) for i in fiber)))
-        self.base = tuple(sorted(set(int(a) for a in base)))
         if self.fixed in self.fiber:
             raise ConstraintError("the fixed index cannot also be pinned to zero")
-
-    @property
-    def model(self):
-        return LinearConstraint(fiber=self.fiber + (self.fixed,), base=self.base)
 
 
 def induce(dirac, constraint):
@@ -76,19 +73,16 @@ def induce(dirac, constraint):
     ``constraint`` is a ``LinearConstraint`` in adapted form or an
     ``AffineConstraint``; its selectors join those the base already carries.
     """
-    if isinstance(constraint, LinearConstraint):
-        if not constraint.is_adapted:
-            raise ConstraintError(
-                "general matrix constraints are only supported pointwise; "
-                "use pointwise_induce"
-            )
-        fixed = dirac.fixed_fiber
-    elif isinstance(constraint, AffineConstraint):
-        fixed = constraint.fixed
-        if dirac.fixed_fiber not in (None, fixed):
-            raise ConstraintError("base structure already pins a different fiber index")
-    else:
+    if not isinstance(constraint, LinearConstraint):
         raise ConstraintError("induce expects a LinearConstraint or an AffineConstraint")
+    if not constraint.is_adapted:
+        raise ConstraintError(
+            "general matrix constraints are only supported pointwise; "
+            "use pointwise_induce"
+        )
+    fixed = dirac.fixed_fiber if constraint.fixed is None else constraint.fixed
+    if dirac.fixed_fiber not in (None, fixed):
+        raise ConstraintError("base structure already pins a different fiber index")
     if not isinstance(dirac, PiGraphDirac):
         raise ConstraintError(
             f"closed-form induction needs a bivector-graph base (got {type(dirac).__name__})"
@@ -133,7 +127,7 @@ def pointwise_induce(dirac, constraint, x, xi):
     annihilator of the constraint; the assembled span must have dimension
     n + m.  Serves as the independent oracle for ``induce``.
     """
-    if not isinstance(constraint, LinearConstraint):
+    if not isinstance(constraint, LinearConstraint) or constraint.fixed is not None:
         raise ConstraintError("pointwise_induce expects a LinearConstraint")
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     x = np.asarray(x, dtype=float).reshape(-1)

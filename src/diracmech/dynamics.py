@@ -266,16 +266,6 @@ class LegendreImage(NamedTuple):
     phase_residual: np.ndarray
 
 
-class ELResidual(NamedTuple):
-    residual: np.ndarray
-    phase: np.ndarray
-
-
-class HamiltonResidual(NamedTuple):
-    residual: np.ndarray
-    phase: np.ndarray
-
-
 class PMPResidual(NamedTuple):
     residual: np.ndarray
     stationarity: np.ndarray
@@ -295,16 +285,16 @@ def legendre_map(lagrangian, x, y, dirac=None):
 def el_residual(dirac, lagrangian, state, rate):
     """Implicit Euler-Lagrange residual at (state, rate).
 
-    state = (x, y), rate = (xdot, ydot).  Returns the n+m membership rows
-    (velocity rows first, momentum rows after) together with the phase
-    residual of the Legendre image, which constrains states only.
+    state = (x, y), rate = (xdot, ydot).  Returns the pair (rows, phase):
+    the n+m membership rows (velocity rows first, momentum rows after) and
+    the phase residual of the Legendre image, which constrains states only.
     """
     x, y = _pair(state)
     xdot, ydot = _pair(rate)
     xi = lagrangian.grad_y(x, y)
     point = PontryaginPoint(x, xi, xdot, lagrangian.momentum_rate(x, y, xdot, ydot),
                             -lagrangian.grad_x(x, y), y)
-    return ELResidual(dirac.residual(point), dirac.phase_residual(x, xi))
+    return dirac.residual(point), dirac.phase_residual(x, xi)
 
 
 def hamilton_residual(dirac, hamiltonian, state, rate):
@@ -317,7 +307,7 @@ def hamilton_residual(dirac, hamiltonian, state, rate):
     xdot, xidot = _pair(rate)
     point = PontryaginPoint(x, xi, xdot, xidot, hamiltonian.grad_x(x, xi),
                             hamiltonian.grad_xi(x, xi))
-    return HamiltonResidual(dirac.residual(point), dirac.phase_residual(x, xi))
+    return dirac.residual(point), dirac.phase_residual(x, xi)
 
 
 def invert_vertical_derivative(lagrangian, x, xi):
@@ -435,25 +425,20 @@ def nonholonomic_el_residual(algebroid, constraint, lagrangian, state, rate):
     Row order matches ``el_residual`` on the induced structure: base
     velocity rows, fiber constraint rows (including the unit row in the
     affine case), then the retained momentum rows.  The support equations
-    x^A = 0 form the phase channel.
+    x^A = 0 form the phase channel.  ``constraint`` is a ``LinearConstraint``
+    in adapted form, whose ``fixed`` index (an ``AffineConstraint``'s) is
+    pinned to 1.
     """
-    from .constraints import AffineConstraint, LinearConstraint
+    from .constraints import LinearConstraint
 
     x, y = _pair(state)
     xdot, ydot = _pair(rate)
-    n, m = algebroid.chart.base_dim, algebroid.chart.fiber_dim
-    if isinstance(constraint, AffineConstraint):
-        zero = constraint.fiber
-        base = constraint.base
-        fixed = constraint.fixed
-    elif isinstance(constraint, LinearConstraint):
-        if not constraint.is_adapted:
-            raise EvaluationError("adapted-coordinate constraint required")
-        zero = constraint.fiber
-        base = constraint.base
-        fixed = None
-    else:
+    m = algebroid.chart.fiber_dim
+    if not isinstance(constraint, LinearConstraint):
         raise EvaluationError("constraint must be linear or affine")
+    if not constraint.is_adapted:
+        raise EvaluationError("adapted-coordinate constraint required")
+    zero, base, fixed = constraint.fiber, constraint.base, constraint.fixed
     removed = sorted(set(zero) | ({fixed} if fixed is not None else set()))
     free = [i for i in range(m) if i not in removed]
 
@@ -473,7 +458,7 @@ def nonholonomic_el_residual(algebroid, constraint, lagrangian, state, rate):
         drift = float(c[fixed, kappa, :] @ grad_y) if fixed is not None else 0.0
         mom[k] = xidot[kappa] - coupling - drift - rho[:, kappa] @ grad_x
     phase = x[list(base)] if base else np.zeros(0)
-    return ELResidual(np.concatenate([vel, fiber_rows, mom]), phase)
+    return np.concatenate([vel, fiber_rows, mom]), phase
 
 
 def pmp_residual(system, dirac, state, rate):

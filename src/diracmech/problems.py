@@ -13,15 +13,17 @@ w = (xdot, xidot, p, y).  A builder supplies only its fill to ``_problem``:
 * ``velocity_slots(states)``: the slot y of every state row at once, for
   the admissibility report (by default ``point`` row by row).
 
-The solved rows drop the pinned-fiber selector rows (``rows``), so the
-affine parts are A = J[rows, :n+m] @ V, b = J[rows, n+m:] @ (p, y) +
-const[rows].  Rates without a membership row (the Hamiltonian's pinned
+The solved rows are the ones the structure keeps for a rate solve
+(``rows = dirac.rate_rows``: every row but the pinned-fiber selector
+rows), so the affine parts are A = J[rows, :n+m] @ V, b = J[rows, n+m:] @
+(p, y) + const[rows].  Rates without a membership row (the Hamiltonian's pinned
 momentum rates, the control rates) are fixed by G, appended to A with
 zeros in b, so that A is square.  The algebraic channel ``algebraic(t,
 state) -> (g, G)`` (``t`` unread, kept for the call shape) is the
 structure's phase equations at (x, xi), when it has any, with G = P @ V
 from their Jacobian P over (x, xi), followed by the pinned value and G:
-the constrained components of dH/dxi (rows of ``hess_xi``) or the control
+the components of dH/dxi at ``dirac.pinned_fiber`` less
+``dirac.pinned_values`` (rows of ``hess_xi``) or the control
 stationarity f_u^T xi - cost_u (einsum(f_u_xu, xi) - cost_u_xu over
 (x, u), f_u^T over xi).  Both pairs come from one assembly per state
 (cached: the projection's convergence check, the rate solve and its
@@ -69,10 +71,7 @@ class _StateCache:
 def _problem(dirac, point, fill, labels, monitors, name, pinned=None, velocity_slots=None):
     """The implicit problem of one slot fill (see the module docstring)."""
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    dropped = m - len(dirac.free_fiber)
-    # a slice where it can be: it is a view, and on a 6x12 J costs about
-    # 0.3 us per call against 2-2.6 us for an index array
-    rows = np.r_[0:n, n + dropped:n + m] if dropped else slice(None)
+    rows = dirac.rate_rows
     has_phase = bool(dirac.phase_residual(np.zeros(n), np.zeros(m)).size)
 
     def assemble(state):
@@ -154,9 +153,7 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
     an induced structure pins the constrained components of dH/dxi.
     """
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
-    constrained = np.setdiff1d(np.arange(m), dirac.free_fiber)
-    # values the pinned components of dH/dxi must take: 1 at a fixed index
-    target = dirac.embed_fiber(np.zeros(len(dirac.free_fiber)))[constrained]
+    constrained, target = np.asarray(dirac.pinned_fiber, dtype=int), dirac.pinned_values
     rate_map = np.eye(n + m)
 
     def point(state):

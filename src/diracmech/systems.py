@@ -291,21 +291,16 @@ def _build_forced_oscillator(params, constraint):
     def stiffness_dot(t):
         return k0 * eps * omega * np.cos(omega * t)
 
-    def fn(x, y):
+    def potential(x):
         t, q = x
-        return 0.5 * mass * float(y[0] ** 2) - 0.5 * stiffness(t) * q ** 2
+        return 0.5 * stiffness(t) * q ** 2
 
-    def grad_x(x, y):
+    def potential_grad(x):
         t, q = x
-        return np.array([-0.5 * stiffness_dot(t) * q ** 2, -stiffness(t) * q])
+        return np.array([0.5 * stiffness_dot(t) * q ** 2, stiffness(t) * q])
 
-    lag = Lagrangian(
-        fn, grad_x=grad_x,
-        grad_y=lambda x, y: np.array([mass * y[0]]),
-        hess_yy=lambda x, y: np.array([[mass]]),
-        hess_yx=lambda x, y: np.zeros((1, 2)),
-        name="forced_oscillator",
-    )
+    lag = quadratic_lagrangian(lambda x: np.array([[mass]]), None, potential,
+                               potential_grad, name="forced_oscillator")
     return SystemBundle("forced_oscillator_timedep", dirac.chart, dirac, base,
                         lagrangian=lag)
 

@@ -151,6 +151,23 @@ class TestInduceAffine:
             b = linear.basis_matrix_at(x, xi)
             assert max_principal_angle(a, b) <= 1e-10
 
+    def test_affine_constraint_is_a_linear_constraint_with_a_fixed_index(self, disc_pi):
+        affine = AffineConstraint(fixed=1, fiber=(3, 2), base=(0,))
+        assert isinstance(affine, LinearConstraint) and affine.is_adapted
+        assert (affine.fixed, affine.fiber, affine.base) == (1, (2, 3), (0,))
+        assert LinearConstraint(fiber=(1,)).fixed is None
+        x, xi = np.zeros(1), np.ones(4)
+        with pytest.raises(ConstraintError, match="pointwise_induce expects a LinearConstraint"):
+            pointwise_induce(disc_pi, AffineConstraint(fixed=1), x, xi)
+
+    @pytest.mark.parametrize("constraint, message", [
+        ((2, 3), "induce expects a LinearConstraint or an AffineConstraint"),
+        (LinearConstraint(matrix=lambda x: np.zeros((1, 5))), "only supported pointwise"),
+    ], ids=["not-a-constraint", "matrix"])
+    def test_induce_rejects(self, disc_pi, constraint, message):
+        with pytest.raises(ConstraintError, match=message):
+            induce(disc_pi, constraint)
+
     def test_second_fixed_index_rejected(self, disc_pi):
         affine = induce(disc_pi, AffineConstraint(fixed=1, fiber=(3,)))
         with pytest.raises(ConstraintError, match="different fiber index"):

@@ -395,6 +395,17 @@ class TestGeneralLocal:
         with pytest.raises(StructureError, match="zeta"):
             local.validate([np.zeros(1)])
 
+    def test_singular_splitting_is_a_structure_error(self):
+        # [eta; etahat] repeats a row: zeta would invert a singular matrix
+        local = GeneralLocalDirac.from_velocity_splitting(
+            Chart(1, 2),
+            eta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            etahat=lambda x: np.array([[0.0, 1.0, 0.0]]),
+        )
+        for use in (local.validate, local.local_form):
+            with pytest.raises(StructureError, match=r"linear isomorphism at x=\[0"):
+                use([0])
+
     @pytest.mark.parametrize("etahat, message", [
         (np.array([[1.0, np.nan, 0.0]]), r"etahat has non-finite entry at index \(0, 1\)"),
         (np.array([[1.0, -1.0, 0.0, 0.0]]),

@@ -7,6 +7,7 @@ from diracmech import (
     CanonicalDirac,
     Chart,
     ControlSystem,
+    EvaluationError,
     Hamiltonian,
     HyperregularityError,
     Lagrangian,
@@ -508,6 +509,17 @@ class TestNonholonomic:
             direct, _ = nonholonomic_el_residual(alg, constraint, lag, state, rate)
             via_dirac, _ = el_residual(induced, lag, state, rate)
             assert np.max(np.abs(direct - via_dirac)) <= 1e-9
+
+    @pytest.mark.parametrize("constraint, message", [
+        (LinearConstraint(matrix=lambda x: np.zeros((1, 5))),
+         "adapted-coordinate constraint required"),
+        ((2, 3), "constraint must be linear or affine"),
+    ], ids=["matrix", "not-a-constraint"])
+    def test_rejects(self, disc, disc_lagrangian, constraint, message):
+        pair = (np.zeros(1), np.zeros(4))
+        with pytest.raises(EvaluationError, match=message) as err:
+            nonholonomic_el_residual(disc, constraint, disc_lagrangian, pair, pair)
+        assert type(err.value) is EvaluationError
 
     def test_affine_without_drift_reduces_to_linear(self):
         # vanishing brackets and anchor column for the distinguished index

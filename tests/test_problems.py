@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diracmech import (
+    AffineConstraint,
     CanonicalDirac,
     ControlSystem,
     Hamiltonian,
@@ -23,7 +24,7 @@ from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_prob
 from diracmech.solver import PROJECTION_TOL
 from diracmech.systems import build_system
 
-from conftest import clocked_lagrangian
+from conftest import clocked_hamiltonian, clocked_lagrangian
 
 
 def _lagrangian_induced(request):
@@ -155,6 +156,67 @@ def test_affine_residual_matches_generator(case, request):
         assert np.max(np.abs(problem.algebraic(0.0, state)[0] - pinned(state))) <= 1e-12
         appended = _jacobian(pinned, state) @ rate
         assert np.max(np.abs(residual[rows.size:] - appended)) <= 1e-8
+
+
+# disc structures with each kind of selector, one induced twice
+SELECTED = {
+    "fiber": lambda base: induce(base, LinearConstraint(fiber=(3, 2))),
+    "fixed": lambda base: induce(base, AffineConstraint(fixed=1)),
+    "support": lambda base: induce(base, LinearConstraint(base=(0,))),
+    "induced-twice": lambda base: induce(induce(base, LinearConstraint(fiber=(3,))),
+                                         AffineConstraint(fixed=1, base=(0,))),
+}
+
+
+@pytest.mark.parametrize("clocked", [False, True], ids=["plain", "time-extended"])
+@pytest.mark.parametrize("case", sorted(SELECTED))
+def test_dropped_rows_are_the_selector_rows(case, clocked, disc_pi, disc_lagrangian,
+                                            disc_hamiltonian):
+    dirac, lag, ham = SELECTED[case](disc_pi), disc_lagrangian, disc_hamiltonian
+    if clocked:
+        dirac = time_extend(dirac)
+        lag, ham = clocked_lagrangian(lag), clocked_hamiltonian(ham)
+    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+    fixed = dirac.fixed_fiber
+    pinned = sorted(set(dirac.zero_fiber) | ({fixed} - {None}))
+    values = np.array([1.0 if i == fixed else 0.0 for i in pinned])
+    assert dirac.pinned_fiber == tuple(pinned)
+    assert np.array_equal(dirac.pinned_values, values)
+    rng = np.random.default_rng(4)
+    x, xi = rng.standard_normal(n), rng.standard_normal(m)
+    J, const = dirac.membership_system(x, xi)
+    # the selector rows are the rows that read y alone: one unit entry on
+    # each pinned y column, in the order of pinned_fiber, const = -value
+    selector = [r for r in range(n + m) if not J[r, :2 * n + m].any()]
+    kept = [r for r in range(n + m) if r not in selector]
+    assert np.array_equal(J[selector, 2 * n + m:], np.eye(m)[pinned])
+    assert np.array_equal(const[selector], -values)
+
+    lagrangian = lagrangian_problem(dirac, lag)
+    hamiltonian = hamiltonian_problem(dirac, ham)
+    for _ in range(3):
+        state = rng.standard_normal(lagrangian.state_dim)
+        rate = rng.standard_normal(lagrangian.state_dim)
+        y, ydot = dirac.embed_fiber(state[n:]), np.zeros(m)
+        ydot[list(dirac.free_fiber)] = rate[n:]
+        rows, _ = el_residual(dirac, lag, (state[:n], y), (rate[:n], ydot))
+        residual = lagrangian.residual(0.0, state, rate)
+        assert residual.size == len(kept)
+        assert np.max(np.abs(residual - rows[kept])) <= 1e-12
+
+        state = rng.standard_normal(n + m)
+        rate = rng.standard_normal(n + m)
+        rows, _ = hamilton_residual(dirac, ham, (state[:n], state[n:]),
+                                    (rate[:n], rate[n:]))
+        residual = hamiltonian.residual(0.0, state, rate)
+        assert np.max(np.abs(residual[:len(kept)] - rows[kept])) <= 1e-12
+        # the channel ends in the dropped rows at y = dH/dxi, and pins
+        # one rate for each
+        phase = dirac.phase_residual(state[:n], state[n:])
+        g, G = hamiltonian.algebraic(0.0, state)
+        assert g.size == G.shape[0] == phase.size + len(selector)
+        assert np.max(np.abs(g[phase.size:] - rows[selector]), initial=0.0) <= 1e-12
+        assert residual.size - len(kept) == len(selector)
 
 
 def test_closed_hamiltonian_pinned_rows_are_the_fd_jacobian(disc_induced, disc_hamiltonian):
