@@ -28,13 +28,15 @@ JACOBIAN_CHECK_RTOL = 1e-6
 JACOBI_TOL = 1e-6
 
 
+# the checks below call array methods, not np.all, np.max, np.swapaxes or
+# np.atleast_1d, whose dispatch shows in a disc step; none may overflow
 def _as_base_point(chart, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float)) if np.ndim(x) else np.asarray(x, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float).reshape(-1) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
     if x.shape != (chart.base_dim,):
         raise EvaluationError(
             f"base point has shape {x.shape}, chart expects ({chart.base_dim},)"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise EvaluationError(f"base point component {bad} is not finite")
     return x
@@ -42,7 +44,7 @@ def _as_base_point(chart, x):
 
 def _check_finite(name, arr):
     arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         flat = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
         idx = tuple(int(k) for k in np.unravel_index(flat, arr.shape))
         raise EvaluationError(f"{name} has non-finite entry at index {idx}")
@@ -55,14 +57,15 @@ def _antisymmetric(name, c):
     Raises StructureError naming the worst entry when c is not
     antisymmetric there to within 2 * STRUCTURE_ANTISYM_TOL.
     """
-    sym = c + np.swapaxes(c, 0, 1)
-    if np.max(np.abs(sym), initial=0.0) > 2.0 * STRUCTURE_ANTISYM_TOL:
+    ct = c.swapaxes(0, 1)
+    sym = c + ct
+    if np.abs(sym).max(initial=0.0) > 2.0 * STRUCTURE_ANTISYM_TOL:
         i, j, k = np.unravel_index(int(np.argmax(np.abs(sym))), sym.shape)
         raise StructureError(
             f"{name}: not antisymmetric in the first two indices, "
             f"c[{i},{j},{k}] + c[{j},{i},{k}] = {sym[i, j, k]:.3e}"
         )
-    return 0.5 * (c - np.swapaxes(c, 0, 1))
+    return 0.5 * (c - ct)
 
 
 class Chart:
@@ -198,8 +201,10 @@ class SkewAlgebroid:
         return self._x_independent
 
     def anchor(self, x):
-        """Anchor matrix rho(x) of shape (n, m)."""
-        x = _as_base_point(self.chart, x)
+        """Anchor matrix rho(x) of shape (n, m); ``_anchor`` takes a checked x."""
+        return self._anchor(_as_base_point(self.chart, x))
+
+    def _anchor(self, x):
         n, m = self.chart.base_dim, self.chart.fiber_dim
         rho = _check_finite("anchor", self._anchor_fn(x))
         if rho.shape != (n, m):
@@ -207,8 +212,10 @@ class SkewAlgebroid:
         return rho
 
     def structure(self, x):
-        """Structure array c(x) of shape (m, m, m), exactly antisymmetrized."""
-        x = _as_base_point(self.chart, x)
+        """Structure array c(x) (m, m, m), exactly antisymmetrized; ``_structure`` takes a checked x."""
+        return self._structure(_as_base_point(self.chart, x))
+
+    def _structure(self, x):
         m = self.chart.fiber_dim
         c = _check_finite("structure", self._structure_fn(x))
         if c.shape != (m, m, m):
@@ -221,8 +228,8 @@ class SkewAlgebroid:
         [X,Y]^k = rho^a_i X^i d_a Y^k - rho^a_j Y^j d_a X^k + c^k_{ij} X^i Y^j.
         """
         x = _as_base_point(self.chart, x)
-        rho = self.anchor(x)
-        c = self.structure(x)
+        rho = self._anchor(x)
+        c = self._structure(x)
         xv, yv = X(x), Y(x)
         dx = X.jacobian_at(x)
         dy = Y.jacobian_at(x)
@@ -259,10 +266,10 @@ class SkewAlgebroid:
         worst = 0.0
         distinct = {x.tobytes(): x for x in (_as_base_point(self.chart, p) for p in points)}
         for x in distinct.values():
-            c = self.structure(x)
+            c = self._structure(x)
             dc = fd.jacobian(lambda z: self.structure(z).ravel(), x).reshape(m, m, m, -1)
             # t[l, i, j] = [e_l, [e_i, e_j]]
-            t = (np.einsum("al,ijqa->lijq", self.anchor(x), dc)
+            t = (np.einsum("al,ijqa->lijq", self._anchor(x), dc)
                  + np.einsum("lpq,ijp->lijq", c, c))
             jac = _check_finite(
                 "Jacobiator", t + np.einsum("jkiq->ijkq", t) + np.einsum("kijq->ijkq", t)
@@ -282,8 +289,8 @@ class SkewAlgebroid:
         n, m = self.chart.base_dim, self.chart.fiber_dim
         if xi.shape != (m,):
             raise EvaluationError(f"dual fiber point has shape {xi.shape}, expected ({m},)")
-        rho = self.anchor(x)
-        c = self.structure(x)
+        rho = self._anchor(x)
+        c = self._structure(x)
         pi = np.zeros((n + m, n + m))
         pi[:n, n:] = -rho
         pi[n:, :n] = rho.T

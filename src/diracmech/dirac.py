@@ -40,8 +40,9 @@ The Euler-Lagrange, Hamilton and control dynamics (``dynamics``,
 structure whose coefficients do not depend on x either (``x_independent``)
 tabulates them at its first membership call from m + 1 kernel evaluations,
 so its user fields are evaluated m + 1 times then and never again there;
-every other structure (the rolling disc) evaluates them once per call.  A
-graph takes the fact from its algebroid, a clock extension from its base.
+every other structure (the rolling disc) evaluates and checks them once
+per call, with one check of x for all of them in ``_kernel``.  A graph
+takes the fact from its algebroid, a clock extension from its base.
 """
 
 from typing import NamedTuple
@@ -172,11 +173,12 @@ class LocalForm(NamedTuple):
 class DiracAlgebroid:
     """Common behavior of all representations, driven by the local form.
 
-    A representation overrides ``local_form(x)``, which returns the blocks,
-    and, where they do not vanish, ``structure_terms(x)``, which gives the
-    structure terms only membership reads, and the phase hook
-    ``_phase(x, xi)``.  ``x_independent`` defaults to a point base; graphs
-    read it from their algebroid, clock extensions from their base.
+    A representation overrides ``_local_form(x)``, which returns the blocks,
+    and, where they do not vanish, ``_structure_terms(x)``, the structure
+    terms only membership reads, both at a checked x (``local_form`` and
+    ``structure_terms`` check it), and the phase hook ``_phase(x, xi)``.
+    ``x_independent`` defaults to a point base; graphs read it from their
+    algebroid, clock extensions from their base.
 
     Every structure carries the adapted selectors of the constraints it was
     induced by: ``zero_fiber`` (fiber indices pinned to y = 0),
@@ -201,11 +203,12 @@ class DiracAlgebroid:
         pinned = sorted(set(self.zero_fiber) | ({fixed_fiber} - {None}))
         self.pinned_fiber = tuple(pinned)
         self.pinned_values = np.array([float(i == fixed_fiber) for i in pinned])
-        self.free_fiber = tuple(i for i in range(m) if i not in pinned)
-        # a slice where it can be: it is a view, and on a 6x12 J costs about
-        # 0.3 us per call against 2-2.6 us for an index array
+        free = self.free_fiber = tuple(i for i in range(m) if i not in pinned)
+        # slices where they can be: a view, on a 6x12 J, costs about 0.3 us
+        # per call against 2-2.6 us for an index array
         self.rate_rows = np.r_[0:n, n + len(pinned):n + m] if pinned else slice(None)
-        self._free = np.array(self.free_fiber, dtype=int)
+        self._free = (slice(free[0], free[-1] + 1) if free and free[-1] - free[0] == len(free) - 1
+                      else np.array(free, dtype=int))
         self._support = np.array(self.zero_base, dtype=int)
         # Jacobian over (x, xi) of the support equations x^A = 0
         self._support_rows = _constant(np.eye(n + m)[self._support])
@@ -234,13 +237,14 @@ class DiracAlgebroid:
 
     def local_form(self, x):
         """The blocks (eta, etahat, zeta, offset) at base point x."""
-        raise NotImplementedError
+        return self._local_form(_as_base_point(self.chart, x))
 
     def structure_terms(self, x):
-        """(structure functions (r, r, m), affine drift (r, m) on xi) at x.
+        """(structure functions (r, r, m), affine drift (r, m) on xi) at
+        base point x; either is None when it vanishes."""
+        return self._structure_terms(_as_base_point(self.chart, x))
 
-        Either is None when it vanishes.
-        """
+    def _structure_terms(self, x):
         return None, None
 
     def _phase(self, x, xi):
@@ -263,10 +267,12 @@ class DiracAlgebroid:
         return self._membership(x, xi)
 
     def _membership(self, x, xi):
-        """``membership_system`` for an (x, xi) the caller has already checked.
+        """``membership_system`` at an xi of length m and an unchecked x.
 
-        An x-independent structure tabulates (J0, J_k, c0, c_k) on its first
-        call, from the kernel at xi = 0 and at the unit vectors.
+        ``problems`` passes the raw slices of a state; ``_kernel`` checks x
+        once per evaluation.  An x-independent structure tabulates (J0,
+        J_k, c0, c_k) on its first call, from the kernel at xi = 0 and at
+        the unit vectors, and reads no x after that.
         """
         if not self.x_independent:
             return self._kernel(x, xi)
@@ -279,9 +285,10 @@ class DiracAlgebroid:
         return J0 + T @ xi, c0 + D @ xi
 
     def _kernel(self, x, xi):
-        """The membership rows (J, const) at a checked (x, xi), from the local form."""
+        """The membership rows (J, const) at (x, xi), from the local form; checks x once."""
         n, m = self.chart.base_dim, self.chart.fiber_dim
-        lf = self.local_form(x)
+        x = _as_base_point(self.chart, x)
+        lf = self._local_form(x)
         q = lf.etahat.shape[0]
         if q + lf.zeta.shape[0] != n + m:
             raise StructureError(
@@ -297,7 +304,7 @@ class DiracAlgebroid:
         # momentum rows act on (p, xidot) plus the structure term through eta
         J[q:, n + m:2 * n + m] = lf.zeta[:, :n]
         J[q:, n:n + m] = lf.zeta[:, n:]
-        c, drift = self.structure_terms(x)
+        c, drift = self._structure_terms(x)
         if c is not None:
             mix = np.einsum("abj,j->ab", c, xi) @ lf.eta
             J[q:, :n] += mix[:, :n]
@@ -352,8 +359,7 @@ class DiracAlgebroid:
 
     def velocity_residual(self, pair):
         """etahat rows at a velocity pair; zero iff the pair is admissible."""
-        x = _as_base_point(self.chart, pair.x)
-        lf = self.local_form(x)
+        lf = self.local_form(pair.x)
         out = lf.etahat @ np.concatenate([pair.xdot, pair.y])
         if lf.offset is not None:
             out = out - lf.offset
@@ -361,12 +367,10 @@ class DiracAlgebroid:
 
     def velocity_space(self, x):
         """Orthonormal columns spanning the (model) velocity fiber at x."""
-        x = _as_base_point(self.chart, x)
         return linalg.null_space(self.local_form(x).etahat)
 
     def core_at(self, x):
         """Orthonormal columns (p, xidot) spanning the core fiber at x."""
-        x = _as_base_point(self.chart, x)
         return self._core(self.local_form(x).zeta)
 
     def _core(self, zeta):
@@ -472,12 +476,10 @@ class PiGraphDirac(DiracAlgebroid):
                 raise ConstraintError("fixed fiber index also marked zero")
         super().__init__(algebroid.chart, zero_fiber, zero_base, fixed_fiber)
         self.algebroid = algebroid
-        self._y_cols = n + self._free
-        self._c_block = np.ix_(self._free, self._free)
         # eta is constant; etahat and zeta are copies of constant templates
         # with the anchor filled in; the selector rows follow the n velocity rows
         eye = np.eye(n + m)
-        self._eta = _constant(eye[self._y_cols])
+        self._eta = _constant(eye[n:][self._free])
         self._etahat = _constant(eye[list(range(n)) + [n + i for i in self.pinned_fiber]])
         if fixed_fiber is not None:
             # etahat row of the selector y_fixed = 1
@@ -487,12 +489,12 @@ class PiGraphDirac(DiracAlgebroid):
     def x_independent(self):
         return self.algebroid.x_independent
 
-    def local_form(self, x):
+    def _local_form(self, x):
         n = self.chart.base_dim
-        rho = self.algebroid.anchor(x)
+        rho = self.algebroid._anchor(x)
         free_rho = rho[:, self._free]
         etahat = self._etahat.copy()
-        etahat[:n, self._y_cols] = -free_rho
+        etahat[:n, n:][:, self._free] = -free_rho
         zeta = self._eta.copy()
         zeta[:, :n] = free_rho.T
         offset = None
@@ -502,10 +504,10 @@ class PiGraphDirac(DiracAlgebroid):
             offset[self._fixed_row] = 1.0
         return LocalForm(self._eta, etahat, zeta, offset)
 
-    def structure_terms(self, x):
-        c = self.algebroid.structure(x)
+    def _structure_terms(self, x):
+        c = self.algebroid._structure(x)
         drift = None if self.fixed_fiber is None else c[self._free, self.fixed_fiber, :]
-        return c[self._c_block], drift
+        return c[self._free][:, self._free], drift
 
 
 class OmegaGraphDirac(DiracAlgebroid):
@@ -527,7 +529,7 @@ class OmegaGraphDirac(DiracAlgebroid):
         self._eta = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
         self._etahat = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
 
-    def local_form(self, x):
+    def _local_form(self, x):
         n, m = self.chart.base_dim, self.chart.fiber_dim
         rho = _check_finite("rho", self._rho(x))
         if rho.shape != (m, n):
@@ -538,7 +540,7 @@ class OmegaGraphDirac(DiracAlgebroid):
         zeta[:, n:] = rho.T
         return LocalForm(self._eta, etahat, zeta)
 
-    def structure_terms(self, x):
+    def _structure_terms(self, x):
         n, m = self.chart.base_dim, self.chart.fiber_dim
         c = _check_finite("cform", self._cform(x))
         if c.shape != (n, n, m):
@@ -577,7 +579,7 @@ class GeneralLocalDirac(DiracAlgebroid):
         self._structure = structure
         self._phase_eqs = phase
 
-    def local_form(self, x):
+    def _local_form(self, x):
         width = self.chart.base_dim + self.chart.fiber_dim
         blocks = []
         for name, block in zip(("eta", "etahat", "zeta"), self._blocks):
@@ -588,7 +590,7 @@ class GeneralLocalDirac(DiracAlgebroid):
             blocks.append(value)
         return LocalForm(*blocks)
 
-    def structure_terms(self, x):
+    def _structure_terms(self, x):
         if self._structure is None:
             return None, None
         m = self.chart.fiber_dim
@@ -682,8 +684,8 @@ class TimeExtendedDirac(DiracAlgebroid):
         # the base is evaluated at x[1:]; the clock coordinate is never read
         return self.base.x_independent
 
-    def local_form(self, x):
-        eta, etahat, zeta, offset = self.base.local_form(x[1:])
+    def _local_form(self, x):
+        eta, etahat, zeta, offset = self.base._local_form(x[1:])
         if offset is None:
             offset = np.zeros(etahat.shape[0])
         return LocalForm(
@@ -693,8 +695,8 @@ class TimeExtendedDirac(DiracAlgebroid):
             np.concatenate([[1.0], offset]),
         )
 
-    def structure_terms(self, x):
-        return self.base.structure_terms(x[1:])
+    def _structure_terms(self, x):
+        return self.base._structure_terms(x[1:])
 
     def _phase(self, x, xi):
         value, P = self.base._phase(x[1:], xi)

@@ -66,6 +66,21 @@ def _over_point(partial, a, b, rel):
                        np.concatenate([a.reshape(-1), b.reshape(-1)]), rel=rel)
 
 
+def _last_point(compute):
+    """``compute(x)`` or ``compute(x, xi)`` memoised on the bytes of the last point's float
+    arrays, key and value replaced as one tuple; a failed compute keeps no entry."""
+    last = [None]
+
+    def at(x, xi=None):
+        key = (x.tobytes(), None if xi is None else xi.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            entry = last[0] = (key, compute(x) if xi is None else compute(x, xi))
+        return entry[1]
+
+    return at
+
+
 class _Partials:
     """A function of a point (a, b) with optional analytic partials.
 
@@ -363,20 +378,12 @@ def legendre_transform(lagrangian, probes, name=""):
     dH/dxi over (x, xi) is exact from the fiber Hessians at y*:
     [-Lyy^-1 Lyx, Lyy^-1].
     """
-    # (key, y*) of the last successful inversion, replaced as one tuple so
-    # that a reader never pairs one point's key with another point's y*
-    last = [None]
+    def solve(x, xi):
+        y = invert_vertical_derivative(lagrangian, *_pair((x, xi)))
+        y.flags.writeable = False
+        return y
 
-    def inverse(x, xi):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        key = (x.tobytes(), xi.tobytes())
-        entry = last[0]
-        if entry is None or entry[0] != key:
-            y = invert_vertical_derivative(lagrangian, x, xi)
-            y.flags.writeable = False
-            entry = last[0] = (key, y)
-        return entry[1]
+    inverse = _last_point(solve)
 
     for x, y in probes:
         x = np.asarray(x, dtype=float)

@@ -11,7 +11,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .algebroid import Chart, SkewAlgebroid
 from .constraints import LinearConstraint, induce
 from .dirac import CanonicalDirac, PiGraphDirac, time_extend
-from .dynamics import ControlSystem, Hamiltonian, Lagrangian, legendre_transform
+from .dynamics import ControlSystem, Hamiltonian, Lagrangian, _last_point, legendre_transform
 from .errors import ScenarioError
 from .problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 
@@ -21,36 +21,39 @@ def quadratic_lagrangian(mass_matrix, mass_matrix_diff=None, potential=None,
     """L(x, y) = y . M(x) y / 2 - U(x) with analytic partials.
 
     ``mass_matrix_diff(x)`` returns the stacked derivatives dM/dx^a with
-    shape (n, m, m); omit it for constant mass matrices.
+    shape (n, m, m); omit it for constant mass matrices.  L and its partials
+    share one (M, dM) per base point, memoised on the bytes of x; ``hess_yy``
+    hands out that M, read-only.
     """
+    def evaluate(x):
+        M = np.array(mass_matrix(x), dtype=float)
+        M.flags.writeable = False
+        return M, None if mass_matrix_diff is None else np.asarray(mass_matrix_diff(x), dtype=float)
+
+    matrices = _last_point(evaluate)
 
     def fn(x, y):
         u = potential(x) if potential is not None else 0.0
-        return 0.5 * float(y @ (mass_matrix(x) @ y)) - u
+        return 0.5 * float(y @ (matrices(x)[0] @ y)) - u
 
     def grad_x(x, y):
-        n = np.asarray(x).size
-        g = np.zeros(n)
+        g = np.zeros(x.size)
         if mass_matrix_diff is not None:
-            dM = np.asarray(mass_matrix_diff(x), dtype=float)
-            g += 0.5 * np.einsum("aij,i,j->a", dM, y, y)
+            g += 0.5 * np.einsum("aij,i,j->a", matrices(x)[1], y, y)
         if potential_grad is not None:
             g -= np.asarray(potential_grad(x), dtype=float)
         return g
 
     def grad_y(x, y):
-        return mass_matrix(x) @ y
+        return matrices(x)[0] @ y
 
     def hess_yy(x, y):
-        return np.asarray(mass_matrix(x), dtype=float)
+        return matrices(x)[0]
 
     def hess_yx(x, y):
-        n = np.asarray(x).size
-        m = np.asarray(y).size
         if mass_matrix_diff is None:
-            return np.zeros((m, n))
-        dM = np.asarray(mass_matrix_diff(x), dtype=float)
-        return np.einsum("aij,j->ia", dM, y)
+            return np.zeros((y.size, x.size))
+        return np.einsum("aij,j->ia", matrices(x)[1], y)
 
     return Lagrangian(fn, grad_x=grad_x, grad_y=grad_y, hess_yy=hess_yy,
                       hess_yx=hess_yx, name=name)
@@ -62,25 +65,21 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
 
     H and its partials share one LU factorisation of M per point, memoised
     on the bytes of (x, xi) with w = M^-1 xi (bitwise what
-    ``np.linalg.solve(M, xi)`` gives).  ``hess_xi`` is exact,
-    [-M^-1 (dM/dx) w, M^-1], with zero x-columns without ``mass_matrix_diff``.
+    ``np.linalg.solve(M, xi)`` gives), and ``grad_x`` and ``hess_xi`` one
+    dM there.  ``hess_xi`` is exact, [-M^-1 (dM/dx) w, M^-1], with zero
+    x-columns without ``mass_matrix_diff``.
     """
-    # (key, LU factors, pivots, w) of the last point, replaced as one tuple
-    last = [None]
-
-    def factored(x, xi):
+    def factor(x, xi):
         x = np.asarray(x, dtype=float).reshape(-1)
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        key = (x.tobytes(), xi.tobytes())
-        entry = last[0]
-        if entry is None or entry[0] != key:
-            lu, piv, info = dgetrf(np.asarray(mass_matrix(x), dtype=float))
-            if info:
-                raise np.linalg.LinAlgError(f"singular mass matrix at x={x}")
-            w = dgetrs(lu, piv, xi)[0]
-            w.flags.writeable = False
-            entry = last[0] = (key, lu, piv, w)
-        return entry[1:]
+        lu, piv, info = dgetrf(np.asarray(mass_matrix(x), dtype=float))
+        if info:
+            raise np.linalg.LinAlgError(f"singular mass matrix at x={x}")
+        w = dgetrs(lu, piv, np.asarray(xi, dtype=float).reshape(-1))[0]
+        w.flags.writeable = False
+        dM = None if mass_matrix_diff is None else np.asarray(mass_matrix_diff(x), dtype=float)
+        return lu, piv, w, dM
+
+    factored = _last_point(factor)
 
     def fn(x, xi):
         u = potential(x) if potential is not None else 0.0
@@ -90,24 +89,20 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
         return factored(x, xi)[2].copy()
 
     def grad_x(x, xi):
-        n = np.asarray(x).size
-        g = np.zeros(n)
+        g = np.zeros(np.asarray(x).size)
         if mass_matrix_diff is not None:
-            w = factored(x, xi)[2]
-            dM = np.asarray(mass_matrix_diff(x), dtype=float)
+            _, _, w, dM = factored(x, xi)
             g -= 0.5 * np.einsum("aij,i,j->a", dM, w, w)
         if potential_grad is not None:
             g += np.asarray(potential_grad(x), dtype=float)
         return g
 
     def hess_xi(x, xi):
-        lu, piv, w = factored(x, xi)
+        lu, piv, w, dM = factored(x, xi)
         inverse = dgetrs(lu, piv, np.eye(w.size))[0]
-        dx = np.zeros((w.size, np.asarray(x).size))
-        if mass_matrix_diff is not None:
-            dM = np.asarray(mass_matrix_diff(x), dtype=float)
-            dx = -inverse @ np.einsum("aij,j->ia", dM, w)
-        return np.hstack([dx, inverse])
+        if dM is None:
+            return np.hstack([np.zeros((w.size, np.asarray(x).size)), inverse])
+        return np.hstack([-inverse @ np.einsum("aij,j->ia", dM, w), inverse])
 
     return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi, hess_xi=hess_xi, name=name)
 

@@ -132,3 +132,10 @@ def smooth_section(seed, fiber_dim, base_dim):
         return (coef * np.cos(freq @ x + shift))[:, None] * freq
 
     return Section(fn, jacobian=jac, name=f"smooth{seed}")
+
+
+def with_entry(arr, index, value):
+    """A copy of ``arr`` with ``arr[index] = value``."""
+    arr = arr.copy()
+    arr[index] = value
+    return arr

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from diracmech import (
     induce,
 )
 from diracmech import fd
+from diracmech.algebroid import _as_base_point, _check_finite
 from diracmech.checks import jacobi_check
 from diracmech.systems import rolling_disc_algebroid, so3_algebroid
 
-from conftest import make_frame_algebroid, make_random_pigraph, smooth_section
+from conftest import make_frame_algebroid, make_random_pigraph, smooth_section, with_entry
 
 
 def identity_algebroid(n):
@@ -86,6 +88,49 @@ class TestStructure:
         bad = SkewAlgebroid(chart, lambda x: np.zeros((0, 2)), lambda x, c=c: c)
         with pytest.raises(StructureError, match="antisymmetric"):
             bad.structure(np.zeros(0))
+
+
+class TestLargeFiniteEntries:
+    """The finiteness tests cannot overflow: entries of 1e308 pass without a
+    warning, and a non-finite entry among them is still named."""
+
+    @staticmethod
+    def _quiet(fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fn(*args)
+
+    def test_anchor(self):
+        rho = np.array([[1e308, -1e308]])
+        big = SkewAlgebroid(Chart(1, 2), lambda x: rho, lambda x: np.zeros((2, 2, 2)))
+        assert np.array_equal(self._quiet(big.anchor, np.zeros(1)), rho)
+        J, _ = self._quiet(PiGraphDirac(big).membership_system, np.zeros(1), np.ones(2))
+        assert np.array_equal(J[0, 4:], [-1e308, 1e308])  # the velocity row on y
+        bad = SkewAlgebroid(Chart(1, 2), lambda x: np.array([[1e308, np.inf]]),
+                            lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(EvaluationError) as raised:
+            self._quiet(bad.anchor, np.zeros(1))
+        assert str(raised.value) == "anchor has non-finite entry at index (0, 1)"
+
+    def test_structure(self):
+        c = np.zeros((2, 2, 2))
+        c[0, 1], c[1, 0] = (1e308, -1e308), (-1e308, 1e308)
+        assert self._quiet(_check_finite, "structure", c) is c
+        with pytest.raises(EvaluationError) as raised:
+            self._quiet(_check_finite, "structure", with_entry(c, (1, 0, 1), -np.inf))
+        assert str(raised.value) == "structure has non-finite entry at index (1, 0, 1)"
+        # antisymmetrising keeps 0.5 * (c - c^T): the difference 2a of a pair
+        # +-a is finite only while |a| < 8.99e307
+        big = SkewAlgebroid(Chart(0, 2), lambda x: np.zeros((0, 2)), lambda x: 0.8 * c)
+        assert np.array_equal(self._quiet(big.structure, np.zeros(0)), 0.8 * c)
+
+    def test_base_point(self, disc):
+        x = np.array([1e308, -1e308])
+        assert self._quiet(_as_base_point, Chart(2, 1), x) is x
+        self._quiet(disc.structure, np.array([1e308]))
+        with pytest.raises(EvaluationError) as raised:
+            self._quiet(_as_base_point, Chart(2, 1), np.array([1e308, -np.inf]))
+        assert str(raised.value) == "base point component 1 is not finite"
 
 
 class TestBracket:

@@ -335,9 +335,9 @@ class TestRun:
 
     def test_euler_top_reads_its_anchor_once_per_distinct_input(self, tmp_path, monkeypatch):
         # 4 evaluations build the membership table, 1 the Jacobi check (20
-        # probes of the one empty x), 50 the core check (one local form per
-        # probe) and 1 the admissibility report, whose 5,001 samples read no
-        # velocity_residual on this x-independent structure
+        # probes of the one empty x), 1 the core check (one x-independent
+        # local form for its 50 probes) and 1 the admissibility report, whose
+        # 5,001 samples read no velocity_residual on this x-independent structure
         from diracmech import DiracAlgebroid, SkewAlgebroid
 
         counts = {"anchor": 0, "velocity_residual": 0}
@@ -349,7 +349,8 @@ class TestRun:
 
             return wrapper
 
-        monkeypatch.setattr(SkewAlgebroid, "anchor", counted("anchor", SkewAlgebroid.anchor))
+        # the unchecked hook, which the public anchor and every kernel path reach
+        monkeypatch.setattr(SkewAlgebroid, "_anchor", counted("anchor", SkewAlgebroid._anchor))
         monkeypatch.setattr(DiracAlgebroid, "velocity_residual",
                             counted("velocity_residual", DiracAlgebroid.velocity_residual))
         assert main(["run", str(SCENARIOS / "euler_top.json"), "--out", str(tmp_path)]) == EXIT_OK

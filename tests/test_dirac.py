@@ -33,7 +33,7 @@ from diracmech.systems import (
     so3_algebroid,
 )
 
-from conftest import make_random_pigraph
+from conftest import make_random_pigraph, with_entry
 
 
 def member_from_basis(dirac, x, xi, coeffs):
@@ -632,3 +632,64 @@ class TestTabulation:
                 dirac.membership_system(np.zeros(0), xi)
             assert str(tabulated.value) == str(direct.value)
             assert dirac._table is None
+
+
+def _disc_going_bad(field, bad):
+    """The rolling-disc algebroid whose ``field`` returns ``bad(value)`` once
+    the steering angle passes 0.05, which a run from phi = 0 at unit
+    steering rate reaches at t = 0.05."""
+    disc = rolling_disc_algebroid()
+    fields = {"anchor": disc.anchor, "structure": disc.structure}
+    good = fields[field]
+    fields[field] = lambda x: bad(good(x)) if x[0] > 0.05 else good(x)
+    return SkewAlgebroid(disc.chart, fields["anchor"], fields["structure"], disc.name)
+
+
+_SYMMETRIC = np.zeros((4, 4, 4))
+_SYMMETRIC[0, 1, 2] = _SYMMETRIC[1, 0, 2] = 0.5
+
+
+class TestXDependentFieldErrors:
+    """A field of the rolling disc that goes bad during a run stops it with
+    the error class and exact message that name the bad entry."""
+
+    @pytest.mark.parametrize("field, bad, error, message", [
+        ("structure", lambda c: with_entry(c, (1, 0, 3), np.nan), EvaluationError,
+         "structure has non-finite entry at index (1, 0, 3)"),
+        ("anchor", lambda rho: with_entry(rho, (0, 2), np.inf), EvaluationError,
+         "anchor has non-finite entry at index (0, 2)"),
+        ("structure", lambda c: c + _SYMMETRIC, StructureError,
+         "structure functions: not antisymmetric in the first two indices, "
+         "c[0,1,2] + c[1,0,2] = 1.000e+00"),
+        ("anchor", lambda rho: rho.T, EvaluationError,
+         "anchor has shape (4, 1), expected (1, 4)"),
+    ], ids=["nan", "inf", "not-antisymmetric", "anchor-shape"])
+    def test_field_going_bad_in_a_run(self, field, bad, error, message):
+        dirac = induce(PiGraphDirac(_disc_going_bad(field, bad)),
+                       LinearConstraint(fiber=(2, 3)))
+        problem = lagrangian_problem(dirac, rolling_disc_lagrangian())
+        with pytest.raises(error) as raised:
+            integrate(problem, np.array([0.0, 1.0, 2.0]), 0.0, 0.1, 0.01)
+        assert str(raised.value) == message
+
+    def test_non_finite_base_point_in_the_state(self):
+        dirac = induce(PiGraphDirac(rolling_disc_algebroid()), LinearConstraint(fiber=(2, 3)))
+        problem = lagrangian_problem(dirac, rolling_disc_lagrangian())
+        with pytest.raises(EvaluationError) as raised:
+            integrate(problem, np.array([np.nan, 1.0, 2.0]), 0.0, 0.1, 0.01)
+        assert str(raised.value) == "base point component 0 is not finite"
+
+    @pytest.mark.parametrize("clocked", [False, True], ids=["disc", "clock-extended"])
+    @pytest.mark.parametrize("x, message", [
+        ([np.nan], "base point component {last} is not finite"),
+        ([0.1, 0.2], "base point has shape ({wrong},), chart expects ({n},)"),
+    ], ids=["nan", "wrong-length"])
+    def test_structure_terms_checks_its_base_point(self, clocked, x, message):
+        # the clock extension checks its whole point, the clock coordinate too
+        dirac = induce(PiGraphDirac(rolling_disc_algebroid()), LinearConstraint(fiber=(2, 3)))
+        if clocked:
+            dirac, x = time_extend(dirac), [0.0] + x
+        n = dirac.chart.base_dim
+        with pytest.raises(EvaluationError) as raised:
+            dirac.structure_terms(np.array(x))
+        assert str(raised.value) == message.format(last=len(x) - 1, wrong=len(x), n=n)

@@ -3,6 +3,7 @@ import pytest
 
 from diracmech import ScenarioError, integrate
 from diracmech.linalg import max_principal_angle
+from diracmech import systems
 from diracmech.systems import CATALOG, build_problem, build_system
 
 
@@ -81,3 +82,92 @@ def test_missing_formalism_rejected():
         build_problem(bundle, "lagrangian")
     with pytest.raises(ScenarioError, match="closed-form"):
         bundle.hamiltonian("closed")
+
+
+def _counted_disc_mass(monkeypatch, calls):
+    """Patch ``rolling_disc_mass`` so that its M and dM log their calls."""
+    mass, mass_diff = systems.rolling_disc_mass()
+
+    def logged(name, fn):
+        def field(x):
+            calls[name] += 1
+            return fn(x)
+        return field
+
+    monkeypatch.setattr(systems, "rolling_disc_mass", lambda *params: (
+        logged("M", mass), logged("dM", mass_diff)))
+
+
+def _logged_assemblies(problem):
+    """The states ``problem`` assembles at, in order."""
+    states = []
+    assemble = problem.affine.assemble
+
+    def logged(state):
+        states.append(state.copy())
+        return assemble(state)
+
+    problem.affine.assemble = logged
+    return states
+
+
+def test_disc_lagrangian_reads_its_mass_matrix_once_per_base_point(monkeypatch):
+    calls = {"M": 0, "dM": 0}
+    _counted_disc_mass(monkeypatch, calls)
+    problem = build_problem(build_system("rolling_disc"), "lagrangian")
+    calls.update(M=0, dM=0)
+    energy = problem.monitors["energy"]
+    for k, state in enumerate([[0.3, 1.0, 2.0], [0.3, -1.0, 0.5], [0.7, 1.0, 2.0]]):
+        problem.affine(0.0, np.array(state))  # one assembly ...
+        energy(0.0, np.array(state))  # ... and the monitor after it
+        assert calls == {"M": 1 + (k == 2), "dM": 1 + (k == 2)}
+
+    # along a run: once per change of x between consecutive assemblies
+    states = _logged_assemblies(problem)
+    calls.update(M=0, dM=0)
+    integrate(problem, np.array([0.3, 1.0, 2.0]), 0.0, 0.05, 0.005)
+    xs = [s[0] for s in states]
+    changes = sum(1 for k, x in enumerate(xs) if k == 0 or x != xs[k - 1])
+    assert changes < len(states)  # rk4 stages at one x share M
+    assert calls == {"M": changes, "dM": changes}
+
+
+def test_disc_hamiltonian_reads_dM_once_per_state(monkeypatch):
+    calls = {"M": 0, "dM": 0}
+    _counted_disc_mass(monkeypatch, calls)
+    ham = systems.rolling_disc_hamiltonian()
+    x, xi = np.array([0.4]), np.array([1.0, -0.5, 0.3, 0.2])
+    ham.grad_x(x, xi)
+    ham.hess_xi(x, xi)
+    ham(x, xi)
+    assert calls == {"M": 1, "dM": 1}
+
+    problem = build_problem(build_system("rolling_disc"), "hamiltonian",
+                            hamiltonian_source="closed")
+    states = _logged_assemblies(problem)
+    calls.update(M=0, dM=0)
+    integrate(problem, np.array([0.3, 1.0, 2.0, 0.5, -0.4]), 0.0, 0.05, 0.005)
+    assert len(states) > 11
+    assert calls == {"M": len(states), "dM": len(states)}
+
+
+def test_memoised_lagrangian_is_bitwise_a_fresh_one():
+    lag = systems.rolling_disc_lagrangian(1.1, 0.9, 1.05, 1.2)
+    points = [(np.array([0.4]), np.array([1.0, -2.0, 0.5, 0.25])),
+              (np.array([-1.3]), np.array([0.3, 0.7, -0.1, 2.0]))]
+    for x, y in points * 3:
+        fresh = systems.rolling_disc_lagrangian(1.1, 0.9, 1.05, 1.2)
+        assert lag(x, y) == fresh(x, y)
+        assert lag.energy(x, y) == fresh.energy(x, y)
+        for partial in ("grad_x", "grad_y", "hess_yy", "hess_yx"):
+            assert np.array_equal(getattr(lag, partial)(x, y), getattr(fresh, partial)(x, y))
+
+
+def test_lagrangian_hands_out_a_read_only_copy_of_the_mass_matrix():
+    M = np.diag([1.0, 2.0])
+    lag = systems.quadratic_lagrangian(lambda x: M)
+    hess = lag.hess_yy(np.zeros(1), np.ones(2))
+    assert np.array_equal(hess, M)
+    with pytest.raises(ValueError, match="read-only"):
+        hess[0, 0] = 5.0
+    assert M.flags.writeable  # the caller's own array is left as it was
