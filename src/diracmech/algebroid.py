@@ -55,17 +55,19 @@ def _antisymmetric(name, c):
     """Exact antisymmetric part of c in its first two indices.
 
     Raises StructureError naming the worst entry when c is not
-    antisymmetric there to within 2 * STRUCTURE_ANTISYM_TOL.
+    antisymmetric there to within 2 * STRUCTURE_ANTISYM_TOL.  c is halved
+    before its pairs are combined, so no finite entry overflows.
     """
-    ct = c.swapaxes(0, 1)
-    sym = c + ct
-    if np.abs(sym).max(initial=0.0) > 2.0 * STRUCTURE_ANTISYM_TOL:
-        i, j, k = np.unravel_index(int(np.argmax(np.abs(sym))), sym.shape)
+    half = 0.5 * c
+    halft = half.swapaxes(0, 1)
+    sym = np.abs(half + halft)
+    if sym.max(initial=0.0) > STRUCTURE_ANTISYM_TOL:
+        i, j, k = np.unravel_index(int(np.argmax(sym)), sym.shape)
         raise StructureError(
             f"{name}: not antisymmetric in the first two indices, "
-            f"c[{i},{j},{k}] + c[{j},{i},{k}] = {sym[i, j, k]:.3e}"
+            f"c[{i},{j},{k}] + c[{j},{i},{k}] = {float(c[i, j, k]) + float(c[j, i, k]):.3e}"
         )
-    return 0.5 * (c - ct)
+    return half - halft
 
 
 class Chart:

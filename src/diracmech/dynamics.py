@@ -18,9 +18,10 @@ membership residual there (``DiracAlgebroid.residual``):
 No regularity of the Lagrangian is assumed; degeneracy is the solver's
 business.  L, H and the control system enter only through their partials.
 Each class keeps one table that maps every partial to its central-difference
-fallback: a partial is the user's analytic callable when one is supplied and
-its fallback otherwise, and ``validate`` holds each supplied callable to
-that same fallback at the probe points.
+fallback, and binds each partial once, at construction, to the user's
+analytic callable when one is supplied and to its fallback otherwise;
+``validate`` holds each supplied callable to that same fallback, in shape
+and value, at the probe points.
 
 For a hyperregular Lagrangian, ``legendre_transform`` builds the dual
 Hamiltonian by inverting the fiber derivative numerically, once per phase
@@ -34,6 +35,7 @@ stationarity Jacobian from the second partials ``f_u_xu`` and
 ``cost_u_xu``.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -84,55 +86,69 @@ def _last_point(compute):
 class _Partials:
     """A function of a point (a, b) with optional analytic partials.
 
-    Each subclass declares ``_FALLBACKS``, one table that maps every partial
-    it offers to its central-difference fallback, a function of
-    (self, a, b) that differences the function (or a lower partial) there;
+    Each subclass declares ``_FALLBACKS``, the one table of the partials it
+    offers, each mapped to its central-difference fallback: a function of
+    (self, a, b) that differences the function (or a lower partial) there.
     ``_VECTORS`` names the partials returned flat, and ``_KIND`` and
-    ``_POINT`` name the class and the point's two arguments in errors.  A
-    partial is the supplied analytic callable where there is one and its
-    fallback otherwise, and ``validate`` holds every supplied callable to
-    the very fallback it replaces.
+    ``_POINT`` name the class and the point's two arguments in errors.  At
+    construction every partial is bound once on the instance, to the
+    supplied analytic callable or else to its fallback, wrapped to take
+    float arrays (lists too) and return a float array; ``validate`` holds
+    each supplied callable, shape first, to the same wrapper around the
+    very fallback it replaces.
     """
 
     def __init__(self, name, probes, **analytic):
         self.name = name
         self._analytic = {label: fn for label, fn in analytic.items() if fn is not None}
+        for label, fallback in self._FALLBACKS.items():
+            setattr(self, label, self._wrap(
+                label, self._analytic.get(label, functools.partial(fallback, self))))
         if probes is not None:
             self.validate(probes)
 
-    def _partial(self, label, a, b, fallback=False):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        analytic = self._analytic.get(label)
-        if analytic is None or fallback:
-            value = self._FALLBACKS[label](self, a, b)
-        else:
-            value = np.asarray(analytic(a, b), dtype=float)
-        return value.reshape(-1) if label in self._VECTORS else value
+    def _wrap(self, label, fn):
+        """``fn`` on float arrays, returning a float array, flat for a vector partial."""
+        flat = label in self._VECTORS
+
+        def partial(a, b):
+            value = np.asarray(fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float)),
+                               dtype=float)
+            return value.reshape(-1) if flat else value
+
+        return partial
 
     def _outer_step(self, label):
         """Relative step for differencing partial ``label``: coarse if that is a fallback too."""
         return fd.REL_FIRST if label in self._analytic else fd.REL_SECOND
 
     def validate(self, probes):
-        """Raise StructureError where a supplied partial deviates from its fallback."""
+        """Raise StructureError where a supplied partial differs from its fallback."""
+        checks = [(label, getattr(self, label),
+                  self._wrap(label, functools.partial(self._FALLBACKS[label], self)))
+                 for label in self._analytic]
         for a, b in probes:
-            for label in self._analytic:
-                numeric = self._partial(label, a, b, fallback=True)
+            for label, analytic, fallback in checks:
+                numeric, value = fallback(a, b), analytic(a, b)
                 bound = GRADIENT_CHECK_RTOL * (1.0 + np.max(np.abs(numeric), initial=0.0))
-                if np.max(np.abs(self._partial(label, a, b) - numeric), initial=0.0) > bound:
-                    at = ", ".join(f"{k}={np.asarray(v, dtype=float)}"
-                                   for k, v in zip(self._POINT, (a, b)))
-                    raise StructureError(
-                        f"analytic {label} of {self._KIND} {self.name or '<anonymous>'} "
-                        f"deviates from finite differences at ({at})"
-                    )
+                if value.shape != numeric.shape:
+                    fault = f"has shape {value.shape}, its fallback {numeric.shape},"
+                elif np.max(np.abs(value - numeric), initial=0.0) > bound:
+                    fault = "deviates from finite differences"
+                else:
+                    continue
+                at = ", ".join(f"{k}={np.asarray(v, dtype=float)}"
+                               for k, v in zip(self._POINT, (a, b)))
+                raise StructureError(f"analytic {label} of {self._KIND} "
+                                     f"{self.name or '<anonymous>'} {fault} at ({at})")
 
 
 class Lagrangian(_Partials):
-    """Scalar field on the velocity bundle with first and second partials.
+    """Scalar field L(x, y) on the velocity bundle with first and second partials.
 
-    Analytic partials are optional; missing ones fall back to central
+    Its partials, for n base and m fiber coordinates: ``grad_x`` (n,),
+    ``grad_y`` (m,), ``hess_yy`` = d(grad_y)/dy (m, m) and ``hess_yx`` =
+    d(grad_y)/dx (m, n).  Missing analytic partials fall back to central
     finite differences (nested for second derivatives).  When analytic
     partials and probe points are both given, the partials are validated
     against those fallbacks at registration.
@@ -158,18 +174,6 @@ class Lagrangian(_Partials):
     def __call__(self, x, y):
         return float(self._fn(np.asarray(x, float), np.asarray(y, float)))
 
-    def grad_x(self, x, y):
-        return self._partial("grad_x", x, y)
-
-    def grad_y(self, x, y):
-        return self._partial("grad_y", x, y)
-
-    def hess_yy(self, x, y):
-        return self._partial("hess_yy", x, y)
-
-    def hess_yx(self, x, y):
-        return self._partial("hess_yx", x, y)
-
     def momentum_rate(self, x, y, xdot, ydot):
         """Total time derivative of dL/dy along the given rates."""
         return self.hess_yx(x, y) @ np.asarray(xdot, float) + self.hess_yy(x, y) @ np.asarray(ydot, float)
@@ -181,10 +185,12 @@ class Lagrangian(_Partials):
 
 
 class Hamiltonian(_Partials):
-    """Scalar field on the dual bundle with first partials and dH/dxi's Jacobian.
+    """Scalar field H(x, xi) on the dual bundle with first partials and dH/dxi's Jacobian.
 
-    As for ``Lagrangian``, missing analytic partials fall back to central
-    finite differences, and supplied ones are validated at ``probes``.
+    Its partials: ``grad_x`` (n,), ``grad_xi`` (m,) and ``hess_xi``, the
+    Jacobian of dH/dxi over the state (x, xi), shape (m, n + m).  As for
+    ``Lagrangian``, missing analytic partials fall back to central finite
+    differences, and supplied ones are validated at ``probes``.
     """
 
     _KIND, _POINT = "Hamiltonian", ("x", "xi")
@@ -204,23 +210,14 @@ class Hamiltonian(_Partials):
     def __call__(self, x, xi):
         return float(self._fn(np.asarray(x, float), np.asarray(xi, float)))
 
-    def grad_x(self, x, xi):
-        return self._partial("grad_x", x, xi)
-
-    def grad_xi(self, x, xi):
-        return self._partial("grad_xi", x, xi)
-
-    def hess_xi(self, x, xi):
-        """Jacobian of dH/dxi over the state (x, xi), shape (m, n + m)."""
-        return self._partial("hess_xi", x, xi)
-
 
 class ControlSystem(_Partials):
     """Parametrized velocity constraint y = f(x, u) with running cost L(x, u).
 
-    The second partials ``f_u_xu`` and ``cost_u_xu`` are the Jacobians of
-    f_u and cost_u over the stacked (x, u), shapes (m, q, n + q) and
-    (q, n + q).
+    Its partials, for q controls: ``f_x`` (m, n), ``f_u`` (m, q),
+    ``cost_x`` (n,) and ``cost_u`` (q,), and the second partials
+    ``f_u_xu`` and ``cost_u_xu``, the Jacobians of f_u and cost_u over the
+    stacked (x, u), shapes (m, q, n + q) and (q, n + q).
     """
 
     _KIND, _POINT = "control system", ("x", "u")
@@ -250,24 +247,6 @@ class ControlSystem(_Partials):
 
     def cost(self, x, u):
         return float(self._cost(np.asarray(x, float), np.asarray(u, float)))
-
-    def f_x(self, x, u):
-        return self._partial("f_x", x, u)
-
-    def f_u(self, x, u):
-        return self._partial("f_u", x, u)
-
-    def cost_x(self, x, u):
-        return self._partial("cost_x", x, u)
-
-    def cost_u(self, x, u):
-        return self._partial("cost_u", x, u)
-
-    def f_u_xu(self, x, u):
-        return self._partial("f_u_xu", x, u)
-
-    def cost_u_xu(self, x, u):
-        return self._partial("cost_u_xu", x, u)
 
     def hamiltonian(self, x, u, xi):
         """xi . f(x, u) - L(x, u), the control-parametrized Hamiltonian."""

@@ -18,7 +18,7 @@ from diracmech import (
     induce,
 )
 from diracmech import fd
-from diracmech.algebroid import _as_base_point, _check_finite
+from diracmech.algebroid import _antisymmetric, _as_base_point, _check_finite
 from diracmech.checks import jacobi_check
 from diracmech.systems import rolling_disc_algebroid, so3_algebroid
 
@@ -119,10 +119,17 @@ class TestLargeFiniteEntries:
         with pytest.raises(EvaluationError) as raised:
             self._quiet(_check_finite, "structure", with_entry(c, (1, 0, 1), -np.inf))
         assert str(raised.value) == "structure has non-finite entry at index (1, 0, 1)"
-        # antisymmetrising keeps 0.5 * (c - c^T): the difference 2a of a pair
-        # +-a is finite only while |a| < 8.99e307
+        # antisymmetrising halves before combining, so a pair +-a stays
+        # finite for every finite a
         big = SkewAlgebroid(Chart(0, 2), lambda x: np.zeros((0, 2)), lambda x: 0.8 * c)
         assert np.array_equal(self._quiet(big.structure, np.zeros(0)), 0.8 * c)
+        assert np.array_equal(self._quiet(_antisymmetric, "structure", c), c)
+        symmetric = np.zeros((2, 2, 2))
+        symmetric[0, 1, 0] = symmetric[1, 0, 0] = 1e308
+        with pytest.raises(StructureError) as raised:
+            self._quiet(_antisymmetric, "structure", symmetric)
+        assert str(raised.value) == ("structure: not antisymmetric in the first two indices, "
+                                     "c[0,1,0] + c[1,0,0] = inf")
 
     def test_base_point(self, disc):
         x = np.array([1e308, -1e308])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -701,6 +703,23 @@ class TestValidation:
         with pytest.raises(StructureError, match=f"analytic {label} of {kind} probe deviates"):
             build(**{label: doubled}, name="probe", probes=probes)
 
+        def widened(a, b):
+            return np.concatenate([exact(a, b)] * 2)
+
+        shape = np.shape(exact(*probes[0]))
+        wide = (2 * shape[0],) + shape[1:]
+        with pytest.raises(StructureError, match=re.escape(
+                f"analytic {label} of {kind} probe has shape {wide}, its fallback {shape}, at (")):
+            build(**{label: widened}, name="probe", probes=probes)
+
+    def test_a_partial_that_broadcasts_is_still_the_wrong_shape(self):
+        # a (1,) grad_y against the (3,) fallback broadcasts to a zero
+        # difference at y = (1, 1, 1): only the shape tells them apart
+        with pytest.raises(StructureError, match=re.escape(
+                "analytic grad_y of Lagrangian <anonymous> has shape (1,), its fallback (3,)")):
+            Lagrangian(lambda x, y: 0.5 * float(y @ y), grad_y=lambda x, y: np.array([y[0]]),
+                       probes=[(np.zeros(1), np.ones(3))])
+
     def test_exact_disc_hessians_pass_without_grad_y(self):
         # the fallback the Hessians are held to differences the numerical
         # grad_y with the coarse outer step, so exact ones are accepted
@@ -738,3 +757,45 @@ class TestValidation:
                                    rng.standard_normal(bundle.control.control_dim))
                                   for _ in range(50)]
                 bundle.control.validate(control_probes)
+
+
+class TestBoundPartials:
+    def test_partials_take_lists_and_return_float_arrays(self):
+        # a point base (x of shape (0,)), analytic partials returning nested
+        # lists of ints, and the same functions with every partial left to
+        # its fallback: vector partials come back flat either way
+        def lag_fn(x, y):
+            return 0.5 * float(y @ y)
+
+        def ham_fn(x, xi):
+            return 0.5 * float(xi @ xi)
+
+        def cost(x, u):
+            return float(u @ u)
+
+        def f(x, u):
+            return np.array([u[0], 2.0 * u[0]])
+
+        analytic = [
+            Lagrangian(lag_fn, grad_x=lambda x, y: [], grad_y=lambda x, y: [[y[0]], [y[1]]],
+                       hess_yy=lambda x, y: [[1, 0], [0, 1]]),
+            Hamiltonian(ham_fn, grad_x=lambda x, xi: [[]], grad_xi=lambda x, xi: [[1], [2]]),
+            ControlSystem(f, cost, cost_x=lambda x, u: [[]], cost_u=lambda x, u: [[2]],
+                          f_u=lambda x, u: [[1], [2]]),
+        ]
+        numeric = [Lagrangian(lag_fn), Hamiltonian(ham_fn), ControlSystem(f, cost)]
+        for lag, ham, ctl in (analytic, numeric):
+            for owner, label, second, expected in [
+                (lag, "grad_x", [1, 2], np.zeros(0)),
+                (lag, "grad_y", [1, 2], np.array([1.0, 2.0])),
+                (lag, "hess_yy", [1, 2], np.eye(2)),
+                (ham, "grad_x", [1, 2], np.zeros(0)),
+                (ham, "grad_xi", [1, 2], np.array([1.0, 2.0])),
+                (ctl, "cost_x", [1], np.zeros(0)),
+                (ctl, "cost_u", [1], np.array([2.0])),
+                (ctl, "f_u", [1], np.array([[1.0], [2.0]])),
+            ]:
+                value = getattr(owner, label)([], second)
+                assert isinstance(value, np.ndarray) and value.dtype == np.float64, label
+                assert value.shape == expected.shape, label
+                assert np.allclose(value, expected, atol=1e-8), label
