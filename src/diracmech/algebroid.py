@@ -98,16 +98,6 @@ class Chart:
     def __repr__(self):
         return f"Chart(base_dim={self.base_dim}, fiber_dim={self.fiber_dim})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chart)
-            and other.base_dim == self.base_dim
-            and other.fiber_dim == self.fiber_dim
-        )
-
-    def __hash__(self):
-        return hash((self.base_dim, self.fiber_dim))
-
 
 class Section:
     """Section of the bundle: component functions x -> R^m.

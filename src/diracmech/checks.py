@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .algebroid import JACOBI_TOL
 from .constraints import check_integrability
-from .dirac import ISOTROPY_TOL, PiGraphDirac, TimeExtendedDirac
+from .dirac import ISOTROPY_TOL, TimeExtendedDirac
 from .dynamics import el_residual, hamilton_residual
 from .errors import DiracMechError
 
@@ -60,9 +60,13 @@ def core_annihilator_check(dirac, probes=50, seed=0):
     return _verdict(worst, CORE_TOL)
 
 
-def integrability_check(dirac, base_dirac):
-    target = dirac if isinstance(dirac, PiGraphDirac) else base_dirac
-    return dict(check_integrability(target).as_dict(), passed=True)  # informational verdict
+def _graph(dirac):
+    """The structure a clock extension extends, or else ``dirac`` itself."""
+    return dirac.base if isinstance(dirac, TimeExtendedDirac) else dirac
+
+
+def integrability_check(dirac):
+    return dict(check_integrability(_graph(dirac)).as_dict(), passed=True)  # informational verdict
 
 
 def legendre_equivalence_check(dirac, lagrangian, hamiltonian, probes=50, seed=0):
@@ -125,15 +129,16 @@ def run_checks(bundle, names, seed=0):
         if name == "isotropy":
             results[name] = isotropy_check(bundle.dirac, seed=seed)
         elif name == "jacobi":
-            if bundle.algebroid is None:
+            algebroid = getattr(_graph(bundle.dirac), "algebroid", None)
+            if algebroid is None:
                 results[name] = {"skipped": "system exposes no algebroid", "passed": True}
             else:
-                results[name] = jacobi_check(bundle.algebroid, seed=seed)
+                results[name] = jacobi_check(algebroid, seed=seed)
         elif name == "core_annihilator":
             results[name] = core_annihilator_check(bundle.dirac, seed=seed)
         elif name == "integrability":
             try:
-                results[name] = integrability_check(bundle.dirac, bundle.base_dirac)
+                results[name] = integrability_check(bundle.dirac)
             except DiracMechError as err:
                 results[name] = {"skipped": str(err), "passed": True}
         elif name == "legendre_equivalence":

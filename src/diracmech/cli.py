@@ -233,12 +233,6 @@ def write_trajectory_csv(path, trajectory, angle_state_indices=()):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _angle_state_indices(bundle, formalism):
-    if formalism in ("lagrangian", "hamiltonian"):
-        return tuple(bundle.angle_bases)
-    return ()
-
-
 def _execute(scenario, out_dir, check_only=False):
     """Run (or only check) one scenario; every exit path writes the report,
     or exits 1 with a message on stderr when the report cannot be written."""
@@ -310,14 +304,12 @@ def _run(scenario, out_dir, check_only, report):
         return EXIT_OK
 
     clocked = isinstance(bundle.dirac, TimeExtendedDirac)
-    initial = list(scenario.initial)
-    if clocked:
-        initial = [scenario.time["t0"]] + initial
-    if len(initial) != problem.state_dim:
-        raise ScenarioError(
-            f"initial state has length {len(initial)}, "
-            f"problem expects {problem.state_dim}"
-        )
+    expected = problem.state_dim - clocked
+    if len(scenario.initial) != expected:
+        clock = " (the clock is prepended from time.t0)" if clocked else ""
+        raise ScenarioError(f"initial state has length {len(scenario.initial)}, "
+                            f"problem expects {expected}{clock}")
+    initial = ([scenario.time["t0"]] if clocked else []) + scenario.initial
 
     # a non-finite value here fails the solve or monitor check, unlike in a
     # structure check, where NaN compared with a tolerance can pass
@@ -333,8 +325,7 @@ def _run(scenario, out_dir, check_only, report):
         report["energy_drift"] = drift
 
     csv_path = out_dir / scenario.output["trajectory"]
-    write_trajectory_csv(csv_path, trajectory,
-                         _angle_state_indices(bundle, scenario.formalism))
+    write_trajectory_csv(csv_path, trajectory, bundle.angle_bases)
 
     report["newton"] = {
         "max_iterations": int(np.max(trajectory.newton_iterations)),

@@ -14,6 +14,8 @@ which doubles as an independent oracle for the closed form and reads the
 constraint objects, never a structure's selectors.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import linalg
@@ -163,32 +165,22 @@ def pointwise_induce(dirac, constraint, x, xi):
     return span
 
 
-class IntegrabilityReport:
+class IntegrabilityReport(NamedTuple):
     """Verdicts of the two coordinate integrability conditions."""
 
-    def __init__(self, cond1, cond2, anchor_violation, anchor_witness,
-                 structure_violation, structure_witness):
-        self.cond1 = cond1
-        self.cond2 = cond2
-        self.anchor_violation = anchor_violation
-        self.anchor_witness = anchor_witness
-        self.structure_violation = structure_violation
-        self.structure_witness = structure_witness
+    cond1: bool
+    cond2: bool
+    anchor_violation: float
+    anchor_witness: dict | None
+    structure_violation: float
+    structure_witness: dict | None
 
     @property
     def is_dirac_lie(self):
         return self.cond1 and self.cond2
 
     def as_dict(self):
-        return {
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "anchor_violation": self.anchor_violation,
-            "anchor_witness": self.anchor_witness,
-            "structure_violation": self.structure_violation,
-            "structure_witness": self.structure_witness,
-            "dirac_lie": self.is_dirac_lie,
-        }
+        return dict(self._asdict(), dirac_lie=self.is_dirac_lie)
 
 
 def _largest_entry(xs, blocks, indices):

@@ -260,11 +260,6 @@ class LegendreImage(NamedTuple):
     phase_residual: np.ndarray
 
 
-class PMPResidual(NamedTuple):
-    residual: np.ndarray
-    stationarity: np.ndarray
-
-
 def legendre_map(lagrangian, x, y, dirac=None):
     """Vertical derivative (x, dL/dy(x, y)); optionally report phase membership."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -450,13 +445,14 @@ def nonholonomic_el_residual(algebroid, constraint, lagrangian, state, rate):
 def pmp_residual(system, dirac, state, rate):
     """Control-parametrized phase-dynamics residual with stationarity channel.
 
-    state = (x, u, xi), rate = (xdot, xidot).  The membership rows use
-    y = f(x, u) and p = xi . df/dx - dL/dx; the returned stationarity block
-    xi . df/du - dL/du vanishes exactly on critical controls.
+    state = (x, u, xi), rate = (xdot, xidot).  Returns the pair (rows,
+    stationarity): the membership rows, with y = f(x, u) and p = xi . df/dx
+    - dL/dx, and the block xi . df/du - dL/du, which vanishes exactly on
+    critical controls.
     """
     x, u, xi = (np.asarray(v, dtype=float).reshape(-1) for v in state)
     xdot, xidot = _pair(rate)
     p = system.f_x(x, u).T @ xi - system.cost_x(x, u)
     point = PontryaginPoint(x, xi, xdot, xidot, p, system.f(x, u))
     stationarity = system.f_u(x, u).T @ xi - system.cost_u(x, u)
-    return PMPResidual(dirac.residual(point), stationarity)
+    return dirac.residual(point), stationarity

@@ -49,7 +49,13 @@ class InitializationError(DiracMechError):
 
 
 class SolverError(DiracMechError):
-    """A Newton or Gauss-Newton iteration did not converge."""
+    """The integrator could not produce a trustworthy step.
+
+    Raised when the exact rate solve leaves a residual above tolerance or
+    LAPACK reports a nonzero ``info``, when an implicit midpoint step does
+    not contract, when ``step_count`` rejects the time span, and when a
+    monitor or its drift is not finite.
+    """
 
 
 class ScenarioError(DiracMechError):

@@ -68,7 +68,7 @@ class _StateCache:
         return self._parts(t, state)[1]
 
 
-def _problem(dirac, point, fill, labels, monitors, name, pinned=None, velocity_slots=None):
+def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=None):
     """The implicit problem of one slot fill (see the module docstring)."""
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     rows = dirac.rate_rows
@@ -103,11 +103,11 @@ def _problem(dirac, point, fill, labels, monitors, name, pinned=None, velocity_s
     return ImplicitProblem(
         len(labels), cache,
         algebraic=cache.algebraic if has_phase or pinned is not None else None,
-        monitors=monitors, velocities=velocities, state_labels=labels, name=name,
+        monitors=monitors, velocities=velocities, state_labels=labels,
     )
 
 
-def lagrangian_problem(dirac, lagrangian, name=""):
+def lagrangian_problem(dirac, lagrangian):
     """Implicit Euler-Lagrange problem with state (x, y_free).
 
     The slots are xi = dL/dy, p = -dL/dx and xidot = hyx xdot + hyy ydot;
@@ -142,11 +142,10 @@ def lagrangian_problem(dirac, lagrangian, name=""):
         return Y
 
     labels = list(dirac.chart.base_labels) + [dirac.chart.fiber_labels[i] for i in free]
-    return _problem(dirac, point, fill, labels, monitors,
-                    name or f"euler-lagrange[{lagrangian.name}]", velocity_slots=velocity_slots)
+    return _problem(dirac, point, fill, labels, monitors, velocity_slots=velocity_slots)
 
 
-def hamiltonian_problem(dirac, hamiltonian, name=""):
+def hamiltonian_problem(dirac, hamiltonian):
     """Implicit phase-dynamics problem with state (x, xi).
 
     The slots are y = dH/dxi, p = dH/dx and the rate (xdot, xidot) itself;
@@ -173,11 +172,10 @@ def hamiltonian_problem(dirac, hamiltonian, name=""):
         return hamiltonian(state[:n], state[n:])
 
     labels = list(dirac.chart.base_labels) + list(dirac.chart.dual_labels)
-    return _problem(dirac, point, fill, labels, {"hamiltonian": monitor},
-                    name or f"hamilton[{hamiltonian.name}]", pinned)
+    return _problem(dirac, point, fill, labels, {"hamiltonian": monitor}, pinned)
 
 
-def pmp_problem(system, dirac, name=""):
+def pmp_problem(system, dirac):
     """Control-stationarity problem with state (x, u, xi).
 
     The slots are y = f(x, u), p = f_x^T xi - cost_x and (xdot, xidot); the
@@ -222,4 +220,4 @@ def pmp_problem(system, dirac, name=""):
         + list(dirac.chart.dual_labels)
     )
     return _problem(dirac, point, fill, labels, {"hamiltonian": monitor},
-                    name or f"pmp[{system.name}]", (stationarity, stationarity_jacobian))
+                    (stationarity, stationarity_jacobian))

@@ -48,7 +48,7 @@ class ImplicitProblem:
     """
 
     def __init__(self, state_dim, affine, algebraic=None, monitors=None,
-                 velocities=None, state_labels=None, name=""):
+                 velocities=None, state_labels=None):
         self.state_dim = int(state_dim)
         self.affine = affine
         self.algebraic = algebraic
@@ -58,7 +58,6 @@ class ImplicitProblem:
             f"s{k + 1}" for k in range(self.state_dim)
         ]
         self.rate_labels = [lbl + "_dot" for lbl in self.state_labels]
-        self.name = name
 
     def residual(self, t, state, rate):
         A, b = self.affine(t, state)

@@ -1,8 +1,8 @@
 """Built-in example systems for the command line and the demos.
 
-Each system packages a chart, the structure (with its default constraint
-applied where one exists), a Lagrangian with analytic partials, and, when
-available in closed form, the matching Hamiltonian.
+Each system packages the structure (with its default constraint applied
+where one exists; it carries the chart), a Lagrangian with analytic
+partials, and, when available in closed form, the matching Hamiltonian.
 """
 
 import numpy as np
@@ -185,16 +185,16 @@ def so3_algebroid(labels=None):
 
 
 class SystemBundle:
-    """Everything a scenario needs for one named system."""
+    """Everything a scenario needs for one named system.
 
-    def __init__(self, name, chart, dirac, base_dirac, algebroid=None,
-                 lagrangian=None, closed_hamiltonian=None, control=None,
-                 angle_bases=()):
+    ``angle_bases`` are base indices, and so state indices: every
+    formalism's state starts with the base coordinates.
+    """
+
+    def __init__(self, name, dirac, lagrangian=None, closed_hamiltonian=None,
+                 control=None, angle_bases=()):
         self.name = name
-        self.chart = chart
         self.dirac = dirac
-        self.base_dirac = base_dirac
-        self.algebroid = algebroid
         self.lagrangian = lagrangian
         self.closed_hamiltonian = closed_hamiltonian
         self.control = control
@@ -213,7 +213,7 @@ class SystemBundle:
         if self.lagrangian is None:
             raise ScenarioError(f"system {self.name} has no Lagrangian")
         rng = np.random.default_rng(seed)
-        n, m = self.chart.base_dim, self.chart.fiber_dim
+        n, m = self.dirac.chart.base_dim, self.dirac.chart.fiber_dim
         probes = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(5)]
         return legendre_transform(self.lagrangian, probes)
 
@@ -238,8 +238,7 @@ def _quadratic_system(name, base, constraint, spec, label=None, angle_bases=()):
     names L and H (default ``name``)."""
     label = label or name
     dirac = induce(base, constraint) if constraint else base
-    return SystemBundle(name, base.chart, dirac, base, algebroid=base.algebroid,
-                        lagrangian=quadratic_lagrangian(*spec, name=label),
+    return SystemBundle(name, dirac, lagrangian=quadratic_lagrangian(*spec, name=label),
                         closed_hamiltonian=quadratic_hamiltonian(*spec, name=label),
                         angle_bases=angle_bases)
 
@@ -277,8 +276,7 @@ def _build_forced_oscillator(params, constraint):
     mass, k0, eps, omega = params["mass"], params["k0"], params["eps"], params["omega"]
     if constraint is not None:
         raise ScenarioError("forced_oscillator_timedep takes no constraint")
-    base = CanonicalDirac(1, base_labels=("x",))
-    dirac = time_extend(base)
+    dirac = time_extend(CanonicalDirac(1, base_labels=("x",)))
 
     def stiffness(t):
         return k0 * (1.0 + eps * np.sin(omega * t))
@@ -296,15 +294,13 @@ def _build_forced_oscillator(params, constraint):
 
     lag = quadratic_lagrangian(lambda x: np.array([[mass]]), None, potential,
                                potential_grad, name="forced_oscillator")
-    return SystemBundle("forced_oscillator_timedep", dirac.chart, dirac, base,
-                        lagrangian=lag)
+    return SystemBundle("forced_oscillator_timedep", dirac, lagrangian=lag)
 
 
 def _build_lqr(params, constraint):
     qw, rw = params["q"], params["r"]
     if constraint is not None:
         raise ScenarioError("lqr_pmp takes no constraint")
-    base = CanonicalDirac(1, base_labels=("x",))
     control = ControlSystem(
         f=lambda x, u: np.array([u[0]]),
         cost=lambda x, u: 0.5 * (qw * float(x[0] ** 2) + rw * float(u[0] ** 2)),
@@ -317,7 +313,7 @@ def _build_lqr(params, constraint):
         f_u_xu=lambda x, u: np.zeros((1, 1, 2)),
         cost_u_xu=lambda x, u: np.array([[0.0, rw]]),
     )
-    return SystemBundle("lqr_pmp", base.chart, base, base, control=control)
+    return SystemBundle("lqr_pmp", CanonicalDirac(1, base_labels=("x",)), control=control)
 
 
 class SystemSpec:

@@ -33,6 +33,25 @@ def test_probes_install_and_remove(tracing):
     assert all(getattr(cli, name) is fn for name, fn in originals.items())
 
 
+@pytest.mark.parametrize("name", ["rolling_disc", "lqr", "forced_oscillator"])
+def test_a_run_crosses_the_setup_boundary_once(tracing, monkeypatch, tmp_path, name):
+    # ``Probes`` counts the SETUP calls as set-up and ``integrate`` as the
+    # run: a run makes each call once, the initial projection last before
+    # ``integrate``, so no set-up work is timed as the run.  The document's
+    # span is cut to ten steps; the calls do not depend on it.
+    calls = []
+    for attr in tracing.Probes.SETUP + ("integrate",):
+        fn = getattr(cli, attr)
+        monkeypatch.setattr(cli, attr, lambda *args, _fn=fn, _attr=attr, **kwargs:
+                            calls.append(_attr) or _fn(*args, **kwargs))
+    doc = json.loads((BENCH.parent / "scenarios" / f"{name}.json").read_text())
+    doc["time"]["t1"] = doc["time"]["t0"] + 10 * doc["time"]["dt"]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path)]) == 0
+    assert calls == list(tracing.Probes.SETUP) + ["integrate"]
+
+
 def test_tracer_counts_a_traced_run(tracing, tmp_path):
     solve_rate = solver.solve_rate
     scenario = tmp_path / "top.json"

@@ -6,7 +6,8 @@ Lagrangian on an induced graph with a base support and on its clock
 extension, the Hamiltonian with pinned fibers (closed form and Legendre
 transform), the control stationarity with and without analytic second
 partials, and both phase formalisms on a ``GeneralLocalDirac`` with an
-affine phase.  The catalog's closed disc Hamiltonian and ``lqr_pmp``
+affine phase, where the structure checks' phase-point sampler is also held
+to the phase.  The catalog's closed disc Hamiltonian and ``lqr_pmp``
 integrate without a single difference, and the closed quadratic
 Hamiltonian evaluates its mass matrix once per point.
 """
@@ -31,6 +32,7 @@ from diracmech import (
     project_initial,
     time_extend,
 )
+from diracmech.checks import isotropy_check
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 from diracmech.systems import (
     build_problem,
@@ -187,6 +189,23 @@ def test_general_local_phase_jacobian_is_exact_in_xi():
                   for e in np.eye(3)], axis=-1)
     assert np.max(np.abs(P[:, 2:] - B)) <= 1e-14
     assert np.array_equal(value, local.phase_residual(x, xi))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_isotropy_check_samples_points_on_an_affine_phase(monkeypatch, seed):
+    # the phase reads xi and varies with x: ``phase_point`` solves it by
+    # least squares and ``sample_phase_point`` moves along its null space
+    pi = PiGraphDirac(make_random_pigraph(seed=seed, base_dim=2, fiber_dim=4))
+    local = _general_local(pi, np.random.default_rng(seed))
+    sample, points = local.sample_phase_point, []
+    monkeypatch.setattr(local, "sample_phase_point",
+                        lambda rng: points.append(sample(rng)) or points[-1])
+    assert isotropy_check(local)["passed"]
+    assert len(points) == 50
+    for x, xi in points:
+        assert local.phase_membership(x, xi)[0]
+    # the samples leave the least-squares point: the null-space step ran
+    assert not any(np.allclose(xi, local.phase_point(x)) for x, xi in points)
 
 
 def _disc_closed_problem():

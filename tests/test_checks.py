@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmech import LinearConstraint, PiGraphDirac, SkewAlgebroid, induce
+from diracmech import (Chart, LinearConstraint, OmegaGraphDirac, PiGraphDirac, SkewAlgebroid,
+                       TimeExtendedDirac, induce)
 from diracmech.algebroid import JACOBI_TOL
 from diracmech.checks import (
     CORE_TOL,
     core_annihilator_check,
     integrability_check,
     jacobi_check,
+    run_checks,
 )
 from diracmech.errors import DiracMechError
 from diracmech.linalg import annihilator, max_principal_angle
-from diracmech.systems import CATALOG, build_system
+from diracmech.systems import CATALOG, SystemBundle, build_system
 
 from conftest import make_frame_algebroid
 
@@ -54,23 +56,25 @@ def core_reference(dirac, probes=50, seed=0):
     return {"max_violation": worst, "tolerance": CORE_TOL, "passed": worst <= CORE_TOL}
 
 
-def integrability(dirac, base_dirac):
+def integrability(dirac):
     try:
         # as the report writes it: the numpy values through their tolist
-        return json.dumps(integrability_check(dirac, base_dirac), sort_keys=True,
+        return json.dumps(integrability_check(dirac), sort_keys=True,
                           default=operator.methodcaller("tolist"))
     except DiracMechError as err:
         return str(err)
 
 
-def assert_checks_match_reference(algebroid, dirac, base_dirac, probes):
+def assert_checks_match_reference(dirac, probes):
+    graph = dirac.base if isinstance(dirac, TimeExtendedDirac) else dirac
+    algebroid = getattr(graph, "algebroid", None)
     if algebroid is not None:
         assert jacobi_check(algebroid, probes=probes) == jacobi_reference(algebroid, probes)
     assert core_annihilator_check(dirac, probes=probes) == core_reference(dirac, probes)
-    deduped = integrability(dirac, base_dirac)
+    deduped = integrability(dirac)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SkewAlgebroid, "basis_jacobi_violation", per_probe_jacobi_violation)
-        assert deduped == integrability(dirac, base_dirac)
+        assert deduped == integrability(dirac)
 
 
 @pytest.mark.parametrize("system,constraint", [(name, None) for name in sorted(CATALOG)] + [
@@ -80,8 +84,7 @@ def assert_checks_match_reference(algebroid, dirac, base_dirac, probes):
 ])
 def test_catalog_checks_match_per_probe_loops(system, constraint):
     bundle = build_system(system, constraint_override=constraint)
-    assert_checks_match_reference(bundle.algebroid, bundle.dirac, bundle.base_dirac,
-                                  probes=20)
+    assert_checks_match_reference(bundle.dirac, probes=20)
 
 
 @pytest.mark.parametrize("system,constraint", [
@@ -107,4 +110,24 @@ def test_frame_algebroid_checks_match_per_probe_loops(seed, n, data):
     algebroid = make_frame_algebroid(seed, n)
     fiber = data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
     dirac = induce(PiGraphDirac(algebroid), LinearConstraint(fiber=tuple(fiber)))
-    assert_checks_match_reference(algebroid, dirac, PiGraphDirac(algebroid), probes=4)
+    assert_checks_match_reference(dirac, probes=4)
+
+
+@pytest.mark.parametrize("system", ["lqr_pmp", "forced_oscillator_timedep"])
+def test_jacobi_reads_the_canonical_algebroid_and_legendre_skips(system):
+    # the clock extension's Jacobi check reads the structure it extends
+    results = run_checks(build_system(system), ["jacobi", "legendre_equivalence"])
+    assert results["jacobi"]["passed"] and "skipped" not in results["jacobi"]
+    assert results["legendre_equivalence"] == {"skipped": "needs an autonomous Lagrangian",
+                                               "passed": True}
+
+
+def test_a_structure_without_an_algebroid_skips_jacobi_and_integrability():
+    omega = OmegaGraphDirac(Chart(1, 1), rho=lambda x: np.eye(1),
+                            cform=lambda x: np.zeros((1, 1, 1)))
+    results = run_checks(SystemBundle("omega", omega), ["jacobi", "integrability"])
+    assert results == {
+        "jacobi": {"skipped": "system exposes no algebroid", "passed": True},
+        "integrability": {"skipped": "integrability checks need a bivector-graph structure",
+                          "passed": True},
+    }

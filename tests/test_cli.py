@@ -249,6 +249,29 @@ class TestRun:
         path = write_scenario(tmp_path, dict(BASE_DOC, initial=[1.0]))
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_MALFORMED
 
+    @pytest.mark.parametrize("scenario,expected", [
+        (None, "problem expects 2\n"),
+        # the document gives "x, y"; the clock is not one of its entries
+        ("forced_oscillator.json", "problem expects 2 (the clock is prepended from time.t0)\n"),
+    ])
+    def test_initial_length_message_counts_the_document(self, tmp_path, capsys,
+                                                        scenario, expected):
+        doc = json.loads((SCENARIOS / scenario).read_text()) if scenario else BASE_DOC
+        path = write_scenario(tmp_path, dict(doc, initial=[1.0, 0.0, 0.0]))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_MALFORMED
+        assert f"initial state has length 3, {expected}" in capsys.readouterr().err
+
+    def test_clocked_scenario_starts_its_clock_at_t0(self, tmp_path):
+        doc = json.loads((SCENARIOS / "forced_oscillator.json").read_text())
+        doc["time"].update(t0=2.0, t1=2.1)
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        header, data = load_csv(tmp_path / doc["output"]["trajectory"])
+        assert data[0, header.index("clock")] == 2.0
+        assert np.all(data[:, header.index("clock_dot")] == 1.0)
+        report = json.loads((tmp_path / doc["output"]["report"]).read_text())
+        assert report["exit_code"] == EXIT_OK and "energy_drift" not in report
+
     def test_degenerate_dynamics_exit_code(self, tmp_path):
         doc = dict(BASE_DOC, system="euler_top", initial=[1.0, 0.5, 0.5],
                    params={"J1": 0.0})
@@ -319,8 +342,7 @@ class TestRun:
             alg = SkewAlgebroid(Chart(0, 3), lambda x: np.zeros((0, 3)),
                                 lambda x, c=c: c)
             dirac = PiGraphDirac(alg)
-            return SystemBundle("broken_top", alg.chart, dirac, dirac,
-                                algebroid=alg,
+            return SystemBundle("broken_top", dirac,
                                 lagrangian=quadratic_lagrangian(lambda x: np.eye(3)))
 
         spec = SystemSpec("broken_top", "test-only", {}, build_broken,

@@ -97,12 +97,12 @@ def _pmp(request):
     def reference(state, rate):
         out = pmp_residual(bundle.control, bundle.dirac,
                            (state[:1], state[1:2], state[2:]), (rate[:1], rate[2:]))
-        return out.residual, stationarity
+        return out[0], stationarity
 
     def stationarity(state):
         return pmp_residual(bundle.control, bundle.dirac,
                             (state[:1], state[1:2], state[2:]),
-                            (np.zeros(1), np.zeros(1))).stationarity
+                            (np.zeros(1), np.zeros(1)))[1]
 
     return pmp_problem(bundle.control, bundle.dirac), reference
 
