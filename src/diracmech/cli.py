@@ -221,13 +221,16 @@ def write_trajectory_csv(path, trajectory, angle_state_indices=()):
     wrapped = [(i, prob.state_labels[i]) for i in angle_state_indices]
     header += [f"{label}_wrapped" for _, label in wrapped]
     lines = [",".join(header)]
-    monitor_names = sorted(trajectory.monitors)
-    for k in range(len(trajectory)):
-        row = [_fmt(trajectory.times[k])]
-        row += [_fmt(v) for v in trajectory.states[k]]
-        row += [_fmt(v) for v in trajectory.rates[k]]
-        row += [_fmt(trajectory.monitors[name][k]) for name in monitor_names]
-        row += [_fmt(math.remainder(trajectory.states[k][i], 2 * math.pi) % (2 * math.pi))
+    # each block as Python floats once: formatting an np.float64 costs more
+    # and gives the same digits
+    states, rates = trajectory.states.tolist(), trajectory.rates.tolist()
+    monitors = [trajectory.monitors[name].tolist() for name in sorted(trajectory.monitors)]
+    for k, t in enumerate(trajectory.times.tolist()):
+        row = [_fmt(t)]
+        row += [_fmt(v) for v in states[k]]
+        row += [_fmt(v) for v in rates[k]]
+        row += [_fmt(channel[k]) for channel in monitors]
+        row += [_fmt(math.remainder(states[k][i], 2 * math.pi) % (2 * math.pi))
                 for i, _ in wrapped]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -48,6 +48,7 @@ takes the fact from its algebroid, a clock extension from its base.
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import svd
 
 from . import fd, linalg
 from .algebroid import (
@@ -259,12 +260,16 @@ class DiracAlgebroid:
 
     def membership_system(self, x, xi):
         """Linear system (J, const): membership residual is J w + const."""
+        return self._membership(*self._point(x, xi))
+
+    def _point(self, x, xi):
+        """(x, xi) checked: a finite base point of the chart and an xi of length m."""
         x = _as_base_point(self.chart, x)
         xi = np.asarray(xi, dtype=float).reshape(-1)
         m = self.chart.fiber_dim
         if xi.size != m:
             raise EvaluationError(f"xi has length {xi.size}, expected {m}")
-        return self._membership(x, xi)
+        return x, xi
 
     def _membership(self, x, xi):
         """``membership_system`` at an xi of length m and an unchecked x.
@@ -322,20 +327,28 @@ class DiracAlgebroid:
 
     def basis_matrix_at(self, x, xi):
         """Orthonormal kernel basis (columns) of the linearized membership system."""
-        ok, res = self.phase_membership(x, xi)
-        if not ok:
-            raise ConstraintError(
-                f"(x, xi) is not in the phase support: residual {res}"
-            )
-        J, _ = self.membership_system(x, xi)
-        basis = linalg.null_space(J)
-        expected = self.chart.base_dim + self.chart.fiber_dim
-        if basis.shape[1] != expected:
-            raise StructureError(
-                f"pointwise subspace has dimension {basis.shape[1]}, expected "
-                f"{expected} (numeric rank {linalg.numeric_rank(J)})"
-            )
-        return basis
+        return self._bases([self._point(x, xi)])[0].T
+
+    def _bases(self, points):
+        """Row bases (len(points), n + m, 2(n + m)) of the membership kernels
+        at checked points (x, xi), from one SVD of the stacked rows; the first
+        point off the phase support raises ConstraintError, then the first
+        kernel of the wrong dimension StructureError."""
+        half = self.chart.base_dim + self.chart.fiber_dim
+        stack = np.empty((len(points), half, 2 * half))
+        for k, (x, xi) in enumerate(points):
+            res = self._phase_values(x, xi)
+            if not _on_support(res):
+                raise ConstraintError(f"(x, xi) is not in the phase support: residual {res}")
+            stack[k] = self._membership(x, xi)[0]
+        _, s, vh = svd(stack)
+        for rank in linalg.ranks(s):
+            if rank != half:
+                raise StructureError(
+                    f"pointwise subspace has dimension {2 * half - rank}, expected "
+                    f"{half} (numeric rank {rank})"
+                )
+        return vh[:, half:]
 
     def basis_at(self, x, xi):
         """Kernel basis as PontryaginPoint directions at (x, xi)."""
@@ -352,10 +365,15 @@ class DiracAlgebroid:
         the (p, y) half of the other, so the basis B pairs as (G + G^T)/2
         with G = B[:n+m]^T B[n+m:].
         """
-        basis = self.basis_matrix_at(x, xi)
-        half = self.chart.base_dim + self.chart.fiber_dim
-        gram = basis[:half].T @ basis[half:]
-        return float(np.max(np.abs(0.5 * (gram + gram.T))))
+        return self._isotropy_violation([self._point(x, xi)])
+
+    def _isotropy_violation(self, points):
+        """Largest ``isotropy_violation`` over checked points (x, xi), 0.0 for
+        none: one SVD and one stacked product for all of them."""
+        rows = self._bases(points)
+        half = rows.shape[1]
+        gram = rows[:, :, :half] @ rows[:, :, half:].transpose(0, 2, 1)
+        return float(np.max(np.abs(0.5 * (gram + gram.transpose(0, 2, 1))), initial=0.0))
 
     def velocity_residual(self, pair):
         """etahat rows at a velocity pair; zero iff the pair is admissible."""
@@ -394,7 +412,7 @@ class DiracAlgebroid:
     def phase_membership(self, x, xi):
         """(bool, residual): whether (x, xi) satisfies the phase equations."""
         res = self.phase_residual(x, xi)
-        return bool(np.max(np.abs(res), initial=0.0) <= PHASE_TOL), res
+        return _on_support(res), res
 
     def project_support(self, x):
         """Project a base point onto the base support x^A = 0."""
@@ -404,11 +422,14 @@ class DiracAlgebroid:
 
     def phase_point(self, x):
         """Some xi with (x, xi) in the phase support (zero if unconstrained)."""
-        x = _as_base_point(self.chart, x)
+        return self._phase_point(_as_base_point(self.chart, x))[0]
+
+    def _phase_point(self, x):
+        """(``phase_point`` at a checked x, whether there are phase equations at x)."""
         xi0 = np.zeros(self.chart.fiber_dim)
         res0, P = self._phase(x, xi0)
         if res0.size == 0:
-            return xi0
+            return xi0, False
         sol, *_ = np.linalg.lstsq(P[:, x.size:], -res0, rcond=None)
         xi = xi0 + sol
         ok, res = self.phase_membership(x, xi)
@@ -416,20 +437,29 @@ class DiracAlgebroid:
             raise ConstraintError(
                 f"no dual point found on the phase support at x={x}: residual {res}"
             )
-        return xi
+        return xi, True
 
     def sample_phase_point(self, rng):
-        """Random (x, xi) on the phase support."""
+        """Random (x, xi) on the phase support, as float arrays of lengths n and m.
+
+        x is a standard normal point projected onto the base support.  With
+        no phase equations at x, xi is standard normal; otherwise it is
+        ``phase_point(x)`` plus a standard normal step in the null space of
+        the phase Jacobian's xi-columns there.  The phase is evaluated once
+        on a structure without phase equations.
+        """
         n, m = self.chart.base_dim, self.chart.fiber_dim
         x = self.project_support(rng.standard_normal(n))
-        xi0 = self.phase_point(x)
-        res0, P = self._phase(x, xi0)
-        if res0.size:
-            K = linalg.null_space(P[:, n:])
-            xi = xi0 + K @ rng.standard_normal(K.shape[1])
-        else:
-            xi = rng.standard_normal(m)
-        return x, xi
+        xi0, phased = self._phase_point(x)
+        if not phased:
+            return x, rng.standard_normal(m)
+        K = linalg.null_space(self._phase(x, xi0)[1][:, n:])
+        return x, xi0 + K @ rng.standard_normal(K.shape[1])
+
+
+def _on_support(res):
+    """Whether phase values ``res`` vanish to within PHASE_TOL."""
+    return bool(np.max(np.abs(res), initial=0.0) <= PHASE_TOL)
 
 
 def _constant(block):

@@ -30,8 +30,13 @@ def numeric_rank(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > s[0] * RANK_RCOND)) if s.size else 0
+    return int(ranks(np.linalg.svd(a, compute_uv=False)))
+
+
+def ranks(s):
+    """Numeric ranks from descending singular values ``s`` (..., k), each
+    relative to its own largest value."""
+    return np.sum(s > s[..., :1] * RANK_RCOND, axis=-1)
 
 
 def orthonormal_span(columns):

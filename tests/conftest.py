@@ -4,9 +4,11 @@ import pytest
 from diracmech import (
     CanonicalDirac,
     Chart,
+    GeneralLocalDirac,
     Hamiltonian,
     Lagrangian,
     LinearConstraint,
+    OmegaGraphDirac,
     PiGraphDirac,
     Section,
     SkewAlgebroid,
@@ -112,6 +114,42 @@ def make_frame_algebroid(seed, n):
         return v @ np.linalg.inv(a)
 
     return SkewAlgebroid(Chart(n, n), lambda x: frame(x).T, structure, name=f"frame{seed}")
+
+
+def make_random_omega(seed=0, base_dim=2, fiber_dim=3):
+    """Graph of a random linear 2-form: trigonometric rho and cform fields."""
+    rng = np.random.default_rng(seed)
+    r_coef = rng.normal(size=(fiber_dim, base_dim))
+    r_freq = rng.normal(size=(fiber_dim, base_dim, base_dim))
+    c_coef = rng.normal(size=(base_dim, base_dim, fiber_dim))
+    c_freq = rng.normal(size=(base_dim, base_dim, fiber_dim, base_dim))
+
+    def cform(x):
+        raw = c_coef * np.cos(c_freq @ x)
+        return raw - np.swapaxes(raw, 0, 1)
+
+    return OmegaGraphDirac(Chart(base_dim, fiber_dim),
+                           rho=lambda x: r_coef * np.sin(r_freq @ x + 1.0), cform=cform)
+
+
+def make_general_local(pi, rng):
+    """``pi``'s local form as a ``GeneralLocalDirac`` with a random affine phase
+    a(x) + B(x) xi, whose coefficients vary with x."""
+    n, m = pi.chart.base_dim, pi.chart.fiber_dim
+    a0, a1 = rng.standard_normal(2), rng.standard_normal((2, n))
+    b0, b1 = rng.standard_normal((2, m)), rng.standard_normal((2, m))
+
+    def phase(x, xi):
+        return a0 * np.cos(a1 @ x) + (b0 + b1 * np.sin(np.sum(x))) @ xi
+
+    return GeneralLocalDirac(
+        pi.chart,
+        eta=lambda x: pi.local_form(x).eta,
+        etahat=lambda x: pi.local_form(x).etahat,
+        zeta=lambda x: pi.local_form(x).zeta,
+        structure=lambda x: pi.structure_terms(x)[0],
+        phase=phase,
+    )
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ from diracmech import (
     CanonicalDirac,
     ControlSystem,
     DegenerateDynamicsError,
-    GeneralLocalDirac,
     InitializationError,
     LinearConstraint,
     PiGraphDirac,
@@ -42,7 +41,7 @@ from diracmech.systems import (
     rolling_disc_mass,
 )
 
-from conftest import clocked_lagrangian, make_random_pigraph
+from conftest import clocked_lagrangian, make_general_local, make_random_pigraph
 
 RTOL = 1e-6
 
@@ -67,26 +66,6 @@ def _mass(weights):
         return np.array([np.diag(weights * np.cos(np.sum(x)))] * x.size)
 
     return mass, mass_diff
-
-
-def _general_local(pi, rng):
-    """``pi``'s local form as a ``GeneralLocalDirac`` with a random affine phase
-    a(x) + B(x) xi, whose coefficients vary with x."""
-    n, m = pi.chart.base_dim, pi.chart.fiber_dim
-    a0, a1 = rng.standard_normal(2), rng.standard_normal((2, n))
-    b0, b1 = rng.standard_normal((2, m)), rng.standard_normal((2, m))
-
-    def phase(x, xi):
-        return a0 * np.cos(a1 @ x) + (b0 + b1 * np.sin(np.sum(x))) @ xi
-
-    return GeneralLocalDirac(
-        pi.chart,
-        eta=lambda x: pi.local_form(x).eta,
-        etahat=lambda x: pi.local_form(x).etahat,
-        zeta=lambda x: pi.local_form(x).zeta,
-        structure=lambda x: pi.structure_terms(x)[0],
-        phase=phase,
-    )
 
 
 def _control(n, q, rng, second_partials):
@@ -141,7 +120,7 @@ def _problem(case, seed, n, m, zero):
         base = induce(CanonicalDirac(n), LinearConstraint(base=(0,)))
         system = _control(n, 1 + seed % 2, rng, case == "pmp-exact")
         return pmp_problem(system, base)
-    local = _general_local(pi, rng)
+    local = make_general_local(pi, rng)
     if case == "general-local-lagrangian":
         return lagrangian_problem(local, lag)
     return hamiltonian_problem(local, quadratic_hamiltonian(mass, mass_diff))
@@ -182,7 +161,7 @@ def test_channel_jacobian_is_the_derivative_of_its_values(case, shape):
 def test_general_local_phase_jacobian_is_exact_in_xi():
     # the xi-columns of an affine phase come from unit steps, not differences
     pi = PiGraphDirac(make_random_pigraph(seed=5, base_dim=2, fiber_dim=3))
-    local = _general_local(pi, np.random.default_rng(5))
+    local = make_general_local(pi, np.random.default_rng(5))
     x, xi = np.array([0.3, -0.7]), np.array([1.0, -2.0, 0.5])
     value, P = local._phase(x, xi)
     B = np.stack([local.phase_residual(x, e) - local.phase_residual(x, np.zeros(3))
@@ -196,7 +175,7 @@ def test_isotropy_check_samples_points_on_an_affine_phase(monkeypatch, seed):
     # the phase reads xi and varies with x: ``phase_point`` solves it by
     # least squares and ``sample_phase_point`` moves along its null space
     pi = PiGraphDirac(make_random_pigraph(seed=seed, base_dim=2, fiber_dim=4))
-    local = _general_local(pi, np.random.default_rng(seed))
+    local = make_general_local(pi, np.random.default_rng(seed))
     sample, points = local.sample_phase_point, []
     monkeypatch.setattr(local, "sample_phase_point",
                         lambda rng: points.append(sample(rng)) or points[-1])

@@ -1,6 +1,8 @@
-"""The structure checks evaluate each distinct input once; these tests hold
-them to per-probe reference loops that evaluate every probe, on every
-catalog system and on random frame algebroids, where no probe repeats."""
+"""The structure checks evaluate each distinct input once, and the isotropy
+check takes one SVD for all its probes; these tests hold them to per-probe
+reference loops that evaluate every probe, on every catalog system and on
+random frame algebroids, where no probe repeats, and the isotropy check
+also on random pi-graph, omega-graph and general local structures."""
 
 import json
 import operator
@@ -10,21 +12,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmech import (Chart, LinearConstraint, OmegaGraphDirac, PiGraphDirac, SkewAlgebroid,
-                       TimeExtendedDirac, induce)
+from diracmech import (CanonicalDirac, Chart, LinearConstraint, OmegaGraphDirac, PiGraphDirac,
+                       SkewAlgebroid, TimeExtendedDirac, induce)
 from diracmech.algebroid import JACOBI_TOL
+from diracmech import dirac as dirac_module
 from diracmech.checks import (
     CORE_TOL,
+    ISOTROPY_TOL,
     core_annihilator_check,
     integrability_check,
+    isotropy_check,
     jacobi_check,
     run_checks,
 )
 from diracmech.errors import DiracMechError
-from diracmech.linalg import annihilator, max_principal_angle
-from diracmech.systems import CATALOG, SystemBundle, build_system
+from diracmech.linalg import annihilator, max_principal_angle, null_space
+from diracmech.systems import CATALOG, SystemBundle, build_system, quadratic_lagrangian
 
-from conftest import make_frame_algebroid
+from conftest import (make_frame_algebroid, make_general_local, make_random_omega,
+                      make_random_pigraph)
 
 BASIS_JACOBI_VIOLATION = SkewAlgebroid.basis_jacobi_violation
 
@@ -54,6 +60,21 @@ def core_reference(dirac, probes=50, seed=0):
         ann = annihilator(np.hstack([vel[:n].T, vel[n:].T]))
         worst = max(worst, max_principal_angle(core, ann))
     return {"max_violation": worst, "tolerance": CORE_TOL, "passed": worst <= CORE_TOL}
+
+
+def isotropy_reference(dirac, probes=50, seed=0):
+    """The isotropy check with one null space and one pairing matrix per probe."""
+    rng = np.random.default_rng(seed)
+    half = dirac.chart.base_dim + dirac.chart.fiber_dim
+    worst = 0.0
+    for _ in range(probes):
+        x, xi = dirac.sample_phase_point(rng)
+        assert dirac.phase_membership(x, xi)[0]
+        basis = null_space(dirac.membership_system(x, xi)[0])
+        assert basis.shape[1] == half
+        gram = basis[:half].T @ basis[half:]
+        worst = max(worst, float(np.max(np.abs(0.5 * (gram + gram.T)))))
+    return {"max_violation": worst, "tolerance": ISOTROPY_TOL, "passed": worst <= ISOTROPY_TOL}
 
 
 def integrability(dirac):
@@ -131,3 +152,55 @@ def test_a_structure_without_an_algebroid_skips_jacobi_and_integrability():
         "integrability": {"skipped": "integrability checks need a bivector-graph structure",
                           "passed": True},
     }
+
+
+@pytest.mark.parametrize("system,constraint", [(name, None) for name in sorted(CATALOG)] + [
+    ("euler_top", {"fiber": [3]}),
+    ("canonical_particle", {"fiber": [2]}),
+    ("rolling_disc", {"fiber": [3]}),
+])
+def test_catalog_isotropy_matches_per_probe_null_spaces(system, constraint):
+    dirac = build_system(system, constraint_override=constraint).dirac
+    for seed in (0, 7, 11):
+        assert isotropy_check(dirac, seed=seed) == isotropy_reference(dirac, seed=seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["pi-graph", "omega-graph", "general-local"]),
+       seed=st.integers(0, 2**16), n=st.integers(1, 3), m=st.integers(2, 4))
+def test_random_isotropy_matches_per_probe_null_spaces(kind, seed, n, m):
+    if kind == "omega-graph":
+        dirac = make_random_omega(seed=seed, base_dim=n, fiber_dim=m)
+    else:
+        dirac = PiGraphDirac(make_random_pigraph(seed=seed, base_dim=n, fiber_dim=m))
+        if kind == "general-local":  # an affine phase that varies with x
+            dirac = make_general_local(dirac, np.random.default_rng(seed))
+    batched = isotropy_check(dirac, probes=10, seed=seed)
+    reference = isotropy_reference(dirac, probes=10, seed=seed)
+    assert batched["passed"] and reference["passed"]
+    assert abs(batched["max_violation"] - reference["max_violation"]) <= 1e-15
+
+
+@pytest.mark.parametrize("system", ["rolling_disc", "euler_top"])
+def test_isotropy_check_takes_one_svd(monkeypatch, system):
+    dirac = build_system(system).dirac
+    expected = isotropy_check(dirac)
+    calls = []
+    svd = dirac_module.svd
+    monkeypatch.setattr(dirac_module, "svd", lambda a: calls.append(a.shape) or svd(a))
+    assert isotropy_check(dirac) == expected
+    half = dirac.chart.base_dim + dirac.chart.fiber_dim
+    assert calls == [(50, half, 2 * half)]
+
+
+def test_isotropy_check_without_probes_passes():
+    dirac = build_system("rolling_disc").dirac
+    assert isotropy_check(dirac, probes=0) == {"max_violation": 0.0,
+                                               "tolerance": ISOTROPY_TOL, "passed": True}
+
+
+def test_legendre_equivalence_skips_without_a_closed_form_hamiltonian():
+    bundle = SystemBundle("x", CanonicalDirac(1),
+                          lagrangian=quadratic_lagrangian(lambda x: np.eye(1)))
+    assert run_checks(bundle, ["legendre_equivalence"]) == {
+        "legendre_equivalence": {"skipped": "needs a closed-form Hamiltonian", "passed": True}}

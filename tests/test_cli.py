@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from diracmech.cli import (
     scenario_schema,
     validate,
 )
+from diracmech import ImplicitProblem, Trajectory
 from diracmech.errors import ScenarioError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -642,3 +644,31 @@ class TestReports:
         ok = json.loads((tmp_path / "mass=1" / "r.json").read_text())
         assert ok["exit_code"] == EXIT_OK
         assert (tmp_path / "mass=1" / "t.csv").exists()
+
+
+def test_csv_digits_match_the_float64_formatting(tmp_path):
+    # every block goes through Python floats once; the digits must be those
+    # of formatting each np.float64 value
+    edge = [-0.0, 5e-324, 1e308, 1 / 3, math.pi, -math.pi, np.nextafter(math.pi, 4.0),
+            np.nextafter(-math.pi, -4.0), 3 * math.pi, -1e-300]
+    states = np.array([edge, edge[::-1]]).T
+    problem = ImplicitProblem(2, affine=None, state_labels=["a", "b"])
+    trajectory = Trajectory(edge, states, -states, {"m2": edge[::-1], "m1": edge},
+                            np.zeros(len(edge)), np.zeros(len(edge)), problem)
+    cli.write_trajectory_csv(tmp_path / "out.csv", trajectory, angle_state_indices=(0, 1))
+
+    def fmt(value):
+        assert type(value) is np.float64
+        return f"{value:.17g}"
+
+    lines = ["t,a,b,a_dot,b_dot,m1,m2,a_wrapped,b_wrapped"]
+    for k in range(len(edge)):
+        row = [trajectory.times[k], *trajectory.states[k], *trajectory.rates[k],
+               trajectory.monitors["m1"][k], trajectory.monitors["m2"][k]]
+        wrapped = [np.float64(math.remainder(trajectory.states[k][i], 2 * math.pi)
+                              % (2 * math.pi)) for i in (0, 1)]
+        lines.append(",".join(fmt(v) for v in row + wrapped))
+    expected = "\n".join(lines) + "\n"
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
+    assert [line.split(",")[0] for line in lines[1:5]] == [
+        "-0", "4.9406564584124654e-324", "1e+308", "0.33333333333333331"]

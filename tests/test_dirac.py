@@ -24,6 +24,7 @@ from diracmech import (
     solve_rate,
     time_extend,
 )
+from diracmech.checks import isotropy_check
 from diracmech.linalg import annihilator, max_principal_angle
 from diracmech.errors import EvaluationError
 from diracmech.systems import (
@@ -143,6 +144,35 @@ class TestBasis:
         )
         with pytest.raises(StructureError, match="numeric rank"):
             broken.basis_at(np.zeros(1), np.zeros(1))
+
+    def test_isotropy_reports_rank_deficiency_and_points_off_the_support(self, monkeypatch):
+        # the isotropy check and ``isotropy_violation`` share the rank and
+        # dimension rule of ``basis_matrix_at``, and its messages
+        broken = GeneralLocalDirac(
+            Chart(1, 1),
+            eta=lambda x: np.zeros((0, 2)),
+            etahat=lambda x: np.array([[1.0, -1.0], [1.0, -1.0]]),
+            zeta=lambda x: np.zeros((0, 2)),
+        )
+        rank = r"^pointwise subspace has dimension 3, expected 2 \(numeric rank 1\)$"
+        for violation in (lambda: broken.isotropy_violation(np.zeros(1), np.zeros(1)),
+                          lambda: isotropy_check(broken)):
+            with pytest.raises(StructureError, match=rank):
+                violation()
+        local = GeneralLocalDirac.from_velocity_splitting(
+            Chart(1, 1),
+            eta=lambda x: np.array([[0.0, 1.0]]),
+            etahat=lambda x: np.array([[1.0, -1.0]]),
+            phase=lambda x, xi: np.array([xi[0]]),
+        )
+        off = r"^\(x, xi\) is not in the phase support: residual \[1\.\]$"
+        with pytest.raises(ConstraintError, match=off):
+            local.isotropy_violation(np.zeros(1), np.ones(1))
+        # a later probe off the support fails the whole check
+        points = iter([(np.zeros(1), np.zeros(1))] * 3 + [(np.zeros(1), np.ones(1))])
+        monkeypatch.setattr(local, "sample_phase_point", lambda rng: next(points))
+        with pytest.raises(ConstraintError, match=off):
+            isotropy_check(local, probes=4)
 
 
 class TestVelocityResidual:
