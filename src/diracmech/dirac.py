@@ -279,14 +279,15 @@ class DiracAlgebroid:
         J_k, c0, c_k) on its first call, from the kernel at xi = 0 and at
         the unit vectors, and reads no x after that.
         """
-        if not self.x_independent:
-            return self._kernel(x, xi)
-        if self._table is None:
+        table = self._table
+        if table is None:
+            if not self.x_independent:
+                return self._kernel(x, xi)
             J0, c0 = self._kernel(x, np.zeros(xi.size))
             units = [self._kernel(x, e) for e in np.eye(xi.size)]
-            self._table = (J0, np.stack([J - J0 for J, _ in units], axis=-1),
-                           c0, np.stack([c - c0 for _, c in units], axis=-1))
-        J0, T, c0, D = self._table
+            table = self._table = (J0, np.stack([J - J0 for J, _ in units], axis=-1),
+                                   c0, np.stack([c - c0 for _, c in units], axis=-1))
+        J0, T, c0, D = table
         return J0 + T @ xi, c0 + D @ xi
 
     def _kernel(self, x, xi):

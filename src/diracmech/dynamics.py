@@ -55,6 +55,7 @@ INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 50
 INVERSION_MULTISTART = 8
 INVERSION_SEED = 0
+_FLOAT = np.dtype(float)
 
 
 def _pair(state):
@@ -112,8 +113,14 @@ class _Partials:
         flat = label in self._VECTORS
 
         def partial(a, b):
-            value = np.asarray(fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float)),
-                               dtype=float)
+            # float64 ndarrays, the solver's own, pass without a conversion
+            if type(a) is not np.ndarray or a.dtype is not _FLOAT:
+                a = np.asarray(a, dtype=float)
+            if type(b) is not np.ndarray or b.dtype is not _FLOAT:
+                b = np.asarray(b, dtype=float)
+            value = fn(a, b)
+            if type(value) is not np.ndarray or value.dtype is not _FLOAT:
+                value = np.asarray(value, dtype=float)
             return value.reshape(-1) if flat else value
 
         return partial

@@ -21,9 +21,7 @@ def null_space(a, scale=None):
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    ref = (s[0] if s.size else 0.0) if scale is None else float(scale)
-    rank = int(np.sum(s > ref * RANK_RCOND))
-    return vh[rank:].conj().T
+    return vh[int(ranks(s, scale)):].conj().T
 
 
 def numeric_rank(a):
@@ -33,10 +31,10 @@ def numeric_rank(a):
     return int(ranks(np.linalg.svd(a, compute_uv=False)))
 
 
-def ranks(s):
+def ranks(s, ref=None):
     """Numeric ranks from descending singular values ``s`` (..., k), each
-    relative to its own largest value."""
-    return np.sum(s > s[..., :1] * RANK_RCOND, axis=-1)
+    relative to its own largest value, or to the magnitude ``ref`` when given."""
+    return np.sum(s > (s[..., :1] if ref is None else ref) * RANK_RCOND, axis=-1)
 
 
 def orthonormal_span(columns):
@@ -45,9 +43,7 @@ def orthonormal_span(columns):
     if m.shape[1] == 0:
         return m.reshape(m.shape[0], 0)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    tol = s[0] * RANK_RCOND if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > tol))
-    return u[:, :rank]
+    return u[:, :int(ranks(s))]
 
 
 def annihilator(vectors_rows):

@@ -33,6 +33,7 @@ verification share it).
 import numpy as np
 
 from .dirac import TimeExtendedDirac
+from .dynamics import _FLOAT
 from .errors import SolverError
 from .solver import ImplicitProblem
 
@@ -54,7 +55,8 @@ class _StateCache:
         self.parts = None
 
     def _parts(self, t, state):
-        state = np.asarray(state, dtype=float)
+        if type(state) is not np.ndarray or state.dtype is not _FLOAT:
+            state = np.asarray(state, dtype=float)
         key = (t, state.tobytes())
         if key != self.key:
             self.parts = self.assemble(state)
@@ -73,6 +75,7 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     rows = dirac.rate_rows
     has_phase = bool(dirac.phase_residual(np.zeros(n), np.zeros(m)).size)
+    has_channel = has_phase or pinned is not None
 
     def assemble(state):
         x, xi, y = point(state)
@@ -81,6 +84,8 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
         J, const = J[rows], const[rows]
         A = J[:, :n + m] @ V
         b = J[:, n + m:] @ np.concatenate([p, y]) + const
+        if not has_channel:
+            return (A, b), None
         g, G = [], []
         if has_phase:
             value, P = dirac._phase(x, xi)
@@ -91,8 +96,6 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
             A, b = np.vstack([A, Gp]), np.concatenate([b, np.zeros(Gp.shape[0])])
             g.append(pinned[0](state, x, xi, y))
             G.append(Gp)
-        if not g:
-            return (A, b), None
         return (A, b), (np.concatenate(g), np.vstack(G))
 
     def velocities(states, rates):
@@ -102,7 +105,7 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
     cache = _StateCache(assemble)
     return ImplicitProblem(
         len(labels), cache,
-        algebraic=cache.algebraic if has_phase or pinned is not None else None,
+        algebraic=cache.algebraic if has_channel else None,
         monitors=monitors, velocities=velocities, state_labels=labels,
     )
 
@@ -125,7 +128,7 @@ def lagrangian_problem(dirac, lagrangian):
     def fill(state, x, xi, y):
         V = template.copy()
         V[n:, :n] = lagrangian.hess_yx(x, y)
-        V[n:, n:] = lagrangian.hess_yy(x, y)[:, free]
+        V[n:, n:] = lagrangian.hess_yy(x, y)[:, dirac._free]
         return V, -lagrangian.grad_x(x, y)
 
     monitors = {}

@@ -14,15 +14,19 @@ After every accepted step the state is re-projected onto the algebraic
 channel by Gauss-Newton steps on its G to prevent constraint drift.  The
 admissibility report reads the states and rates a trajectory holds.
 
-The rate solve calls LAPACK directly, ``dgesdd`` for the singular values of
-the condition check and ``dgesv`` for the solve, without the overhead of the
-``numpy.linalg`` wrappers; a nonzero ``info`` from either raises SolverError.
+The rate solve calls LAPACK directly, without the overhead of the
+``numpy.linalg`` wrappers: ``dgesdd`` for the singular values of the
+condition check and ``dgetrf`` for the LU factors run once per distinct A of
+a problem, and ``dgetrs`` solves with those factors at every exact solve.
+``dgesv`` is ``dgetrf`` followed by ``dgetrs``, and the memo is keyed on the
+exact bytes of A, so the rates are bitwise those of ``dgesv``.  A nonzero
+``info`` from any routine raises SolverError.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dgesv
+from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
 from .dirac import VelocityPair
 from .errors import DegenerateDynamicsError, InitializationError, SolverError
@@ -45,6 +49,10 @@ class ImplicitProblem:
     scalar functions of (t, state) recorded along trajectories.
     ``velocities`` optionally maps stacked (states, rates) to the stacked
     velocity pairs (X, Xdot, Y) for admissibility reporting.
+
+    The problem keeps one slot of rate-solve factors, (key, sigma, lu,
+    piv) of the last well-conditioned A, keyed on its shape and bytes: a
+    constant A (a Lie algebra's) is factored once per problem.
     """
 
     def __init__(self, state_dim, affine, algebraic=None, monitors=None,
@@ -58,6 +66,7 @@ class ImplicitProblem:
             f"s{k + 1}" for k in range(self.state_dim)
         ]
         self.rate_labels = [lbl + "_dot" for lbl in self.state_labels]
+        self._factors = (None, None, None, None)
 
     def residual(self, t, state, rate):
         A, b = self.affine(t, state)
@@ -108,39 +117,52 @@ def project_initial(problem, guess, t=0.0):
 def solve_rate(problem, t, state, rate_guess=None):
     """Solve the affine residual for the rates at (t, state).
 
-    A guess whose residual is already within ``NEWTON_TOL`` is returned
-    after one iteration.  Otherwise the exact system A r = -b is solved and
-    the residual re-evaluated, which takes two; a residual still above
-    ``NEWTON_TOL`` after that, or not finite, raises SolverError, and so does a residual
+    A guess whose residual is already within ``NEWTON_TOL`` is returned, as
+    a copy, after one iteration: the rate is always a fresh array.
+    Otherwise the exact system A r = -b is solved and the residual
+    re-evaluated, which takes two; a residual still above ``NEWTON_TOL``
+    after that, or not finite, raises SolverError, and so does a residual
     without ``state_dim`` rows.  Raises DegenerateDynamicsError when A has
     condition number above 1e12, which is the expected signal for singular
     Lagrangians and controls rather than a crash, and SolverError when
-    LAPACK reports a failure (a nonzero ``info``).
+    LAPACK reports a failure (a nonzero ``info``).  The singular values and
+    LU factors of A come from the problem's one-slot memo.
     """
     state = np.asarray(state, dtype=float)
     d = problem.state_dim
-    rate = np.zeros(d) if rate_guess is None else np.asarray(rate_guess, float).copy()
-    r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
+    guess = np.zeros(d) if rate_guess is None else np.asarray(rate_guess, float)
+    r = np.asarray(problem.residual(t, state, guess), dtype=float).reshape(-1)
     if r.size != d:
         raise SolverError(f"residual has {r.size} rows for {d} rate slots")
-    iterations = 1
     if math.sqrt(r.dot(r)) > NEWTON_TOL:
         J = np.asarray(problem.affine(t, state)[0], dtype=float)
-        _, sigma, _, info = dgesdd(J, compute_uv=0)
-        if info:
-            raise SolverError(f"LAPACK dgesdd failed with info={info} at t={t}")
+        key = (J.shape, J.tobytes())
+        slot = problem._factors
+        if slot[0] != key:
+            _, sigma, _, info = dgesdd(J, compute_uv=0)
+            if info:
+                raise SolverError(f"LAPACK dgesdd failed with info={info} at t={t}")
+            slot = (key, sigma, None, None)
+        _, sigma, lu, piv = slot
         if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
             raise DegenerateDynamicsError(
                 f"degenerate implicit dynamics at (t={t}, state={state}): "
                 f"rate Jacobian singular values {sigma}",
                 t=t, state=state, singular_values=sigma,
             )
-        _, _, step, info = dgesv(J, -r, overwrite_b=1)
+        if lu is None:
+            lu, piv, info = dgetrf(J)
+            if info:
+                raise SolverError(f"LAPACK dgetrf failed with info={info} at t={t}")
+            problem._factors = (key, sigma, lu, piv)
+        step, info = dgetrs(lu, piv, -r, overwrite_b=1)
         if info:
-            raise SolverError(f"LAPACK dgesv failed with info={info} at t={t}")
-        rate += step
+            raise SolverError(f"LAPACK dgetrs failed with info={info} at t={t}")
+        rate = guess + step
         r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
         iterations = 2
+    else:
+        rate, iterations = guess.copy(), 1  # never the caller's own array
     norm = math.sqrt(r.dot(r))
     if not norm <= NEWTON_TOL:
         raise SolverError(
@@ -225,9 +247,9 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
 
     state = project_initial(problem, state0, t=t0)
     times = [float(t0)]
-    states = [state.copy()]
+    states = [state]
     rate, iters, norm = solve_rate(problem, t0, state)
-    rates = [rate.copy()]
+    rates = [rate]
     newton = [iters]
     norms = [norm]
     monitors = {k: [] for k in problem.monitors}
@@ -246,8 +268,8 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
         state = project_initial(problem, state, t=t_new)
         rate, iters, norm = solve_rate(problem, t_new, state, rate_guess=rate)
         times.append(t_new)
-        states.append(state.copy())
-        rates.append(rate.copy())
+        states.append(state)
+        rates.append(rate)
         newton.append(max(iters, it))
         norms.append(norm)
         _record_monitors(problem, monitors, t_new, state)

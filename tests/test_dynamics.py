@@ -799,3 +799,23 @@ class TestBoundPartials:
                 assert isinstance(value, np.ndarray) and value.dtype == np.float64, label
                 assert value.shape == expected.shape, label
                 assert np.allclose(value, expected, atol=1e-8), label
+
+    def test_int_arrays_in_and_out(self):
+        # int arrays are converted both ways; float64 arrays reach the
+        # analytic partial as the very objects passed in
+        seen = []
+
+        def grad_y(x, y):
+            seen.append((x, y))
+            return np.array([[4], [3]])
+
+        lag = Lagrangian(lambda x, y: 0.0, grad_y=grad_y,
+                         hess_yy=lambda x, y: np.eye(2, dtype=int))
+        value = lag.grad_y(np.array([1]), np.array([1, 2]))
+        assert value.dtype == np.float64 and value.tolist() == [4.0, 3.0]
+        assert all(a.dtype == np.float64 for a in seen[-1])
+        hess = lag.hess_yy(np.array([1]), [1, 2])
+        assert hess.dtype == np.float64 and np.array_equal(hess, np.eye(2))
+        x, y = np.array([1.0]), np.array([1.0, 2.0])
+        lag.grad_y(x, y)
+        assert seen[-1][0] is x and seen[-1][1] is y

@@ -52,3 +52,31 @@ def test_annihilator_pairs_to_zero():
     ann = linalg.annihilator(vectors)
     assert ann.shape[1] == 3
     assert np.max(np.abs(vectors @ ann)) <= 1e-12
+
+
+def test_zero_matrix_has_rank_zero():
+    # every singular value is 0, and none exceeds 1e-9 * 0
+    zero = np.zeros((2, 3))
+    assert linalg.numeric_rank(zero) == 0
+    kernel = linalg.null_space(zero)
+    assert kernel.shape == (3, 3)
+    assert np.max(np.abs(kernel.T @ kernel - np.eye(3))) <= 1e-12
+    assert linalg.orthonormal_span(zero).shape == (2, 0)
+
+
+def test_empty_matrices():
+    assert linalg.numeric_rank(np.zeros((0, 3))) == 0
+    assert linalg.null_space(np.zeros((2, 0))).shape == (0, 0)
+    assert linalg.orthonormal_span(np.zeros((0, 2))).shape == (0, 0)
+    assert linalg.orthonormal_span(np.zeros((3, 0))).shape == (3, 0)
+    assert linalg.ranks(np.zeros((4, 0))).tolist() == [0, 0, 0, 0]
+
+
+def test_null_space_scale_overrides_the_reference():
+    A = np.diag([1e-3, 1e-13])
+    # relative to its own sigma_max 1e-3, 1e-13 is below 1e-9 * 1e-3 ...
+    assert linalg.null_space(A).shape == (2, 1)
+    # ... but not below 1e-9 * 1e-6, and a scale of 1e6 cuts both
+    assert linalg.null_space(A, scale=1e-6).shape == (2, 0)
+    assert linalg.null_space(A, scale=1e6).shape == (2, 2)
+    assert linalg.ranks(np.array([1e-3, 1e-13]), 1e-6) == 2

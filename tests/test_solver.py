@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 
 from diracmech import (
     CanonicalDirac,
@@ -204,7 +205,7 @@ class TestSolveRate:
         assert got.shape == reference.shape
         assert np.max(np.abs(got - reference)) <= 1e-15 * reference[0]
 
-    @pytest.mark.parametrize("routine", ["dgesdd", "dgesv"])
+    @pytest.mark.parametrize("routine", ["dgesdd", "dgetrf", "dgetrs"])
     def test_lapack_failure_raises(self, monkeypatch, routine):
         real = getattr(solver, routine)
 
@@ -217,6 +218,54 @@ class TestSolveRate:
             solve_rate(affine_problem([[2.0, 1.0], [0.0, 3.0]], [1.0, -2.0]), 0.0,
                        np.zeros(2))
 
+    def test_lu_factors_solve_bitwise_as_dgesv(self):
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            d = int(rng.integers(1, 9))
+            A, b = rng.standard_normal((d, d)), rng.standard_normal(d)
+            lu, piv, _ = solver.dgetrf(A)
+            x, _ = solver.dgetrs(lu, piv, -b)
+            assert x.tobytes() == dgesv(A, -b)[2].tobytes()
+
+    def test_constant_matrix_factored_once(self, monkeypatch):
+        calls = {"dgesdd": 0, "dgetrf": 0}
+        for name in calls:
+            def counted(*args, real=getattr(solver, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        parts = {"A": np.array([[2.0, 1.0], [0.0, 3.0]])}
+        problem = ImplicitProblem(2, lambda t, state: (parts["A"], state - 1.0))
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            state = rng.standard_normal(2)
+            rate, iters, _ = solve_rate(problem, 0.0, state)
+            assert iters == 2
+            assert rate.tobytes() == dgesv(parts["A"], 1.0 - state)[2].tobytes()
+        assert calls == {"dgesdd": 1, "dgetrf": 1}
+        parts["A"] = np.array([[2.0, 1.0], [0.0, 4.0]])
+        solve_rate(problem, 0.0, np.zeros(2))
+        solve_rate(problem, 0.0, np.ones(2) * 3.0)
+        assert calls == {"dgesdd": 2, "dgetrf": 2}
+
+    def test_degenerate_matrix_raises_on_every_call(self):
+        problem = affine_problem(np.diag([1.0, 0.0]), [1.0, 1.0])
+        seen = []
+        for _ in range(3):
+            with pytest.raises(DegenerateDynamicsError) as info:
+                solve_rate(problem, 0.0, np.zeros(2))
+            seen.append(info.value.singular_values.tolist())
+        assert seen == [[1.0, 0.0]] * 3
+
+    def test_rate_is_never_the_guess(self):
+        problem = affine_problem([[2.0, 1.0], [0.0, 3.0]], [1.0, -2.0])
+        exact, iters, _ = solve_rate(problem, 0.0, np.zeros(2))
+        assert iters == 2
+        for guess in (exact, np.zeros(2)):  # a warm-start hit, then an exact solve
+            rate, _, _ = solve_rate(problem, 0.0, np.zeros(2), rate_guess=guess)
+            assert rate is not guess and not np.shares_memory(rate, guess)
+
     def test_row_count_mismatch_rejected(self):
         problem = affine_problem([[1.0, 0.0]], [1.0])
         with pytest.raises(SolverError, match="rows"):
@@ -224,6 +273,18 @@ class TestSolveRate:
 
 
 class TestIntegrate:
+    def test_rows_share_no_memory(self, oscillator_problem):
+        # integrate keeps the states and rates it owns without copying them:
+        # an array updated in place would repeat across rows
+        state0 = np.array([0.3, -0.4])
+        traj = integrate(oscillator_problem, state0, 0.0, 0.01, 1e-3)
+        assert np.array_equal(state0, [0.3, -0.4])
+        rows = list(traj.states) + list(traj.rates) + [state0]
+        for i, row in enumerate(rows):
+            assert not any(np.shares_memory(row, other) for other in rows[i + 1:])
+        assert np.all(np.diff(traj.states, axis=0) != 0.0)
+        assert np.all(np.diff(traj.rates, axis=0) != 0.0)
+
     def test_rolling_disc_free_parameters(self, disc_problem):
         traj = integrate(disc_problem, np.array([0.0, 1.0, 2.0]), 0.0, 1.0, 1e-3)
         assert abs(traj.states[-1][0] - 1.0) <= 1e-8
