@@ -213,12 +213,13 @@ class DiracAlgebroid:
         self._support = np.array(self.zero_base, dtype=int)
         # Jacobian over (x, xi) of the support equations x^A = 0
         self._support_rows = _constant(np.eye(n + m)[self._support])
-        # the fiber vector with the pinned values set, None when every fiber
-        # index is free
-        self._pinned_fiber = None
+        # the fiber vector with the pinned values set; when every fiber index
+        # is free, embedding is the float conversion itself, bound once
         if pinned:
             self._pinned_fiber = np.zeros(m)
             self._pinned_fiber[pinned] = self.pinned_values
+        else:
+            self.embed_fiber = linalg.floats
         # (J0, J_k, c0, c_k) of an x-independent structure, built on first use
         self._table = None
 
@@ -229,9 +230,8 @@ class DiracAlgebroid:
         return self.chart.base_dim == 0
 
     def embed_fiber(self, y_free):
-        """Fiber vector with components ``y_free`` at ``free_fiber``, the pinned ones set."""
-        if self._pinned_fiber is None:
-            return np.asarray(y_free, dtype=float)
+        """Fiber vector with components ``y_free`` at ``free_fiber``, the pinned
+        ones set: a float64 ``y_free`` itself when no fiber is pinned."""
         y = self._pinned_fiber.copy()
         y[self._free] = y_free
         return y

@@ -46,6 +46,7 @@ from . import fd
 from .algebroid import _check_finite
 from .dirac import PontryaginPoint
 from .errors import EvaluationError, HyperregularityError, StructureError
+from .linalg import _FLOAT, floats
 from .solver import CONDITION_LIMIT
 
 GRADIENT_CHECK_RTOL = 1e-5
@@ -55,7 +56,6 @@ INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 50
 INVERSION_MULTISTART = 8
 INVERSION_SEED = 0
-_FLOAT = np.dtype(float)
 
 
 def _pair(state):
@@ -121,7 +121,7 @@ class _Partials:
             value = fn(a, b)
             if type(value) is not np.ndarray or value.dtype is not _FLOAT:
                 value = np.asarray(value, dtype=float)
-            return value.reshape(-1) if flat else value
+            return value.reshape(-1) if flat and value.ndim != 1 else value
 
         return partial
 
@@ -179,7 +179,7 @@ class Lagrangian(_Partials):
                          hess_yx=hess_yx)
 
     def __call__(self, x, y):
-        return float(self._fn(np.asarray(x, float), np.asarray(y, float)))
+        return float(self._fn(floats(x), floats(y)))
 
     def momentum_rate(self, x, y, xdot, ydot):
         """Total time derivative of dL/dy along the given rates."""
@@ -187,8 +187,8 @@ class Lagrangian(_Partials):
 
     def energy(self, x, y):
         """y . dL/dy - L, the fiber Euler derivative minus the value."""
-        y = np.asarray(y, dtype=float)
-        return float(y @ self.grad_y(x, y)) - self(x, y)
+        x, y = floats(x), floats(y)
+        return float(y @ self.grad_y(x, y)) - float(self._fn(x, y))
 
 
 class Hamiltonian(_Partials):
@@ -215,7 +215,7 @@ class Hamiltonian(_Partials):
         super().__init__(name, probes, grad_x=grad_x, grad_xi=grad_xi, hess_xi=hess_xi)
 
     def __call__(self, x, xi):
-        return float(self._fn(np.asarray(x, float), np.asarray(xi, float)))
+        return float(self._fn(floats(x), floats(xi)))
 
 
 class ControlSystem(_Partials):

@@ -1,4 +1,5 @@
-"""Dense subspace helpers: kernels, spans, annihilators, principal angles.
+"""Dense subspace helpers: kernels, spans, annihilators, principal angles,
+and ``floats``, the float64 conversion the per-stage path shares.
 
 Subspaces are represented by matrices whose *columns* form an orthonormal
 basis.  Rank decisions use singular values with the relative threshold
@@ -9,6 +10,16 @@ import numpy as np
 import scipy.linalg
 
 RANK_RCOND = 1e-9
+_FLOAT = np.dtype(float)
+
+
+def floats(a, flat=False):
+    """``a`` as a float64 array, flattened when ``flat``: ``a`` itself when it
+    already is one, so the solver's own arrays pass without a conversion."""
+    if type(a) is np.ndarray and a.dtype is _FLOAT and (not flat or a.ndim == 1):
+        return a
+    a = np.asarray(a, dtype=float)
+    return a.reshape(-1) if flat else a
 
 
 def null_space(a, scale=None):

@@ -33,8 +33,8 @@ verification share it).
 import numpy as np
 
 from .dirac import TimeExtendedDirac
-from .dynamics import _FLOAT
 from .errors import SolverError
+from .linalg import _FLOAT
 from .solver import ImplicitProblem
 
 
@@ -44,7 +44,8 @@ class _StateCache:
     Calling the cache with (t, state) returns (A, b) and ``algebraic(t,
     state)`` returns (g, G), the two halves of ``assemble(state)``, which
     is computed only when (t, state) differs from the previous call of
-    either.
+    either.  A lookup is one frame: a float64 state is keyed on its bytes
+    as it is, anything else is converted first.
     """
 
     __slots__ = ("assemble", "key", "parts")
@@ -54,20 +55,18 @@ class _StateCache:
         self.key = None
         self.parts = None
 
-    def _parts(self, t, state):
+    def __call__(self, t, state):
         if type(state) is not np.ndarray or state.dtype is not _FLOAT:
             state = np.asarray(state, dtype=float)
         key = (t, state.tobytes())
         if key != self.key:
             self.parts = self.assemble(state)
             self.key = key
-        return self.parts
-
-    def __call__(self, t, state):
-        return self._parts(t, state)[0]
+        return self.parts[0]
 
     def algebraic(self, t, state):
-        return self._parts(t, state)[1]
+        self(t, state)
+        return self.parts[1]
 
 
 def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=None):
@@ -134,7 +133,6 @@ def lagrangian_problem(dirac, lagrangian):
     monitors = {}
     if not isinstance(dirac, TimeExtendedDirac):
         def energy(t, state):
-            state = np.asarray(state, dtype=float)
             return lagrangian.energy(state[:n], dirac.embed_fiber(state[n:]))
 
         monitors["energy"] = energy
@@ -171,7 +169,6 @@ def hamiltonian_problem(dirac, hamiltonian):
                   lambda state, x, xi, y: hamiltonian.hess_xi(x, xi)[constrained])
 
     def monitor(t, state):
-        state = np.asarray(state, dtype=float)
         return hamiltonian(state[:n], state[n:])
 
     labels = list(dirac.chart.base_labels) + list(dirac.chart.dual_labels)
@@ -214,7 +211,6 @@ def pmp_problem(system, dirac):
         return np.hstack([xu, system.f_u(x, u).T])
 
     def monitor(t, state):
-        state = np.asarray(state, dtype=float)
         return system.hamiltonian(state[:n], state[n:n + q], state[n + q:])
 
     labels = (

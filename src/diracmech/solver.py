@@ -17,10 +17,12 @@ admissibility report reads the states and rates a trajectory holds.
 The rate solve calls LAPACK directly, without the overhead of the
 ``numpy.linalg`` wrappers: ``dgesdd`` for the singular values of the
 condition check and ``dgetrf`` for the LU factors run once per distinct A of
-a problem, and ``dgetrs`` solves with those factors at every exact solve.
-``dgesv`` is ``dgetrf`` followed by ``dgetrs``, and the memo is keyed on the
-exact bytes of A, so the rates are bitwise those of ``dgesv``.  A nonzero
-``info`` from any routine raises SolverError.
+a problem, when A is factored, and ``dgetrs`` solves with those factors at
+every exact solve.  ``dgesv`` is ``dgetrf`` followed by ``dgetrs``, and the
+memo is keyed on the exact bytes of A, so the rates are bitwise those of
+``dgesv``.  A nonzero ``info`` from any routine raises SolverError.  Float64
+arrays, the solver's own, pass through the solve without a conversion
+(``linalg.floats``); lists and other dtypes convert.
 """
 
 import math
@@ -30,6 +32,7 @@ from scipy.linalg.lapack import dgesdd, dgetrf, dgetrs
 
 from .dirac import VelocityPair
 from .errors import DegenerateDynamicsError, InitializationError, SolverError
+from .linalg import floats
 
 NEWTON_TOL = 1e-10
 PROJECTION_TOL = 1e-10
@@ -51,8 +54,9 @@ class ImplicitProblem:
     velocity pairs (X, Xdot, Y) for admissibility reporting.
 
     The problem keeps one slot of rate-solve factors, (key, sigma, lu,
-    piv) of the last well-conditioned A, keyed on its shape and bytes: a
-    constant A (a Lie algebra's) is factored once per problem.
+    piv) of the last A that passed the condition check, keyed on its shape
+    and bytes: a constant A (a Lie algebra's) is factored and checked once
+    per problem.
     """
 
     def __init__(self, state_dim, affine, algebraic=None, monitors=None,
@@ -70,7 +74,7 @@ class ImplicitProblem:
 
     def residual(self, t, state, rate):
         A, b = self.affine(t, state)
-        return A @ np.asarray(rate, dtype=float) + b
+        return A @ rate + b  # the product converts a list or an int array itself
 
 
 class Trajectory:
@@ -95,8 +99,12 @@ class Trajectory:
 
 
 def project_initial(problem, guess, t=0.0):
-    """Gauss-Newton projection of a state guess onto the algebraic channel (g, G)."""
-    state = np.asarray(guess, dtype=float).copy()
+    """Gauss-Newton projection of a state guess onto the algebraic channel (g, G).
+
+    Raises InitializationError when the projection does not converge, and
+    before any step when g or G is not finite.
+    """
+    state = np.array(guess, dtype=float)
     if problem.algebraic is None:
         return state
     g, G = problem.algebraic(t, state)
@@ -107,6 +115,12 @@ def project_initial(problem, guess, t=0.0):
                 f"projection onto the algebraic channel did not converge "
                 f"(residual norm {math.sqrt(g.dot(g)):.3e})"
             )
+        for name, value in (("g", g), ("G", G)):
+            if not np.isfinite(value).all():
+                raise InitializationError(
+                    f"the algebraic channel's {name} is not finite at (t={t}, "
+                    f"state={state}): {value}"
+                )
         step, *_ = np.linalg.lstsq(G, -g, rcond=None)
         state = state + step
         g, G = problem.algebraic(t, state)
@@ -121,49 +135,53 @@ def solve_rate(problem, t, state, rate_guess=None):
     a copy, after one iteration: the rate is always a fresh array.
     Otherwise the exact system A r = -b is solved and the residual
     re-evaluated, which takes two; a residual still above ``NEWTON_TOL``
-    after that, or not finite, raises SolverError, and so does a residual
-    without ``state_dim`` rows.  Raises DegenerateDynamicsError when A has
-    condition number above 1e12, which is the expected signal for singular
-    Lagrangians and controls rather than a crash, and SolverError when
-    LAPACK reports a failure (a nonzero ``info``).  The singular values and
-    LU factors of A come from the problem's one-slot memo.
+    after that, or not finite, raises SolverError, and so does a state, a
+    guess or a residual without ``state_dim`` entries.  Raises
+    DegenerateDynamicsError when A has condition number above 1e12, which is
+    the expected signal for singular Lagrangians and controls rather than a
+    crash, and SolverError when LAPACK reports a failure (a nonzero
+    ``info``).  The singular values and LU factors of A come from the
+    problem's one-slot memo, which holds only an A that passed the
+    condition check: the check runs when A is factored, so a degenerate A
+    raises on every call.
     """
-    state = np.asarray(state, dtype=float)
+    state = floats(state, flat=True)
     d = problem.state_dim
-    guess = np.zeros(d) if rate_guess is None else np.asarray(rate_guess, float)
-    r = np.asarray(problem.residual(t, state, guess), dtype=float).reshape(-1)
+    guess = np.zeros(d) if rate_guess is None else floats(rate_guess, flat=True)
+    if state.size != d or guess.size != d:
+        raise SolverError(f"state has {state.size} and rate guess {guess.size} entries "
+                          f"for {d} state slots")
+    r = floats(problem.residual(t, state, guess), flat=True)
     if r.size != d:
         raise SolverError(f"residual has {r.size} rows for {d} rate slots")
-    if math.sqrt(r.dot(r)) > NEWTON_TOL:
-        J = np.asarray(problem.affine(t, state)[0], dtype=float)
+    norm = math.sqrt(r.dot(r))
+    if norm > NEWTON_TOL:
+        J = floats(problem.affine(t, state)[0])
         key = (J.shape, J.tobytes())
         slot = problem._factors
         if slot[0] != key:
             _, sigma, _, info = dgesdd(J, compute_uv=0)
             if info:
                 raise SolverError(f"LAPACK dgesdd failed with info={info} at t={t}")
-            slot = (key, sigma, None, None)
-        _, sigma, lu, piv = slot
-        if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
-            raise DegenerateDynamicsError(
-                f"degenerate implicit dynamics at (t={t}, state={state}): "
-                f"rate Jacobian singular values {sigma}",
-                t=t, state=state, singular_values=sigma,
-            )
-        if lu is None:
+            if sigma[0] <= 0.0 or sigma[0] / max(sigma[-1], 1e-300) > CONDITION_LIMIT:
+                raise DegenerateDynamicsError(
+                    f"degenerate implicit dynamics at (t={t}, state={state}): "
+                    f"rate Jacobian singular values {sigma}",
+                    t=t, state=state, singular_values=sigma,
+                )
             lu, piv, info = dgetrf(J)
             if info:
                 raise SolverError(f"LAPACK dgetrf failed with info={info} at t={t}")
-            problem._factors = (key, sigma, lu, piv)
+            slot = problem._factors = (key, sigma, lu, piv)
+        _, _, lu, piv = slot
         step, info = dgetrs(lu, piv, -r, overwrite_b=1)
         if info:
             raise SolverError(f"LAPACK dgetrs failed with info={info} at t={t}")
         rate = guess + step
-        r = np.asarray(problem.residual(t, state, rate), dtype=float).reshape(-1)
-        iterations = 2
+        r = floats(problem.residual(t, state, rate), flat=True)
+        norm, iterations = math.sqrt(r.dot(r)), 2
     else:
         rate, iterations = guess.copy(), 1  # never the caller's own array
-    norm = math.sqrt(r.dot(r))
     if not norm <= NEWTON_TOL:
         raise SolverError(
             f"rate solve did not converge at (t={t}, state={state}): "
@@ -204,12 +222,12 @@ def _implicit_midpoint_step(problem, t, state, dt, k1):
 METHODS = {"rk4": _rk4_step, "implicit-midpoint": _implicit_midpoint_step}
 
 
-def _record_monitors(problem, monitors, t, state):
-    for name, fn in problem.monitors.items():
+def _record_monitors(watched, t, state):
+    for name, fn, values in watched:
         value = fn(t, state)
         if not math.isfinite(value):
             raise SolverError(f"monitor '{name}' is not finite at t={t} ({value})")
-        monitors[name].append(value)
+        values.append(value)
 
 
 def step_count(t0, t1, dt):
@@ -235,10 +253,10 @@ def step_count(t0, t1, dt):
 def integrate(problem, state0, t0, t1, dt, method="rk4"):
     """Integrate from t0 to t1 in ``step_count(t0, t1, dt)`` equal steps.
 
-    After each step the state is re-projected onto the algebraic channel
-    and monitors are recorded; a monitor value that is not finite raises
-    SolverError.  Raises with the step index attached when the inner rate
-    solve degenerates.
+    After each step the state is re-projected onto the algebraic channel,
+    when the problem has one, and monitors are recorded; a monitor value
+    that is not finite raises SolverError.  Raises with the step index
+    attached when the inner rate solve degenerates.
     """
     if method not in METHODS:
         raise SolverError(f"unknown method '{method}'")
@@ -253,7 +271,8 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
     newton = [iters]
     norms = [norm]
     monitors = {k: [] for k in problem.monitors}
-    _record_monitors(problem, monitors, t0, state)
+    watched = [(name, fn, monitors[name]) for name, fn in problem.monitors.items()]
+    _record_monitors(watched, t0, state)
 
     for step_index in range(nsteps):
         t = t0 + step_index * dt_eff
@@ -265,14 +284,15 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
                 t=err.t, state=err.state, singular_values=err.singular_values,
             ) from err
         t_new = t0 + (step_index + 1) * dt_eff
-        state = project_initial(problem, state, t=t_new)
+        if problem.algebraic is not None:
+            state = project_initial(problem, state, t=t_new)
         rate, iters, norm = solve_rate(problem, t_new, state, rate_guess=rate)
         times.append(t_new)
         states.append(state)
         rates.append(rate)
         newton.append(max(iters, it))
         norms.append(norm)
-        _record_monitors(problem, monitors, t_new, state)
+        _record_monitors(watched, t_new, state)
 
     return Trajectory(times, states, rates, monitors, newton, norms, problem)
 

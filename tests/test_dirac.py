@@ -358,6 +358,18 @@ class TestPiGraph:
         assert offset is None
 
 
+    def test_embed_fiber_converts_only_what_is_not_float(self, disc_induced):
+        # no fiber pinned: a float64 vector is its own embedding, an int one converts
+        free = CanonicalDirac(2)
+        y = np.array([1.0, 2.0])
+        assert free.embed_fiber(y) is y
+        embedded = free.embed_fiber(np.array([1, 2]))
+        assert embedded.dtype == np.float64 and embedded.tolist() == [1.0, 2.0]
+        # the disc pins fibers 2 and 3 to zero; the free ones are copied in
+        embedded = disc_induced.embed_fiber(np.array([1, 2]))
+        assert embedded.dtype == np.float64 and embedded.tolist() == [1.0, 2.0, 0.0, 0.0]
+
+
 class TestTimeExtension:
     @pytest.mark.parametrize("base", [
         lambda: CanonicalDirac(1),

@@ -801,21 +801,37 @@ class TestBoundPartials:
                 assert np.allclose(value, expected, atol=1e-8), label
 
     def test_int_arrays_in_and_out(self):
-        # int arrays are converted both ways; float64 arrays reach the
-        # analytic partial as the very objects passed in
+        # int arrays and lists are converted both ways, for the partials, the
+        # value and the energy; float64 arrays reach the analytic partial as
+        # the very objects passed in
         seen = []
 
         def grad_y(x, y):
             seen.append((x, y))
             return np.array([[4], [3]])
 
-        lag = Lagrangian(lambda x, y: 0.0, grad_y=grad_y,
-                         hess_yy=lambda x, y: np.eye(2, dtype=int))
+        def fn(x, y):
+            seen.append((x, y))
+            return float(x[0] * y[1])
+
+        lag = Lagrangian(fn, grad_y=grad_y, hess_yy=lambda x, y: np.eye(2, dtype=int))
         value = lag.grad_y(np.array([1]), np.array([1, 2]))
         assert value.dtype == np.float64 and value.tolist() == [4.0, 3.0]
         assert all(a.dtype == np.float64 for a in seen[-1])
         hess = lag.hess_yy(np.array([1]), [1, 2])
         assert hess.dtype == np.float64 and np.array_equal(hess, np.eye(2))
+        for x, y in (([1], [1, 2]), (np.array([1]), np.array([1, 2]))):
+            seen.clear()
+            assert lag(x, y) == 2.0 and lag.energy(x, y) == 10.0 - 2.0
+            assert all(a.dtype == np.float64 for pair in seen for a in pair)
         x, y = np.array([1.0]), np.array([1.0, 2.0])
         lag.grad_y(x, y)
         assert seen[-1][0] is x and seen[-1][1] is y
+
+    def test_vector_partial_reshaped_only_when_not_flat(self):
+        # a float64 column comes back flat; a flat float64 value is returned as it is
+        flat = np.array([4.0, 3.0])
+        column = Lagrangian(lambda x, y: 0.0, grad_y=lambda x, y: flat[:, None])
+        assert column.grad_y(np.zeros(1), np.zeros(2)).shape == (2,)
+        same = Lagrangian(lambda x, y: 0.0, grad_y=lambda x, y: flat)
+        assert same.grad_y(np.zeros(1), np.zeros(2)) is flat

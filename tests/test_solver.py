@@ -8,6 +8,7 @@ from diracmech import (
     DiracAlgebroid,
     EvaluationError,
     ImplicitProblem,
+    InitializationError,
     Lagrangian,
     SolverError,
     Trajectory,
@@ -73,6 +74,28 @@ class TestProjectInitial:
         projected = project_initial(problem, guess)
         assert np.array_equal(projected, expected)
         assert np.max(np.abs(projected - [1.0, -0.2, -0.2])) <= 1e-10
+
+
+    @pytest.mark.parametrize("case, name", [("G", "G"), ("g", "g"), ("state", "g")])
+    def test_non_finite_channel_raises_before_any_step(self, monkeypatch, capfd, case, name):
+        # lstsq on a NaN G fails inside LAPACK, and a NaN g never converges;
+        # either is named before the first Gauss-Newton step
+        def algebraic(t, state):
+            g = np.array([np.nan]) if case == "g" else state[:1] - 1.0
+            G = np.array([[np.nan if case == "G" else 1.0, 0.0]])
+            return g, G
+
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: calls.append(args) or lstsq(*args, **kwargs))
+        problem = ImplicitProblem(2, lambda t, state: (np.eye(2), np.zeros(2)),
+                                  algebraic=algebraic)
+        state = np.array([np.nan if case == "state" else 0.0, 0.0])
+        with pytest.raises(InitializationError, match=f"channel's {name} is not finite"):
+            project_initial(problem, state)
+        assert calls == []
+        assert capfd.readouterr().err == ""
 
 
 class TestSolveRate:
@@ -250,13 +273,18 @@ class TestSolveRate:
         assert calls == {"dgesdd": 2, "dgetrf": 2}
 
     def test_degenerate_matrix_raises_on_every_call(self):
-        problem = affine_problem(np.diag([1.0, 0.0]), [1.0, 1.0])
+        # it is never stored, so a well-conditioned A after it still factors
+        parts = {"A": np.diag([1.0, 0.0])}
+        problem = ImplicitProblem(2, lambda t, state: (parts["A"], np.ones(2)))
         seen = []
         for _ in range(3):
             with pytest.raises(DegenerateDynamicsError) as info:
                 solve_rate(problem, 0.0, np.zeros(2))
             seen.append(info.value.singular_values.tolist())
         assert seen == [[1.0, 0.0]] * 3
+        parts["A"] = np.diag([1.0, 2.0])
+        rate, iters, _ = solve_rate(problem, 0.0, np.zeros(2))
+        assert iters == 2 and rate.tolist() == [-1.0, -0.5]
 
     def test_rate_is_never_the_guess(self):
         problem = affine_problem([[2.0, 1.0], [0.0, 3.0]], [1.0, -2.0])
@@ -271,6 +299,43 @@ class TestSolveRate:
         with pytest.raises(SolverError, match="rows"):
             solve_rate(problem, 0.0, np.zeros(2))
 
+    @pytest.mark.parametrize("state, guess, message", [
+        (np.zeros(2), np.zeros(1), "state has 2 and rate guess 1 entries for 2 state slots"),
+        (np.zeros(2), np.zeros(3), "state has 2 and rate guess 3 entries for 2 state slots"),
+        (np.zeros(3), None, "state has 3 and rate guess 2 entries for 2 state slots"),
+    ], ids=["short-guess", "long-guess", "long-state"])
+    def test_input_lengths_checked(self, state, guess, message):
+        # the affine parts ignore the state, so a long one would pass unseen
+        problem = affine_problem(np.eye(2), [1.0, -2.0])
+        with pytest.raises(SolverError, match=message):
+            solve_rate(problem, 0.0, state, rate_guess=guess)
+
+    def test_lists_and_int_arrays_convert(self, oscillator_problem):
+        # the float64 fast path and the converting side give the same bits
+        rate, iters, norm = solve_rate(oscillator_problem, 0.0, np.array([0.5, -1.0]),
+                                       rate_guess=np.zeros(2))
+        again = solve_rate(oscillator_problem, 0.0, [0.5, -1.0],
+                           rate_guess=np.array([0, 0]))
+        assert again[0].tobytes() == rate.tobytes() and again[1:] == (iters, norm)
+        column = solve_rate(oscillator_problem, 0.0, np.array([[0.5], [-1.0]]),
+                            rate_guess=np.zeros((2, 1)))
+        assert column[0].tobytes() == rate.tobytes() and column[1:] == (iters, norm)
+        problem = affine_problem(np.eye(2), [-1.0, -2.0])
+        hit, iters, _ = solve_rate(problem, 0.0, [0, 0], rate_guess=np.array([1, 2]))
+        assert iters == 1 and hit.dtype == np.float64 and hit.tolist() == [1.0, 2.0]
+        assert problem.residual(0.0, np.zeros(2), [1.0, 2.0]).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("form", [
+        lambda r: r.tolist(), lambda r: r.astype(int), lambda r: r[:, None],
+    ], ids=["list", "int-array", "column"])
+    def test_residual_of_any_form_gives_a_flat_float_rate(self, form):
+        problem = affine_problem(np.eye(2), [-1.0, -2.0])
+        affine_residual = problem.residual
+        problem.residual = lambda t, state, rate: form(affine_residual(t, state, rate))
+        rate, iters, norm = solve_rate(problem, 0.0, np.zeros(2))
+        assert rate.dtype == np.float64 and rate.tolist() == [1.0, 2.0]
+        assert iters == 2 and norm == 0.0
+
 
 class TestIntegrate:
     def test_rows_share_no_memory(self, oscillator_problem):
@@ -284,6 +349,33 @@ class TestIntegrate:
             assert not any(np.shares_memory(row, other) for other in rows[i + 1:])
         assert np.all(np.diff(traj.states, axis=0) != 0.0)
         assert np.all(np.diff(traj.rates, axis=0) != 0.0)
+
+    def test_projection_runs_only_with_a_channel(self, monkeypatch, oscillator_problem):
+        calls = []
+        project = solver.project_initial
+
+        def counting(problem, state, t=0.0):
+            calls.append(t)
+            return project(problem, state, t=t)
+
+        monkeypatch.setattr(solver, "project_initial", counting)
+        lqr = build_problem(build_system("lqr_pmp"), "pmp")
+        integrate(lqr, np.array([1.0, 0.3, 0.3]), 0.0, 0.01, 1e-3)
+        assert len(calls) == 11  # the initial projection and one per step
+        calls.clear()
+        plain = integrate(oscillator_problem, np.array([0.3, -0.4]), 0.0, 0.01, 1e-3)
+        assert len(calls) == 1
+        # an empty channel takes the projection path and gives the same bits
+        d = oscillator_problem.state_dim
+        empty = ImplicitProblem(d, oscillator_problem.affine,
+                                algebraic=lambda t, state: (np.zeros(0), np.zeros((0, d))),
+                                monitors=oscillator_problem.monitors)
+        calls.clear()
+        projected = integrate(empty, np.array([0.3, -0.4]), 0.0, 0.01, 1e-3)
+        assert len(calls) == 11
+        assert projected.states.tobytes() == plain.states.tobytes()
+        assert projected.rates.tobytes() == plain.rates.tobytes()
+        assert projected.monitors["energy"].tobytes() == plain.monitors["energy"].tobytes()
 
     def test_rolling_disc_free_parameters(self, disc_problem):
         traj = integrate(disc_problem, np.array([0.0, 1.0, 2.0]), 0.0, 1.0, 1e-3)
