@@ -18,6 +18,7 @@ import numpy as np
 
 from . import fd
 from .errors import EvaluationError, StructureError
+from .linalg import _FLOAT
 
 STRUCTURE_ANTISYM_TOL = 1e-12
 # supplied section Jacobians against central differences, relative to 1 + max|J|
@@ -31,7 +32,8 @@ JACOBI_TOL = 1e-6
 # the checks below call array methods, not np.all, np.max, np.swapaxes or
 # np.atleast_1d, whose dispatch shows in a disc step; none may overflow
 def _as_base_point(chart, x):
-    x = np.asarray(x, dtype=float).reshape(-1) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or not x.ndim:
+        x = np.asarray(x, dtype=float).reshape(-1) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
     if x.shape != (chart.base_dim,):
         raise EvaluationError(
             f"base point has shape {x.shape}, chart expects ({chart.base_dim},)"

@@ -220,6 +220,8 @@ class DiracAlgebroid:
             self._pinned_fiber[pinned] = self.pinned_values
         else:
             self.embed_fiber = linalg.floats
+        # the columns of w = (xdot, xidot, p, y) among (xdot, y, p, xidot)
+        self._w_columns = np.r_[0:n, n + m + n:2 * (n + m), n + m:n + m + n, n:n + m]
         # (J0, J_k, c0, c_k) of an x-independent structure, built on first use
         self._table = None
 
@@ -292,32 +294,27 @@ class DiracAlgebroid:
 
     def _kernel(self, x, xi):
         """The membership rows (J, const) at (x, xi), from the local form; checks x once."""
-        n, m = self.chart.base_dim, self.chart.fiber_dim
+        n = self.chart.base_dim
+        N = n + self.chart.fiber_dim
         x = _as_base_point(self.chart, x)
-        lf = self._local_form(x)
-        q = lf.etahat.shape[0]
-        if q + lf.zeta.shape[0] != n + m:
-            raise StructureError(
-                f"local form has {q} + {lf.zeta.shape[0]} rows, expected n + m = {n + m}"
-            )
-        J = np.zeros((n + m, 2 * (n + m)))
-        const = np.zeros(n + m)
-        # velocity rows act on (xdot, y)
-        J[:q, :n] = lf.etahat[:, :n]
-        J[:q, 2 * n + m:] = lf.etahat[:, n:]
-        if lf.offset is not None:
-            const[:q] = -lf.offset
-        # momentum rows act on (p, xidot) plus the structure term through eta
-        J[q:, n + m:2 * n + m] = lf.zeta[:, :n]
-        J[q:, n:n + m] = lf.zeta[:, n:]
+        eta, etahat, zeta, offset = self._local_form(x)
+        q = len(etahat)
+        if q + len(zeta) != N:
+            raise StructureError(f"local form has {q} + {len(zeta)} rows, expected n + m = {N}")
+        # the rows are written with their columns in local-form order, (xdot, y)
+        # then (p, xidot), and taken into the order of w at the end
+        K = np.zeros((N, 2 * N))
+        K[:q, :N] = etahat
+        K[q:, N:] = zeta
         c, drift = self._structure_terms(x)
         if c is not None:
-            mix = np.einsum("abj,j->ab", c, xi) @ lf.eta
-            J[q:, :n] += mix[:, :n]
-            J[q:, 2 * n + m:] += mix[:, n:]
+            K[q:, :N] += np.einsum("abj,j->ab", c, xi) @ eta
+        const = np.zeros(N)
+        if offset is not None:
+            const[:q] = -offset
         if drift is not None:
             const[q:] += drift @ xi
-        return J, const
+        return K.take(self._w_columns, axis=1), const
 
     def residual(self, point):
         """Defining-constraint values at a Pontryagin point; zero on members."""
@@ -512,6 +509,9 @@ class PiGraphDirac(DiracAlgebroid):
         eye = np.eye(n + m)
         self._eta = _constant(eye[n:][self._free])
         self._etahat = _constant(eye[list(range(n)) + [n + i for i in self.pinned_fiber]])
+        free = self._free
+        # the free block of c as one index
+        self._free_block = (free, free) if isinstance(free, slice) else np.ix_(free, free)
         if fixed_fiber is not None:
             # etahat row of the selector y_fixed = 1
             self._fixed_row = n + self.pinned_fiber.index(fixed_fiber)
@@ -538,7 +538,7 @@ class PiGraphDirac(DiracAlgebroid):
     def _structure_terms(self, x):
         c = self.algebroid._structure(x)
         drift = None if self.fixed_fiber is None else c[self._free, self.fixed_fiber, :]
-        return c[self._free][:, self._free], drift
+        return c[self._free_block], drift
 
 
 class OmegaGraphDirac(DiracAlgebroid):

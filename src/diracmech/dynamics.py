@@ -46,7 +46,7 @@ from . import fd
 from .algebroid import _check_finite
 from .dirac import PontryaginPoint
 from .errors import EvaluationError, HyperregularityError, StructureError
-from .linalg import _FLOAT, floats
+from .linalg import _FLOAT, floats, identity
 from .solver import CONDITION_LIMIT
 
 GRADIENT_CHECK_RTOL = 1e-5
@@ -395,7 +395,10 @@ def legendre_transform(lagrangian, probes, name=""):
 
     def hess_xi(x, xi):
         y = inverse(x, xi)
-        rhs = np.hstack([-lagrangian.hess_yx(x, y), np.eye(y.size)])
+        n, m = x.size, y.size
+        rhs = np.empty((m, n + m), order="F")  # fresh: dgesv solves into it in place
+        rhs[:, :n] = -lagrangian.hess_yx(x, y)
+        rhs[:, n:] = identity(m)
         _, _, jac, info = dgesv(lagrangian.hess_yy(x, y), rhs, overwrite_b=1)
         if info:
             raise HyperregularityError(

@@ -1,10 +1,12 @@
 """Dense subspace helpers: kernels, spans, annihilators, principal angles,
-and ``floats``, the float64 conversion the per-stage path shares.
+and the per-stage path's ``floats`` (float64 conversion) and ``identity``.
 
 Subspaces are represented by matrices whose *columns* form an orthonormal
 basis.  Rank decisions use singular values with the relative threshold
 ``RANK_RCOND * sigma_max``.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +22,14 @@ def floats(a, flat=False):
         return a
     a = np.asarray(a, dtype=float)
     return a.reshape(-1) if flat else a
+
+
+@functools.lru_cache(maxsize=8)
+def identity(m):
+    """The m x m identity, read-only and built once per size."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def null_space(a, scale=None):

@@ -8,8 +8,8 @@ w = (xdot, xidot, p, y).  A builder supplies only its fill to ``_problem``:
 * ``point(state) -> (x, xi, y)``: the base point, dual point and velocity slot;
 * ``fill(state, x, xi, y) -> (V, p)``: V maps the rate to (xdot, xidot), p
   is the momentum slot;
-* ``pinned = (value, jacobian)``, functions of (state, x, xi, y): a function
-  pinned to zero and its state Jacobian G;
+* ``pinned(state, x, xi, y) -> (value, G)``: a function pinned to zero and
+  its state Jacobian G, from one call;
 * ``velocity_slots(states)``: the slot y of every state row at once, for
   the admissibility report (by default ``point`` row by row).
 
@@ -73,6 +73,7 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
     """The implicit problem of one slot fill (see the module docstring)."""
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     rows = dirac.rate_rows
+    take_rows = not isinstance(rows, slice)  # a slice keeps every row
     has_phase = bool(dirac.phase_residual(np.zeros(n), np.zeros(m)).size)
     has_channel = has_phase or pinned is not None
 
@@ -80,7 +81,8 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
         x, xi, y = point(state)
         V, p = fill(state, x, xi, y)
         J, const = dirac._membership(x, xi)
-        J, const = J[rows], const[rows]
+        if take_rows:
+            J, const = J.take(rows, axis=0), const.take(rows)
         A = J[:, :n + m] @ V
         b = J[:, n + m:] @ np.concatenate([p, y]) + const
         if not has_channel:
@@ -91,11 +93,13 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
             g.append(value)
             G.append(P @ V)
         if pinned is not None:
-            Gp = pinned[1](state, x, xi, y)
-            A, b = np.vstack([A, Gp]), np.concatenate([b, np.zeros(Gp.shape[0])])
-            g.append(pinned[0](state, x, xi, y))
+            value, Gp = pinned(state, x, xi, y)
+            A, b = np.concatenate([A, Gp]), np.concatenate([b, np.zeros(len(Gp))])
+            g.append(value)
             G.append(Gp)
-        return (A, b), (np.concatenate(g), np.vstack(G))
+        if len(g) == 1:  # a one-entry channel as it is
+            return (A, b), (g[0], G[0])
+        return (A, b), (np.concatenate(g), np.concatenate(G))
 
     def velocities(states, rates):
         Y = velocity_slots(states) if velocity_slots else np.array([point(s)[2] for s in states])
@@ -163,16 +167,15 @@ def hamiltonian_problem(dirac, hamiltonian):
     def fill(state, x, xi, y):
         return rate_map, hamiltonian.grad_x(x, xi)
 
-    pinned = None
-    if constrained.size:
-        pinned = (lambda state, x, xi, y: y[constrained] - target,
-                  lambda state, x, xi, y: hamiltonian.hess_xi(x, xi)[constrained])
+    def pinned(state, x, xi, y):
+        return y.take(constrained) - target, hamiltonian.hess_xi(x, xi).take(constrained, axis=0)
 
     def monitor(t, state):
         return hamiltonian(state[:n], state[n:])
 
     labels = list(dirac.chart.base_labels) + list(dirac.chart.dual_labels)
-    return _problem(dirac, point, fill, labels, {"hamiltonian": monitor}, pinned)
+    return _problem(dirac, point, fill, labels, {"hamiltonian": monitor},
+                    pinned if constrained.size else None)
 
 
 def pmp_problem(system, dirac):
@@ -201,14 +204,11 @@ def pmp_problem(system, dirac):
         return rate_map, system.f_x(x, u).T @ xi - system.cost_x(x, u)
 
     def stationarity(state, x, xi, y):
+        # linear in xi: the Jacobian's xi-columns are f_u^T exactly
         u = state[n:n + q]
-        return system.f_u(x, u).T @ xi - system.cost_u(x, u)
-
-    def stationarity_jacobian(state, x, xi, y):
-        # the stationarity is linear in xi: its xi-columns are f_u^T exactly
-        u = state[n:n + q]
+        f_uT = system.f_u(x, u).T
         xu = np.einsum("iqk,i->qk", system.f_u_xu(x, u), xi) - system.cost_u_xu(x, u)
-        return np.hstack([xu, system.f_u(x, u).T])
+        return f_uT @ xi - system.cost_u(x, u), np.concatenate([xu, f_uT], axis=1)
 
     def monitor(t, state):
         return system.hamiltonian(state[:n], state[n:n + q], state[n + q:])
@@ -218,5 +218,4 @@ def pmp_problem(system, dirac):
         + [f"u{k + 1}" for k in range(q)]
         + list(dirac.chart.dual_labels)
     )
-    return _problem(dirac, point, fill, labels, {"hamiltonian": monitor},
-                    (stationarity, stationarity_jacobian))
+    return _problem(dirac, point, fill, labels, {"hamiltonian": monitor}, stationarity)

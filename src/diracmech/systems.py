@@ -12,7 +12,8 @@ from .algebroid import Chart, SkewAlgebroid
 from .constraints import LinearConstraint, induce
 from .dirac import CanonicalDirac, PiGraphDirac, time_extend
 from .dynamics import ControlSystem, Hamiltonian, Lagrangian, _last_point, legendre_transform
-from .errors import ScenarioError
+from .errors import HyperregularityError, ScenarioError
+from .linalg import identity
 from .problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 
 
@@ -73,7 +74,7 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
         x = np.asarray(x, dtype=float).reshape(-1)
         lu, piv, info = dgetrf(np.asarray(mass_matrix(x), dtype=float))
         if info:
-            raise np.linalg.LinAlgError(f"singular mass matrix at x={x}")
+            raise HyperregularityError(f"mass matrix is singular at x={x}, xi={xi}", x=x, xi=xi)
         w = dgetrs(lu, piv, np.asarray(xi, dtype=float).reshape(-1))[0]
         w.flags.writeable = False
         dM = None if mass_matrix_diff is None else np.asarray(mass_matrix_diff(x), dtype=float)
@@ -99,10 +100,13 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
 
     def hess_xi(x, xi):
         lu, piv, w, dM = factored(x, xi)
-        inverse = dgetrs(lu, piv, np.eye(w.size))[0]
-        if dM is None:
-            return np.hstack([np.zeros((w.size, np.asarray(x).size)), inverse])
-        return np.hstack([-inverse @ np.einsum("aij,j->ia", dM, w), inverse])
+        n, m = x.size, w.size
+        inverse = dgetrs(lu, piv, identity(m))[0]  # solved into a copy of the identity
+        jac = np.zeros((m, n + m))
+        jac[:, n:] = inverse
+        if dM is not None:
+            jac[:, :n] = -inverse @ np.einsum("aij,j->ia", dM, w)
+        return jac
 
     return Hamiltonian(fn, grad_x=grad_x, grad_xi=grad_xi, hess_xi=hess_xi, name=name)
 
@@ -124,11 +128,12 @@ def rolling_disc_algebroid(R=1.0):
 
     def structure(x):
         phi = x[0]
+        rc, rs = R * np.cos(phi), R * np.sin(phi)
         c = np.zeros((4, 4, 4))
-        c[0, 1, 3] = R * np.cos(phi)
-        c[0, 1, 2] = -R * np.sin(phi)
-        c[1, 0, 3] = -R * np.cos(phi)
-        c[1, 0, 2] = R * np.sin(phi)
+        c[0, 1, 3] = rc
+        c[0, 1, 2] = -rs
+        c[1, 0, 3] = -rc
+        c[1, 0, 2] = rs
         return c
 
     return SkewAlgebroid(chart, anchor, structure, name="rolling_disc")

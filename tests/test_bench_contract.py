@@ -81,3 +81,36 @@ def test_tracer_counts_a_traced_run(tracing, tmp_path):
     # the Euler top is x-independent: its report reads no velocity_residual
     assert calls["dirac.velocity_residual"] == 0
     assert solver.solve_rate is solve_rate
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracles
+    import workloads
+
+    return oracles, workloads
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_benchmark_documents_pass_their_oracles(bench, tmp_path, seed):
+    # the benchmark's own correctness gate on its unmodified documents, so an
+    # output the benchmark would count as incorrect fails here first
+    oracles, workloads = bench
+    for workload in workloads.GENERATORS:
+        for run in workloads.generate(workload, seed):
+            scenario = tmp_path / f"{workload}-{run.name}.json"
+            scenario.write_text(json.dumps(run.doc))
+            out = tmp_path / workload / run.name
+            argv = ["run", str(scenario), "--out", str(out)]
+            if run.sweep is None:
+                assert cli.main(argv) == 0, run.name
+                assert oracles.check_output(run.doc, run.steps, out) == [], run.name
+                continue
+            param, lo, hi, count = run.sweep
+            assert cli.main(argv + ["--sweep", f"{param}={lo!r}:{hi!r}:{count}"]) == 0
+            found, failures = oracles.sweep_dirs(run, out)
+            assert failures == [] and len(found) == count, run.name
+            for k, value in enumerate(run.sweep_values()):
+                doc = dict(run.doc, params=dict(run.doc["params"], **{param: value}))
+                assert oracles.check_output(doc, run.steps, found[k]) == [], (run.name, value)

@@ -646,6 +646,43 @@ class TestReports:
         assert (tmp_path / "mass=1" / "t.csv").exists()
 
 
+
+def _closed_form_doc(system, params, initial):
+    return dict(BASE_DOC, system=system, formalism="hamiltonian", hamiltonian_source="closed",
+                params=params, initial=initial, time={"t0": 0.0, "t1": 0.01, "dt": 0.005})
+
+
+class TestSingularMassMatrix:
+    """A closed-form Hamiltonian has no Legendre inverse where its mass matrix
+    is singular: the run exits 1 with the report's error and no traceback."""
+
+    @pytest.mark.parametrize("system, params, initial", [
+        ("rolling_disc", {"J1": 0.0}, [0.1, 0.0, 1.0, 0.0, 0.0]),
+        ("euler_top", {"J1": 0.0}, [1.0, 0.5, 0.5]),
+        ("harmonic_oscillator", {"mass": 0.0}, [1.0, 0.0]),
+        ("canonical_particle", {"mass": 0.0}, [0.0, 0.0, 1.0, 0.5]),
+    ], ids=["rolling-disc", "euler-top", "harmonic-oscillator", "canonical-particle"])
+    def test_run_exits_1_with_the_error_in_its_report(self, tmp_path, capsys, system, params,
+                                                       initial):
+        path = write_scenario(tmp_path, _closed_form_doc(system, params, initial))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+        report = _strict_json((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == EXIT_ERROR
+        assert report["error"].startswith("mass matrix is singular at x=")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sweep_runs_its_other_values(self, tmp_path, capsys):
+        doc = _closed_form_doc("rolling_disc", {}, [0.1, 0.0, 1.0, 0.0, 0.0])
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", str(path), "--out", str(tmp_path), "--sweep", "J1=0:1:3"])
+        assert code == EXIT_ERROR
+        codes = {sub.name: json.loads((sub / "r.json").read_text())["exit_code"]
+                 for sub in tmp_path.glob("J1=*")}
+        assert codes == {"J1=0": EXIT_ERROR, "J1=0.5": EXIT_OK, "J1=1": EXIT_OK}
+        assert (tmp_path / "J1=1" / "t.csv").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_csv_digits_match_the_float64_formatting(tmp_path):
     # every block goes through Python floats once; the digits must be those
     # of formatting each np.float64 value

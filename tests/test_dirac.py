@@ -34,7 +34,13 @@ from diracmech.systems import (
     so3_algebroid,
 )
 
-from conftest import make_random_pigraph, with_entry
+from conftest import (
+    make_frame_algebroid,
+    make_general_local,
+    make_random_omega,
+    make_random_pigraph,
+    with_entry,
+)
 
 
 def member_from_basis(dirac, x, xi, coeffs):
@@ -560,6 +566,64 @@ class TestConstantBlocks:
         assert calls == []  # induction evaluates no field
         dirac.membership_system(np.array([0.4, -0.7]), np.array([1.0, 2.0, 3.0]))
         assert len(calls) == 1
+
+
+
+def reference_membership(dirac, x, xi):
+    """The membership rows (J, const) written out block by block from the
+    local form and the structure terms, in the order of w = (xdot, xidot, p, y)."""
+    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+    lf = dirac.local_form(x)
+    q = lf.etahat.shape[0]
+    J = np.zeros((n + m, 2 * (n + m)))
+    const = np.zeros(n + m)
+    J[:q, :n] = lf.etahat[:, :n]
+    J[:q, 2 * n + m:] = lf.etahat[:, n:]
+    if lf.offset is not None:
+        const[:q] = -lf.offset
+    J[q:, n + m:2 * n + m] = lf.zeta[:, :n]
+    J[q:, n:n + m] = lf.zeta[:, n:]
+    c, drift = dirac.structure_terms(x)
+    if c is not None:
+        mix = np.einsum("abj,j->ab", c, xi) @ lf.eta
+        J[q:, :n] += mix[:, :n]
+        J[q:, 2 * n + m:] += mix[:, n:]
+    if drift is not None:
+        const[q:] += drift @ xi
+    return J, const
+
+
+class TestMembershipReference:
+    """The x-dependent membership rows are bitwise the block-by-block formula,
+    signed zeros included."""
+
+    @pytest.mark.parametrize("builder", [
+        lambda: PiGraphDirac(rolling_disc_algebroid()),
+        lambda: PiGraphDirac(rolling_disc_algebroid(1.3), zero_fiber=(2, 3)),
+        lambda: PiGraphDirac(rolling_disc_algebroid(), zero_fiber=(2,), fixed_fiber=3),
+        lambda: PiGraphDirac(rolling_disc_algebroid(), zero_fiber=(1, 3), zero_base=(0,)),
+        lambda: PiGraphDirac(make_frame_algebroid(5, 3)),
+        lambda: PiGraphDirac(make_frame_algebroid(5, 3), zero_fiber=(1,)),
+        lambda: PiGraphDirac(make_frame_algebroid(5, 3), zero_fiber=(2,), fixed_fiber=0),
+        lambda: PiGraphDirac(make_frame_algebroid(5, 3), zero_base=(1,)),
+        lambda: make_random_omega(seed=4),
+        lambda: make_general_local(PiGraphDirac(make_random_pigraph(seed=4)),
+                                   np.random.default_rng(4)),
+        lambda: time_extend(PiGraphDirac(rolling_disc_algebroid(), zero_fiber=(2, 3))),
+    ], ids=["disc", "disc-zero-fibers", "disc-fixed-fiber", "disc-base-support", "frame",
+            "frame-zero-fiber", "frame-fixed-fiber", "frame-base-support", "omega-graph",
+            "general-local", "clocked-disc"])
+    def test_rows_are_the_block_formula_bitwise(self, builder):
+        dirac = builder()
+        assert not dirac.x_independent  # the rows come from the kernel at every call
+        rng = np.random.default_rng(7)
+        n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+        for _ in range(5):
+            x, xi = rng.standard_normal(n), rng.standard_normal(m)
+            J, const = dirac.membership_system(x, xi)
+            J_ref, const_ref = reference_membership(dirac, x, xi)
+            assert J.tobytes() == J_ref.tobytes() and J.shape == J_ref.shape
+            assert const.tobytes() == const_ref.tobytes()
 
 
 def _counted(algebroid, calls):

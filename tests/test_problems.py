@@ -250,3 +250,29 @@ def test_pmp_channel_holds_the_phase_equations():
     assert channel.size == 2 and np.max(np.abs(channel - [1.0, 0.0])) <= 1e-12
     trajectory = integrate(problem, state, 0.0, 0.1, 0.01)
     assert np.max(np.abs(trajectory.states[:, 0])) <= PROJECTION_TOL
+
+
+def _counted(calls, label, fn):
+    def logged(*args):
+        calls.append(label)
+        return fn(*args)
+
+    return logged
+
+
+def test_one_partial_call_per_assembly(disc_induced, disc_hamiltonian):
+    # the pinned value and its Jacobian come from one call: the control
+    # stationarity reads f_u once, and the Hamiltonian's pinned rows one hess_xi
+    rng = np.random.default_rng(3)
+    control = build_system("lqr_pmp").control
+    calls = []
+    control.f_u = _counted(calls, "f_u", control.f_u)
+    disc_hamiltonian.hess_xi = _counted(calls, "hess_xi", disc_hamiltonian.hess_xi)
+    for problem, label in ((pmp_problem(control, CanonicalDirac(1)), "f_u"),
+                           (hamiltonian_problem(disc_induced, disc_hamiltonian), "hess_xi")):
+        calls.clear()
+        for k in range(3):
+            state = rng.standard_normal(problem.state_dim)
+            problem.affine(0.0, state)
+            problem.algebraic(0.0, state)
+            assert calls == [label] * (k + 1)

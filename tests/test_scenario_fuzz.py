@@ -14,7 +14,7 @@ import io
 import json
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diracmech.cli import EXIT_ERROR, EXIT_MALFORMED, Scenario, main
@@ -109,6 +109,13 @@ SWEEPS |= st.builds(
 )
 
 
+SINGULAR_MASS = {
+    "schema": "diracmech/scenario-v1", "system": "rolling_disc", "formalism": "hamiltonian",
+    "hamiltonian_source": "closed", "params": {"J1": 0.0}, "initial": [0.1, 0.0, 1.0, 0.0, 0.0],
+    "time": {"t0": 0.0, "t1": 0.01, "dt": 0.005},
+}
+
+
 def _exit_code(report):
     return json.loads(report.read_text())["exit_code"]
 
@@ -116,6 +123,9 @@ def _exit_code(report):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(doc=documents(), command=st.sampled_from(["run", "check"]), sweep=SWEEPS)
+# a closed-form Hamiltonian whose mass matrix is singular at J1 = 0
+@example(doc=SINGULAR_MASS, command="run", sweep=None)
+@example(doc=SINGULAR_MASS, command="run", sweep="J1=0:1:2")
 def test_no_document_escapes_main(tmp_path_factory, doc, command, sweep):
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "scenario.json"

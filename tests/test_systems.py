@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
-from diracmech import ScenarioError, integrate
+from diracmech import ScenarioError, integrate, legendre_transform
 from diracmech.linalg import max_principal_angle
 from diracmech import systems
 from diracmech.systems import CATALOG, build_problem, build_system
@@ -171,3 +172,38 @@ def test_lagrangian_hands_out_a_read_only_copy_of_the_mass_matrix():
     with pytest.raises(ValueError, match="read-only"):
         hess[0, 0] = 5.0
     assert M.flags.writeable  # the caller's own array is left as it was
+
+
+def _stacked_hess_xi(source, M, dM, L, H, x, xi):
+    """hess_xi as one ``np.hstack`` of its x- and xi-columns: for the closed
+    form from the LU factors of M against ``np.eye``, for the Legendre
+    transform from ``dgesv`` at H's inverse point y = dH/dxi."""
+    m = xi.size
+    if source == "legendre":
+        y = H.grad_xi(x, xi)
+        rhs = np.hstack([-L.hess_yx(x, y), np.eye(m)])
+        return dgesv(L.hess_yy(x, y), rhs, overwrite_b=1)[2]
+    lu, piv, _ = dgetrf(M(x))
+    w = dgetrs(lu, piv, xi)[0]
+    inverse = dgetrs(lu, piv, np.eye(m))[0]
+    if dM is None:
+        return np.hstack([np.zeros((m, x.size)), inverse])
+    return np.hstack([-inverse @ np.einsum("aij,j->ia", dM(x), w), inverse])
+
+
+@pytest.mark.parametrize("with_dM", [True, False], ids=["dM", "no-dM"])
+@pytest.mark.parametrize("source", ["closed", "legendre"])
+def test_hess_xi_is_the_stacked_form_bitwise_and_fresh(source, with_dM):
+    M, dM = systems.rolling_disc_mass(1.1, 0.9, 1.05, 1.2)
+    dM = dM if with_dM else None
+    L = systems.quadratic_lagrangian(M, dM)
+    rng = np.random.default_rng(5)
+    H = (systems.quadratic_hamiltonian(M, dM) if source == "closed" else
+         legendre_transform(L, [(rng.standard_normal(1), rng.standard_normal(4))]))
+    for _ in range(4):
+        x, xi = rng.standard_normal(1), rng.standard_normal(4)
+        expected = _stacked_hess_xi(source, M, dM, L, H, x, xi)
+        first = H.hess_xi(x, xi)
+        assert first.tobytes() == expected.tobytes() and first.shape == (4, 5)
+        first[...] = np.nan  # a caller's edit reaches neither a later call nor a memo
+        assert H.hess_xi(x, xi).tobytes() == expected.tobytes()
