@@ -27,8 +27,6 @@ from .dirac import (
     TimeExtendedDirac,
     VelocityPair,
     pairing,
-    scale_dual,
-    scale_fiber,
     time_extend,
 )
 from .dynamics import (
@@ -38,7 +36,6 @@ from .dynamics import (
     el_residual,
     hamilton_residual,
     invert_vertical_derivative,
-    legendre_map,
     legendre_transform,
     nonholonomic_el_residual,
     pmp_residual,
@@ -107,7 +104,6 @@ __all__ = [
     "integrate",
     "invert_vertical_derivative",
     "lagrangian_problem",
-    "legendre_map",
     "legendre_transform",
     "nonholonomic_el_residual",
     "pairing",
@@ -115,8 +111,6 @@ __all__ = [
     "pmp_residual",
     "pointwise_induce",
     "project_initial",
-    "scale_dual",
-    "scale_fiber",
     "solve_rate",
     "time_extend",
 ]

@@ -21,8 +21,6 @@ from .errors import EvaluationError, StructureError
 from .linalg import _FLOAT
 
 STRUCTURE_ANTISYM_TOL = 1e-12
-# supplied section Jacobians against central differences, relative to 1 + max|J|
-JACOBIAN_CHECK_RTOL = 1e-6
 # largest basis Jacobiator entry (``basis_jacobi_violation``) of a Lie algebroid;
 # set for the nested differences of ``jacobiator``, well above the closed form's
 # floor of about 1e-9 on structure functions that vary with x
@@ -127,20 +125,6 @@ class Section:
             f"finite-difference jacobian of section {self.name}",
             fd.jacobian(self._fn, x, rel=self.fd_rel),
         )
-
-    def check_jacobian(self, points):
-        """Verify a supplied Jacobian against central differences at probe points."""
-        if self._jac is None:
-            return
-        for x in points:
-            jn = fd.jacobian(self._fn, np.asarray(x, dtype=float))
-            ja = self._jac(np.asarray(x, dtype=float))
-            scale = 1.0 + np.max(np.abs(jn))
-            if np.max(np.abs(ja - jn)) > JACOBIAN_CHECK_RTOL * scale:
-                raise StructureError(
-                    f"analytic Jacobian of section {self.name or '<anonymous>'} "
-                    f"deviates from finite differences at x={np.asarray(x)}"
-                )
 
     @staticmethod
     def constant(values, name=""):

@@ -9,8 +9,11 @@ fiber part is stacked in the fixed order
 
 used by every kernel computation here.
 
-Every representation reduces to a local form.  ``local_form(x)`` returns
-its coordinate blocks at a base point as a ``LocalForm`` value:
+Every representation reduces to a local form: bivector graphs
+(``PiGraphDirac``, and ``CanonicalDirac`` over it), general local forms
+(``GeneralLocalDirac``, and the 2-form graph ``OmegaGraphDirac`` over it)
+and clock extensions.  ``local_form(x)`` returns its coordinate blocks at a
+base point as a ``LocalForm`` value:
 
 * velocity coordinates ``eta`` (rank r) and complementary equations
   ``etahat`` acting on (xdot, y),
@@ -109,12 +112,6 @@ class PontryaginPoint:
             x, xi, w[:n], w[n:n + m], w[n + m:2 * n + m], w[2 * n + m:]
         )
 
-    def __repr__(self):
-        return (
-            f"PontryaginPoint(x={self.x}, xi={self.xi}, xdot={self.xdot}, "
-            f"xidot={self.xidot}, p={self.p}, y={self.y})"
-        )
-
 
 class VelocityPair:
     """Element (x, xdot, y) of the velocity bundle TM (+) E."""
@@ -145,20 +142,6 @@ def pairing(p1, p2):
     return 0.5 * (
         float(p1.p @ p2.xdot) + float(p1.y @ p2.xidot)
         + float(p2.p @ p1.xdot) + float(p2.y @ p1.xidot)
-    )
-
-
-def scale_fiber(point, t):
-    """First homothety: scale (xdot, xidot, p, y) by t, keeping (x, xi)."""
-    return PontryaginPoint(
-        point.x, point.xi, t * point.xdot, t * point.xidot, t * point.p, t * point.y
-    )
-
-
-def scale_dual(point, s):
-    """Second homothety: scale (xi, xidot, p) by s, keeping (x, xdot, y)."""
-    return PontryaginPoint(
-        point.x, s * point.xi, point.xdot, s * point.xidot, s * point.p, point.y
     )
 
 
@@ -308,6 +291,8 @@ class DiracAlgebroid:
         K[q:, N:] = zeta
         c, drift = self._structure_terms(x)
         if c is not None:
+            if len(c) != len(eta):
+                raise EvaluationError(f"structure functions have {len(c)} rows, eta has {len(eta)}")
             K[q:, :N] += np.einsum("abj,j->ab", c, xi) @ eta
         const = np.zeros(N)
         if offset is not None:
@@ -375,6 +360,9 @@ class DiracAlgebroid:
 
     def velocity_residual(self, pair):
         """etahat rows at a velocity pair; zero iff the pair is admissible."""
+        m = self.chart.fiber_dim
+        if pair.y.size != m:
+            raise EvaluationError(f"y has length {pair.y.size}, expected {m}")
         lf = self.local_form(pair.x)
         out = lf.etahat @ np.concatenate([pair.xdot, pair.y])
         if lf.offset is not None:
@@ -403,9 +391,8 @@ class DiracAlgebroid:
     # -- phase support -----------------------------------------------------------
 
     def phase_residual(self, x, xi):
-        x = _as_base_point(self.chart, x)
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        return self._phase_values(x, xi)
+        """Phase equation values at (x, xi), checked as in ``membership_system``."""
+        return self._phase_values(*self._point(x, xi))
 
     def phase_membership(self, x, xi):
         """(bool, residual): whether (x, xi) satisfies the phase equations."""
@@ -461,7 +448,7 @@ def _on_support(res):
 
 
 def _constant(block):
-    """Read-only float copy of an x-independent local-form block."""
+    """Read-only float copy of a constant block."""
     block = np.array(block, dtype=float)
     block.flags.writeable = False
     return block
@@ -541,44 +528,6 @@ class PiGraphDirac(DiracAlgebroid):
         return c[self._free_block], drift
 
 
-class OmegaGraphDirac(DiracAlgebroid):
-    """Graph of a linear 2-form on the dual bundle.
-
-    Fields: ``rho(x)`` of shape (m, n) and a coefficient field ``cform(x)``
-    of shape (n, n, m), antisymmetric in its first two indices.  Membership
-    equations: y = rho(x) xdot and, for each a,
-    p_a - cform[a, b, k] xi_k xdot^b + rho^i_a xidot_i = 0.
-    """
-
-    def __init__(self, chart, rho, cform):
-        super().__init__(chart)
-        n, m = chart.base_dim, chart.fiber_dim
-        self._rho = rho
-        self._cform = cform
-        # eta is constant; etahat and zeta are copies of constant templates
-        # with rho filled in
-        self._eta = _constant(np.hstack([np.eye(n), np.zeros((n, m))]))
-        self._etahat = _constant(np.hstack([np.zeros((m, n)), np.eye(m)]))
-
-    def _local_form(self, x):
-        n, m = self.chart.base_dim, self.chart.fiber_dim
-        rho = _check_finite("rho", self._rho(x))
-        if rho.shape != (m, n):
-            raise EvaluationError(f"rho has shape {rho.shape}, expected ({m}, {n})")
-        etahat = self._etahat.copy()
-        etahat[:, :n] = -rho
-        zeta = self._eta.copy()
-        zeta[:, n:] = rho.T
-        return LocalForm(self._eta, etahat, zeta)
-
-    def _structure_terms(self, x):
-        n, m = self.chart.base_dim, self.chart.fiber_dim
-        c = _check_finite("cform", self._cform(x))
-        if c.shape != (n, n, m):
-            raise EvaluationError(f"cform has shape {c.shape}, expected ({n}, {n}, {m})")
-        return -_antisymmetric("cform", c), None
-
-
 class CanonicalDirac(PiGraphDirac):
     """Canonical structure on the dual of a tangent bundle: xdot = y, xidot = -p.
 
@@ -593,33 +542,27 @@ class CanonicalDirac(PiGraphDirac):
 class GeneralLocalDirac(DiracAlgebroid):
     """User-supplied local form (velocity/dual coordinate maps plus structure).
 
-    ``eta`` (r rows) and ``etahat`` act on (xdot, y); ``zeta`` (r rows) acts
-    on (p, xidot); ``structure(x)`` has shape (r, r, m), antisymmetric in
-    its first two indices; ``phase`` evaluates affine equations
-    a(x) + B(x) xi, whose xi-columns B(x) are read exactly from m unit
-    steps in xi and whose x-columns take one central difference.
-    ``membership_system`` assembles membership, and with
-    it every formalism's dynamics, from these maps.  The rank r is taken
-    from the evaluated matrix shapes and verified numerically through the
-    kernel-dimension check of ``basis_at``.
+    ``blocks(x)`` returns (eta, etahat, zeta) in one call: ``eta`` (r rows)
+    and ``etahat`` act on (xdot, y), ``zeta`` (r rows) on (p, xidot).
+    ``structure(x)`` has shape (r, r, m), antisymmetric in its first two
+    indices; ``phase`` evaluates affine equations a(x) + B(x) xi, whose
+    xi-columns B(x) are read exactly from m unit steps in xi and whose
+    x-columns take one central difference.  ``membership_system`` assembles
+    membership, and with it every formalism's dynamics, from these maps.
+    The rank r is taken from the evaluated matrix shapes and verified
+    numerically through the kernel-dimension check of ``basis_at``.
     """
 
-    def __init__(self, chart, eta, etahat, zeta, structure=None, phase=None):
+    def __init__(self, chart, blocks, structure=None, phase=None):
         super().__init__(chart)
-        self._blocks = (eta, etahat, zeta)
+        self._blocks = blocks
         self._structure = structure
         self._phase_eqs = phase
 
     def _local_form(self, x):
         width = self.chart.base_dim + self.chart.fiber_dim
-        blocks = []
-        for name, block in zip(("eta", "etahat", "zeta"), self._blocks):
-            value = _check_finite(name, block(x))
-            if value.ndim != 2 or value.shape[1] != width:
-                raise EvaluationError(
-                    f"{name} has shape {value.shape}, expected 2-D with {width} columns")
-            blocks.append(value)
-        return LocalForm(*blocks)
+        return LocalForm(*(_block(name, value, width)
+                           for name, value in zip(("eta", "etahat", "zeta"), self._blocks(x))))
 
     def _structure_terms(self, x):
         if self._structure is None:
@@ -647,20 +590,22 @@ class GeneralLocalDirac(DiracAlgebroid):
             P[:, n + k] = phase(x, xi + e) - value  # exact: the phase is affine in xi
         return value, P
 
-    @classmethod
-    def from_velocity_splitting(cls, chart, eta, etahat, structure=None, phase=None):
+    @staticmethod
+    def from_velocity_splitting(chart, eta, etahat, structure=None, phase=None):
         """Build the dual map from the velocity splitting.
 
         The stacked map T = [eta; etahat] must be invertible; ``zeta`` is
         the first r rows of inv(T).T, which makes the pointwise subspaces
         isotropic by construction.  A singular T raises StructureError.
+        ``eta`` and ``etahat`` are evaluated once per point.
         """
-        def zeta(x):
-            e = np.asarray(eta(x), float)
-            T = _isomorphism(e, np.asarray(etahat(x), float), x)
-            return np.linalg.inv(T).T[:e.shape[0]]
+        width = chart.base_dim + chart.fiber_dim
 
-        return cls(chart, eta, etahat, zeta, structure, phase)
+        def blocks(x):
+            e, eh = _block("eta", eta(x), width), _block("etahat", etahat(x), width)
+            return e, eh, np.linalg.inv(_isomorphism(e, eh, x)).T[:len(e)]
+
+        return GeneralLocalDirac(chart, blocks, structure, phase)
 
     def validate(self, probe_points):
         """Check invertibility, the rank of zeta, isotropy and kernel dimension.
@@ -680,12 +625,43 @@ class GeneralLocalDirac(DiracAlgebroid):
                 raise StructureError(f"pointwise subspace at x={x} is not isotropic")
 
 
+def _block(name, value, width):
+    """``value`` as a finite 2-D local-form block with ``width`` columns."""
+    value = _check_finite(name, value)
+    if value.ndim != 2 or value.shape[1] != width:
+        raise EvaluationError(f"{name} has shape {value.shape}, expected 2-D with {width} columns")
+    return value
+
+
 def _isomorphism(eta, etahat, x):
     """The stacked map [eta; etahat] at x, which must be a linear isomorphism."""
     T = np.vstack([eta, etahat])
     if T.shape[0] != T.shape[1] or linalg.numeric_rank(T) != T.shape[0]:
         raise StructureError(f"eta/etahat do not form a linear isomorphism at x={x}")
     return T
+
+
+class OmegaGraphDirac(GeneralLocalDirac):
+    """Graph of a linear 2-form on the dual bundle: a general local form.
+
+    Fields: ``rho(x)`` of shape (m, n) and a coefficient field ``cform(x)``
+    of shape (n, n, m), antisymmetric in its first two indices.  Membership
+    equations: y = rho(x) xdot and, for each a,
+    p_a - cform[a, b, k] xi_k xdot^b + rho^i_a xidot_i = 0, i.e. the blocks
+    eta = (1, 0), etahat = (-rho, 1), zeta = (1, rho^T) and structure -cform.
+    """
+
+    def __init__(self, chart, rho, cform):
+        n, m = chart.base_dim, chart.fiber_dim
+        eta = _constant(np.eye(n, n + m))  # shared; etahat and zeta are fresh
+
+        def blocks(x):
+            r = _check_finite("rho", rho(x))
+            if r.shape != (m, n):
+                raise EvaluationError(f"rho has shape {r.shape}, expected ({m}, {n})")
+            return eta, np.hstack([-r, np.eye(m)]), np.hstack([eta[:, :n], r.T])
+
+        super().__init__(chart, blocks, lambda x: -_check_finite("cform", cform(x)))
 
 
 class TimeExtendedDirac(DiracAlgebroid):

@@ -37,7 +37,6 @@ stationarity Jacobian from the second partials ``f_u_xu`` and
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -258,24 +257,6 @@ class ControlSystem(_Partials):
     def hamiltonian(self, x, u, xi):
         """xi . f(x, u) - L(x, u), the control-parametrized Hamiltonian."""
         return float(np.asarray(xi, float) @ self.f(x, u)) - self.cost(x, u)
-
-
-class LegendreImage(NamedTuple):
-    x: np.ndarray
-    xi: np.ndarray
-    phase_ok: bool
-    phase_residual: np.ndarray
-
-
-def legendre_map(lagrangian, x, y, dirac=None):
-    """Vertical derivative (x, dL/dy(x, y)); optionally report phase membership."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    xi = lagrangian.grad_y(x, y)
-    if dirac is None:
-        return LegendreImage(x, xi, True, np.zeros(0))
-    ok, res = dirac.phase_membership(x, xi)
-    return LegendreImage(x, xi, ok, res)
 
 
 def el_residual(dirac, lagrangian, state, rate):

@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .algebroid import Chart, SkewAlgebroid
 from .constraints import LinearConstraint, induce
-from .dirac import CanonicalDirac, PiGraphDirac, time_extend
+from .dirac import CanonicalDirac, PiGraphDirac, _constant, time_extend
 from .dynamics import ControlSystem, Hamiltonian, Lagrangian, _last_point, legendre_transform
 from .errors import HyperregularityError, ScenarioError
 from .linalg import identity
@@ -168,11 +168,6 @@ def rolling_disc_lagrangian(m=1.0, R=1.0, J1=1.0, J2=1.0):
     return quadratic_lagrangian(mm, dmm, name="rolling_disc")
 
 
-def rolling_disc_hamiltonian(m=1.0, R=1.0, J1=1.0, J2=1.0):
-    mm, dmm = rolling_disc_mass(m, R, J1, J2)
-    return quadratic_hamiltonian(mm, dmm, name="rolling_disc")
-
-
 def so3_algebroid(labels=None):
     """The rotation algebra: point base, cross-product structure constants."""
     chart = Chart(0, 3, fiber_labels=labels)
@@ -306,17 +301,20 @@ def _build_lqr(params, constraint):
     qw, rw = params["q"], params["r"]
     if constraint is not None:
         raise ScenarioError("lqr_pmp takes no constraint")
+    # the constant partials, built once and read-only
+    f_x, f_u, f_u_xu, cost_u_xu = map(_constant, (np.zeros((1, 1)), np.eye(1),
+                                                  np.zeros((1, 1, 2)), [[0.0, rw]]))
     control = ControlSystem(
         f=lambda x, u: np.array([u[0]]),
         cost=lambda x, u: 0.5 * (qw * float(x[0] ** 2) + rw * float(u[0] ** 2)),
-        f_x=lambda x, u: np.zeros((1, 1)),
-        f_u=lambda x, u: np.eye(1),
+        f_x=lambda x, u: f_x,
+        f_u=lambda x, u: f_u,
         cost_x=lambda x, u: np.array([qw * x[0]]),
         cost_u=lambda x, u: np.array([rw * u[0]]),
         control_dim=1,
         name="scalar_lqr",
-        f_u_xu=lambda x, u: np.zeros((1, 1, 2)),
-        cost_u_xu=lambda x, u: np.array([[0.0, rw]]),
+        f_u_xu=lambda x, u: f_u_xu,
+        cost_u_xu=lambda x, u: cost_u_xu,
     )
     return SystemBundle("lqr_pmp", CanonicalDirac(1, base_labels=("x",)), control=control)
 

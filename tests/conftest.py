@@ -10,14 +10,16 @@ from diracmech import (
     LinearConstraint,
     OmegaGraphDirac,
     PiGraphDirac,
+    PontryaginPoint,
     Section,
     SkewAlgebroid,
     induce,
 )
 from diracmech.systems import (
+    quadratic_hamiltonian,
     rolling_disc_algebroid,
-    rolling_disc_hamiltonian,
     rolling_disc_lagrangian,
+    rolling_disc_mass,
     so3_algebroid,
 )
 
@@ -44,7 +46,7 @@ def disc_lagrangian():
 
 @pytest.fixture
 def disc_hamiltonian():
-    return rolling_disc_hamiltonian()
+    return quadratic_hamiltonian(*rolling_disc_mass(), name="rolling_disc")
 
 
 def clocked_lagrangian(lag):
@@ -144,9 +146,7 @@ def make_general_local(pi, rng):
 
     return GeneralLocalDirac(
         pi.chart,
-        eta=lambda x: pi.local_form(x).eta,
-        etahat=lambda x: pi.local_form(x).etahat,
-        zeta=lambda x: pi.local_form(x).zeta,
+        lambda x: pi.local_form(x)[:3],
         structure=lambda x: pi.structure_terms(x)[0],
         phase=phase,
     )
@@ -170,6 +170,20 @@ def smooth_section(seed, fiber_dim, base_dim):
         return (coef * np.cos(freq @ x + shift))[:, None] * freq
 
     return Section(fn, jacobian=jac, name=f"smooth{seed}")
+
+
+def scale_fiber(point, t):
+    """First homothety: scale (xdot, xidot, p, y) by t, keeping (x, xi)."""
+    return PontryaginPoint(
+        point.x, point.xi, t * point.xdot, t * point.xidot, t * point.p, t * point.y
+    )
+
+
+def scale_dual(point, s):
+    """Second homothety: scale (xi, xidot, p) by s, keeping (x, xdot, y)."""
+    return PontryaginPoint(
+        point.x, s * point.xi, point.xdot, s * point.xidot, s * point.p, point.y
+    )
 
 
 def with_entry(arr, index, value):

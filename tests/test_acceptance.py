@@ -22,8 +22,6 @@ from diracmech import (
     pairing,
     pointwise_induce,
     project_initial,
-    scale_dual,
-    scale_fiber,
     solve_rate,
 )
 from diracmech.checks import legendre_equivalence_check
@@ -39,7 +37,7 @@ from diracmech.systems import (
     so3_algebroid,
 )
 
-from conftest import make_random_pigraph
+from conftest import make_random_pigraph, scale_dual, scale_fiber
 
 MU = 0.5  # m R / (m R^2 + J2) at unit parameters
 

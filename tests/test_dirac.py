@@ -19,8 +19,6 @@ from diracmech import (
     integrate,
     lagrangian_problem,
     pairing,
-    scale_dual,
-    scale_fiber,
     solve_rate,
     time_extend,
 )
@@ -39,6 +37,8 @@ from conftest import (
     make_general_local,
     make_random_omega,
     make_random_pigraph,
+    scale_dual,
+    scale_fiber,
     with_entry,
 )
 
@@ -144,9 +144,7 @@ class TestBasis:
         # etahat with a repeated row cannot define a maximal subspace
         broken = GeneralLocalDirac(
             Chart(1, 1),
-            eta=lambda x: np.zeros((0, 2)),
-            etahat=lambda x: np.array([[1.0, -1.0], [1.0, -1.0]]),
-            zeta=lambda x: np.zeros((0, 2)),
+            lambda x: (np.zeros((0, 2)), np.array([[1.0, -1.0], [1.0, -1.0]]), np.zeros((0, 2))),
         )
         with pytest.raises(StructureError, match="numeric rank"):
             broken.basis_at(np.zeros(1), np.zeros(1))
@@ -156,9 +154,7 @@ class TestBasis:
         # dimension rule of ``basis_matrix_at``, and its messages
         broken = GeneralLocalDirac(
             Chart(1, 1),
-            eta=lambda x: np.zeros((0, 2)),
-            etahat=lambda x: np.array([[1.0, -1.0], [1.0, -1.0]]),
-            zeta=lambda x: np.zeros((0, 2)),
+            lambda x: (np.zeros((0, 2)), np.array([[1.0, -1.0], [1.0, -1.0]]), np.zeros((0, 2))),
         )
         rank = r"^pointwise subspace has dimension 3, expected 2 \(numeric rank 1\)$"
         for violation in (lambda: broken.isotropy_violation(np.zeros(1), np.zeros(1)),
@@ -267,6 +263,15 @@ class TestPhase:
         clocked_value, clocked_P = clocked._phase(np.concatenate([[3.0], x]), xi)
         assert np.array_equal(clocked_value, value)
         assert np.array_equal(clocked_P, np.hstack([np.zeros((1, 1)), P]))
+
+    def test_wrong_length_xi_or_y_is_an_evaluation_error(self):
+        dirac = induce(CanonicalDirac(2), LinearConstraint(base=(0,)))
+        for check in (dirac.phase_residual, dirac.phase_membership):
+            with pytest.raises(EvaluationError, match=r"^xi has length 1, expected 2$"):
+                check([0.0, 1.0], [1.0])
+        pair = VelocityPair([0.0, 1.0], [0.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(EvaluationError, match=r"^y has length 3, expected 2$"):
+            dirac.velocity_residual(pair)
 
     def test_induced_rolling_disc_unconstrained_phase(self, disc_induced):
         rng = np.random.default_rng(5)
@@ -436,9 +441,9 @@ class TestGeneralLocal:
     def test_rank_deficient_zeta_rejected(self):
         local = GeneralLocalDirac(
             Chart(1, 2),
-            eta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            etahat=lambda x: np.array([[1.0, -1.0, 0.0]]),
-            zeta=lambda x: np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
+            lambda x: (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                       np.array([[1.0, -1.0, 0.0]]),
+                       np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])),
         )
         with pytest.raises(StructureError, match="zeta"):
             local.validate([np.zeros(1)])
@@ -464,15 +469,61 @@ class TestGeneralLocal:
         # numpy broadcast would fail without naming the block
         local = GeneralLocalDirac(
             Chart(1, 2),
-            eta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            etahat=lambda x: etahat,
-            zeta=lambda x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            lambda x: (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), etahat,
+                       np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
         )
         for use in (local.local_form, local.velocity_space):
             with pytest.raises(EvaluationError, match=message):
                 use(np.zeros(1))
         with pytest.raises(EvaluationError, match=message):
             local.membership_system(np.zeros(1), np.ones(2))
+
+    def test_each_user_field_is_evaluated_once_per_membership_system(self):
+        calls = {}
+
+        def counted(name, fn):
+            def field(x):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(x)
+            return field
+
+        canonical_blocks = (np.array([[0.0, 1.0]]), np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]]))
+        structures = {
+            "blocks": GeneralLocalDirac(Chart(1, 1), counted("blocks", lambda x: canonical_blocks)),
+            "splitting": GeneralLocalDirac.from_velocity_splitting(
+                Chart(1, 1), counted("eta", lambda x: canonical_blocks[0]),
+                counted("etahat", lambda x: canonical_blocks[1])),
+            "omega-graph": OmegaGraphDirac(Chart(1, 1), rho=counted("rho", lambda x: np.eye(1)),
+                                           cform=counted("cform", lambda x: np.zeros((1, 1, 1)))),
+        }
+        expected = {"blocks": {"blocks": 1}, "splitting": {"eta": 1, "etahat": 1},
+                    "omega-graph": {"rho": 1, "cform": 1}}
+        for name, dirac in structures.items():
+            for x in (0.3, -1.2):
+                calls.clear()
+                dirac.membership_system(np.array([x]), np.array([0.5]))
+                assert calls == expected[name], name
+
+    @pytest.mark.parametrize("builder, message", [
+        (lambda: GeneralLocalDirac.from_velocity_splitting(
+            Chart(1, 1), eta=lambda x: np.array([[0.0, 1.0]]),
+            etahat=lambda x: np.array([[1.0, -1.0]]), structure=lambda x: np.zeros((2, 2, 1))),
+         r"^structure functions have 2 rows, eta has 1$"),
+        (lambda: OmegaGraphDirac(Chart(2, 2), rho=lambda x: np.eye(2),
+                                 cform=lambda x: np.zeros((1, 1, 2))),
+         r"^structure functions have 1 rows, eta has 2$"),
+        (lambda: OmegaGraphDirac(Chart(2, 2), rho=lambda x: np.eye(2),
+                                 cform=lambda x: np.zeros((2, 2, 1))),
+         r"^structure has shape \(2, 2, 1\), expected \(r, r, 2\)$"),
+        (lambda: OmegaGraphDirac(Chart(2, 2), rho=lambda x: np.ones((2, 1)),
+                                 cform=lambda x: np.zeros((2, 2, 2))),
+         r"^rho has shape \(2, 1\), expected \(2, 2\)$"),
+    ], ids=["general-local-rank", "omega-graph-rank", "omega-graph-fiber", "omega-graph-rho"])
+    def test_fields_of_the_wrong_shape_are_evaluation_errors(self, builder, message):
+        # named, before numpy's matmul meets the mismatch
+        dirac = builder()
+        with pytest.raises(EvaluationError, match=message):
+            dirac.membership_system(np.zeros(dirac.chart.base_dim), np.ones(dirac.chart.fiber_dim))
 
 
 def _lopsided(shape):

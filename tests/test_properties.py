@@ -35,8 +35,6 @@ from diracmech import (
     nonholonomic_el_residual,
     pairing,
     pointwise_induce,
-    scale_dual,
-    scale_fiber,
     time_extend,
 )
 from diracmech.checks import (
@@ -49,7 +47,7 @@ from diracmech.linalg import max_principal_angle
 from diracmech.problems import lagrangian_problem
 from diracmech.systems import quadratic_lagrangian
 
-from conftest import make_random_pigraph
+from conftest import make_random_pigraph, scale_dual, scale_fiber
 
 TOL = 1e-9
 

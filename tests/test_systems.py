@@ -136,7 +136,7 @@ def test_disc_lagrangian_reads_its_mass_matrix_once_per_base_point(monkeypatch):
 def test_disc_hamiltonian_reads_dM_once_per_state(monkeypatch):
     calls = {"M": 0, "dM": 0}
     _counted_disc_mass(monkeypatch, calls)
-    ham = systems.rolling_disc_hamiltonian()
+    ham = build_system("rolling_disc").closed_hamiltonian
     x, xi = np.array([0.4]), np.array([1.0, -0.5, 0.3, 0.2])
     ham.grad_x(x, xi)
     ham.hess_xi(x, xi)
@@ -150,6 +150,16 @@ def test_disc_hamiltonian_reads_dM_once_per_state(monkeypatch):
     integrate(problem, np.array([0.3, 1.0, 2.0, 0.5, -0.4]), 0.0, 0.05, 0.005)
     assert len(states) > 11
     assert calls == {"M": len(states), "dM": len(states)}
+
+
+def test_lqr_constant_partials_are_built_once_and_read_only():
+    control = build_system("lqr_pmp", {"r": 2.5}).control
+    x, u = np.array([0.3]), np.array([-0.2])
+    for name, value in (("f_x", [[0.0]]), ("f_u", [[1.0]]), ("f_u_xu", [[[0.0, 0.0]]]),
+                        ("cost_u_xu", [[0.0, 2.5]])):
+        first = getattr(control, name)(x, u)
+        assert getattr(control, name)(-x, 3.0 * u) is first
+        assert np.array_equal(first, value) and not first.flags.writeable
 
 
 def test_memoised_lagrangian_is_bitwise_a_fresh_one():
