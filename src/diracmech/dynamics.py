@@ -70,13 +70,14 @@ def _over_point(partial, a, b, rel):
 
 def _last_point(compute):
     """``compute(x)`` or ``compute(x, xi)`` memoised on the bytes of the last point's float
-    arrays, key and value replaced as one tuple; a failed compute keeps no entry."""
-    last = [None]
+    arrays (x's bytes alone for ``compute(x)``, the pair for ``compute(x, xi)``),
+    key and value replaced as one tuple; a failed compute keeps no entry."""
+    last = [(None, None)]
 
     def at(x, xi=None):
-        key = (x.tobytes(), None if xi is None else xi.tobytes())
+        key = x.tobytes() if xi is None else (x.tobytes(), xi.tobytes())
         entry = last[0]
-        if entry is None or entry[0] != key:
+        if entry[0] != key:
             entry = last[0] = (key, compute(x) if xi is None else compute(x, xi))
         return entry[1]
 

@@ -1,5 +1,6 @@
 """Dense subspace helpers: kernels, spans, annihilators, principal angles,
-and the per-stage path's ``floats`` (float64 conversion) and ``identity``.
+and the per-stage path's ``floats`` (float64 conversion), ``identity`` and
+``zeros``.
 
 Subspaces are represented by matrices whose *columns* form an orthonormal
 basis.  Rank decisions use singular values with the relative threshold
@@ -30,6 +31,14 @@ def identity(m):
     eye = np.eye(m)
     eye.flags.writeable = False
     return eye
+
+
+@functools.lru_cache(maxsize=8)
+def zeros(*shape):
+    """The zero array of ``shape``, read-only and built once per shape."""
+    zero = np.zeros(shape)
+    zero.flags.writeable = False
+    return zero
 
 
 def null_space(a, scale=None):

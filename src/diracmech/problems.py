@@ -16,9 +16,10 @@ w = (xdot, xidot, p, y).  A builder supplies only its fill to ``_problem``:
 The solved rows are the ones the structure keeps for a rate solve
 (``rows = dirac.rate_rows``: every row but the pinned-fiber selector
 rows), so the affine parts are A = J[rows, :n+m] @ V, b = J[rows, n+m:] @
-(p, y) + const[rows].  Rates without a membership row (the Hamiltonian's pinned
-momentum rates, the control rates) are fixed by G, appended to A with
-zeros in b, so that A is square.  The algebraic channel ``algebraic(t,
+(p, y) + const[rows], with y alone on a point base, where p is empty.
+Rates without a membership row (the Hamiltonian's pinned momentum rates,
+the control rates) are fixed by G, appended to A with zeros in b, so that
+A is square.  The algebraic channel ``algebraic(t,
 state) -> (g, G)`` (``t`` unread, kept for the call shape) is the
 structure's phase equations at (x, xi), when it has any, with G = P @ V
 from their Jacobian P over (x, xi), followed by the pinned value and G:
@@ -76,6 +77,7 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
     take_rows = not isinstance(rows, slice)  # a slice keeps every row
     has_phase = bool(dirac.phase_residual(np.zeros(n), np.zeros(m)).size)
     has_channel = has_phase or pinned is not None
+    point_base = n == 0  # the p slot is empty
 
     def assemble(state):
         x, xi, y = point(state)
@@ -84,7 +86,7 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
         if take_rows:
             J, const = J.take(rows, axis=0), const.take(rows)
         A = J[:, :n + m] @ V
-        b = J[:, n + m:] @ np.concatenate([p, y]) + const
+        b = J[:, n + m:] @ (y if point_base else np.concatenate([p, y])) + const
         if not has_channel:
             return (A, b), None
         g, G = [], []
@@ -129,6 +131,8 @@ def lagrangian_problem(dirac, lagrangian):
         return x, lagrangian.grad_y(x, y), y
 
     def fill(state, x, xi, y):
+        if n == 0:  # a point base: V is the xidot block, and hess_yx is empty
+            return lagrangian.hess_yy(x, y)[:, dirac._free], -lagrangian.grad_x(x, y)
         V = template.copy()
         V[n:, :n] = lagrangian.hess_yx(x, y)
         V[n:, n:] = lagrangian.hess_yy(x, y)[:, dirac._free]

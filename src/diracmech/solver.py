@@ -174,6 +174,7 @@ def solve_rate(problem, t, state, rate_guess=None):
                 raise SolverError(f"LAPACK dgetrf failed with info={info} at t={t}")
             slot = problem._factors = (key, sigma, lu, piv)
         _, _, lu, piv = slot
+        # -r then guess + step: guess - dgetrs(r) is equal but flips the sign of zero entries
         step, info = dgetrs(lu, piv, -r, overwrite_b=1)
         if info:
             raise SolverError(f"LAPACK dgetrs failed with info={info} at t={t}")

@@ -12,9 +12,18 @@ from .algebroid import Chart, SkewAlgebroid
 from .constraints import LinearConstraint, induce
 from .dirac import CanonicalDirac, PiGraphDirac, _constant, time_extend
 from .dynamics import ControlSystem, Hamiltonian, Lagrangian, _last_point, legendre_transform
-from .errors import HyperregularityError, ScenarioError
-from .linalg import identity
+from .errors import HyperregularityError, ScenarioError, StructureError
+from .linalg import identity, zeros
 from .problems import hamiltonian_problem, lagrangian_problem, pmp_problem
+
+
+def _check_potential(potential, potential_grad, name):
+    """Raise StructureError unless ``potential`` and ``potential_grad`` come
+    together: either one alone would drop U or its force from the dynamics."""
+    if (potential is None) != (potential_grad is None):
+        missing = "potential_grad" if potential_grad is None else "potential"
+        raise StructureError(f"quadratic system {name or '<anonymous>'} has no {missing}: "
+                             "give potential and potential_grad together")
 
 
 def quadratic_lagrangian(mass_matrix, mass_matrix_diff=None, potential=None,
@@ -22,10 +31,15 @@ def quadratic_lagrangian(mass_matrix, mass_matrix_diff=None, potential=None,
     """L(x, y) = y . M(x) y / 2 - U(x) with analytic partials.
 
     ``mass_matrix_diff(x)`` returns the stacked derivatives dM/dx^a with
-    shape (n, m, m); omit it for constant mass matrices.  L and its partials
+    shape (n, m, m); omit it for constant mass matrices.  ``potential`` and
+    ``potential_grad`` come together or not at all.  L and its partials
     share one (M, dM) per base point, memoised on the bytes of x; ``hess_yy``
-    hands out that M, read-only.
+    hands out that M, read-only.  Without ``mass_matrix_diff``, ``hess_yx``
+    is one shared read-only zero array per shape, and so is ``grad_x`` when
+    there is no potential either.
     """
+    _check_potential(potential, potential_grad, name)
+
     def evaluate(x):
         M = np.array(mass_matrix(x), dtype=float)
         M.flags.writeable = False
@@ -38,6 +52,8 @@ def quadratic_lagrangian(mass_matrix, mass_matrix_diff=None, potential=None,
         return 0.5 * float(y @ (matrices(x)[0] @ y)) - u
 
     def grad_x(x, y):
+        if mass_matrix_diff is None and potential is None:
+            return zeros(x.size)
         g = np.zeros(x.size)
         if mass_matrix_diff is not None:
             g += 0.5 * np.einsum("aij,i,j->a", matrices(x)[1], y, y)
@@ -53,7 +69,7 @@ def quadratic_lagrangian(mass_matrix, mass_matrix_diff=None, potential=None,
 
     def hess_yx(x, y):
         if mass_matrix_diff is None:
-            return np.zeros((y.size, x.size))
+            return zeros(y.size, x.size)
         return np.einsum("aij,j->ia", matrices(x)[1], y)
 
     return Lagrangian(fn, grad_x=grad_x, grad_y=grad_y, hess_yy=hess_yy,
@@ -68,8 +84,12 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
     on the bytes of (x, xi) with w = M^-1 xi (bitwise what
     ``np.linalg.solve(M, xi)`` gives), and ``grad_x`` and ``hess_xi`` one
     dM there.  ``hess_xi`` is exact, [-M^-1 (dM/dx) w, M^-1], with zero
-    x-columns without ``mass_matrix_diff``.
+    x-columns without ``mass_matrix_diff``.  ``potential`` and
+    ``potential_grad`` come together or not at all; with neither and without
+    ``mass_matrix_diff``, ``grad_x`` is one shared read-only zero array.
     """
+    _check_potential(potential, potential_grad, name)
+
     def factor(x, xi):
         x = np.asarray(x, dtype=float).reshape(-1)
         lu, piv, info = dgetrf(np.asarray(mass_matrix(x), dtype=float))
@@ -90,7 +110,9 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
         return factored(x, xi)[2].copy()
 
     def grad_x(x, xi):
-        g = np.zeros(np.asarray(x).size)
+        if mass_matrix_diff is None and potential is None:
+            return zeros(x.size)
+        g = np.zeros(x.size)
         if mass_matrix_diff is not None:
             _, _, w, dM = factored(x, xi)
             g -= 0.5 * np.einsum("aij,i,j->a", dM, w, w)

@@ -834,3 +834,27 @@ class TestBoundPartials:
         assert column.grad_y(np.zeros(1), np.zeros(2)).shape == (2,)
         same = Lagrangian(lambda x, y: 0.0, grad_y=lambda x, y: flat)
         assert same.grad_y(np.zeros(1), np.zeros(2)) is flat
+
+
+class TestLastPoint:
+    @pytest.mark.parametrize("pair", [False, True], ids=["x", "x-xi"])
+    def test_a_compute_that_raises_keeps_the_previous_entry(self, pair):
+        calls = []
+
+        def compute(*point):
+            calls.append(point)
+            if point[0][0] < 0.0:
+                raise EvaluationError("negative point")
+            return [float(sum(a.sum() for a in point))]
+
+        at = dynamics._last_point(compute)
+        good = (np.array([1.0]),) + ((np.array([2.0]),) if pair else ())
+        bad = (np.array([-1.0]),) + ((np.array([2.0]),) if pair else ())
+        first = at(*good)
+        for _ in range(2):
+            with pytest.raises(EvaluationError):
+                at(*bad)
+        # the failed point was computed each time; the good one still hits
+        assert at(*good) is first and len(calls) == 3
+        if pair:  # the pair key reads xi too
+            assert at(np.array([1.0]), np.array([5.0])) == [6.0] and len(calls) == 4

@@ -15,11 +15,17 @@ algebroids, the canonical structure and the clock extension of either)
 return membership rows from a table; those are compared with the kernel
 evaluated directly, on an instance that never builds a table, and checked
 for isotropy and core = annihilator through the table.
+
+The affine parts of the Lagrangian and closed-form Hamiltonian problems of a
+constant mass matrix, on random point-base algebroids with random pinned
+fibers (and on one base of positive dimension), are bitwise those of the
+general template formula: the full rate map V with its hess_yx block, and
+the slot product with ``np.concatenate([p, y])``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracmech import (
@@ -44,8 +50,8 @@ from diracmech.checks import (
     isotropy_check,
 )
 from diracmech.linalg import max_principal_angle
-from diracmech.problems import lagrangian_problem
-from diracmech.systems import quadratic_lagrangian
+from diracmech.problems import hamiltonian_problem, lagrangian_problem
+from diracmech.systems import quadratic_hamiltonian, quadratic_lagrangian
 
 from conftest import make_random_pigraph, scale_dual, scale_fiber
 
@@ -268,3 +274,68 @@ def test_tabulated_structures_are_isotropic_with_core_annihilator(structure):
     assert isotropy_check(dirac, probes=3, seed=seed)["max_violation"] <= ISOTROPY_TOL
     assert dirac._table is not None
     assert core_annihilator_check(dirac, probes=3, seed=seed)["max_violation"] <= CORE_TOL
+
+
+def _template_affine(dirac, x, xi, y, V, p, pinned_rows=None):
+    """(A, b) by the general formula, with the pinned rows appended as given."""
+    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+    J, const = dirac._membership(x, xi)
+    if not isinstance(dirac.rate_rows, slice):
+        J, const = J.take(dirac.rate_rows, axis=0), const.take(dirac.rate_rows)
+    A = J[:, :n + m] @ V
+    b = J[:, n + m:] @ np.concatenate([p, y]) + const
+    if pinned_rows is not None:
+        A, b = np.concatenate([A, pinned_rows]), np.concatenate([b, np.zeros(len(pinned_rows))])
+    return A, b
+
+
+def _assert_bitwise(actual, expected):
+    for a, e in zip(actual, expected):
+        assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+
+def _check_constant_mass_assembly(dirac, M, rng):
+    n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+    free, pins = list(dirac.free_fiber), list(dirac.pinned_fiber)
+    lag, ham = quadratic_lagrangian(lambda x: M), quadratic_hamiltonian(lambda x: M)
+    lagrangian, hamiltonian = lagrangian_problem(dirac, lag), hamiltonian_problem(dirac, ham)
+    for _ in range(3):
+        state = rng.standard_normal(n + len(free))
+        x, y = state[:n], dirac.embed_fiber(state[n:])
+        V = np.eye(n + m, n + len(free))
+        V[n:, :n] = lag.hess_yx(x, y)
+        V[n:, n:] = lag.hess_yy(x, y)[:, free]
+        expected = _template_affine(dirac, x, lag.grad_y(x, y), y, V, -lag.grad_x(x, y))
+        _assert_bitwise(lagrangian.affine(0.0, state), expected)
+
+        state = rng.standard_normal(n + m)
+        x, xi = state[:n], state[n:]
+        pinned_rows = ham.hess_xi(x, xi).take(pins, axis=0) if pins else None
+        expected = _template_affine(dirac, x, xi, ham.grad_xi(x, xi), np.eye(n + m),
+                                    ham.grad_x(x, xi), pinned_rows)
+        _assert_bitwise(hamiltonian.affine(0.0, state), expected)
+
+
+@settings(deadline=None, max_examples=10)
+@given(m=st.integers(1, 4), pins=st.lists(st.booleans(), min_size=4, max_size=4),
+       seed=st.integers(0, 2**16))
+@example(m=3, pins=[False, False, True, False], seed=0)  # the free fibers are a slice
+@example(m=3, pins=[False, True, False, False], seed=1)  # an index array
+def test_point_base_assembly_is_the_template_formula_bitwise(m, pins, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m, m, m))
+    c = raw - np.swapaxes(raw, 0, 1)
+    half = rng.standard_normal((m, m))
+    M = half @ half.T + m * np.eye(m)
+    zero = [i for i in range(m - 1) if pins[i]]  # the last fiber stays free
+    dirac = PiGraphDirac(SkewAlgebroid(Chart(0, m), lambda x: np.zeros((0, m)), lambda x: c))
+    _check_constant_mass_assembly(induce(dirac, LinearConstraint(fiber=zero)) if zero else dirac,
+                                  M, rng)
+
+
+def test_based_assembly_is_the_template_formula_bitwise():
+    rng = np.random.default_rng(3)
+    half = rng.standard_normal((3, 3))
+    dirac = induce(PiGraphDirac(make_random_pigraph(seed=3, base_dim=2, fiber_dim=3)),
+                   LinearConstraint(fiber=(1,)))
+    _check_constant_mass_assembly(dirac, half @ half.T + 3.0 * np.eye(3), rng)

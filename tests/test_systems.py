@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
-from diracmech import ScenarioError, integrate, legendre_transform
+from diracmech import ScenarioError, StructureError, integrate, legendre_transform
 from diracmech.linalg import max_principal_angle
 from diracmech import systems
 from diracmech.systems import CATALOG, build_problem, build_system
@@ -163,15 +163,79 @@ def test_lqr_constant_partials_are_built_once_and_read_only():
 
 
 def test_memoised_lagrangian_is_bitwise_a_fresh_one():
-    lag = systems.rolling_disc_lagrangian(1.1, 0.9, 1.05, 1.2)
-    points = [(np.array([0.4]), np.array([1.0, -2.0, 0.5, 0.25])),
-              (np.array([-1.3]), np.array([0.3, 0.7, -0.1, 2.0]))]
-    for x, y in points * 3:
-        fresh = systems.rolling_disc_lagrangian(1.1, 0.9, 1.05, 1.2)
-        assert lag(x, y) == fresh(x, y)
-        assert lag.energy(x, y) == fresh.energy(x, y)
-        for partial in ("grad_x", "grad_y", "hess_yy", "hess_yx"):
-            assert np.array_equal(getattr(lag, partial)(x, y), getattr(fresh, partial)(x, y))
+    # the disc (x-dependent M and dM), the Euler top (a point base) and the
+    # oscillator (constant M with a potential)
+    cases = [
+        (lambda: systems.rolling_disc_lagrangian(1.1, 0.9, 1.05, 1.2),
+         [(np.array([0.4]), np.array([1.0, -2.0, 0.5, 0.25])),
+          (np.array([-1.3]), np.array([0.3, 0.7, -0.1, 2.0]))]),
+        (lambda: build_system("euler_top", {"J3": 3.5}).lagrangian,
+         [(np.zeros(0), np.array([1.0, -2.0, 0.5])), (np.zeros(0), np.array([0.3, 0.7, -0.1]))]),
+        (lambda: build_system("harmonic_oscillator", {"spring": 2.5}).lagrangian,
+         [(np.array([0.4]), np.array([1.0])), (np.array([-1.3]), np.array([-0.2]))]),
+    ]
+    for build, points in cases:
+        lag = build()
+        for x, y in points * 3:
+            fresh = build()
+            assert lag(x, y) == fresh(x, y)
+            assert lag.energy(x, y) == fresh.energy(x, y)
+            for partial in ("grad_x", "grad_y", "hess_yy", "hess_yx"):
+                assert np.array_equal(getattr(lag, partial)(x, y), getattr(fresh, partial)(x, y))
+
+
+def test_quadratic_constant_partials_are_built_once_and_read_only():
+    # without dM, hess_yx is constant zeros, and grad_x too without a potential
+    lag = systems.quadratic_lagrangian(lambda x: np.diag([1.0, 2.0]))
+    ham = systems.quadratic_hamiltonian(lambda x: np.diag([1.0, 2.0]))
+    points = [(np.array([0.3]), np.array([1.0, -2.0])), (np.array([-1.2]), np.array([0.5, 0.25]))]
+    for partial, shape in ((lag.hess_yx, (2, 1)), (lag.grad_x, (1,)), (ham.grad_x, (1,))):
+        first = partial(*points[0])
+        assert partial(*points[1]) is first
+        assert first.shape == shape and not first.any() and not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 1.0
+    # a point base reads the zero arrays of its own (empty) shapes
+    assert lag.grad_x(np.zeros(0), np.ones(2)).shape == (0,)
+    assert lag.hess_yx(np.zeros(0), np.ones(2)).shape == (2, 0)
+
+
+@pytest.mark.parametrize("builder", ["lagrangian", "hamiltonian"])
+@pytest.mark.parametrize("terms", ["dM", "potential"])
+def test_quadratic_partials_with_dM_or_a_potential_are_fresh(builder, terms):
+    def mass(x):
+        return np.diag([2.0 + np.sin(x[0]), 1.5])
+
+    def mass_diff(x):
+        return np.array([np.diag([np.cos(x[0]), 0.0])])
+
+    kwargs = ({"mass_matrix": mass, "mass_matrix_diff": mass_diff} if terms == "dM" else
+              {"mass_matrix": lambda x: np.diag([2.0, 1.5]),
+               "potential": lambda x: float(np.cos(x[0])),
+               "potential_grad": lambda x: np.array([-np.sin(x[0])])})
+    system = getattr(systems, f"quadratic_{builder}")(**kwargs)
+    partials = ["grad_x"] + (["hess_yx"] if builder == "lagrangian" and terms == "dM" else [])
+    x, v = np.array([0.3]), np.array([1.0, -2.0])
+    for name in partials:
+        partial = getattr(system, name)
+        first = partial(x, v)
+        expected = first.copy()
+        assert first.flags.writeable and first.any()
+        first.fill(np.nan)
+        again = partial(x, v)
+        assert again is not first and np.array_equal(again, expected)
+
+
+@pytest.mark.parametrize("builder", ["lagrangian", "hamiltonian"])
+@pytest.mark.parametrize("given", ["potential", "potential_grad"])
+def test_potential_and_its_gradient_come_together(builder, given):
+    # a potential without its gradient used to drop the force silently: the
+    # oscillator below stood still at x = 1 instead of reaching cos(1)
+    halves = {"potential": lambda x: 0.5 * float(x[0] ** 2),
+              "potential_grad": lambda x: np.array([x[0]])}
+    missing = "potential_grad" if given == "potential" else "potential"
+    with pytest.raises(StructureError, match=f"has no {missing}: give potential and"):
+        getattr(systems, f"quadratic_{builder}")(lambda x: np.eye(1), **{given: halves[given]})
 
 
 def test_lagrangian_hands_out_a_read_only_copy_of_the_mass_matrix():
