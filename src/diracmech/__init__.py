@@ -27,7 +27,6 @@ from .dirac import (
     TimeExtendedDirac,
     VelocityPair,
     pairing,
-    time_extend,
 )
 from .dynamics import (
     ControlSystem,
@@ -112,5 +111,4 @@ __all__ = [
     "pointwise_induce",
     "project_initial",
     "solve_rate",
-    "time_extend",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .algebroid import JACOBI_TOL
 from .constraints import check_integrability
-from .dirac import ISOTROPY_TOL, TimeExtendedDirac
+from .dirac import ISOTROPY_TOL
 from .dynamics import el_residual, hamilton_residual
 from .errors import DiracMechError
 
@@ -60,13 +60,9 @@ def core_annihilator_check(dirac, probes=50, seed=0):
     return _verdict(worst, CORE_TOL)
 
 
-def _graph(dirac):
-    """The structure a clock extension extends, or else ``dirac`` itself."""
-    return dirac.base if isinstance(dirac, TimeExtendedDirac) else dirac
-
-
 def integrability_check(dirac):
-    return dict(check_integrability(_graph(dirac)).as_dict(), passed=True)  # informational verdict
+    # informational verdict
+    return dict(check_integrability(dirac.clock_base or dirac).as_dict(), passed=True)
 
 
 def legendre_equivalence_check(dirac, lagrangian, hamiltonian, probes=50, seed=0):
@@ -129,7 +125,7 @@ def run_checks(bundle, names, seed=0):
         if name == "isotropy":
             results[name] = isotropy_check(bundle.dirac, seed=seed)
         elif name == "jacobi":
-            algebroid = getattr(_graph(bundle.dirac), "algebroid", None)
+            algebroid = getattr(bundle.dirac.clock_base or bundle.dirac, "algebroid", None)
             if algebroid is None:
                 results[name] = {"skipped": "system exposes no algebroid", "passed": True}
             else:
@@ -142,7 +138,7 @@ def run_checks(bundle, names, seed=0):
             except DiracMechError as err:
                 results[name] = {"skipped": str(err), "passed": True}
         elif name == "legendre_equivalence":
-            if bundle.lagrangian is None or isinstance(bundle.dirac, TimeExtendedDirac):
+            if bundle.lagrangian is None or bundle.dirac.clock_base is not None:
                 results[name] = {"skipped": "needs an autonomous Lagrangian", "passed": True}
             elif bundle.closed_hamiltonian is None:
                 results[name] = {"skipped": "needs a closed-form Hamiltonian", "passed": True}

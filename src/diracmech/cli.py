@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CHECK_NAMES, run_checks
-from .dirac import TimeExtendedDirac
 from .errors import (ConstraintError, DegenerateDynamicsError, DiracMechError, ScenarioError,
                      SolverError)
 from .solver import METHODS, admissibility_report, integrate, project_initial, step_count
@@ -306,7 +305,7 @@ def _run(scenario, out_dir, check_only, report):
     if check_only:
         return EXIT_OK
 
-    clocked = isinstance(bundle.dirac, TimeExtendedDirac)
+    clocked = bundle.dirac.clock_base is not None
     expected = problem.state_dim - clocked
     if len(scenario.initial) != expected:
         clock = " (the clock is prepended from time.t0)" if clocked else ""

@@ -162,7 +162,8 @@ class DiracAlgebroid:
     terms only membership reads, both at a checked x (``local_form`` and
     ``structure_terms`` check it), and the phase hook ``_phase(x, xi)``.
     ``x_independent`` defaults to a point base; graphs read it from their
-    algebroid, clock extensions from their base.
+    algebroid, clock extensions from their base.  ``clock_base`` is the
+    structure a clock extension extends, and None on every other structure.
 
     Every structure carries the adapted selectors of the constraints it was
     induced by: ``zero_fiber`` (fiber indices pinned to y = 0),
@@ -177,6 +178,8 @@ class DiracAlgebroid:
     values, and ``rate_rows`` selects the membership rows a rate solve
     keeps, every row but the selector rows.
     """
+
+    clock_base = None
 
     def __init__(self, chart, zero_fiber=(), zero_base=(), fixed_fiber=None):
         self.chart = chart
@@ -410,19 +413,21 @@ class DiracAlgebroid:
         return self._phase_point(_as_base_point(self.chart, x))[0]
 
     def _phase_point(self, x):
-        """(``phase_point`` at a checked x, whether there are phase equations at x)."""
+        """(``phase_point`` at a checked x, the xi-columns of the phase
+        Jacobian at (x, 0), or None without phase equations at x)."""
         xi0 = np.zeros(self.chart.fiber_dim)
         res0, P = self._phase(x, xi0)
         if res0.size == 0:
-            return xi0, False
-        sol, *_ = np.linalg.lstsq(P[:, x.size:], -res0, rcond=None)
+            return xi0, None
+        P_xi = P[:, x.size:]
+        sol, *_ = np.linalg.lstsq(P_xi, -res0, rcond=None)
         xi = xi0 + sol
         ok, res = self.phase_membership(x, xi)
         if not ok:
             raise ConstraintError(
                 f"no dual point found on the phase support at x={x}: residual {res}"
             )
-        return xi, True
+        return xi, P_xi
 
     def sample_phase_point(self, rng):
         """Random (x, xi) on the phase support, as float arrays of lengths n and m.
@@ -430,15 +435,15 @@ class DiracAlgebroid:
         x is a standard normal point projected onto the base support.  With
         no phase equations at x, xi is standard normal; otherwise it is
         ``phase_point(x)`` plus a standard normal step in the null space of
-        the phase Jacobian's xi-columns there.  The phase is evaluated once
-        on a structure without phase equations.
+        the xi-columns of the phase Jacobian that ``phase_point`` solved
+        with (the phase is affine in xi).  The Jacobian is taken once.
         """
         n, m = self.chart.base_dim, self.chart.fiber_dim
         x = self.project_support(rng.standard_normal(n))
-        xi0, phased = self._phase_point(x)
-        if not phased:
+        xi0, P_xi = self._phase_point(x)
+        if P_xi is None:
             return x, rng.standard_normal(m)
-        K = linalg.null_space(self._phase(x, xi0)[1][:, n:])
+        K = linalg.null_space(P_xi)
         return x, xi0 + K @ rng.standard_normal(K.shape[1])
 
 
@@ -671,7 +676,7 @@ class TimeExtendedDirac(DiracAlgebroid):
     conjugate momentum slot stays free (a new core direction).  All other
     data of the underlying structure is kept, evaluated at the original
     base coordinates, and so are its selectors, the base indices shifted
-    past the clock.
+    past the clock.  ``clock_base`` is the extended structure.
     """
 
     def __init__(self, base):
@@ -683,16 +688,16 @@ class TimeExtendedDirac(DiracAlgebroid):
         )
         super().__init__(chart, base.zero_fiber, tuple(a + 1 for a in base.zero_base),
                          base.fixed_fiber)
-        self.base = base
+        self.clock_base = base
         self._clock_row = _constant(np.eye(1, chart.base_dim + chart.fiber_dim))
 
     @property
     def x_independent(self):
         # the base is evaluated at x[1:]; the clock coordinate is never read
-        return self.base.x_independent
+        return self.clock_base.x_independent
 
     def _local_form(self, x):
-        eta, etahat, zeta, offset = self.base._local_form(x[1:])
+        eta, etahat, zeta, offset = self.clock_base._local_form(x[1:])
         if offset is None:
             offset = np.zeros(etahat.shape[0])
         return LocalForm(
@@ -703,21 +708,16 @@ class TimeExtendedDirac(DiracAlgebroid):
         )
 
     def _structure_terms(self, x):
-        return self.base._structure_terms(x[1:])
+        return self.clock_base._structure_terms(x[1:])
 
     def _phase(self, x, xi):
-        value, P = self.base._phase(x[1:], xi)
+        value, P = self.clock_base._phase(x[1:], xi)
         return value, _clocked(P)
 
     def _phase_values(self, x, xi):
-        return self.base._phase_values(x[1:], xi)
+        return self.clock_base._phase_values(x[1:], xi)
 
 
 def _clocked(block):
     """Base rows with a zero column for the clock slot in front."""
     return np.hstack([np.zeros((block.shape[0], 1)), block])
-
-
-def time_extend(dirac):
-    """Extend a structure by a unit-speed clock coordinate."""
-    return TimeExtendedDirac(dirac)

@@ -97,16 +97,12 @@ def intersect_span_with_kernel(span_cols, constraint_rows):
     return orthonormal_span(b @ alpha)
 
 
-def principal_angles(a_cols, b_cols):
-    """Principal angles (radians, descending) between two column spans."""
+def max_principal_angle(a_cols, b_cols):
+    """Largest principal angle (radians) between two column spans, 0.0 when
+    either is empty."""
     a = np.atleast_2d(np.asarray(a_cols, dtype=float))
     b = np.atleast_2d(np.asarray(b_cols, dtype=float))
     if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros(0)
-    return scipy.linalg.subspace_angles(a, b)
-
-
-def max_principal_angle(a_cols, b_cols):
-    ang = principal_angles(a_cols, b_cols)
-    return float(ang[0]) if ang.size else 0.0
+        return 0.0
+    return float(scipy.linalg.subspace_angles(a, b)[0])
 

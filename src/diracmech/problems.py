@@ -33,7 +33,6 @@ verification share it).
 
 import numpy as np
 
-from .dirac import TimeExtendedDirac
 from .errors import SolverError
 from .linalg import _FLOAT
 from .solver import ImplicitProblem
@@ -131,15 +130,15 @@ def lagrangian_problem(dirac, lagrangian):
         return x, lagrangian.grad_y(x, y), y
 
     def fill(state, x, xi, y):
-        if n == 0:  # a point base: V is the xidot block, and hess_yx is empty
-            return lagrangian.hess_yy(x, y)[:, dirac._free], -lagrangian.grad_x(x, y)
+        if n == 0:  # a point base: V is the xidot block; hess_yx is empty, and assemble reads no p
+            return lagrangian.hess_yy(x, y)[:, dirac._free], None
         V = template.copy()
         V[n:, :n] = lagrangian.hess_yx(x, y)
         V[n:, n:] = lagrangian.hess_yy(x, y)[:, dirac._free]
         return V, -lagrangian.grad_x(x, y)
 
     monitors = {}
-    if not isinstance(dirac, TimeExtendedDirac):
+    if dirac.clock_base is None:
         def energy(t, state):
             return lagrangian.energy(state[:n], dirac.embed_fiber(state[n:]))
 

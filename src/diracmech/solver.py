@@ -299,9 +299,8 @@ def integrate(problem, state0, t0, t1, dt, method="rk4"):
 
 
 class AdmissibilityReport:
-    def __init__(self, norms, times):
+    def __init__(self, norms):
         self.norms = np.asarray(norms, dtype=float)
-        self.times = np.asarray(times, dtype=float)
 
     @property
     def max(self):
@@ -325,4 +324,4 @@ def admissibility_report(dirac, trajectory):
     else:
         res = np.array([dirac.velocity_residual(VelocityPair(*pair))
                         for pair in zip(X, Xdot, Y)])
-    return AdmissibilityReport(np.max(np.abs(res), axis=1, initial=0.0), trajectory.times)
+    return AdmissibilityReport(np.max(np.abs(res), axis=1, initial=0.0))

@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .algebroid import Chart, SkewAlgebroid
 from .constraints import LinearConstraint, induce
-from .dirac import CanonicalDirac, PiGraphDirac, _constant, time_extend
+from .dirac import CanonicalDirac, PiGraphDirac, TimeExtendedDirac, _constant
 from .dynamics import ControlSystem, Hamiltonian, Lagrangian, _last_point, legendre_transform
 from .errors import HyperregularityError, ScenarioError, StructureError
 from .linalg import identity, zeros
@@ -298,7 +298,7 @@ def _build_forced_oscillator(params, constraint):
     mass, k0, eps, omega = params["mass"], params["k0"], params["eps"], params["omega"]
     if constraint is not None:
         raise ScenarioError("forced_oscillator_timedep takes no constraint")
-    dirac = time_extend(CanonicalDirac(1, base_labels=("x",)))
+    dirac = TimeExtendedDirac(CanonicalDirac(1, base_labels=("x",)))
 
     def stiffness(t):
         return k0 * (1.0 + eps * np.sin(omega * t))

@@ -24,12 +24,12 @@ from diracmech import (
     InitializationError,
     LinearConstraint,
     PiGraphDirac,
+    TimeExtendedDirac,
     fd,
     induce,
     integrate,
     legendre_transform,
     project_initial,
-    time_extend,
 )
 from diracmech.checks import isotropy_check
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
@@ -110,7 +110,7 @@ def _problem(case, seed, n, m, zero):
     if case == "lagrangian-support":
         return lagrangian_problem(supported, lag)
     if case == "lagrangian-support-clocked":
-        return lagrangian_problem(time_extend(supported), clocked_lagrangian(lag))
+        return lagrangian_problem(TimeExtendedDirac(supported), clocked_lagrangian(lag))
     if case == "hamiltonian-closed":
         return hamiltonian_problem(supported, quadratic_hamiltonian(mass, mass_diff))
     if case == "hamiltonian-legendre":

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmech import (CanonicalDirac, Chart, LinearConstraint, OmegaGraphDirac, PiGraphDirac,
-                       SkewAlgebroid, TimeExtendedDirac, induce)
+                       SkewAlgebroid, induce)
 from diracmech.algebroid import JACOBI_TOL
 from diracmech import dirac as dirac_module
 from diracmech.checks import (
@@ -87,7 +87,7 @@ def integrability(dirac):
 
 
 def assert_checks_match_reference(dirac, probes):
-    graph = dirac.base if isinstance(dirac, TimeExtendedDirac) else dirac
+    graph = dirac.clock_base or dirac
     algebroid = getattr(graph, "algebroid", None)
     if algebroid is not None:
         assert jacobi_check(algebroid, probes=probes) == jacobi_reference(algebroid, probes)

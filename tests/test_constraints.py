@@ -12,10 +12,10 @@ from diracmech import (
     PontryaginPoint,
     SkewAlgebroid,
     StructureError,
+    TimeExtendedDirac,
     check_integrability,
     induce,
     pointwise_induce,
-    time_extend,
 )
 from diracmech.constraints import INTEGRABILITY_PROBES, INTEGRABILITY_SEED
 from diracmech.linalg import max_principal_angle
@@ -193,7 +193,7 @@ class TestInduceAffine:
         # extend a graph structure by the clock, and compare against pinning
         # an extra fiber coordinate to one on the enlarged bundle
         base_alg = make_random_pigraph(seed=11, base_dim=1, fiber_dim=2)
-        extended = time_extend(PiGraphDirac(base_alg))
+        extended = TimeExtendedDirac(PiGraphDirac(base_alg))
 
         chart = Chart(2, 3)
 
@@ -272,6 +272,21 @@ class TestIntegrability:
         assert report.cond1 is False
         assert report.cond2 is True
         assert report.anchor_witness["entry"] == (1, 0)
+
+    @pytest.mark.parametrize("eps, closes", [(5e-10, True), (2e-9, False)])
+    def test_structure_condition_holds_to_the_integrability_tolerance(self, eps, closes):
+        # a bundle of Lie algebras (zero anchor) whose bracket [e0, e1] = eps e2
+        # leaves the kept fibers by eps, either side of INTEGRABILITY_TOL = 1e-9
+        def structure(x):
+            c = np.zeros((3, 3, 3))
+            c[0, 1, 2], c[1, 0, 2] = eps, -eps
+            return c
+
+        alg = SkewAlgebroid(Chart(1, 3), lambda x: np.zeros((1, 3)), structure)
+        report = check_integrability(induce(PiGraphDirac(alg), LinearConstraint(fiber=(2,))))
+        assert report.cond1 is True
+        assert report.cond2 is closes
+        assert report.structure_violation == eps
 
     @pytest.mark.parametrize("algebroid, constraint", [
         (rolling_disc_algebroid(), LinearConstraint(fiber=(2, 3))),

@@ -14,18 +14,21 @@ from diracmech import (
     PontryaginPoint,
     SkewAlgebroid,
     StructureError,
+    TimeExtendedDirac,
     VelocityPair,
     induce,
     integrate,
     lagrangian_problem,
     pairing,
+    project_initial,
     solve_rate,
-    time_extend,
 )
 from diracmech.checks import isotropy_check
 from diracmech.linalg import annihilator, max_principal_angle
 from diracmech.errors import EvaluationError
 from diracmech.systems import (
+    build_problem,
+    build_system,
     quadratic_lagrangian,
     rolling_disc_algebroid,
     rolling_disc_lagrangian,
@@ -252,7 +255,7 @@ class TestPhase:
             etahat=lambda x: np.hstack([np.eye(2), -np.eye(2)]),
             phase=phase,
         )
-        clocked = time_extend(local)
+        clocked = TimeExtendedDirac(local)
         x, xi = np.array([1.0, 0.5]), np.array([0.25, -1.0])
         value, P = local._phase(x, xi)
         assert len(calls) == 7  # 1 + 2n + m evaluations for the Jacobian
@@ -263,6 +266,27 @@ class TestPhase:
         clocked_value, clocked_P = clocked._phase(np.concatenate([[3.0], x]), xi)
         assert np.array_equal(clocked_value, value)
         assert np.array_equal(clocked_P, np.hstack([np.zeros((1, 1)), P]))
+
+    def test_sample_phase_point_takes_the_phase_jacobian_once(self):
+        calls = []
+
+        def phase(x, xi):
+            calls.append(1)
+            return np.array([x[1] + 2.0 * xi[0]])
+
+        local = GeneralLocalDirac.from_velocity_splitting(
+            Chart(2, 2),
+            eta=lambda x: np.hstack([np.zeros((2, 2)), np.eye(2)]),
+            etahat=lambda x: np.hstack([np.eye(2), -np.eye(2)]),
+            phase=phase,
+        )
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            del calls[:]
+            x, xi = local.sample_phase_point(rng)
+            # 1 + 2n + m for the Jacobian at (x, 0), 1 for the membership test
+            assert len(calls) == 8
+            assert local.phase_membership(x, xi)[0]
 
     def test_wrong_length_xi_or_y_is_an_evaluation_error(self):
         dirac = induce(CanonicalDirac(2), LinearConstraint(base=(0,)))
@@ -387,7 +411,7 @@ class TestTimeExtension:
         lambda: PiGraphDirac(make_random_pigraph(seed=3)),
     ], ids=["canonical", "pi-graph"])
     def test_unconstrained_bases_build_lagrangian_problems(self, base):
-        ext = time_extend(base())
+        ext = TimeExtendedDirac(base())
         n, m = ext.chart.base_dim, ext.chart.fiber_dim
         lag = quadratic_lagrangian(lambda x: np.eye(m))
         problem = lagrangian_problem(ext, lag)
@@ -397,19 +421,19 @@ class TestTimeExtension:
 
     def test_keeps_the_base_selectors_past_the_clock(self, disc_pi):
         base = induce(disc_pi, AffineConstraint(fixed=1, fiber=(3,), base=(0,)))
-        ext = time_extend(base)
+        ext = TimeExtendedDirac(base)
         assert ext.zero_fiber == (3,) and ext.fixed_fiber == 1
         assert ext.zero_base == (1,) and ext.free_fiber == base.free_fiber
         assert np.array_equal(ext.project_support([0.5, 0.7]), [0.5, 0.0])
 
     def test_dimension_gains_clock_direction(self, canonical1):
-        ext = time_extend(canonical1)
+        ext = TimeExtendedDirac(canonical1)
         assert ext.chart.base_dim == 2 and ext.chart.fiber_dim == 1
         basis = ext.basis_matrix_at(np.zeros(2), np.zeros(1))
         assert basis.shape == (6, 3)
 
     def test_members_have_unit_clock_speed(self, canonical1):
-        ext = time_extend(canonical1)
+        ext = TimeExtendedDirac(canonical1)
         x, xi = np.array([0.3, 1.0]), np.array([0.5])
         J, const = ext.membership_system(x, xi)
         particular, *_ = np.linalg.lstsq(J, -const, rcond=None)
@@ -418,7 +442,7 @@ class TestTimeExtension:
         assert np.max(np.abs(ext.residual(member))) <= 1e-12
 
     def test_clock_momentum_is_core_direction(self, canonical1):
-        ext = time_extend(canonical1)
+        ext = TimeExtendedDirac(canonical1)
         core = ext.core_at(np.zeros(2))
         # directions (p0, p1, xidot): p0 free, (p1, xidot) tied as in the base
         assert core.shape[1] == 2
@@ -660,7 +684,7 @@ class TestMembershipReference:
         lambda: make_random_omega(seed=4),
         lambda: make_general_local(PiGraphDirac(make_random_pigraph(seed=4)),
                                    np.random.default_rng(4)),
-        lambda: time_extend(PiGraphDirac(rolling_disc_algebroid(), zero_fiber=(2, 3))),
+        lambda: TimeExtendedDirac(PiGraphDirac(rolling_disc_algebroid(), zero_fiber=(2, 3))),
     ], ids=["disc", "disc-zero-fibers", "disc-fixed-fiber", "disc-base-support", "frame",
             "frame-zero-fiber", "frame-fixed-fiber", "frame-base-support", "omega-graph",
             "general-local", "clocked-disc"])
@@ -689,22 +713,35 @@ def _counted(algebroid, calls):
                          field("structure", algebroid.structure), algebroid.name)
 
 
+def _log_fields(algebroid, calls):
+    """Log the instance's anchor and structure fields into ``calls``, keeping
+    its x-independence."""
+    for name in calls:
+        fn = getattr(algebroid, f"_{name}_fn")
+
+        def logged(x, name=name, fn=fn):
+            calls[name] += 1
+            return fn(x)
+
+        setattr(algebroid, f"_{name}_fn", logged)
+
+
 class TestTabulation:
     """Structures with x-independent coefficients tabulate their membership rows."""
 
     @pytest.mark.parametrize("builder, expected", [
         (lambda: PiGraphDirac(so3_algebroid()), True),
         (lambda: CanonicalDirac(2), True),
-        (lambda: time_extend(PiGraphDirac(so3_algebroid())), True),
-        (lambda: time_extend(CanonicalDirac(1)), True),
+        (lambda: TimeExtendedDirac(PiGraphDirac(so3_algebroid())), True),
+        (lambda: TimeExtendedDirac(CanonicalDirac(1)), True),
         (lambda: induce(CanonicalDirac(2), LinearConstraint(base=(0,))), True),
         (lambda: induce(CanonicalDirac(2), LinearConstraint(fiber=(1,))), True),
-        (lambda: time_extend(induce(CanonicalDirac(2), LinearConstraint(base=(0,)))), True),
+        (lambda: TimeExtendedDirac(induce(CanonicalDirac(2), LinearConstraint(base=(0,)))), True),
         (lambda: SkewAlgebroid.trivial(Chart(2, 2)), True),
         (lambda: PiGraphDirac(make_random_pigraph(seed=3)), False),
         (lambda: induce(PiGraphDirac(rolling_disc_algebroid()),
                         LinearConstraint(fiber=(2, 3))), False),
-        (lambda: time_extend(PiGraphDirac(make_random_pigraph(seed=3))), False),
+        (lambda: TimeExtendedDirac(PiGraphDirac(make_random_pigraph(seed=3))), False),
         # constant fields are never guessed: only the trivial constructor says so
         (lambda: PiGraphDirac(SkewAlgebroid(Chart(2, 2), lambda x: np.eye(2),
                                             lambda x: np.zeros((2, 2, 2)))), False),
@@ -737,20 +774,23 @@ class TestTabulation:
     def test_induced_canonical_evaluates_its_fields_m_plus_one_times(self):
         calls = {"anchor": 0, "structure": 0}
         dirac = induce(CanonicalDirac(2), LinearConstraint(fiber=(1,)))
-        algebroid = dirac.algebroid
-        for name in calls:  # wrap the instance's fields, keeping its x-independence
-            fn = getattr(algebroid, f"_{name}_fn")
-
-            def logged(x, name=name, fn=fn):
-                calls[name] += 1
-                return fn(x)
-
-            setattr(algebroid, f"_{name}_fn", logged)
+        _log_fields(dirac.algebroid, calls)
         lag = quadratic_lagrangian(lambda x: np.eye(2))
         traj = integrate(lagrangian_problem(dirac, lag), np.array([0.3, -0.2, 0.9]),
                          0.0, 0.1, 0.01)
         assert len(traj) == 11  # ten rk4 steps
         assert calls == {"anchor": 3, "structure": 3}
+
+    def test_clocked_catalog_oscillator_evaluates_its_fields_m_plus_one_times(self):
+        # the clock extension tabulates through the trivial algebroid it extends
+        calls = {"anchor": 0, "structure": 0}
+        bundle = build_system("forced_oscillator_timedep")
+        _log_fields(bundle.dirac.clock_base.algebroid, calls)
+        problem = build_problem(bundle, "lagrangian")
+        state0 = project_initial(problem, np.array([0.0, 1.0, 0.0]))
+        traj = integrate(problem, state0, 0.0, 1.0, 0.01)
+        assert len(traj) == 101  # a hundred rk4 steps
+        assert calls == {"anchor": 2, "structure": 2}
 
     def test_rolling_disc_evaluates_its_fields_once_per_assembly(self):
         calls = {"anchor": 0, "structure": 0}
@@ -845,7 +885,7 @@ class TestXDependentFieldErrors:
         # the clock extension checks its whole point, the clock coordinate too
         dirac = induce(PiGraphDirac(rolling_disc_algebroid()), LinearConstraint(fiber=(2, 3)))
         if clocked:
-            dirac, x = time_extend(dirac), [0.0] + x
+            dirac, x = TimeExtendedDirac(dirac), [0.0] + x
         n = dirac.chart.base_dim
         with pytest.raises(EvaluationError) as raised:
             dirac.structure_terms(np.array(x))

@@ -18,13 +18,13 @@ from diracmech import (
     PiGraphDirac,
     SkewAlgebroid,
     StructureError,
+    TimeExtendedDirac,
     el_residual,
     hamilton_residual,
     induce,
     legendre_transform,
     nonholonomic_el_residual,
     pmp_residual,
-    time_extend,
 )
 from diracmech.systems import build_system, quadratic_lagrangian, rolling_disc_lagrangian
 
@@ -545,7 +545,7 @@ class TestNonholonomic:
 
 class TestTimeExtension:
     def test_time_dependent_oscillator_equations(self):
-        ext = time_extend(CanonicalDirac(1))
+        ext = TimeExtendedDirac(CanonicalDirac(1))
 
         def stiffness(t):
             return 1.0 + 0.5 * np.sin(t)
@@ -568,7 +568,7 @@ class TestTimeExtension:
         assert abs(res_bad[0] - 1.0) <= 1e-12
 
     def test_extension_keeps_structure_blocks(self, disc, disc_pi):
-        ext = time_extend(disc_pi)
+        ext = TimeExtendedDirac(disc_pi)
         x = np.array([0.0, 0.9])
         c_base, drift_base = disc_pi.structure_terms(x[1:])
         c_ext, drift_ext = ext.structure_terms(x)

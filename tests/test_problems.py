@@ -11,6 +11,8 @@ from diracmech import (
     ControlSystem,
     Hamiltonian,
     LinearConstraint,
+    PiGraphDirac,
+    TimeExtendedDirac,
     el_residual,
     fd,
     hamilton_residual,
@@ -18,11 +20,10 @@ from diracmech import (
     integrate,
     legendre_transform,
     pmp_residual,
-    time_extend,
 )
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 from diracmech.solver import PROJECTION_TOL
-from diracmech.systems import build_system
+from diracmech.systems import build_system, quadratic_lagrangian, so3_algebroid
 
 from conftest import clocked_hamiltonian, clocked_lagrangian
 
@@ -52,7 +53,7 @@ def _lagrangian_unconstrained(request):
 
 
 def _lagrangian_time_extended_induced(request):
-    dirac = time_extend(request.getfixturevalue("disc_induced"))
+    dirac = TimeExtendedDirac(request.getfixturevalue("disc_induced"))
     lag = clocked_lagrangian(request.getfixturevalue("disc_lagrangian"))
 
     def reference(state, rate):
@@ -174,7 +175,7 @@ def test_dropped_rows_are_the_selector_rows(case, clocked, disc_pi, disc_lagrang
                                             disc_hamiltonian):
     dirac, lag, ham = SELECTED[case](disc_pi), disc_lagrangian, disc_hamiltonian
     if clocked:
-        dirac = time_extend(dirac)
+        dirac = TimeExtendedDirac(dirac)
         lag, ham = clocked_lagrangian(lag), clocked_hamiltonian(ham)
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     fixed = dirac.fixed_fiber
@@ -276,3 +277,14 @@ def test_one_partial_call_per_assembly(disc_induced, disc_hamiltonian):
             problem.affine(0.0, state)
             problem.algebraic(0.0, state)
             assert calls == [label] * (k + 1)
+
+
+def test_point_base_lagrangian_never_evaluates_grad_x():
+    # the p slot is empty on a point base, and the assembly multiplies by y alone
+    calls = []
+    lag = quadratic_lagrangian(lambda x: np.diag([1.0, 2.0, 3.0]))
+    lag.grad_x = _counted(calls, "grad_x", lag.grad_x)
+    problem = lagrangian_problem(PiGraphDirac(so3_algebroid()), lag)
+    traj = integrate(problem, np.array([0.3, -0.2, 0.9]), 0.0, 0.1, 0.01)
+    assert len(traj) == 11  # ten rk4 steps
+    assert calls == []

@@ -36,12 +36,12 @@ from diracmech import (
     PiGraphDirac,
     PontryaginPoint,
     SkewAlgebroid,
+    TimeExtendedDirac,
     el_residual,
     induce,
     nonholonomic_el_residual,
     pairing,
     pointwise_induce,
-    time_extend,
 )
 from diracmech.checks import (
     CORE_TOL,
@@ -159,7 +159,7 @@ def _representation(kind, algebroid, zero, fixed):
         return induce(base, LinearConstraint(fiber=zero))
     if kind == "affine-induced":
         return induce(base, AffineConstraint(fixed=fixed, fiber=zero))
-    return time_extend(base)
+    return TimeExtendedDirac(base)
 
 
 REPRESENTATIONS = ["pi-graph", "linear-induced", "affine-induced", "time-extended"]
@@ -241,7 +241,7 @@ def tabulated_structures(draw):
         def base():
             return CanonicalDirac(dim)
     if draw(st.booleans()):
-        return (lambda: time_extend(base())), rng
+        return (lambda: TimeExtendedDirac(base())), rng
     return base, rng
 
 

@@ -11,6 +11,7 @@ from diracmech import (
     InitializationError,
     Lagrangian,
     SolverError,
+    TimeExtendedDirac,
     Trajectory,
     VelocityPair,
     admissibility_report,
@@ -18,7 +19,6 @@ from diracmech import (
     lagrangian_problem,
     project_initial,
     solve_rate,
-    time_extend,
 )
 from diracmech import fd, solver
 from diracmech.problems import hamiltonian_problem, pmp_problem
@@ -388,7 +388,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("formalism, steps", [("lagrangian", 300), ("hamiltonian", 100)])
     def test_clock_extension_reproduces_induced_run(self, formalism, steps, disc_induced,
                                                     disc_lagrangian, disc_hamiltonian):
-        extended = time_extend(disc_induced)
+        extended = TimeExtendedDirac(disc_induced)
         if formalism == "lagrangian":
             problem = lagrangian_problem(disc_induced, disc_lagrangian)
             clocked = lagrangian_problem(extended, clocked_lagrangian(disc_lagrangian))
