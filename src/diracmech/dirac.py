@@ -25,8 +25,8 @@ drift coefficients on xi come from a separate method, ``structure_terms(x)
 -> (c, drift)``, each None when it vanishes: they cost more than the
 blocks, and the velocity residual, velocity space and core never read
 them.  The phase equations cutting the supported subset of the dual
-bundle are the ``_phase`` hook, which returns their values together with
-their Jacobian P over (x, xi), and ``_phase_values`` their values alone.
+bundle are the support equations x^A = 0 of the selectors ``zero_base``,
+whose Jacobian P over (x, xi) is constant unit rows (``_phase``).
 
 Membership in the structure is the vanishing of
 
@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import svd
 
-from . import fd, linalg
+from . import linalg
 from .algebroid import (
     Chart,
     SkewAlgebroid,
@@ -160,7 +160,7 @@ class DiracAlgebroid:
     A representation overrides ``_local_form(x)``, which returns the blocks,
     and, where they do not vanish, ``_structure_terms(x)``, the structure
     terms only membership reads, both at a checked x (``local_form`` and
-    ``structure_terms`` check it), and the phase hook ``_phase(x, xi)``.
+    ``structure_terms`` check it).
     ``x_independent`` defaults to a point base; graphs read it from their
     algebroid, clock extensions from their base.  ``clock_base`` is the
     structure a clock extension extends, and None on every other structure.
@@ -170,7 +170,8 @@ class DiracAlgebroid:
     ``zero_base`` (base indices of the support x = 0) and ``fixed_fiber``
     (the fiber index pinned to y = 1, or None).  Only ``PiGraphDirac`` takes
     them, and ``TimeExtendedDirac`` keeps its base's; ``free_fiber`` lists
-    the fiber indices left free.
+    the fiber indices left free.  The support equations x^A = 0 are the
+    phase equations of every structure.
 
     Each pinned fiber index has one selector row y^i = value in the
     membership, right after the n velocity rows: ``pinned_fiber`` lists the
@@ -236,13 +237,10 @@ class DiracAlgebroid:
     def _structure_terms(self, x):
         return None, None
 
-    def _phase(self, x, xi):
+    def _phase(self, x):
         """(values, Jacobian over (x, xi)) of the phase equations at a checked
-        (x, xi): the support equations x^A = 0 and their unit rows."""
+        x: the support equations x^A = 0 and their constant unit rows."""
         return x[self._support], self._support_rows
-
-    def _phase_values(self, x, xi):
-        return self._phase(x, xi)[0]
 
     # -- membership ----------------------------------------------------------
 
@@ -323,7 +321,7 @@ class DiracAlgebroid:
         half = self.chart.base_dim + self.chart.fiber_dim
         stack = np.empty((len(points), half, 2 * half))
         for k, (x, xi) in enumerate(points):
-            res = self._phase_values(x, xi)
+            res = self._phase(x)[0]
             if not _on_support(res):
                 raise ConstraintError(f"(x, xi) is not in the phase support: residual {res}")
             stack[k] = self._membership(x, xi)[0]
@@ -394,8 +392,8 @@ class DiracAlgebroid:
     # -- phase support -----------------------------------------------------------
 
     def phase_residual(self, x, xi):
-        """Phase equation values at (x, xi), checked as in ``membership_system``."""
-        return self._phase_values(*self._point(x, xi))
+        """Support equation values x^A at (x, xi), checked as in ``membership_system``."""
+        return self._phase(self._point(x, xi)[0])[0]
 
     def phase_membership(self, x, xi):
         """(bool, residual): whether (x, xi) satisfies the phase equations."""
@@ -408,43 +406,12 @@ class DiracAlgebroid:
         x[self._support] = 0.0
         return x
 
-    def phase_point(self, x):
-        """Some xi with (x, xi) in the phase support (zero if unconstrained)."""
-        return self._phase_point(_as_base_point(self.chart, x))[0]
-
-    def _phase_point(self, x):
-        """(``phase_point`` at a checked x, the xi-columns of the phase
-        Jacobian at (x, 0), or None without phase equations at x)."""
-        xi0 = np.zeros(self.chart.fiber_dim)
-        res0, P = self._phase(x, xi0)
-        if res0.size == 0:
-            return xi0, None
-        P_xi = P[:, x.size:]
-        sol, *_ = np.linalg.lstsq(P_xi, -res0, rcond=None)
-        xi = xi0 + sol
-        ok, res = self.phase_membership(x, xi)
-        if not ok:
-            raise ConstraintError(
-                f"no dual point found on the phase support at x={x}: residual {res}"
-            )
-        return xi, P_xi
-
     def sample_phase_point(self, rng):
-        """Random (x, xi) on the phase support, as float arrays of lengths n and m.
-
-        x is a standard normal point projected onto the base support.  With
-        no phase equations at x, xi is standard normal; otherwise it is
-        ``phase_point(x)`` plus a standard normal step in the null space of
-        the xi-columns of the phase Jacobian that ``phase_point`` solved
-        with (the phase is affine in xi).  The Jacobian is taken once.
-        """
+        """Random (x, xi) on the phase support, as float arrays of lengths n and
+        m: a standard normal x projected onto the base support, then a standard
+        normal xi, which the support leaves free."""
         n, m = self.chart.base_dim, self.chart.fiber_dim
-        x = self.project_support(rng.standard_normal(n))
-        xi0, P_xi = self._phase_point(x)
-        if P_xi is None:
-            return x, rng.standard_normal(m)
-        K = linalg.null_space(P_xi)
-        return x, xi0 + K @ rng.standard_normal(K.shape[1])
+        return self.project_support(rng.standard_normal(n)), rng.standard_normal(m)
 
 
 def _on_support(res):
@@ -550,19 +517,17 @@ class GeneralLocalDirac(DiracAlgebroid):
     ``blocks(x)`` returns (eta, etahat, zeta) in one call: ``eta`` (r rows)
     and ``etahat`` act on (xdot, y), ``zeta`` (r rows) on (p, xidot).
     ``structure(x)`` has shape (r, r, m), antisymmetric in its first two
-    indices; ``phase`` evaluates affine equations a(x) + B(x) xi, whose
-    xi-columns B(x) are read exactly from m unit steps in xi and whose
-    x-columns take one central difference.  ``membership_system`` assembles
-    membership, and with it every formalism's dynamics, from these maps.
-    The rank r is taken from the evaluated matrix shapes and verified
-    numerically through the kernel-dimension check of ``basis_at``.
+    indices.  The form is supported on the whole dual bundle, and
+    ``membership_system`` assembles membership, and with it every
+    formalism's dynamics, from these maps.  The rank r is taken from the
+    evaluated matrix shapes and verified numerically through the
+    kernel-dimension check of ``basis_at``.
     """
 
-    def __init__(self, chart, blocks, structure=None, phase=None):
+    def __init__(self, chart, blocks, structure=None):
         super().__init__(chart)
         self._blocks = blocks
         self._structure = structure
-        self._phase_eqs = phase
 
     def _local_form(self, x):
         width = self.chart.base_dim + self.chart.fiber_dim
@@ -578,25 +543,8 @@ class GeneralLocalDirac(DiracAlgebroid):
             raise EvaluationError(f"structure has shape {c.shape}, expected (r, r, {m})")
         return _antisymmetric("local-form structure functions", c), None
 
-    def _phase_values(self, x, xi):
-        if self._phase_eqs is None:
-            return np.zeros(0)
-        return np.asarray(self._phase_eqs(x, xi), dtype=float).reshape(-1)
-
-    def _phase(self, x, xi):
-        n, m = self.chart.base_dim, self.chart.fiber_dim
-        if self._phase_eqs is None:
-            return np.zeros(0), np.zeros((0, n + m))
-        phase = self._phase_values
-        value = phase(x, xi)
-        P = np.empty((value.size, n + m))
-        P[:, :n] = fd.jacobian(lambda z: phase(z, xi), x).reshape(value.size, n)
-        for k, e in enumerate(np.eye(m)):
-            P[:, n + k] = phase(x, xi + e) - value  # exact: the phase is affine in xi
-        return value, P
-
     @staticmethod
-    def from_velocity_splitting(chart, eta, etahat, structure=None, phase=None):
+    def from_velocity_splitting(chart, eta, etahat, structure=None):
         """Build the dual map from the velocity splitting.
 
         The stacked map T = [eta; etahat] must be invertible; ``zeta`` is
@@ -610,7 +558,7 @@ class GeneralLocalDirac(DiracAlgebroid):
             e, eh = _block("eta", eta(x), width), _block("etahat", etahat(x), width)
             return e, eh, np.linalg.inv(_isomorphism(e, eh, x)).T[:len(e)]
 
-        return GeneralLocalDirac(chart, blocks, structure, phase)
+        return GeneralLocalDirac(chart, blocks, structure)
 
     def validate(self, probe_points):
         """Check invertibility, the rank of zeta, isotropy and kernel dimension.
@@ -626,7 +574,7 @@ class GeneralLocalDirac(DiracAlgebroid):
                 raise StructureError(
                     f"zeta must have full row rank {eta.shape[0]}, the row count of eta"
                 )
-            if self.isotropy_violation(x, self.phase_point(x)) > ISOTROPY_TOL:
+            if self.isotropy_violation(x, np.zeros(self.chart.fiber_dim)) > ISOTROPY_TOL:
                 raise StructureError(f"pointwise subspace at x={x} is not isotropic")
 
 
@@ -676,7 +624,8 @@ class TimeExtendedDirac(DiracAlgebroid):
     conjugate momentum slot stays free (a new core direction).  All other
     data of the underlying structure is kept, evaluated at the original
     base coordinates, and so are its selectors, the base indices shifted
-    past the clock.  ``clock_base`` is the extended structure.
+    past the clock, which give it its base's phase equations.
+    ``clock_base`` is the extended structure.
     """
 
     def __init__(self, base):
@@ -709,13 +658,6 @@ class TimeExtendedDirac(DiracAlgebroid):
 
     def _structure_terms(self, x):
         return self.clock_base._structure_terms(x[1:])
-
-    def _phase(self, x, xi):
-        value, P = self.clock_base._phase(x[1:], xi)
-        return value, _clocked(P)
-
-    def _phase_values(self, x, xi):
-        return self.clock_base._phase_values(x[1:], xi)
 
 
 def _clocked(block):

@@ -7,7 +7,7 @@ w = (xdot, xidot, p, y).  A builder supplies only its fill to ``_problem``:
 
 * ``point(state) -> (x, xi, y)``: the base point, dual point and velocity slot;
 * ``fill(state, x, xi, y) -> (V, p)``: V maps the rate to (xdot, xidot), p
-  is the momentum slot;
+  is the momentum slot (None on a point base, where it is empty);
 * ``pinned(state, x, xi, y) -> (value, G)``: a function pinned to zero and
   its state Jacobian G, from one call;
 * ``velocity_slots(states)``: the slot y of every state row at once, for
@@ -21,8 +21,8 @@ Rates without a membership row (the Hamiltonian's pinned momentum rates,
 the control rates) are fixed by G, appended to A with zeros in b, so that
 A is square.  The algebraic channel ``algebraic(t,
 state) -> (g, G)`` (``t`` unread, kept for the call shape) is the
-structure's phase equations at (x, xi), when it has any, with G = P @ V
-from their Jacobian P over (x, xi), followed by the pinned value and G:
+structure's support equations x^A = 0, when it has any, with G = P @ V
+from their constant Jacobian P over (x, xi), followed by the pinned value and G:
 the components of dH/dxi at ``dirac.pinned_fiber`` less
 ``dirac.pinned_values`` (rows of ``hess_xi``) or the control
 stationarity f_u^T xi - cost_u (einsum(f_u_xu, xi) - cost_u_xu over
@@ -74,7 +74,7 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
     n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
     rows = dirac.rate_rows
     take_rows = not isinstance(rows, slice)  # a slice keeps every row
-    has_phase = bool(dirac.phase_residual(np.zeros(n), np.zeros(m)).size)
+    has_phase = bool(dirac.zero_base)
     has_channel = has_phase or pinned is not None
     point_base = n == 0  # the p slot is empty
 
@@ -90,7 +90,7 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
             return (A, b), None
         g, G = [], []
         if has_phase:
-            value, P = dirac._phase(x, xi)
+            value, P = dirac._phase(x)
             g.append(value)
             G.append(P @ V)
         if pinned is not None:
@@ -168,6 +168,8 @@ def hamiltonian_problem(dirac, hamiltonian):
         return x, xi, hamiltonian.grad_xi(x, xi)
 
     def fill(state, x, xi, y):
+        if n == 0:  # a point base: assemble reads no p
+            return rate_map, None
         return rate_map, hamiltonian.grad_x(x, xi)
 
     def pinned(state, x, xi, y):

@@ -134,21 +134,12 @@ def make_random_omega(seed=0, base_dim=2, fiber_dim=3):
                            rho=lambda x: r_coef * np.sin(r_freq @ x + 1.0), cform=cform)
 
 
-def make_general_local(pi, rng):
-    """``pi``'s local form as a ``GeneralLocalDirac`` with a random affine phase
-    a(x) + B(x) xi, whose coefficients vary with x."""
-    n, m = pi.chart.base_dim, pi.chart.fiber_dim
-    a0, a1 = rng.standard_normal(2), rng.standard_normal((2, n))
-    b0, b1 = rng.standard_normal((2, m)), rng.standard_normal((2, m))
-
-    def phase(x, xi):
-        return a0 * np.cos(a1 @ x) + (b0 + b1 * np.sin(np.sum(x))) @ xi
-
+def make_general_local(pi):
+    """``pi``'s local form and structure functions as a ``GeneralLocalDirac``."""
     return GeneralLocalDirac(
         pi.chart,
         lambda x: pi.local_form(x)[:3],
         structure=lambda x: pi.structure_terms(x)[0],
-        phase=phase,
     )
 
 

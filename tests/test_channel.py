@@ -5,9 +5,7 @@ taken here, in the test, on random systems of each formalism: the
 Lagrangian on an induced graph with a base support and on its clock
 extension, the Hamiltonian with pinned fibers (closed form and Legendre
 transform), the control stationarity with and without analytic second
-partials, and both phase formalisms on a ``GeneralLocalDirac`` with an
-affine phase, where the structure checks' phase-point sampler is also held
-to the phase.  The catalog's closed disc Hamiltonian and ``lqr_pmp``
+partials.  The catalog's closed disc Hamiltonian and ``lqr_pmp``
 integrate without a single difference, and the closed quadratic
 Hamiltonian evaluates its mass matrix once per point.
 """
@@ -31,7 +29,6 @@ from diracmech import (
     legendre_transform,
     project_initial,
 )
-from diracmech.checks import isotropy_check
 from diracmech.problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 from diracmech.systems import (
     build_problem,
@@ -41,7 +38,7 @@ from diracmech.systems import (
     rolling_disc_mass,
 )
 
-from conftest import clocked_lagrangian, make_general_local, make_random_pigraph
+from conftest import clocked_lagrangian, make_random_pigraph
 
 RTOL = 1e-6
 
@@ -116,19 +113,13 @@ def _problem(case, seed, n, m, zero):
     if case == "hamiltonian-legendre":
         probes = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(2)]
         return hamiltonian_problem(supported, legendre_transform(lag, probes))
-    if case.startswith("pmp"):
-        base = induce(CanonicalDirac(n), LinearConstraint(base=(0,)))
-        system = _control(n, 1 + seed % 2, rng, case == "pmp-exact")
-        return pmp_problem(system, base)
-    local = make_general_local(pi, rng)
-    if case == "general-local-lagrangian":
-        return lagrangian_problem(local, lag)
-    return hamiltonian_problem(local, quadratic_hamiltonian(mass, mass_diff))
+    base = induce(CanonicalDirac(n), LinearConstraint(base=(0,)))
+    system = _control(n, 1 + seed % 2, rng, case == "pmp-exact")
+    return pmp_problem(system, base)
 
 
 CASES = ["lagrangian-support", "lagrangian-support-clocked", "hamiltonian-closed",
-         "hamiltonian-legendre", "pmp-exact", "pmp-differenced",
-         "general-local-lagrangian", "general-local-hamiltonian"]
+         "hamiltonian-legendre", "pmp-exact", "pmp-differenced"]
 
 
 @st.composite
@@ -156,35 +147,6 @@ def test_channel_jacobian_is_the_derivative_of_its_values(case, shape):
         numeric = _central(lambda s: problem.algebraic(0.0, s)[0], state)
         scale = 1.0 + np.max(np.abs(numeric))
         assert np.max(np.abs(G - numeric)) <= RTOL * scale
-
-
-def test_general_local_phase_jacobian_is_exact_in_xi():
-    # the xi-columns of an affine phase come from unit steps, not differences
-    pi = PiGraphDirac(make_random_pigraph(seed=5, base_dim=2, fiber_dim=3))
-    local = make_general_local(pi, np.random.default_rng(5))
-    x, xi = np.array([0.3, -0.7]), np.array([1.0, -2.0, 0.5])
-    value, P = local._phase(x, xi)
-    B = np.stack([local.phase_residual(x, e) - local.phase_residual(x, np.zeros(3))
-                  for e in np.eye(3)], axis=-1)
-    assert np.max(np.abs(P[:, 2:] - B)) <= 1e-14
-    assert np.array_equal(value, local.phase_residual(x, xi))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_isotropy_check_samples_points_on_an_affine_phase(monkeypatch, seed):
-    # the phase reads xi and varies with x: ``phase_point`` solves it by
-    # least squares and ``sample_phase_point`` moves along its null space
-    pi = PiGraphDirac(make_random_pigraph(seed=seed, base_dim=2, fiber_dim=4))
-    local = make_general_local(pi, np.random.default_rng(seed))
-    sample, points = local.sample_phase_point, []
-    monkeypatch.setattr(local, "sample_phase_point",
-                        lambda rng: points.append(sample(rng)) or points[-1])
-    assert isotropy_check(local)["passed"]
-    assert len(points) == 50
-    for x, xi in points:
-        assert local.phase_membership(x, xi)[0]
-    # the samples leave the least-squares point: the null-space step ran
-    assert not any(np.allclose(xi, local.phase_point(x)) for x, xi in points)
 
 
 def _disc_closed_problem():

@@ -173,8 +173,8 @@ def test_random_isotropy_matches_per_probe_null_spaces(kind, seed, n, m):
         dirac = make_random_omega(seed=seed, base_dim=n, fiber_dim=m)
     else:
         dirac = PiGraphDirac(make_random_pigraph(seed=seed, base_dim=n, fiber_dim=m))
-        if kind == "general-local":  # an affine phase that varies with x
-            dirac = make_general_local(dirac, np.random.default_rng(seed))
+        if kind == "general-local":
+            dirac = make_general_local(dirac)
     batched = isotropy_check(dirac, probes=10, seed=seed)
     reference = isotropy_reference(dirac, probes=10, seed=seed)
     assert batched["passed"] and reference["passed"]

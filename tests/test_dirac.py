@@ -46,6 +46,17 @@ from conftest import (
 )
 
 
+OFF_SUPPORT = r"^\(x, xi\) is not in the phase support: residual \[1\.\]$"
+
+
+def _off_support():
+    """(structure, x) with x^A = 1 on its support coordinate: the canonical
+    structure on R^2 induced by x^1 = 0, and its clock extension."""
+    dirac = induce(CanonicalDirac(2), LinearConstraint(base=(0,)))
+    return [(dirac, np.array([1.0, 0.5])),
+            (TimeExtendedDirac(dirac), np.array([3.0, 1.0, 0.5]))]
+
+
 def member_from_basis(dirac, x, xi, coeffs):
     basis = dirac.basis_matrix_at(x, xi)
     return PontryaginPoint.from_fiber_vector(x, xi, basis @ coeffs)
@@ -133,15 +144,11 @@ class TestBasis:
             b = omega.basis_matrix_at(x, xi)
             assert max_principal_angle(a, b) <= 1e-10
 
-    def test_phase_precondition_enforced(self, disc_pi):
-        local = GeneralLocalDirac.from_velocity_splitting(
-            Chart(1, 1),
-            eta=lambda x: np.array([[0.0, 1.0]]),
-            etahat=lambda x: np.array([[1.0, -1.0]]),
-            phase=lambda x, xi: np.array([xi[0]]),
-        )
-        with pytest.raises(ConstraintError):
-            local.basis_at(np.zeros(1), np.ones(1))
+    def test_phase_precondition_enforced(self):
+        # off the support x^1 = 0 of a base constraint, clocked or not
+        for dirac, x in _off_support():
+            with pytest.raises(ConstraintError, match=OFF_SUPPORT):
+                dirac.basis_at(x, np.array([0.5, -1.0]))
 
     def test_rank_deficiency_reports_numeric_rank(self):
         # etahat with a repeated row cannot define a maximal subspace
@@ -164,20 +171,15 @@ class TestBasis:
                           lambda: isotropy_check(broken)):
             with pytest.raises(StructureError, match=rank):
                 violation()
-        local = GeneralLocalDirac.from_velocity_splitting(
-            Chart(1, 1),
-            eta=lambda x: np.array([[0.0, 1.0]]),
-            etahat=lambda x: np.array([[1.0, -1.0]]),
-            phase=lambda x, xi: np.array([xi[0]]),
-        )
-        off = r"^\(x, xi\) is not in the phase support: residual \[1\.\]$"
-        with pytest.raises(ConstraintError, match=off):
-            local.isotropy_violation(np.zeros(1), np.ones(1))
-        # a later probe off the support fails the whole check
-        points = iter([(np.zeros(1), np.zeros(1))] * 3 + [(np.zeros(1), np.ones(1))])
-        monkeypatch.setattr(local, "sample_phase_point", lambda rng: next(points))
-        with pytest.raises(ConstraintError, match=off):
-            isotropy_check(local, probes=4)
+        for dirac, x in _off_support():
+            with pytest.raises(ConstraintError, match=OFF_SUPPORT):
+                dirac.isotropy_violation(x, np.zeros(2))
+            # a later probe off the support fails the whole check
+            on = dirac.project_support(x)
+            points = iter([(on, np.zeros(2))] * 3 + [(x, np.zeros(2))])
+            monkeypatch.setattr(dirac, "sample_phase_point", lambda rng: next(points))
+            with pytest.raises(ConstraintError, match=OFF_SUPPORT):
+                isotropy_check(dirac, probes=4)
 
 
 class TestVelocityResidual:
@@ -230,63 +232,41 @@ class TestPhase:
         ok, res = disc_pi.phase_membership(np.array([2.0]), np.array([1.0, -1.0, 0.0, 9.0]))
         assert ok and res.size == 0
 
-    def test_general_local_base_equation(self):
-        local = GeneralLocalDirac.from_velocity_splitting(
-            Chart(2, 2),
-            eta=lambda x: np.hstack([np.zeros((2, 2)), np.eye(2)]),
-            etahat=lambda x: np.hstack([np.eye(2), -np.eye(2)]),
-            phase=lambda x, xi: np.array([x[1]]),
-        )
-        ok, _ = local.phase_membership(np.array([1.0, 0.0]), np.zeros(2))
-        assert ok
-        ok, _ = local.phase_membership(np.array([1.0, 0.5]), np.zeros(2))
-        assert not ok
+    def test_support_is_the_base_equation(self):
+        # the phase equations are the selectors' x^A = 0, at any xi
+        for dirac, x in _off_support():
+            ok, res = dirac.phase_membership(x, np.array([0.5, -1.0]))
+            assert not ok and np.array_equal(res, [1.0])
+            ok, res = dirac.phase_membership(dirac.project_support(x), np.array([0.5, -1.0]))
+            assert ok and np.array_equal(res, [0.0])
 
-    def test_phase_residual_evaluates_the_phase_once(self):
-        calls = []
-
-        def phase(x, xi):
-            calls.append(1)
-            return np.array([x[1] + 2.0 * xi[0]])
-
-        local = GeneralLocalDirac.from_velocity_splitting(
-            Chart(2, 2),
-            eta=lambda x: np.hstack([np.zeros((2, 2)), np.eye(2)]),
-            etahat=lambda x: np.hstack([np.eye(2), -np.eye(2)]),
-            phase=phase,
-        )
-        clocked = TimeExtendedDirac(local)
-        x, xi = np.array([1.0, 0.5]), np.array([0.25, -1.0])
-        value, P = local._phase(x, xi)
-        assert len(calls) == 7  # 1 + 2n + m evaluations for the Jacobian
-        for dirac, at in ((local, x), (clocked, np.concatenate([[3.0], x]))):
-            del calls[:]
-            assert np.array_equal(dirac.phase_residual(at, xi), value)
-            assert len(calls) == 1
-        clocked_value, clocked_P = clocked._phase(np.concatenate([[3.0], x]), xi)
+    def test_phase_residual_evaluates_the_phase_once(self, monkeypatch):
+        # the clock extension defines no phase of its own: the shifted
+        # support gives the base's values, with a zero clock column in P
+        (dirac, x), (clocked, tx) = _off_support()
+        assert "_phase" not in vars(TimeExtendedDirac)
+        value, P = dirac._phase(x)
+        assert np.array_equal(value, [1.0]) and np.array_equal(P, np.eye(1, 4))
+        clocked_value, clocked_P = clocked._phase(tx)
         assert np.array_equal(clocked_value, value)
         assert np.array_equal(clocked_P, np.hstack([np.zeros((1, 1)), P]))
+        for structure, at in ((dirac, x), (clocked, tx)):
+            calls = []
+            phase = structure._phase
+            monkeypatch.setattr(structure, "_phase", lambda x: calls.append(1) or phase(x))
+            assert np.array_equal(structure.phase_residual(at, np.array([0.5, -1.0])), value)
+            assert len(calls) == 1
 
-    def test_sample_phase_point_takes_the_phase_jacobian_once(self):
-        calls = []
-
-        def phase(x, xi):
-            calls.append(1)
-            return np.array([x[1] + 2.0 * xi[0]])
-
-        local = GeneralLocalDirac.from_velocity_splitting(
-            Chart(2, 2),
-            eta=lambda x: np.hstack([np.zeros((2, 2)), np.eye(2)]),
-            etahat=lambda x: np.hstack([np.eye(2), -np.eye(2)]),
-            phase=phase,
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            del calls[:]
-            x, xi = local.sample_phase_point(rng)
-            # 1 + 2n + m for the Jacobian at (x, 0), 1 for the membership test
-            assert len(calls) == 8
-            assert local.phase_membership(x, xi)[0]
+    def test_sample_phase_point_is_a_projected_normal_x_and_a_normal_xi(self):
+        for dirac, _ in _off_support():
+            n, m = dirac.chart.base_dim, dirac.chart.fiber_dim
+            rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+            for _ in range(3):
+                x, xi = dirac.sample_phase_point(rng)
+                x_ref = dirac.project_support(twin.standard_normal(n))
+                xi_ref = twin.standard_normal(m)
+                assert x.tobytes() == x_ref.tobytes() and xi.tobytes() == xi_ref.tobytes()
+                assert dirac.phase_membership(x, xi)[0]
 
     def test_wrong_length_xi_or_y_is_an_evaluation_error(self):
         dirac = induce(CanonicalDirac(2), LinearConstraint(base=(0,)))
@@ -682,8 +662,7 @@ class TestMembershipReference:
         lambda: PiGraphDirac(make_frame_algebroid(5, 3), zero_fiber=(2,), fixed_fiber=0),
         lambda: PiGraphDirac(make_frame_algebroid(5, 3), zero_base=(1,)),
         lambda: make_random_omega(seed=4),
-        lambda: make_general_local(PiGraphDirac(make_random_pigraph(seed=4)),
-                                   np.random.default_rng(4)),
+        lambda: make_general_local(PiGraphDirac(make_random_pigraph(seed=4))),
         lambda: TimeExtendedDirac(PiGraphDirac(rolling_disc_algebroid(), zero_fiber=(2, 3))),
     ], ids=["disc", "disc-zero-fibers", "disc-fixed-fiber", "disc-base-support", "frame",
             "frame-zero-fiber", "frame-fixed-fiber", "frame-base-support", "omega-graph",

@@ -288,3 +288,16 @@ def test_point_base_lagrangian_never_evaluates_grad_x():
     traj = integrate(problem, np.array([0.3, -0.2, 0.9]), 0.0, 0.1, 0.01)
     assert len(traj) == 11  # ten rk4 steps
     assert calls == []
+
+
+@pytest.mark.parametrize("source", ["closed", "legendre"])
+def test_point_base_hamiltonian_never_evaluates_grad_x(source):
+    # as for the Lagrangian: the p slot is empty on a point base
+    bundle = build_system("euler_top")
+    ham = bundle.hamiltonian(source)
+    calls = []
+    ham.grad_x = _counted(calls, "grad_x", ham.grad_x)
+    problem = hamiltonian_problem(bundle.dirac, ham)
+    traj = integrate(problem, np.array([0.3, -0.2, 0.9]), 0.0, 0.1, 0.01)
+    assert len(traj) == 11  # ten rk4 steps
+    assert calls == []

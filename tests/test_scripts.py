@@ -1,24 +1,30 @@
 """``scripts/outputs.py``: the byte-identity check of two checkouts runs every
 shipped scenario and benchmark document, each into its own directory, and
-names every run that does not exit 0."""
+names every run that does not exit 0.  ``scripts/reach.py`` names the
+functions that its inputs leave unreached."""
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "outputs.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(monkeypatch, name):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the scripts prepend src/ (and bench/)
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def outputs(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and bench/
-    spec = importlib.util.spec_from_file_location("outputs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(monkeypatch, "outputs")
 
 
 def test_sweep_documents_run_into_their_own_directories(outputs, tmp_path):
@@ -40,3 +46,12 @@ def test_a_run_that_does_not_exit_0_is_named(outputs, tmp_path, monkeypatch, cap
     monkeypatch.setattr(outputs.workloads, "GENERATORS", {})
     assert outputs.main(tmp_path / "out") == 1
     assert "did not exit 0: scenarios/broken" in capsys.readouterr().err
+
+
+def test_reach_of_list_systems_alone(monkeypatch):
+    reach = _load(monkeypatch, "reach")
+    result = reach.report([lambda: reach.cli.main(["list-systems"])])
+    unreached = result["unreached"]
+    assert result["functions"] == result["reached"] + len(unreached)
+    assert any(re.fullmatch(r"src/diracmech/solver\.py:\d+ integrate", e) for e in unreached)
+    assert not any(e.endswith(" cmd_list_systems") for e in unreached)
