@@ -235,14 +235,17 @@ def write_trajectory_csv(path, trajectory, angle_state_indices=()):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _execute(scenario, out_dir, check_only=False):
-    """Run (or only check) one scenario; every exit path writes the report,
-    or exits 1 with a message on stderr when the report cannot be written."""
+def _execute(scenario, out_dir, check_only=False, failure=None):
+    """Run (or only check) one scenario, or report the ``failure`` that keeps
+    it from starting; every exit path writes the report, or exits 1 with a
+    message on stderr when the report cannot be written."""
     out_dir = Path(out_dir)
     report = {"schema": "diracmech/report-v1", "system": scenario.system,
               "formalism": scenario.formalism}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        if failure is not None:
+            raise failure
         code = _run(scenario, out_dir, check_only, report)
     except DegenerateDynamicsError as err:
         report["degeneracy"] = {
@@ -350,6 +353,8 @@ def _parse_sweep(spec):
     # it names each run's sub-directory, so it obeys the output-name rule
     validate(name, scenario_schema()["properties"]["output"]["properties"]["report"],
              "sweep PARAM")
+    if count < 1:
+        raise ScenarioError("sweep needs at least one sample")
     return name, a, b, count
 
 
@@ -357,9 +362,10 @@ def cmd_run(args):
     scenario = Scenario.load(args.scenario)
     if args.sweep is None:
         return _execute(scenario, args.out)
-    name, lo, hi, count = _parse_sweep(args.sweep)
-    if count < 1:
-        raise ScenarioError("sweep needs at least one sample")
+    try:
+        name, lo, hi, count = _parse_sweep(args.sweep)
+    except ScenarioError as err:  # reported in --out itself
+        return _execute(scenario, args.out, failure=err)
     values = np.linspace(lo, hi, count)
     codes = []
     for value in values:

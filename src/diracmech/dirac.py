@@ -157,9 +157,9 @@ class LocalForm(NamedTuple):
 class DiracAlgebroid:
     """Common behavior of all representations, driven by the local form.
 
-    A representation overrides ``_local_form(x)``, which returns the blocks,
-    and, where they do not vanish, ``_structure_terms(x)``, the structure
-    terms only membership reads, both at a checked x (``local_form`` and
+    A representation implements ``_local_form(x)``, which returns the blocks,
+    and ``_structure_terms(x)``, the structure terms only membership reads
+    (None where they vanish), both at a checked x (``local_form`` and
     ``structure_terms`` check it).
     ``x_independent`` defaults to a point base; graphs read it from their
     algebroid, clock extensions from their base.  ``clock_base`` is the
@@ -233,9 +233,6 @@ class DiracAlgebroid:
         """(structure functions (r, r, m), affine drift (r, m) on xi) at
         base point x; either is None when it vanishes."""
         return self._structure_terms(_as_base_point(self.chart, x))
-
-    def _structure_terms(self, x):
-        return None, None
 
     def _phase(self, x):
         """(values, Jacobian over (x, xi)) of the phase equations at a checked

@@ -45,7 +45,7 @@ from . import fd
 from .algebroid import _check_finite
 from .dirac import PontryaginPoint
 from .errors import EvaluationError, HyperregularityError, StructureError
-from .linalg import _FLOAT, floats, identity
+from .linalg import _FLOAT, floats, identity, last_point
 from .solver import CONDITION_LIMIT
 
 GRADIENT_CHECK_RTOL = 1e-5
@@ -66,22 +66,6 @@ def _over_point(partial, a, b, rel):
     """Central-difference Jacobian of ``partial(a, b)`` over the stacked point (a, b)."""
     return fd.jacobian(lambda s: partial(s[:a.size], s[a.size:]),
                        np.concatenate([a.reshape(-1), b.reshape(-1)]), rel=rel)
-
-
-def _last_point(compute):
-    """``compute(x)`` or ``compute(x, xi)`` memoised on the bytes of the last point's float
-    arrays (x's bytes alone for ``compute(x)``, the pair for ``compute(x, xi)``),
-    key and value replaced as one tuple; a failed compute keeps no entry."""
-    last = [(None, None)]
-
-    def at(x, xi=None):
-        key = x.tobytes() if xi is None else (x.tobytes(), xi.tobytes())
-        entry = last[0]
-        if entry[0] != key:
-            entry = last[0] = (key, compute(x) if xi is None else compute(x, xi))
-        return entry[1]
-
-    return at
 
 
 class _Partials:
@@ -346,7 +330,7 @@ def legendre_transform(lagrangian, probes, name=""):
         y.flags.writeable = False
         return y
 
-    inverse = _last_point(solve)
+    inverse = last_point(solve)
 
     for x, y in probes:
         x = np.asarray(x, dtype=float)

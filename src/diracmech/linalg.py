@@ -1,6 +1,6 @@
 """Dense subspace helpers: kernels, spans, annihilators, principal angles,
-and the per-stage path's ``floats`` (float64 conversion), ``identity`` and
-``zeros``.
+and the per-stage path's ``floats`` (float64 conversion), ``identity``,
+``zeros`` and ``last_point`` (the single-slot memo of the last point).
 
 Subspaces are represented by matrices whose *columns* form an orthonormal
 basis.  Rank decisions use singular values with the relative threshold
@@ -39,6 +39,27 @@ def zeros(*shape):
     zero = np.zeros(shape)
     zero.flags.writeable = False
     return zero
+
+
+def last_point(compute):
+    """``compute(x)`` or ``compute(x, xi)`` memoised on the bytes of the last point, converted
+    to float64 arrays first (x alone, or the pair), key and value replaced as one
+    tuple: a compute that raises keeps no entry, and float64 arrays pass as they are."""
+    last = [(None, None)]
+
+    def at(x, xi=None):
+        x = x if type(x) is np.ndarray and x.dtype is _FLOAT else np.asarray(x, dtype=float)
+        if xi is None:
+            key = x.tobytes()
+        else:
+            xi = xi if type(xi) is np.ndarray and xi.dtype is _FLOAT else np.asarray(xi, dtype=float)
+            key = (x.tobytes(), xi.tobytes())
+        entry = last[0]
+        if entry[0] != key:
+            entry = last[0] = (key, compute(x) if xi is None else compute(x, xi))
+        return entry[1]
+
+    return at
 
 
 def null_space(a, scale=None):

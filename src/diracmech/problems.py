@@ -19,54 +19,23 @@ rows), so the affine parts are A = J[rows, :n+m] @ V, b = J[rows, n+m:] @
 (p, y) + const[rows], with y alone on a point base, where p is empty.
 Rates without a membership row (the Hamiltonian's pinned momentum rates,
 the control rates) are fixed by G, appended to A with zeros in b, so that
-A is square.  The algebraic channel ``algebraic(t,
-state) -> (g, G)`` (``t`` unread, kept for the call shape) is the
+A is square.  The algebraic channel ``algebraic(t, state) -> (g, G)`` is the
 structure's support equations x^A = 0, when it has any, with G = P @ V
 from their constant Jacobian P over (x, xi), followed by the pinned value and G:
 the components of dH/dxi at ``dirac.pinned_fiber`` less
 ``dirac.pinned_values`` (rows of ``hess_xi``) or the control
 stationarity f_u^T xi - cost_u (einsum(f_u_xu, xi) - cost_u_xu over
-(x, u), f_u^T over xi).  Both pairs come from one assembly per state
-(cached: the projection's convergence check, the rate solve and its
-verification share it).
+(x, u), f_u^T over xi).  Both pairs come from one assembly per state,
+memoised by ``linalg.last_point`` on the state alone: no assembly reads
+``t`` (``affine`` and ``algebraic`` take it for the call shape), so the
+projection, the rate solve and its verification share it at any ``t``.
 """
 
 import numpy as np
 
 from .errors import SolverError
-from .linalg import _FLOAT
+from .linalg import last_point
 from .solver import ImplicitProblem
-
-
-class _StateCache:
-    """Single-slot memo of the parts ((A, b), (g, G)) at one (t, state).
-
-    Calling the cache with (t, state) returns (A, b) and ``algebraic(t,
-    state)`` returns (g, G), the two halves of ``assemble(state)``, which
-    is computed only when (t, state) differs from the previous call of
-    either.  A lookup is one frame: a float64 state is keyed on its bytes
-    as it is, anything else is converted first.
-    """
-
-    __slots__ = ("assemble", "key", "parts")
-
-    def __init__(self, assemble):
-        self.assemble = assemble
-        self.key = None
-        self.parts = None
-
-    def __call__(self, t, state):
-        if type(state) is not np.ndarray or state.dtype is not _FLOAT:
-            state = np.asarray(state, dtype=float)
-        key = (t, state.tobytes())
-        if key != self.key:
-            self.parts = self.assemble(state)
-            self.key = key
-        return self.parts[0]
-
-    def algebraic(self, t, state):
-        self(t, state)
-        return self.parts[1]
 
 
 def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=None):
@@ -106,10 +75,16 @@ def _problem(dirac, point, fill, labels, monitors, pinned=None, velocity_slots=N
         Y = velocity_slots(states) if velocity_slots else np.array([point(s)[2] for s in states])
         return states[:, :n], rates[:, :n], Y
 
-    cache = _StateCache(assemble)
+    parts = last_point(assemble)
+
+    def affine(t, state):
+        return parts(state)[0]
+
+    def algebraic(t, state):
+        return parts(state)[1]
+
     return ImplicitProblem(
-        len(labels), cache,
-        algebraic=cache.algebraic if has_channel else None,
+        len(labels), affine, algebraic=algebraic if has_channel else None,
         monitors=monitors, velocities=velocities, state_labels=labels,
     )
 

@@ -11,9 +11,9 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .algebroid import Chart, SkewAlgebroid
 from .constraints import LinearConstraint, induce
 from .dirac import CanonicalDirac, PiGraphDirac, TimeExtendedDirac, _constant
-from .dynamics import ControlSystem, Hamiltonian, Lagrangian, _last_point, legendre_transform
+from .dynamics import ControlSystem, Hamiltonian, Lagrangian, legendre_transform
 from .errors import HyperregularityError, ScenarioError, StructureError
-from .linalg import identity, zeros
+from .linalg import identity, last_point, zeros
 from .problems import hamiltonian_problem, lagrangian_problem, pmp_problem
 
 
@@ -45,7 +45,7 @@ def quadratic_lagrangian(mass_matrix, mass_matrix_diff=None, potential=None,
         M.flags.writeable = False
         return M, None if mass_matrix_diff is None else np.asarray(mass_matrix_diff(x), dtype=float)
 
-    matrices = _last_point(evaluate)
+    matrices = last_point(evaluate)
 
     def fn(x, y):
         u = potential(x) if potential is not None else 0.0
@@ -90,17 +90,17 @@ def quadratic_hamiltonian(mass_matrix, mass_matrix_diff=None, potential=None,
     """
     _check_potential(potential, potential_grad, name)
 
-    def factor(x, xi):
-        x = np.asarray(x, dtype=float).reshape(-1)
+    def factor(x, xi):  # float64 arrays, from last_point
+        x = x.reshape(-1)
         lu, piv, info = dgetrf(np.asarray(mass_matrix(x), dtype=float))
         if info:
             raise HyperregularityError(f"mass matrix is singular at x={x}, xi={xi}", x=x, xi=xi)
-        w = dgetrs(lu, piv, np.asarray(xi, dtype=float).reshape(-1))[0]
+        w = dgetrs(lu, piv, xi.reshape(-1))[0]
         w.flags.writeable = False
         dM = None if mass_matrix_diff is None else np.asarray(mass_matrix_diff(x), dtype=float)
         return lu, piv, w, dM
 
-    factored = _last_point(factor)
+    factored = last_point(factor)
 
     def fn(x, xi):
         u = potential(x) if potential is not None else 0.0

@@ -14,7 +14,9 @@ from diracmech import (
     Section,
     SkewAlgebroid,
     induce,
+    problems,
 )
+from diracmech.linalg import last_point
 from diracmech.systems import (
     quadratic_hamiltonian,
     rolling_disc_algebroid,
@@ -68,6 +70,23 @@ def clocked_hamiltonian(ham):
                        grad_x=lambda x, xi: np.concatenate([[0.0], ham.grad_x(x[1:], xi)]),
                        grad_xi=lambda x, xi: ham.grad_xi(x[1:], xi),
                        name=f"clocked-{ham.name}")
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """The states, in order, at which every problem built after this fixture
+    assembles its parts, logged by wrapping ``problems.last_point``."""
+    states = []
+
+    def logged_last_point(assemble):
+        def logged(state):
+            states.append(state.copy())
+            return assemble(state)
+
+        return last_point(logged)
+
+    monkeypatch.setattr(problems, "last_point", logged_last_point)
+    return states
 
 
 @pytest.fixture

@@ -178,7 +178,7 @@ def test_catalog_runs_difference_nothing(monkeypatch, name):
     assert calls == []
 
 
-def test_closed_hamiltonian_factors_its_mass_matrix_once_per_point():
+def test_closed_hamiltonian_factors_its_mass_matrix_once_per_point(assemblies):
     mass, mass_diff = rolling_disc_mass()
     calls = []
 
@@ -199,14 +199,6 @@ def test_closed_hamiltonian_factors_its_mass_matrix_once_per_point():
     # along a run, every assembly is at a new point and factors M once
     dirac = build_system("rolling_disc").dirac
     problem = hamiltonian_problem(dirac, ham)
-    assemble = problem.affine.assemble
-    assemblies = []
-
-    def counted_assemble(state):
-        assemblies.append(1)
-        return assemble(state)
-
-    problem.affine.assemble = counted_assemble
     calls.clear()
     integrate(problem, _disc_state(), 0.0, 0.05, 0.005)
     assert len(assemblies) > 11

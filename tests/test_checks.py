@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmech import (CanonicalDirac, Chart, LinearConstraint, OmegaGraphDirac, PiGraphDirac,
-                       SkewAlgebroid, induce)
+from diracmech import (CanonicalDirac, Chart, GeneralLocalDirac, LinearConstraint,
+                       OmegaGraphDirac, PiGraphDirac, SkewAlgebroid, induce)
 from diracmech.algebroid import JACOBI_TOL
 from diracmech import dirac as dirac_module
 from diracmech.checks import (
@@ -27,7 +27,8 @@ from diracmech.checks import (
 )
 from diracmech.errors import DiracMechError
 from diracmech.linalg import annihilator, max_principal_angle, null_space
-from diracmech.systems import CATALOG, SystemBundle, build_system, quadratic_lagrangian
+from diracmech.systems import (CATALOG, SystemBundle, build_system, quadratic_lagrangian,
+                               so3_algebroid)
 
 from conftest import (make_frame_algebroid, make_general_local, make_random_omega,
                       make_random_pigraph)
@@ -96,6 +97,30 @@ def assert_checks_match_reference(dirac, probes):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SkewAlgebroid, "basis_jacobi_violation", per_probe_jacobi_violation)
         assert deduped == integrability(dirac)
+
+
+@pytest.mark.parametrize("delta, passed", [(5e-7, True), (2e-6, False)])
+def test_jacobi_check_holds_to_its_tolerance(delta, passed):
+    # so(3) with delta e0 added to [e0, e1]: its closed-form Jacobiator is
+    # exactly delta, either side of JACOBI_TOL = 1e-6
+    so3 = so3_algebroid()
+    c = so3.structure(np.zeros(0)).copy()
+    c[0, 1, 0] += delta
+    c[1, 0, 0] -= delta
+    result = jacobi_check(SkewAlgebroid(so3.chart, so3.anchor, lambda x: c))
+    assert result["max_violation"] == delta
+    assert result["passed"] is passed
+
+
+@pytest.mark.parametrize("eps, passed", [(5e-9, True), (2e-8, False)])
+def test_core_check_holds_to_its_tolerance(eps, passed):
+    # the velocities y = 0 annihilate the xidot axis, and the core ker zeta is
+    # that axis turned by eps, either side of CORE_TOL = 1e-8
+    blocks = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
+              np.array([[np.cos(eps), np.sin(eps)]]))
+    result = core_annihilator_check(GeneralLocalDirac(Chart(1, 1), lambda x: blocks))
+    assert result["max_violation"] == pytest.approx(eps, rel=1e-6)
+    assert result["passed"] is passed
 
 
 @pytest.mark.parametrize("system,constraint", [(name, None) for name in sorted(CATALOG)] + [

@@ -314,6 +314,22 @@ class TestRun:
         assert "sweep PARAM" in capsys.readouterr().err
         assert not (tmp_path / "escaped").exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ("spring=1:2", "malformed sweep 'spring=1:2'"),
+        ("spring=1:inf:2", "needs finite bounds"),
+        ("spring=1:2:0", "at least one sample"),
+    ], ids=["malformed", "non-finite", "no-sample"])
+    def test_malformed_sweep_writes_its_report(self, tmp_path, spec, message):
+        # the document has loaded, so the report names the error in --out itself
+        path = write_scenario(tmp_path, dict(BASE_DOC))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--sweep", spec]) == EXIT_MALFORMED
+        assert [p.name for p in out.iterdir()] == ["r.json"]
+        report = _strict_json((out / "r.json").read_text())
+        assert message in report.pop("error")
+        assert report == {"schema": "diracmech/report-v1", "system": "harmonic_oscillator",
+                          "formalism": "lagrangian", "exit_code": EXIT_MALFORMED}
+
     def test_sweep_matches_separate_runs(self, tmp_path):
         doc = json.loads((SCENARIOS / "euler_top.json").read_text())
         doc["time"]["t1"] = 0.05

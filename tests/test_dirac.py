@@ -771,20 +771,11 @@ class TestTabulation:
         assert len(traj) == 101  # a hundred rk4 steps
         assert calls == {"anchor": 2, "structure": 2}
 
-    def test_rolling_disc_evaluates_its_fields_once_per_assembly(self):
+    def test_rolling_disc_evaluates_its_fields_once_per_assembly(self, assemblies):
         calls = {"anchor": 0, "structure": 0}
         dirac = induce(PiGraphDirac(_counted(rolling_disc_algebroid(), calls)),
                        LinearConstraint(fiber=(2, 3)))
         problem = lagrangian_problem(dirac, rolling_disc_lagrangian())
-        cache = problem.affine
-        assemblies = []
-        assemble = cache.assemble
-
-        def counted_assemble(state):
-            assemblies.append(state)
-            return assemble(state)
-
-        cache.assemble = counted_assemble
         integrate(problem, np.array([0.0, 1.0, 2.0]), 0.0, 0.1, 0.01)
         assert len(assemblies) > 11
         assert calls == {"anchor": len(assemblies), "structure": len(assemblies)}

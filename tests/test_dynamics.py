@@ -26,6 +26,7 @@ from diracmech import (
     nonholonomic_el_residual,
     pmp_residual,
 )
+from diracmech.linalg import last_point
 from diracmech.systems import build_system, quadratic_lagrangian, rolling_disc_lagrangian
 
 from conftest import make_random_pigraph
@@ -847,7 +848,7 @@ class TestLastPoint:
                 raise EvaluationError("negative point")
             return [float(sum(a.sum() for a in point))]
 
-        at = dynamics._last_point(compute)
+        at = last_point(compute)
         good = (np.array([1.0]),) + ((np.array([2.0]),) if pair else ())
         bad = (np.array([-1.0]),) + ((np.array([2.0]),) if pair else ())
         first = at(*good)

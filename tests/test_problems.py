@@ -279,6 +279,17 @@ def test_one_partial_call_per_assembly(disc_induced, disc_hamiltonian):
             assert calls == [label] * (k + 1)
 
 
+def test_one_assembly_per_state_at_any_t(disc_induced, disc_hamiltonian, assemblies):
+    # no assembly reads t, so the parts are keyed on the state alone
+    problem = hamiltonian_problem(disc_induced, disc_hamiltonian)
+    state = np.array([0.3, 1.0, 2.0, 0.5, -0.4])
+    first = problem.affine(0.0, state)
+    assert problem.affine(1.0, state) is first
+    assert problem.affine(2.0, state.tolist()) is first  # a list converts to the same key
+    problem.algebraic(3.0, state)
+    assert len(assemblies) == 1
+
+
 def test_point_base_lagrangian_never_evaluates_grad_x():
     # the p slot is empty on a point base, and the assembly multiplies by y alone
     calls = []

@@ -99,20 +99,7 @@ def _counted_disc_mass(monkeypatch, calls):
         logged("M", mass), logged("dM", mass_diff)))
 
 
-def _logged_assemblies(problem):
-    """The states ``problem`` assembles at, in order."""
-    states = []
-    assemble = problem.affine.assemble
-
-    def logged(state):
-        states.append(state.copy())
-        return assemble(state)
-
-    problem.affine.assemble = logged
-    return states
-
-
-def test_disc_lagrangian_reads_its_mass_matrix_once_per_base_point(monkeypatch):
+def test_disc_lagrangian_reads_its_mass_matrix_once_per_base_point(monkeypatch, assemblies):
     calls = {"M": 0, "dM": 0}
     _counted_disc_mass(monkeypatch, calls)
     problem = build_problem(build_system("rolling_disc"), "lagrangian")
@@ -123,17 +110,19 @@ def test_disc_lagrangian_reads_its_mass_matrix_once_per_base_point(monkeypatch):
         energy(0.0, np.array(state))  # ... and the monitor after it
         assert calls == {"M": 1 + (k == 2), "dM": 1 + (k == 2)}
 
-    # along a run: once per change of x between consecutive assemblies
-    states = _logged_assemblies(problem)
+    # along a run: once per change of x between consecutive assemblies, and
+    # each state is assembled once, also where the accepted state repeats
+    # rk4's last stage at a time one roundoff apart
+    assemblies.clear()
     calls.update(M=0, dM=0)
     integrate(problem, np.array([0.3, 1.0, 2.0]), 0.0, 0.05, 0.005)
-    xs = [s[0] for s in states]
+    xs = [s[0] for s in assemblies]
     changes = sum(1 for k, x in enumerate(xs) if k == 0 or x != xs[k - 1])
-    assert changes < len(states)  # rk4 stages at one x share M
+    assert len({s.tobytes() for s in assemblies}) == len(assemblies)
     assert calls == {"M": changes, "dM": changes}
 
 
-def test_disc_hamiltonian_reads_dM_once_per_state(monkeypatch):
+def test_disc_hamiltonian_reads_dM_once_per_state(monkeypatch, assemblies):
     calls = {"M": 0, "dM": 0}
     _counted_disc_mass(monkeypatch, calls)
     ham = build_system("rolling_disc").closed_hamiltonian
@@ -145,11 +134,10 @@ def test_disc_hamiltonian_reads_dM_once_per_state(monkeypatch):
 
     problem = build_problem(build_system("rolling_disc"), "hamiltonian",
                             hamiltonian_source="closed")
-    states = _logged_assemblies(problem)
     calls.update(M=0, dM=0)
     integrate(problem, np.array([0.3, 1.0, 2.0, 0.5, -0.4]), 0.0, 0.05, 0.005)
-    assert len(states) > 11
-    assert calls == {"M": len(states), "dM": len(states)}
+    assert len(assemblies) > 11
+    assert calls == {"M": len(assemblies), "dM": len(assemblies)}
 
 
 def test_lqr_constant_partials_are_built_once_and_read_only():
