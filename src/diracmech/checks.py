@@ -18,7 +18,7 @@ from .algebroid import JACOBI_TOL
 from .constraints import check_integrability
 from .dirac import ISOTROPY_TOL
 from .dynamics import el_residual, hamilton_residual
-from .errors import DiracMechError
+from .errors import ConstraintError, DiracMechError, StructureError
 
 CORE_TOL = 1e-8
 LEGENDRE_TOL = 1e-7
@@ -135,7 +135,7 @@ def run_checks(bundle, names, seed=0):
         elif name == "integrability":
             try:
                 results[name] = integrability_check(bundle.dirac)
-            except DiracMechError as err:
+            except (ConstraintError, StructureError) as err:  # not a linear graph, or no Jacobi
                 results[name] = {"skipped": str(err), "passed": True}
         elif name == "legendre_equivalence":
             if bundle.lagrangian is None or bundle.dirac.clock_base is not None:

@@ -10,9 +10,11 @@ pins), so the solver knows nothing about them.
 ``METHODS`` maps each method to its step: rk4, or implicit midpoint, the
 fixed point s = state + dt * rate(t + dt/2, (state + s)/2) iterated with
 one exact rate solve each time, which raises SolverError unless it contracts.
-After every accepted step the state is re-projected onto the algebraic
-channel by Gauss-Newton steps on its G to prevent constraint drift.  The
-admissibility report reads the states and rates a trajectory holds.
+One loop body in ``integrate`` makes every sample, the initial one as its
+first pass; a degenerate step re-raises the solve's own error with the step
+index appended.  After every step the state is re-projected onto the
+algebraic channel by Gauss-Newton steps on its G to prevent constraint
+drift.  The admissibility report reads the states and rates a trajectory holds.
 
 The rate solve calls LAPACK directly, without the overhead of the
 ``numpy.linalg`` wrappers: ``dgesdd`` for the singular values of the
@@ -98,13 +100,24 @@ class Trajectory:
         return float(np.max(np.abs(channel - channel[0]), initial=0.0))
 
 
+def _check_lengths(problem, state, guess=None):
+    """SolverError unless the flat ``state`` and ``guess`` (when given) have
+    ``state_dim`` entries."""
+    d = problem.state_dim
+    if state.size != d or (guess is not None and guess.size != d):
+        given = "" if guess is None else f" and rate guess {guess.size}"
+        raise SolverError(f"state has {state.size}{given} entries for {d} state slots")
+
+
 def project_initial(problem, guess, t=0.0):
     """Gauss-Newton projection of a state guess onto the algebraic channel (g, G).
 
-    Raises InitializationError when the projection does not converge, and
-    before any step when g or G is not finite.
+    Raises SolverError when the guess does not have ``state_dim`` entries,
+    InitializationError when the projection does not converge, and before
+    any step when g or G is not finite.
     """
-    state = np.array(guess, dtype=float)
+    state = np.array(guess, dtype=float).reshape(-1)
+    _check_lengths(problem, state)
     if problem.algebraic is None:
         return state
     g, G = problem.algebraic(t, state)
@@ -148,9 +161,7 @@ def solve_rate(problem, t, state, rate_guess=None):
     state = floats(state, flat=True)
     d = problem.state_dim
     guess = np.zeros(d) if rate_guess is None else floats(rate_guess, flat=True)
-    if state.size != d or guess.size != d:
-        raise SolverError(f"state has {state.size} and rate guess {guess.size} entries "
-                          f"for {d} state slots")
+    _check_lengths(problem, state, guess)
     r = floats(problem.residual(t, state, guess), flat=True)
     if r.size != d:
         raise SolverError(f"residual has {r.size} rows for {d} rate slots")
@@ -223,14 +234,6 @@ def _implicit_midpoint_step(problem, t, state, dt, k1):
 METHODS = {"rk4": _rk4_step, "implicit-midpoint": _implicit_midpoint_step}
 
 
-def _record_monitors(watched, t, state):
-    for name, fn, values in watched:
-        value = fn(t, state)
-        if not math.isfinite(value):
-            raise SolverError(f"monitor '{name}' is not finite at t={t} ({value})")
-        values.append(value)
-
-
 def step_count(t0, t1, dt):
     """The number of equal steps, round((t1 - t0) / dt), that span [t0, t1].
 
@@ -254,46 +257,41 @@ def step_count(t0, t1, dt):
 def integrate(problem, state0, t0, t1, dt, method="rk4"):
     """Integrate from t0 to t1 in ``step_count(t0, t1, dt)`` equal steps.
 
-    After each step the state is re-projected onto the algebraic channel,
-    when the problem has one, and monitors are recorded; a monitor value
-    that is not finite raises SolverError.  Raises with the step index
-    attached when the inner rate solve degenerates.
+    Pass k of one loop makes sample k: it steps from sample k - 1 when k > 0,
+    projects onto the algebraic channel when k == 0 or the problem has one,
+    solves the rate warm-started from the last and records the monitors (one
+    not finite raises SolverError).  A DegenerateDynamicsError in step k is
+    re-raised as itself, its message ending "(while stepping from t=..., step k)".
     """
     if method not in METHODS:
         raise SolverError(f"unknown method '{method}'")
     nsteps = step_count(t0, t1, dt)
     dt_eff = (float(t1) - float(t0)) / nsteps
 
-    state = project_initial(problem, state0, t=t0)
-    times = [float(t0)]
-    states = [state]
-    rate, iters, norm = solve_rate(problem, t0, state)
-    rates = [rate]
-    newton = [iters]
-    norms = [norm]
-    monitors = {k: [] for k in problem.monitors}
-    watched = [(name, fn, monitors[name]) for name, fn in problem.monitors.items()]
-    _record_monitors(watched, t0, state)
-
-    for step_index in range(nsteps):
-        t = t0 + step_index * dt_eff
-        try:
-            state, it = METHODS[method](problem, t, state, dt_eff, rate)
-        except DegenerateDynamicsError as err:
-            raise DegenerateDynamicsError(
-                f"{err} (while stepping from t={t}, step {step_index})",
-                t=err.t, state=err.state, singular_values=err.singular_values,
-            ) from err
-        t_new = t0 + (step_index + 1) * dt_eff
-        if problem.algebraic is not None:
-            state = project_initial(problem, state, t=t_new)
-        rate, iters, norm = solve_rate(problem, t_new, state, rate_guess=rate)
-        times.append(t_new)
+    times, states, rates, newton, norms = [], [], [], [], []
+    monitors = {name: [] for name in problem.monitors}
+    state, rate, t, it = state0, None, t0, 0
+    for k in range(nsteps + 1):
+        if k:
+            start, t = t0 + (k - 1) * dt_eff, t0 + k * dt_eff
+            try:
+                state, it = METHODS[method](problem, start, state, dt_eff, rate)
+            except DegenerateDynamicsError as err:
+                err.args = (f"{err} (while stepping from t={start}, step {k})",)
+                raise
+        if not k or problem.algebraic is not None:
+            state = project_initial(problem, state, t=t)
+        rate, iters, norm = solve_rate(problem, t, state, rate_guess=rate)
+        times.append(float(t))
         states.append(state)
         rates.append(rate)
         newton.append(max(iters, it))
         norms.append(norm)
-        _record_monitors(watched, t_new, state)
+        for name, fn in problem.monitors.items():
+            value = fn(t, state)
+            if not math.isfinite(value):
+                raise SolverError(f"monitor '{name}' is not finite at t={t} ({value})")
+            monitors[name].append(value)
 
     return Trajectory(times, states, rates, monitors, newton, norms, problem)
 

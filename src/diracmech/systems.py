@@ -226,8 +226,12 @@ class SystemBundle:
         """Hamiltonian for the phase formalism.
 
         ``source`` is "legendre" (numerical transform of the Lagrangian,
-        validated on random probes) or "closed" (the stored closed form).
+        validated on random probes) or "closed" (the stored closed form);
+        any other raises ScenarioError.
         """
+        if source not in ("legendre", "closed"):
+            raise ScenarioError(f"unknown Hamiltonian source '{source}': "
+                                "expected 'legendre' or 'closed'")
         if source == "closed":
             if self.closed_hamiltonian is None:
                 raise ScenarioError(f"system {self.name} has no closed-form Hamiltonian")

@@ -25,7 +25,7 @@ from diracmech.checks import (
     jacobi_check,
     run_checks,
 )
-from diracmech.errors import DiracMechError
+from diracmech.errors import DiracMechError, EvaluationError
 from diracmech.linalg import annihilator, max_principal_angle, null_space
 from diracmech.systems import (CATALOG, SystemBundle, build_system, quadratic_lagrangian,
                                so3_algebroid)
@@ -222,6 +222,26 @@ def test_isotropy_check_without_probes_passes():
     dirac = build_system("rolling_disc").dirac
     assert isotropy_check(dirac, probes=0) == {"max_violation": 0.0,
                                                "tolerance": ISOTROPY_TOL, "passed": True}
+
+
+def test_integrability_raises_what_is_not_a_precondition():
+    # only a non-graph structure or a failed Jacobi test is skipped: an anchor
+    # that is NaN off the unit ball raises as it does in the jacobi check
+    def anchor(x):
+        return np.eye(2) if np.linalg.norm(x) < 1.0 else np.full((2, 2), np.nan)
+
+    algebroid = SkewAlgebroid(Chart(2, 2), anchor, lambda x: np.zeros((2, 2, 2)))
+    bundle = SystemBundle("nan", PiGraphDirac(algebroid))
+    for name in ("integrability", "jacobi"):
+        with pytest.raises(EvaluationError,
+                           match=r"^anchor has non-finite entry at index \(0, 0\)$"):
+            run_checks(bundle, [name])
+
+
+def test_unknown_check_name_rejected():
+    with pytest.raises(DiracMechError, match="^unknown check 'bogus'$") as info:
+        run_checks(build_system("euler_top"), ["isotropy", "bogus"])
+    assert type(info.value) is DiracMechError
 
 
 def test_legendre_equivalence_skips_without_a_closed_form_hamiltonian():

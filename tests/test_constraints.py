@@ -75,6 +75,11 @@ class TestInduce:
         with pytest.raises(ConstraintError, match="pointwise"):
             induce(disc_pi, W)
 
+    def test_selectors_and_matrix_together_rejected(self):
+        with pytest.raises(ConstraintError,
+                           match="^give either index selectors or a matrix, not both$"):
+            LinearConstraint(fiber=(0,), matrix=lambda x: np.zeros((1, 5)))
+
     def test_omega_base_rejected(self):
         omega = OmegaGraphDirac(Chart(1, 1), rho=lambda x: np.eye(1),
                                 cform=lambda x: np.zeros((1, 1, 1)))

@@ -601,6 +601,10 @@ class TestPMP:
             assert np.max(np.abs(out[0])) <= 1e-12
             assert np.max(np.abs(out[1])) <= 1e-12
 
+    def test_control_dimension_must_be_positive(self):
+        with pytest.raises(EvaluationError, match="^control dimension must be >= 1$"):
+            ControlSystem(lambda x, u: x, lambda x, u: 0.0, control_dim=0)
+
     def test_control_independent_data_has_zero_stationarity(self):
         dirac = CanonicalDirac(2)
         system = ControlSystem(

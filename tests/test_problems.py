@@ -12,6 +12,7 @@ from diracmech import (
     Hamiltonian,
     LinearConstraint,
     PiGraphDirac,
+    SolverError,
     TimeExtendedDirac,
     el_residual,
     fd,
@@ -251,6 +252,14 @@ def test_pmp_channel_holds_the_phase_equations():
     assert channel.size == 2 and np.max(np.abs(channel - [1.0, 0.0])) <= 1e-12
     trajectory = integrate(problem, state, 0.0, 0.1, 0.01)
     assert np.max(np.abs(trajectory.states[:, 0])) <= PROJECTION_TOL
+
+
+def test_pmp_problem_rejects_pinned_fibers():
+    system = ControlSystem(lambda x, u: np.array([u[0], 1.0]),
+                           lambda x, u: 0.5 * float(u @ u))
+    dirac = induce(CanonicalDirac(2), LinearConstraint(fiber=(1,)))
+    with pytest.raises(SolverError, match="^control problems expect an unconstrained structure$"):
+        pmp_problem(system, dirac)
 
 
 def _counted(calls, label, fn):

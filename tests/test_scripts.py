@@ -6,6 +6,7 @@ functions that its inputs leave unreached."""
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,8 +51,20 @@ def test_a_run_that_does_not_exit_0_is_named(outputs, tmp_path, monkeypatch, cap
 
 def test_reach_of_list_systems_alone(monkeypatch):
     reach = _load(monkeypatch, "reach")
-    result = reach.report([lambda: reach.cli.main(["list-systems"])])
+    result = reach.report([lambda: reach._cli(["list-systems"])])
     unreached = result["unreached"]
     assert result["functions"] == result["reached"] + len(unreached)
     assert any(re.fullmatch(r"src/diracmech/solver\.py:\d+ integrate", e) for e in unreached)
     assert not any(e.endswith(" cmd_list_systems") for e in unreached)
+
+
+def test_reach_counts_calls_made_at_import():
+    # a fresh interpreter imports the package under the profiler: the catalog
+    # that import builds reaches SystemSpec.__init__
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import reach; "
+            "print(json.dumps(reach.report([lambda: reach._cli(['list-systems'])])))")
+    done = subprocess.run([sys.executable, "-c", code, str(SCRIPTS)], capture_output=True,
+                          text=True, check=True, timeout=60)
+    unreached = json.loads(done.stdout)["unreached"]
+    assert not any(e.endswith(" SystemSpec.__init__") for e in unreached)
+    assert any(e.endswith(" integrate") for e in unreached)

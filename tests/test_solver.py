@@ -97,6 +97,22 @@ class TestProjectInitial:
         assert calls == []
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize("length", [3, 7])
+    @pytest.mark.parametrize("channel", [True, False], ids=["channel", "no-channel"])
+    def test_input_length_checked(self, channel, length):
+        # the check solve_rate makes, raised before any channel evaluation or step
+        if channel:
+            problem = build_problem(build_system("rolling_disc"), "hamiltonian",
+                                    hamiltonian_source="closed")
+        else:
+            problem = affine_problem(np.eye(5), np.zeros(5))
+        assert (problem.algebraic is not None) == channel
+        message = f"state has {length} entries for 5 state slots"
+        with pytest.raises(SolverError, match=message):
+            project_initial(problem, np.zeros(length))
+        with pytest.raises(SolverError, match=message):
+            integrate(problem, np.zeros(length), 0.0, 0.1, 0.05)
+
 
 class TestSolveRate:
     def test_rolling_disc_rates(self, disc_problem):
@@ -481,6 +497,52 @@ class TestIntegrate:
         assert len(traj) - 1 == 50
         assert len(calls) / 50 <= 6
 
+    def test_initial_sample_is_pass_zero(self, monkeypatch, oscillator_problem):
+        # sample 0 is solved with no guess at float(t0); step k starts at sample k - 1
+        guesses, starts = [], []
+        solve, step = solver.solve_rate, solver.METHODS["rk4"]
+
+        def solving(problem, t, state, rate_guess=None):
+            guesses.append(rate_guess)
+            return solve(problem, t, state, rate_guess=rate_guess)
+
+        def stepping(problem, t, state, dt, k1):
+            starts.append(t)
+            return step(problem, t, state, dt, k1)
+
+        monkeypatch.setattr(solver, "solve_rate", solving)
+        monkeypatch.setitem(solver.METHODS, "rk4", stepping)
+        traj = integrate(oscillator_problem, np.array([1.0, 0.0]), 0.3, 1.0, 0.1)
+        assert len(traj) == 8 and traj.times[0] == 0.3
+        assert guesses[0] is None and all(g is not None for g in guesses[1:])
+        dt_eff = (1.0 - 0.3) / 7  # 0.09999999999999999
+        assert starts == [0.3 + k * dt_eff for k in range(7)] == traj.times[:-1].tolist()
+        assert traj.times[-1] == 0.3 + 7 * dt_eff
+
+    def test_degenerate_step_reraises_its_own_error(self, monkeypatch):
+        # x' = 1 while A = 1 for x < 0.25: the rk4 stage at x = 0.25 in step 3 meets A = 0
+        problem = ImplicitProblem(1, lambda t, state: (
+            np.array([[1.0 if state[0] < 0.25 else 0.0]]), np.array([-1.0])))
+        raised = []
+        solve = solver.solve_rate
+
+        def recording(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except DegenerateDynamicsError as err:
+                raised.append((err, str(err), err.t, err.state.copy()))
+                raise
+
+        monkeypatch.setattr(solver, "solve_rate", recording)
+        with pytest.raises(DegenerateDynamicsError) as info:
+            integrate(problem, np.zeros(1), 0.0, 1.0, 0.1)
+        [(err, message, t, state)] = raised
+        assert info.value is err
+        assert str(err) == f"{message} (while stepping from t={2 * 0.1}, step 3)"
+        assert err.t == t == 2 * 0.1 + 0.1 / 2
+        assert err.state.tolist() == state.tolist() == [0.25]
+        assert err.singular_values.tolist() == [0.0]
+
     def test_implicit_midpoint_rejects_non_contracting_step(self, oscillator_problem):
         # dt * L / 2 = 1.5 for the unit oscillator: the iteration diverges
         with pytest.raises(SolverError, match="did not contract"):
@@ -530,6 +592,13 @@ class TestPerStepPath:
 
 
 class TestAdmissibility:
+    def test_problem_without_velocities_rejected(self, oscillator_problem):
+        bare = ImplicitProblem(2, oscillator_problem.affine)
+        traj = integrate(bare, np.array([0.5, 0.0]), 0.0, 0.02, 1e-2)
+        with pytest.raises(SolverError,
+                           match="^no velocity-pair extractor available for this problem$"):
+            admissibility_report(build_system("harmonic_oscillator").dirac, traj)
+
     def test_rolling_disc_constraint_maintenance(self, disc_problem, disc_induced):
         traj = integrate(disc_problem, np.array([0.0, 1.0, 2.0]), 0.0, 1.0, 1e-2)
         report = admissibility_report(disc_induced, traj)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
-from diracmech import ScenarioError, StructureError, integrate, legendre_transform
+from diracmech import (CanonicalDirac, ScenarioError, StructureError, integrate,
+                       legendre_transform)
 from diracmech.linalg import max_principal_angle
 from diracmech import systems
 from diracmech.systems import CATALOG, build_problem, build_system
@@ -30,6 +31,31 @@ def test_constraint_override_uses_one_based_indices(disc_induced):
         bundle.dirac.basis_matrix_at(x, xi),
         disc_induced.basis_matrix_at(x, xi),
     ) <= 1e-12
+
+
+def test_unknown_hamiltonian_source_rejected():
+    # no silent fallback to the numerical Legendre transform
+    message = "^unknown Hamiltonian source 'bogus': expected 'legendre' or 'closed'$"
+    bundle = build_system("rolling_disc")
+    with pytest.raises(ScenarioError, match=message):
+        bundle.hamiltonian("bogus")
+    with pytest.raises(ScenarioError, match=message):
+        build_problem(bundle, "hamiltonian", hamiltonian_source="bogus")
+
+
+def test_hamiltonian_needs_a_lagrangian():
+    bundle = systems.SystemBundle("bare", CanonicalDirac(1))
+    with pytest.raises(ScenarioError, match="^system bare has no Lagrangian$"):
+        bundle.hamiltonian()
+
+
+@pytest.mark.parametrize("formalism, message", [
+    ("pmp", "system harmonic_oscillator has no control formalism"),
+    ("bogus", "unknown formalism 'bogus'"),
+])
+def test_build_problem_rejects_a_formalism_it_cannot_build(formalism, message):
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        build_problem(build_system("harmonic_oscillator"), formalism)
 
 
 def test_zero_based_override_rejected():
